@@ -7,6 +7,11 @@ diagonal eta^J. One-dimensional S^J follow in closed form from the twisted
 modular relation; product theories compose them factor-wise; anything else
 arrives as explicit input.
 
+Monodromy charges are exact: a `Theory` keeps the weights as int64
+numerators over one common denominator and builds, once per current J, the
+charge column Q_J = (h + h[J] - h[J x]) mod 1 against every field as one
+array operation. Fractions appear only at the accessors.
+
 Twist factors F(a, K, J) compare the K-translated rows of S^J against the
 monodromy phase and are snapped to exact roots of unity.
 """
@@ -14,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,9 +30,9 @@ from .errors import (
     MalformedBundleError,
     ResolutionError,
 )
-from .groups import MultGroup, lcm_all
+from .groups import MultGroup
 from .modular import ModularData, fusion_matrix
-from .phases import norm1, snap_phase, unit
+from .phases import norm1, snap_phase, unit, units
 
 
 @dataclass
@@ -84,7 +90,10 @@ def detect_simple_currents(md: ModularData, tol: float = 1e-6):
 
 
 def current_permutation(md: ModularData, j: int, tol: float = 1e-6) -> np.ndarray:
-    """Fusion action of a simple current as a permutation of field ids."""
+    """Fusion action of a simple current as a permutation of field ids.
+
+    Permutations of atomic theories are cached on their ModularData, so a
+    product computes each factor permutation once."""
     if md.factors is not None:
         sizes = [f.size for f in md.factors]
         ji = np.unravel_index(j, sizes)
@@ -96,10 +105,15 @@ def current_permutation(md: ModularData, j: int, tol: float = 1e-6) -> np.ndarra
         return np.ravel_multi_index(
             tuple(g.ravel() for g in grids), sizes
         ).astype(np.intp)
-    n = fusion_matrix(md, j, tol=max(tol, 1e-6))
-    if not np.array_equal(n.sum(axis=1), np.ones(md.size, dtype=np.int64)):
-        raise InvalidInputError(f"field {j} does not fuse as a permutation")
-    return np.argmax(n, axis=1).astype(np.intp)
+    key = (j, tol)
+    if key not in md._perms:
+        n = fusion_matrix(md, j, tol=max(tol, 1e-6))
+        if not np.array_equal(n.sum(axis=1), np.ones(md.size, dtype=np.int64)):
+            raise InvalidInputError(f"field {j} does not fuse as a permutation")
+        perm = np.argmax(n, axis=1).astype(np.intp)
+        perm.flags.writeable = False
+        md._perms[key] = perm
+    return md._perms[key]
 
 
 class Theory:
@@ -111,11 +125,15 @@ class Theory:
         ids = detect_simple_currents(md, tol)
         self.perms = {j: current_permutation(md, j, tol) for j in ids}
         self.center = MultGroup(ids, lambda a, b: int(self.perms[a][b]), 0)
-        # twist orders divide current orders, so fold those in too
-        self.snap_order = lcm_all(
-            [md.t_exponent(a).denominator for a in range(md.size)]
-            + [norm1(md.h[j]).denominator for j in ids]
-            + [self.center.order_of(j) for j in ids]
+        # weights and T exponents mod 1, as numerators over self.den
+        self.den, self._hn, tn = md.phase_numerators()
+        self._charges = {}
+        # lcm of the T-exponent denominators, the current spin denominators
+        # and the current orders: twist orders divide current orders
+        self.snap_order = math.lcm(
+            self.den // math.gcd(self.den, int(np.gcd.reduce(tn))),
+            *(self.den // math.gcd(self.den, int(self._hn[j])) for j in ids),
+            *(self.center.order_of(j) for j in ids),
         )
         self._bundles = {}
         for b in extra_bundles:
@@ -146,16 +164,27 @@ class Theory:
     def apply(self, j: int, a: int) -> int:
         return int(self.perms[j][a])
 
+    def charges(self, j: int) -> np.ndarray:
+        """Monodromy charges of current j against every field, as numerators
+        over `den`; built once per current."""
+        col = self._charges.get(j)
+        if col is None:
+            hn = self._hn
+            col = (hn + hn[j] - hn[self.perms[j]]) % self.den
+            col.flags.writeable = False
+            self._charges[j] = col
+        return col
+
     def charge_exponent(self, j: int, a: int) -> Fraction:
         """Monodromy of the current around a field, exact mod 1."""
-        return norm1(self.md.h[a] + self.md.h[j] - self.md.h[self.apply(j, a)])
+        return Fraction(int(self.charges(j)[a]), self.den)
 
     def is_local(self, j: int, a: int) -> bool:
-        return self.charge_exponent(j, a) == 0
+        return bool(self.charges(j)[a] == 0)
 
     def integer_spin_currents(self, members=None):
         members = self.center.elements if members is None else members
-        return tuple(j for j in members if norm1(self.md.h[j]) == 0)
+        return tuple(j for j in members if self._hn[j] == 0)
 
     def subgroup(self, gens):
         for g in gens:
@@ -216,7 +245,9 @@ class Theory:
                 etas.append(np.ones(f.size, dtype=complex))
                 supports.append(np.arange(f.size))
             else:
-                sub = _atomic_theory(f, self.tol)
+                sub = f._theories.get(self.tol)
+                if sub is None:
+                    sub = f._theories[self.tol] = Theory(f, self.tol)
                 fb = sub.bundle(jf)
                 mats.append(fb.matrix)
                 eta = fb.eta
@@ -270,7 +301,7 @@ class Theory:
             b = self.bundle(j)
             if b.dim == 1:
                 # one-dimensional bundles twist by the inverse monodromy
-                out = norm1(-self.charge_exponent(k, a))
+                out = Fraction(-int(self.charges(k)[a]) % self.den, self.den)
             else:
                 out = self._extract_twist(b, a, k)
         self._twists[key] = out
@@ -283,9 +314,7 @@ class Theory:
         ka = self.apply(k, a)
         row_a = b.matrix[b.position(a)]
         row_ka = b.matrix[b.position(ka)]
-        phases = np.array(
-            [unit(-self.charge_exponent(k, c)) for c in b.fields]
-        )
+        phases = units(-self.charges(k)[list(b.fields)], self.den)
         mask = np.abs(row_a) > 1e-6
         if not mask.any():
             raise ResolutionError(
@@ -298,13 +327,6 @@ class Theory:
                 f"twist of ({a},{k}) against {b.current} is not constant"
             )
         return snap_phase(mean, self.snap_order, tol=1e-6)
-
-
-def _atomic_theory(md: ModularData, tol: float) -> Theory:
-    # cached on the factor itself so repeated product bundles stay cheap
-    if not hasattr(md, "_theory_cache"):
-        md._theory_cache = Theory(md, tol)
-    return md._theory_cache
 
 
 # ---------------------------------------------------------------------------

@@ -91,10 +91,11 @@ class Extension:
     def _build_orbits(self):
         th = self.theory
         md = th.md
-        local = []
-        for a in range(md.size):
-            if all(th.charge_exponent(j, a) == 0 for j in self.h_members if j):
-                local.append(a)
+        uncharged = np.ones(md.size, dtype=bool)
+        for j in self.h_members:
+            if j:
+                uncharged &= th.charges(j) == 0
+        local = np.flatnonzero(uncharged).tolist()
         local_set = set(local)
         seen = set()
         orbits = []
@@ -220,11 +221,11 @@ class Extension:
 
     def residual_classes(self):
         th = self.theory
-        g_loc = [
-            j
-            for j in th.center.elements
-            if all(th.charge_exponent(k, j) == 0 for k in self.h_members)
-        ]
+        center = np.array(th.center.elements, dtype=np.intp)
+        uncharged = np.ones(len(center), dtype=bool)
+        for k in self.h_members:
+            uncharged &= th.charges(k)[center] == 0
+        g_loc = center[uncharged].tolist()
         h_set = set(self.h_members)
         by_rep = {}
         for j in g_loc:

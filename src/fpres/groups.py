@@ -14,6 +14,7 @@ untwisted against a generating set; it works over exact rationals.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -78,14 +79,11 @@ class FiniteAbelianGroup:
         out = 1
         for a, n in zip(x, self.orders):
             if a:
-                out = _lcm(out, n // _gcd(n, a))
+                out = math.lcm(out, n // math.gcd(n, a))
         return out
 
     def exponent(self) -> int:
-        out = 1
-        for n in self.orders:
-            out = _lcm(out, n)
-        return out
+        return math.lcm(*self.orders)
 
     def elements(self):
         return itertools.product(*(range(n) for n in self.orders))
@@ -94,23 +92,6 @@ class FiniteAbelianGroup:
 def decompose(orders) -> FiniteAbelianGroup:
     """Build the canonical product group with the given cyclic factors."""
     return FiniteAbelianGroup(tuple(int(n) for n in orders))
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // _gcd(a, b) if a and b else 0
-
-
-def lcm_all(values) -> int:
-    out = 1
-    for v in values:
-        out = _lcm(out, int(v))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +227,7 @@ class MultGroup:
         self.coords = coordinate_map(self.basis, self.orders, mul, identity)
         if len(self.coords) != len(self.elements):
             raise InvalidInputError("element list is not closed under product")
+        self._chars = None
 
     @property
     def size(self) -> int:
@@ -267,7 +249,7 @@ class MultGroup:
         return _element_order(x, self._mul, self.identity)
 
     def exponent(self) -> int:
-        return lcm_all(self.orders) if self.orders else 1
+        return math.lcm(*self.orders)
 
     def subgroup(self, gens):
         return tuple(span(gens, self._mul, self.identity))
@@ -275,12 +257,29 @@ class MultGroup:
     def char_labels(self):
         return itertools.product(*(range(n) for n in self.orders))
 
+    def _char_table(self):
+        """Character exponents as numerators over the group exponent: row
+        per label in `char_labels` order, column per element in `elements`
+        order; built on first use."""
+        if self._chars is None:
+            e = self.exponent()
+            r = len(self.orders)
+            labels = np.array(list(self.char_labels()), dtype=np.int64)
+            coords = np.array([self.coords[x] for x in self.elements],
+                              dtype=np.int64)
+            scale = np.array([e // n for n in self.orders], dtype=np.int64)
+            table = (labels.reshape(self.size, r) * scale) @ coords.reshape(
+                self.size, r).T
+            self._chars = (table % e, e,
+                           {x: i for i, x in enumerate(self.elements)})
+        return self._chars
+
     def char_exponent(self, label, x) -> Fraction:
-        v = self.coords[x]
-        q = Fraction(0)
-        for i, m, n in zip(label, v, self.orders):
-            q += Fraction(i * m, n)
-        return norm1(q)
+        table, e, col = self._char_table()
+        row = 0
+        for i, n in zip(label, self.orders):
+            row = row * n + i % n
+        return Fraction(int(table[row, col[x]]), e)
 
     def char_value(self, label, x) -> complex:
         return unit(self.char_exponent(label, x))
@@ -604,7 +603,7 @@ class TwistSystem:
         return len(self.orders)
 
     def n_ij(self, i: int, j: int) -> int:
-        return _gcd(self.orders[i], self.orders[j])
+        return math.gcd(self.orders[i], self.orders[j])
 
     def lhs_exponent(self, k, i: int) -> Fraction:
         q = Fraction(0)
@@ -716,7 +715,7 @@ def _solve_mod(a_rows, b, modulus):
                 raise InconsistentSystemError("congruence system has no solution")
             kernel.append((i, 1))  # fully free coordinate
             continue
-        g = _gcd(di, modulus)
+        g = math.gcd(di, modulus)
         if rhs % g:
             raise InconsistentSystemError("congruence system has no solution")
         y[i] = (rhs // g) * pow(di // g, -1, modulus // g) % (modulus // g)
@@ -762,9 +761,7 @@ def solve_congruence_system(
     n = system.n
     if n == 0:
         return ()
-    big_l = lcm_all(system.orders)
-    for q in system.p:
-        big_l = _lcm(big_l, q.denominator)
+    big_l = math.lcm(*system.orders, *(q.denominator for q in system.p))
     # integerized system: rows = equations i, cols = unknowns j
     a = [
         [system.r[j][i] * (big_l // system.n_ij(i, j)) for j in range(n)]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from .errors import (
     InvalidInputError,
     ResourceLimitError,
 )
-from .phases import norm1, unit
+from .phases import common_denominator, numerators, units
 
 DENSE_LIMIT = 2_000_000  # max entries a dense S materialization may take
 
@@ -89,12 +90,26 @@ class ModularData:
     def __post_init__(self):
         if len(self.labels) != len(self.h):
             raise InvalidInputError("labels and weights differ in length")
-        if self.size != (self.s.shape[0] if isinstance(self.s, np.ndarray) else self.s.size):
+        if isinstance(self.s, np.ndarray):
+            if self.s.ndim != 2 or self.s.shape[0] != self.s.shape[1]:
+                raise InvalidInputError(
+                    f"S matrix of {self.name or 'modular data'} is not square: "
+                    f"shape {self.s.shape}"
+                )
+            n_s = self.s.shape[0]
+        else:
+            n_s = self.s.size
+        if self.size != n_s:
             raise InvalidInputError("S matrix size does not match field count")
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         if len(self._index) != len(self.labels):
             raise InvalidInputError("field labels are not distinct")
         self._conj = None
+        self._phases = None
+        # per-object caches: current permutations by (current, tol) and the
+        # Theory of a tensor factor by tol
+        self._perms = {}
+        self._theories = {}
 
     @property
     def size(self) -> int:
@@ -110,14 +125,28 @@ class ModularData:
         except KeyError:
             raise InvalidInputError(f"unknown field label {label!r}") from None
 
+    def phase_numerators(self):
+        """(den, hn, tn): the weights h and the T exponents h - c/24, mod 1,
+        as integer numerators over their common denominator den."""
+        if self._phases is None:
+            c24 = Fraction(self.c) / 24
+            den = math.lcm(common_denominator(self.h), c24.denominator)
+            hn = numerators(self.h, den) % den
+            tn = (hn - c24.numerator * (den // c24.denominator)) % den
+            hn.flags.writeable = tn.flags.writeable = False
+            self._phases = (den, hn, tn)
+        return self._phases
+
     def t_exponent(self, a: int) -> Fraction:
-        return norm1(self.h[a] - self.c / 24)
+        den, _, tn = self.phase_numerators()
+        return Fraction(int(tn[a]), den)
 
     def t_exponents(self):
         return [self.t_exponent(a) for a in range(self.size)]
 
     def t_values(self) -> np.ndarray:
-        return np.array([unit(q) for q in self.t_exponents()])
+        den, _, tn = self.phase_numerators()
+        return units(tn, den)
 
     # --- S access, uniform over dense and factorized storage
 
@@ -290,10 +319,14 @@ def tensor(*mds: ModularData, dense_limit: int = DENSE_LIMIT, name: str = "") ->
     labels = tuple(
         tuple(x) for x in itertools.product(*(f.labels for f in factors))
     )
-    h = tuple(
-        sum(hs, Fraction(0))
-        for hs in itertools.product(*(f.h for f in factors))
-    )
+    # weights as integer grids over one denominator, row-major like labels
+    den = math.lcm(*(common_denominator(f.h) for f in factors))
+    grid = np.zeros(1, dtype=np.int64)
+    for f in factors:
+        grid = np.add.outer(grid, numerators(f.h, den)).ravel()
+    vals, inv = np.unique(grid, return_inverse=True)
+    distinct = [Fraction(int(v), den) for v in vals]
+    h = tuple(distinct[i] for i in inv.tolist())
     c = sum((f.c for f in factors), Fraction(0))
     n = len(labels)
     if not name:

@@ -1,8 +1,14 @@
-"""Exact roots of unity as rational exponents.
+"""Exact roots of unity as integer numerators over a common denominator.
 
-A phase exp(2*pi*i*q) is represented by the Fraction q reduced mod 1.
-All group-theoretic phase bookkeeping stays exact; conversion to complex
-happens only at the numerical boundary.
+A phase exp(2*pi*i*q) is exact: q is rational and taken mod 1. Bulk data
+(weights, T exponents, monodromy charges, character tables) is stored as
+integer numerators n over one denominator d, q = n / d, in int64 numpy
+arrays, so a whole column of phases is one array operation; numerators too
+large for safe int64 sums fall back to object arrays of Python ints. A
+single exponent leaves this representation as a Fraction reduced mod 1,
+which is what the public accessors, the JSON documents and the reports
+carry. Conversion to complex happens only at the numerical boundary,
+through `unit`.
 """
 from __future__ import annotations
 
@@ -10,10 +16,9 @@ import cmath
 import math
 from fractions import Fraction
 
-from .errors import PhaseSnapError
+import numpy as np
 
-ZERO = Fraction(0)
-HALF = Fraction(1, 2)
+from .errors import PhaseSnapError
 
 
 def norm1(q: Fraction) -> Fraction:
@@ -25,15 +30,40 @@ def unit(q: Fraction | float) -> complex:
     return cmath.exp(2j * math.pi * float(q))
 
 
-def conj_exp(q: Fraction) -> Fraction:
-    return norm1(-q)
-
-
 def principal_root_exp(q: Fraction, n: int) -> Fraction:
     """Exponent of the principal n-th root: argument in [0, 2*pi) divided by n."""
     if n <= 0:
         raise ValueError("root order must be positive")
     return norm1(q) / n
+
+
+# --- integer numerators over a common denominator
+
+
+def common_denominator(qs) -> int:
+    """Least common denominator of a sequence of rationals (ints allowed)."""
+    return math.lcm(*(q.denominator for q in qs))
+
+
+INT64_SAFE = 2 ** 58  # int64 sums of up to 32 values this size cannot overflow
+
+
+def numerators(qs, den: int) -> np.ndarray:
+    """The integers n with q = n / den: int64 while den and every n stay
+    below INT64_SAFE, Python ints in an object array otherwise."""
+    ints = [q.numerator * (den // q.denominator) for q in qs]
+    if den < INT64_SAFE and max(map(abs, ints), default=0) < INT64_SAFE:
+        return np.array(ints, dtype=np.int64)
+    return np.array(ints, dtype=object)
+
+
+def units(nums, den: int) -> np.ndarray:
+    """unit(n / den) for every numerator, evaluated once per distinct value,
+    so each entry equals `unit` of the exact exponent bit for bit."""
+    nums = np.asarray(nums)
+    vals, inv = np.unique(nums, return_inverse=True)
+    table = np.array([unit(Fraction(int(v), den)) for v in vals], dtype=complex)
+    return table[inv.reshape(nums.shape)]
 
 
 def snap_phase(z: complex, order: int, tol: float = 1e-8) -> Fraction:
@@ -53,12 +83,3 @@ def snap_phase(z: complex, order: int, tol: float = 1e-8) -> Fraction:
             f"z = {z!r} is not within {tol} of any root of unity of order {order}"
         )
     return q
-
-
-def exp_str(q: Fraction) -> str:
-    q = norm1(q)
-    return f"{q.numerator}/{q.denominator}"
-
-
-def parse_exp(s: str) -> Fraction:
-    return norm1(Fraction(s))

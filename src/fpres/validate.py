@@ -10,14 +10,13 @@ eta product law is compared against the twists.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
 from .currents import Theory
 from .errors import InvalidInputError, PhaseSnapError, ResolutionError
 from .modular import ModularData, sampled_fusion_residual, tensor
-from .phases import norm1, snap_phase, unit
+from .phases import norm1, snap_phase, unit, units
 from .wzw import ising, sun
 
 HALF = Fraction(1, 2)
@@ -26,20 +25,15 @@ HALF = Fraction(1, 2)
 def _eta_exponent(theory: Theory, j: int, a: int) -> Fraction:
     if j == 0:
         return Fraction(0)
-    val = theory.eta_value(j, a)
-    # resolved eta data carries roots beyond the base snap order (class
-    # order times character order), so widen before giving up
-    exp = 1
-    for x in theory.center.elements:
-        exp = exp * theory.center.order_of(x) // gcd(
-            exp, theory.center.order_of(x)
-        )
-    for mult in (1, exp, exp * exp):
-        try:
-            return snap_phase(val, theory.snap_order * mult, tol=1e-6)
-        except PhaseSnapError:
-            continue
-    raise PhaseSnapError(f"eta of current {j} at {a} is not a snapped root")
+    # resolved eta data carries roots beyond the base snap order: class
+    # order times character order, each dividing the center's exponent
+    order = theory.snap_order * theory.center.exponent() ** 2
+    try:
+        return snap_phase(theory.eta_value(j, a), order, tol=1e-6)
+    except PhaseSnapError:
+        raise PhaseSnapError(
+            f"eta of current {j} at {a} is not a snapped root"
+        ) from None
 
 
 def _stabilizer_t(theory: Theory, a: int):
@@ -109,12 +103,10 @@ def check_conditions(theory: Theory, j: int, tol: float = 1e-8) -> dict:
     pos = {a: i for i, a in enumerate(supp)}
     dev4 = 0.0
     wit4 = None
-    charges = {}
     for k in theory.center.elements:
         if k == 0:
             continue
-        col = np.array([unit(theory.charge_exponent(k, c)) for c in supp])
-        charges[k] = col
+        col = units(theory.charges(k)[list(supp)], theory.den)
         for a in supp:
             try:
                 f = theory.twist_value(a, k, j)

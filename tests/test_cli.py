@@ -171,3 +171,20 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as err:
         main(["--version"])
     assert err.value.code == 0
+
+
+def test_non_square_s_document_is_usage_error(tmp_path, capsys):
+    doc = {
+        "format": "modular-data v1",
+        "name": "bad",
+        "central_charge": "1",
+        "fields": [{"label": "a", "h": "0"}, {"label": "b", "h": "1/2"}],
+        "s_matrix": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                     [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]],
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["currents", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "S matrix of bad is not square: shape (2, 3)" in err

@@ -1,0 +1,177 @@
+"""Exactness of the integer phase representation against Fraction formulas.
+
+The references below recompute every exponent one field at a time with
+Fraction arithmetic, the way the charge, T exponent, snap order, twist and
+character formulas read on paper.
+"""
+import itertools
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from fpres.currents import Theory
+from fpres.extend import extend
+from fpres.groups import MultGroup
+from fpres.modular import ModularData, ProductS, tensor
+from fpres.phases import norm1, snap_phase, unit
+from fpres.wzw import ising, su2, sun
+
+
+def ref_charge(th, j, a):
+    h = th.md.h
+    return norm1(h[a] + h[j] - h[int(th.perms[j][a])])
+
+
+def ref_t_exponent(md, a):
+    return norm1(md.h[a] - md.c / 24)
+
+
+def ref_snap_order(th):
+    md = th.md
+    return math.lcm(
+        *(ref_t_exponent(md, a).denominator for a in range(md.size)),
+        *(norm1(md.h[j]).denominator for j in th.center.elements),
+        *(th.center.order_of(j) for j in th.center.elements),
+    )
+
+
+def ref_twist(th, a, k, j, snap_order):
+    if j == 0:
+        return Fraction(0)
+    b = th.bundle(j)
+    if b.dim == 1:
+        return norm1(-ref_charge(th, k, a))
+    row_a = b.matrix[b.position(a)]
+    row_ka = b.matrix[b.position(th.apply(k, a))]
+    phases = np.array([unit(-ref_charge(th, k, c)) for c in b.fields])
+    mask = np.abs(row_a) > 1e-6
+    ratios = row_ka[mask] * phases[mask] / row_a[mask]
+    return snap_phase(ratios.mean(), snap_order, tol=1e-6)
+
+
+def dense_su2_cubed():
+    md = tensor(su2(4), su2(4), su2(4))
+    assert isinstance(md.s, np.ndarray)
+    return md
+
+
+def factorized_su3_pair():
+    md = tensor(sun(3, 3), sun(3, 3), dense_limit=0)
+    assert isinstance(md.s, ProductS)
+    return md
+
+
+def fractional_spins():
+    # currents of spin 3/4, 2/3 and 1/2: charges off the half-integers
+    return tensor(su2(3), sun(3, 2), ising())
+
+
+def huge_denominators():
+    # weights over the prime 2**61 - 1 leave the int64 range of the
+    # numerator arrays, which then hold Python ints
+    p = 2 ** 61 - 1
+    base = su2(4)
+    odd = ModularData(base.labels, tuple(q + Fraction(a, p) for a, q in
+                                         enumerate(base.h)),
+                      base.c, base.s, name="odd")
+    return tensor(odd, su2(2))
+
+
+THEORIES = [dense_su2_cubed, factorized_su3_pair, fractional_spins,
+            huge_denominators]
+
+
+@pytest.mark.parametrize("make", THEORIES)
+def test_charges_t_exponents_and_snap_order_match_fractions(make):
+    md = make()
+    th = Theory(md)
+    assert len(th.center.elements) > 1
+    for j in th.center.elements:
+        col = th.charges(j)
+        for a in range(md.size):
+            ref = ref_charge(th, j, a)
+            assert th.charge_exponent(j, a) == ref
+            assert Fraction(int(col[a]), th.den) == ref
+            assert th.is_local(j, a) == (ref == 0)
+    assert th.snap_order == ref_snap_order(th)
+    for a in range(md.size):
+        assert md.t_exponent(a) == ref_t_exponent(md, a)
+    assert np.array_equal(
+        md.t_values(),
+        np.array([unit(ref_t_exponent(md, a)) for a in range(md.size)]),
+    )
+
+
+def test_snap_order_keeps_spins_and_orders_beyond_the_t_exponents():
+    # su2_4's S with every weight 1/7 and c = 24/7: all T exponents vanish,
+    # so only the current spins (1/7) and orders (2) set the snap order
+    base = su2(4)
+    md = ModularData(base.labels, (Fraction(1, 7),) * base.size,
+                     Fraction(24, 7), base.s)
+    th = Theory(md)
+    assert th.snap_order == ref_snap_order(th) == 14
+    for j in th.center.elements:
+        for a in range(md.size):
+            assert th.charge_exponent(j, a) == ref_charge(th, j, a)
+
+
+@pytest.mark.parametrize("make", THEORIES)
+def test_tensor_weights_match_fraction_sums(make):
+    md = make()
+    ref = tuple(
+        sum(hs, Fraction(0))
+        for hs in itertools.product(*(f.h for f in md.factors))
+    )
+    assert md.h == ref
+    assert all(isinstance(q, Fraction) for q in md.h)
+
+
+def _compare_twists(th, currents):
+    snap_order = ref_snap_order(th)
+    assert th.snap_order == snap_order
+    compared = 0
+    for j in currents:
+        b = th.bundle(j)
+        support = set(b.fields)
+        for a in b.fields:
+            for k in th.center.elements:
+                if th.apply(k, a) not in support:
+                    continue
+                assert th.twist_exponent(a, k, j) == ref_twist(
+                    th, a, k, j, snap_order
+                )
+                compared += 1
+    return compared
+
+
+@pytest.mark.parametrize("factor, gen", [(su2(4), 4), (sun(3, 3), (3, 0))])
+def test_twist_tables_match_on_a_pair_and_its_diagonal_extension(factor, gen):
+    md = tensor(factor, factor)
+    th = Theory(md)
+    base = [j for j in th.center.elements if j and len(th.fixed_fields(j))]
+    assert _compare_twists(th, base) > len(base)
+    ex = extend(th, [md.index((gen, gen))])
+    res = [ex.resolve(c) for c in ex.residual_classes() if c.order > 1]
+    assert res
+    th2 = ex.extended_theory(extra_bundles=[r.bundle for r in res])
+    assert _compare_twists(th2, [r.bundle.current for r in res]) > len(res)
+
+
+def test_char_exponents_match_fraction_sums():
+    g = MultGroup(range(12), lambda a, b: (a + b) % 12, 0)
+    h = MultGroup(
+        itertools.product(range(2), range(4), range(6)),
+        lambda a, b: tuple((x + y) % n for x, y, n in zip(a, b, (2, 4, 6))),
+        (0, 0, 0),
+    )
+    for grp in (g, h, MultGroup([0], lambda a, b: 0, 0)):
+        for lab in grp.char_labels():
+            for x in grp.elements:
+                ref = norm1(sum(
+                    (Fraction(i * m, n)
+                     for i, m, n in zip(lab, grp.coords[x], grp.orders)),
+                    Fraction(0),
+                ))
+                assert grp.char_exponent(lab, x) == ref

@@ -183,3 +183,10 @@ def test_duplicate_labels_rejected():
     md = su2(2)
     with pytest.raises(InvalidInputError):
         ModularData((0, 0, 1), md.h, md.c, md.s)
+
+
+def test_non_square_s_is_rejected():
+    s = np.ones((2, 3), dtype=complex)
+    with pytest.raises(InvalidInputError, match=r"S matrix of bad is not square: shape \(2, 3\)"):
+        ModularData(("a", "b"), (Fraction(0), Fraction(1, 2)), Fraction(1), s,
+                    name="bad")
