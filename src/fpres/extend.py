@@ -10,10 +10,15 @@ Surviving currents are subgroup cosets of uncharged currents. For each
 such class the resolution matrix on its fixed extended fields combines a
 per-orbit class representative, the character extension phases of its
 closure, and the twisted matrices of the representative's translates.
+A class and the class of the inverse current use inverse representatives.
+
+The extended S and every resolution matrix come from one block kernel,
+which gathers each twisted matrix S^g once for all orbit pairs that need
+it and contracts with zero-padded stabilizer character tables.
 """
 from __future__ import annotations
 
-import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +29,7 @@ from .currents import FixedPointBundle, Theory
 from .errors import InvalidInputError, ResolutionError
 from .groups import MultGroup
 from .modular import ModularData
-from .phases import norm1, principal_root_exp, snap_phase, unit
+from .phases import norm1, principal_root_exp, snap_phase, unit, units
 
 
 @dataclass
@@ -84,6 +89,7 @@ class Extension:
         self._ext_theory = None
         self._resolutions = {}
         self._r_cache = {}
+        self._tables = {}
 
     # ------------------------------------------------------------------
     # spectrum
@@ -155,33 +161,11 @@ class Extension:
     def ext_field(self, ext_id: int):
         return self._ext_info[ext_id]
 
-    def _prefactor(self, oa: OrbitData, ob: OrbitData) -> float:
-        return len(self.h_members) / np.sqrt(
-            len(oa.stab) * len(oa.unt) * len(ob.stab) * len(ob.unt)
-        )
-
     def _build_extended_md(self):
-        th = self.theory
-        md = th.md
-        n = self.n_ext
-        s = np.zeros((n, n), dtype=complex)
-        free = [o for o in self.orbits if len(o.stab) == 1]
-        rest = [o for o in self.orbits if len(o.stab) > 1]
-        f_ids = [o.ext_ids[0] for o in free]
-        f_reps = [o.rep for o in free]
-        if free:
-            s[np.ix_(f_ids, f_ids)] = len(self.h_members) * md.s_block(
-                f_reps, f_reps
-            )
-        for oa in rest:
-            for ob in rest:
-                self._fill_block(s, oa, ob)
-            if free:
-                pref_f = [self._prefactor(oa, o) for o in free]
-                row = md.s_block([oa.rep], f_reps)[0] * np.array(pref_f)
-                for i in oa.ext_ids:
-                    s[i, f_ids] = row
-                    s[f_ids, i] = row
+        md = self.theory.md
+        n = len(self.orbits)
+        s = self._block_kernel(self.orbits, np.zeros((n, n), dtype=np.intp),
+                               (0,))
         labels = []
         h = []
         for o in self.orbits:
@@ -193,21 +177,102 @@ class Extension:
             name=f"{md.name} / ext{len(self.h_members)}",
         )
 
-    def _fill_block(self, s, oa: OrbitData, ob: OrbitData):
+    def _block_kernel(self, orbits, rab, members, dress=None) -> np.ndarray:
+        """The twisted block sum behind both the extended S and every
+        resolution matrix, over the extended fields of `orbits` in order.
+        For i on orbit a and j on orbit b, with r = members[rab[a, b]],
+
+            M[i, j] = |H| / sqrt(|S_a| |U_a| |S_b| |U_b|)
+                      * sum_{u in U_a & U_b} chi_i(u) S^{r u}_{a b} conj chi_j(u)
+                      * dress[i, b] * conj dress[j, a],
+
+        S_o and U_o being the stabilizer and its untwisted part. Pairs with
+        rab < 0 get a zero block; dress None means no dressing.
+        """
         th = self.theory
-        common = sorted(set(oa.unt) & set(ob.unt))
-        pref = self._prefactor(oa, ob)
-        vals = {j: th.bundle_entry(j, oa.rep, ob.rep) for j in common}
-        for i, li in zip(oa.ext_ids, oa.char_labels):
-            for jj, lj in zip(ob.ext_ids, ob.char_labels):
-                acc = 0.0 + 0.0j
-                for j in common:
-                    acc += (
-                        oa.ugroup.char_value(li, j)
-                        * vals[j]
-                        * np.conj(ob.ugroup.char_value(lj, j))
-                    )
-                s[i, jj] = pref * acc
+        n = len(orbits)
+        if not n:
+            return np.zeros((0, 0), dtype=complex)
+        reps = np.array([o.rep for o in orbits], dtype=np.intp)
+        eo = np.repeat(np.arange(n), [len(o.ext_ids) for o in orbits])
+        elems, has, chars = self._char_columns(orbits, eo)
+        # S^{r u} on the orbits whose U_a holds u, per u; pairs are grouped
+        # by g = r u and each S^g block is gathered once
+        sels = [np.flatnonzero(col) for col in has.T]
+        vals = [np.zeros((len(sel), len(sel)), dtype=complex) for sel in sels]
+        parts = {}
+        for k, (u, sel) in enumerate(zip(elems, sels)):
+            sub = rab if len(sel) == n else rab[np.ix_(sel, sel)]
+            for x, r in enumerate(members):
+                pick = sub == x
+                ri = np.flatnonzero(pick.any(axis=1))
+                ci = np.flatnonzero(pick.any(axis=0))
+                if len(ri):
+                    parts.setdefault(th.center.mul(r, u), []).append(
+                        (k, ri, ci, pick[np.ix_(ri, ci)]))
+        for g, group in parts.items():
+            rows = np.unique(np.concatenate(
+                [sels[k][ri] for k, ri, _, _ in group]))
+            cols = np.unique(np.concatenate(
+                [sels[k][ci] for k, _, ci, _ in group]))
+            block = th.bundle_block(g, reps[rows].tolist(), reps[cols].tolist())
+            for k, ri, ci, pick in group:
+                # whole-block shortcuts keep the extended S to one pass
+                sub = block
+                if len(group) > 1:
+                    sub = block[np.ix_(np.searchsorted(rows, sels[k][ri]),
+                                       np.searchsorted(cols, sels[k][ci]))]
+                if not pick.all():
+                    sub = np.where(pick, sub, 0)
+                if len(ri) == len(ci) == len(sels[k]):
+                    vals[k] += sub
+                else:
+                    vals[k][np.ix_(ri, ci)] += sub
+        # the identity lies in every U_a with chi = 1: its term is the
+        # block itself
+        out = vals[0][np.ix_(eo, eo)]
+        for k in range(1, len(elems)):
+            fields = np.flatnonzero(has[eo, k])
+            loc = np.searchsorted(sels[k], eo[fields])
+            c = chars[fields, k]
+            out[np.ix_(fields, fields)] += (
+                c[:, None] * vals[k][np.ix_(loc, loc)]
+            ) * c.conj()
+        weight = np.array([len(o.stab) * len(o.unt) for o in orbits],
+                          dtype=float)[eo]
+        pref = np.multiply.outer(weight, weight)
+        np.sqrt(pref, out=pref)
+        np.divide(len(self.h_members), pref, out=pref)
+        out *= pref
+        if dress is not None:
+            d = dress[:, eo]
+            out = out * d * d.T.conj()
+            # a dressed zero block may carry signed zeros
+            out[rab[np.ix_(eo, eo)] < 0] = 0
+        return out
+
+    def _char_columns(self, orbits, eo):
+        """The union of the orbits' untwisted stabilizers in ascending order
+        (the identity first), has[a, k] for elems[k] in U_a, and the
+        zero-padded character table chars[i, k] = chi_i(elems[k]) where
+        elems[k] lies in the U_a of the orbit a of field i, else 0."""
+        elems = sorted(set().union(*(o.unt for o in orbits)))
+        col = {u: k for k, u in enumerate(elems)}
+        den = math.lcm(*(o.ugroup.exponent() for o in orbits))
+        nums = np.zeros((len(eo), len(elems)), dtype=np.int64)
+        has = np.zeros((len(orbits), len(elems)), dtype=bool)
+        has[:, col[0]] = True
+        start = 0
+        for a, o in enumerate(orbits):
+            if len(o.unt) > 1:
+                table, e, where = o.ugroup.char_table()
+                ks = [col[u] for u in o.unt]
+                has[a, ks] = True
+                nums[start:start + len(o.ext_ids), ks] = (
+                    table[:, [where[u] for u in o.unt]] * (den // e)
+                )
+            start += len(o.ext_ids)
+        return elems, has, np.where(has[eo], units(nums, den), 0)
 
     # ------------------------------------------------------------------
     # surviving currents
@@ -256,56 +321,79 @@ class Extension:
         th = self.theory
         return all(th.twist_exponent(a, x, k) == 0 for k in members if k)
 
-    def _fixing_members(self, cls: ResidualClass, a: int):
-        th = self.theory
-        return [x for x in cls.members if th.apply(x, a) == a]
+    def _class_tables(self, cls: ResidualClass):
+        """(fix, good) over orbits x class members, built once per class:
+        the member fixes the orbit's rep; and, for good, it is moreover
+        untwisted against the orbit's stabilizer."""
+        tables = self._tables.get(cls.rep)
+        if tables is None:
+            perms = self.theory.perms
+            reps = np.array([o.rep for o in self.orbits], dtype=np.intp)
+            fix = np.stack([perms[x][reps] == reps for x in cls.members],
+                           axis=1)
+            good = fix.copy()
+            for o in self.orbits:
+                if len(o.stab) > 1:
+                    for k, x in enumerate(cls.members):
+                        if fix[o.index, k]:
+                            good[o.index, k] = self._untwisted_for(
+                                o.rep, x, o.stab)
+            tables = self._tables[cls.rep] = (fix, good)
+        return tables
+
+    def _inverse_class(self, cls: ResidualClass) -> ResidualClass:
+        inv = self.theory.center.inverse
+        members = tuple(sorted(inv(x) for x in cls.members))
+        return ResidualClass(rep=members[0], members=members, order=cls.order)
 
     def orbit_representative(self, cls: ResidualClass, o: OrbitData):
         """Class member fixing the orbit and untwisted against its
         stabilizer; None when the class moves the orbit. Conjugate orbits
-        share one choice."""
+        share one choice, and the class of the inverse current takes the
+        inverse of the choice of the class with the smaller rep."""
         key = (cls.rep, o.index)
         if key in self._r_cache:
             return self._r_cache[key]
         th = self.theory
-        conj = th.md.conjugation()
-        partner = self.orbit_of(int(conj[o.rep]))
-        if partner.index < o.index:
-            r = self.orbit_representative(cls, partner)
-            if r is not None:
-                if th.apply(r, o.rep) != o.rep or not self._untwisted_for(
-                    o.rep, r, o.stab
-                ):
-                    raise ResolutionError(
-                        f"conjugate-linked representative {r} fails on "
-                        f"orbit of {o.rep}"
-                    )
-            self._r_cache[key] = r
-            return r
-        fixing = self._fixing_members(cls, o.rep)
-        good = [x for x in fixing if self._untwisted_for(o.rep, x, o.stab)]
-        if not good:
-            self._r_cache[key] = None
-            return None
-        if self.rng is not None:
-            r = self.rng.choice(good)
+        good = self._class_tables(cls)[1][o.index]
+        inv_cls = self._inverse_class(cls)
+        partner = self.orbit_of(int(th.md.conjugation()[o.rep]))
+        if inv_cls.rep < cls.rep or partner.index < o.index:
+            if inv_cls.rep < cls.rep:
+                r = self.orbit_representative(inv_cls, o)
+                r = None if r is None else th.center.inverse(r)
+            else:
+                r = self.orbit_representative(cls, partner)
+            if r is not None and not good[cls.members.index(r)]:
+                raise ResolutionError(
+                    f"linked representative {r} fails on orbit of {o.rep}"
+                )
         else:
-            r = min(good)
+            cands = [x for x, ok in zip(cls.members, good) if ok]
+            if not cands:
+                r = None
+            elif self.rng is not None:
+                r = self.rng.choice(cands)
+            else:
+                r = cands[0]
         self._r_cache[key] = r
         return r
 
     def _fixed_orbits(self, cls: ResidualClass):
         """Orbits whose extended fields the class fixes."""
-        th = self.theory
-        out = []
-        for o in self.orbits:
-            fixing = self._fixing_members(cls, o.rep)
-            if not fixing:
-                continue
-            x = fixing[0]
-            if all(th.twist_exponent(o.rep, x, k) == 0 for k in o.unt if k):
-                out.append(o)
-        return out
+        fix = self._class_tables(cls)[0]
+        return [
+            o for o in self.orbits
+            if fix[o.index].any() and self._untwisted_for(
+                o.rep, cls.members[int(fix[o.index].argmax())], o.unt)
+        ]
+
+    def _pair_representatives(self, cls: ResidualClass, orbits) -> np.ndarray:
+        """rab[a, b]: index of the first class member good on both orbits,
+        -1 where there is none."""
+        good = self._class_tables(cls)[1][[o.index for o in orbits]]
+        both = good[:, None, :] & good[None, :, :]
+        return np.where(both.any(axis=2), both.argmax(axis=2), -1)
 
     def extended_twist(self, o: OrbitData, cls_k: ResidualClass,
                        cls_j: ResidualClass) -> Fraction:
@@ -329,12 +417,7 @@ class Extension:
             raise InvalidInputError("the trivial class needs no resolution")
         th = self.theory
         support_orbits = self._fixed_orbits(cls)
-        support = []
-        for o in support_orbits:
-            support.extend(o.ext_ids)
-        support = tuple(sorted(support))
-        n = len(support)
-        mat = np.zeros((n, n), dtype=complex)
+        support = tuple(e for o in support_orbits for e in o.ext_ids)
         r_assign = {}
         phis = {}
         for o in support_orbits:
@@ -356,12 +439,9 @@ class Extension:
                 )
                 for lab in o.char_labels
             }
-        pos = {e: i for i, e in enumerate(support)}
-        for oa in support_orbits:
-            for ob in support_orbits:
-                block = self._resolve_block(cls, oa, ob, r_assign, phis)
-                for (i, jj), v in block.items():
-                    mat[pos[i], pos[jj]] = v
+        rab = self._pair_representatives(cls, support_orbits)
+        dress = self._dressing(cls, support_orbits, rab, r_assign, phis)
+        mat = self._block_kernel(support_orbits, rab, cls.members, dress)
         eta, dev = self._resolved_eta(cls, support_orbits, support, mat,
                                       r_assign, phis)
         bundle = FixedPointBundle(
@@ -371,60 +451,37 @@ class Extension:
         self._resolutions[cls.rep] = res
         return res
 
-    def _pair_representative(self, cls: ResidualClass, oa, ob):
+    def _dressing(self, cls, orbits, rab, r_assign, phis) -> np.ndarray:
+        """dress[i, b] = unit(phi_i + chi_i(r_ab / r_a)) for i on orbit a,
+        with r_a the orbit's representative and r_ab the pair's; exact
+        exponents over one denominator."""
         th = self.theory
-        cands = [
-            x
-            for x in cls.members
-            if th.apply(x, oa.rep) == oa.rep
-            and th.apply(x, ob.rep) == ob.rep
-            and self._untwisted_for(oa.rep, x, oa.stab)
-            and self._untwisted_for(ob.rep, x, ob.stab)
-        ]
-        if not cands:
-            return None
-        return min(cands)
-
-    def _resolve_block(self, cls, oa, ob, r_assign, phis):
-        th = self.theory
-        out = {}
-        rab = self._pair_representative(cls, oa, ob)
-        if rab is None:
-            for i in oa.ext_ids:
-                for jj in ob.ext_ids:
-                    out[(i, jj)] = 0.0
-            return out
-        pref = self._prefactor(oa, ob)
-        common = sorted(set(oa.unt) & set(ob.unt))
-        vals = {
-            j: th.bundle_entry(th.center.mul(rab, j), oa.rep, ob.rep)
-            for j in common
-        }
-        shift_a = th.center.mul(rab, th.center.inverse(r_assign[oa.rep]))
-        shift_b = th.center.mul(rab, th.center.inverse(r_assign[ob.rep]))
-        if shift_a not in oa.unt or shift_b not in ob.unt:
-            raise ResolutionError(
-                "pair representative differs from the orbit choice by a "
-                "twisted element"
-            )
-        for i, li in zip(oa.ext_ids, oa.char_labels):
-            dress_a = unit(
-                phis[oa.index][li] + oa.ugroup.char_exponent(li, shift_a)
-            )
-            for jj, lj in zip(ob.ext_ids, ob.char_labels):
-                acc = 0.0 + 0.0j
-                for j in common:
-                    acc += (
-                        oa.ugroup.char_value(li, j)
-                        * vals[j]
-                        * np.conj(ob.ugroup.char_value(lj, j))
-                    )
-                dress_b = unit(
-                    phis[ob.index][lj]
-                    + ob.ugroup.char_exponent(lj, shift_b)
+        sizes = [len(o.ext_ids) for o in orbits]
+        phi = [q for o in orbits for q in phis[o.index].values()]
+        den = math.lcm(*(q.denominator for q in phi),
+                       *(o.ugroup.exponent() for o in orbits))
+        nums = np.zeros((sum(sizes), len(orbits)), dtype=np.int64)
+        members = np.array(cls.members, dtype=np.intp)
+        start = 0
+        for a, o in enumerate(orbits):
+            part = np.flatnonzero(rab[a] >= 0)
+            inv_r = th.center.inverse(r_assign[o.rep])
+            shifts = th.perms[inv_r][members[rab[a, part]]]
+            if not np.isin(shifts, o.unt).all():
+                raise ResolutionError(
+                    "pair representative differs from the orbit choice by a "
+                    "twisted element"
                 )
-                out[(i, jj)] = pref * acc * dress_a * np.conj(dress_b)
-        return out
+            table, e, where = o.ugroup.char_table()
+            rows = slice(start, start + sizes[a])
+            nums[rows, part] = table[:, [where[int(x)] for x in shifts]] * (
+                den // e)
+            nums[rows] += np.array(
+                [q.numerator * (den // q.denominator)
+                 for q in phis[o.index].values()],
+                dtype=np.int64)[:, None]
+            start += sizes[a]
+        return units(nums, den)
 
     def _resolved_eta(self, cls, support_orbits, support, mat, r_assign, phis):
         th = self.theory

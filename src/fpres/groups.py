@@ -257,7 +257,7 @@ class MultGroup:
     def char_labels(self):
         return itertools.product(*(range(n) for n in self.orders))
 
-    def _char_table(self):
+    def char_table(self):
         """Character exponents as numerators over the group exponent: row
         per label in `char_labels` order, column per element in `elements`
         order; built on first use."""
@@ -275,7 +275,7 @@ class MultGroup:
         return self._chars
 
     def char_exponent(self, label, x) -> Fraction:
-        table, e, col = self._char_table()
+        table, e, col = self.char_table()
         row = 0
         for i, n in zip(label, self.orders):
             row = row * n + i % n

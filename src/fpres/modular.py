@@ -188,7 +188,10 @@ class ModularData:
 
 
 def conjugation_from_S(s: np.ndarray, tol: float = 1e-6) -> np.ndarray:
-    c = s @ s
+    return _conjugation_from_square(s @ s, tol)
+
+
+def _conjugation_from_square(c: np.ndarray, tol: float) -> np.ndarray:
     n = c.shape[0]
     perm = np.argmax(np.abs(c), axis=1)
     p = np.zeros_like(c)
@@ -226,8 +229,11 @@ def check_modular(md: ModularData, tol: float = 1e-9) -> dict:
     st = s * t[np.newaxis, :]
     checks["st_cubed"] = float(np.abs(st @ st @ st - c2).max())
     try:
-        conjugation_from_S(s, tol=max(tol, 1e-6))
+        conj = _conjugation_from_square(c2, tol=max(tol, 1e-6))
         checks["charge_conjugation"] = 0.0
+        # at the default tolerance this is md.conjugation(): cache it
+        if md._conj is None and tol <= 1e-6:
+            md._conj = conj
     except InvalidInputError:
         checks["charge_conjugation"] = float("inf")
     row = s[0]

@@ -304,7 +304,8 @@ def check_fusion_integrality(md: ModularData, tol: float = 1e-6,
     max_residual = 0.0
     min_entry = 0.0
     for a in range(md.size):
-        raw = (s @ np.diag(s[a] / s[0]) @ sc).real
+        # rows b >= a of N_a: N_ab^c = N_ba^c covers the rest
+        raw = ((s[a:] * (s[a] / s[0])) @ sc).real
         ints = np.rint(raw)
         max_residual = max(max_residual, float(np.abs(raw - ints).max()))
         min_entry = min(min_entry, float(ints.min()))
