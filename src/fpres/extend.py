@@ -358,16 +358,11 @@ class Extension:
         good = self._class_tables(cls)[1][o.index]
         inv_cls = self._inverse_class(cls)
         partner = self.orbit_of(int(th.md.conjugation()[o.rep]))
-        if inv_cls.rep < cls.rep or partner.index < o.index:
-            if inv_cls.rep < cls.rep:
-                r = self.orbit_representative(inv_cls, o)
-                r = None if r is None else th.center.inverse(r)
-            else:
-                r = self.orbit_representative(cls, partner)
-            if r is not None and not good[cls.members.index(r)]:
-                raise ResolutionError(
-                    f"linked representative {r} fails on orbit of {o.rep}"
-                )
+        if inv_cls.rep < cls.rep:
+            r = self.orbit_representative(inv_cls, o)
+            r = None if r is None else th.center.inverse(r)
+        elif partner.index < o.index:
+            r = self.orbit_representative(cls, partner)
         else:
             cands = [x for x, ok in zip(cls.members, good) if ok]
             if not cands:
@@ -376,6 +371,10 @@ class Extension:
                 r = self.rng.choice(cands)
             else:
                 r = cands[0]
+        if r is not None and not good[cls.members.index(r)]:
+            raise ResolutionError(
+                f"linked representative {r} fails on orbit of {o.rep}"
+            )
         self._r_cache[key] = r
         return r
 

@@ -231,7 +231,7 @@ def check_modular(md: ModularData, tol: float = 1e-9) -> dict:
     try:
         conj = _conjugation_from_square(c2, tol=max(tol, 1e-6))
         checks["charge_conjugation"] = 0.0
-        # at the default tolerance this is md.conjugation(): cache it
+        # up to 1e-6 this is the check md.conjugation() makes: cache it
         if md._conj is None and tol <= 1e-6:
             md._conj = conj
     except InvalidInputError:

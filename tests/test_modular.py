@@ -140,6 +140,19 @@ def test_check_modular_product_report():
     assert len(rep["factors"]) == 2
 
 
+def test_check_modular_shares_its_square_with_conjugation(monkeypatch):
+    md = sun(3, 2)
+    fresh = ModularData(md.labels, md.h, md.c, md.s.copy())
+    expect = conjugation_from_S(md.s)
+    assert check_modular(fresh)["ok"]
+
+    def no_second_square(*args, **kwargs):
+        raise AssertionError("S was squared again")
+
+    monkeypatch.setattr("fpres.modular.conjugation_from_S", no_second_square)
+    assert np.array_equal(fresh.conjugation(), expect)
+
+
 def test_sampled_fusion_residual():
     lazy = tensor(su2(3), su2(4), dense_limit=1)
     worst = sampled_fusion_residual(lazy, 20, random.Random(0))
