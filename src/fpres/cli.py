@@ -17,7 +17,7 @@ import sys
 from . import __version__
 from .currents import (
     Theory,
-    bundle_to_document,
+    bundle_array_document,
     load_bundle,
 )
 from .errors import (
@@ -25,7 +25,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .extend import extend
-from .modular import fusion_matrix, load, save, tensor
+from .modular import dump_json, fusion_matrix, load, save, tensor
 from .phases import norm1
 from .validate import check_fusion_integrality, condition_report
 from .wzw import ising, su2, sun
@@ -41,14 +41,12 @@ def _sha256(path) -> str:
 
 def _write_json(doc: dict, path) -> None:
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        dump_json(doc, fh)
 
 
 def _emit(doc: dict, out) -> list:
     if out is None:
-        json.dump(doc, sys.stdout, indent=1)
-        sys.stdout.write("\n")
+        dump_json(doc, sys.stdout)
         return []
     _write_json(doc, out)
     return [out]
@@ -171,7 +169,7 @@ def cmd_extend(args) -> int:
         res = ex.resolve(cls)
         bundles.append(res.bundle)
         path = os.path.join(args.out, f"bundle_{res.bundle.current}.json")
-        _write_json(bundle_to_document(ex.ext_md, res.bundle), path)
+        _write_json(bundle_array_document(ex.ext_md, res.bundle), path)
         outputs.append(path)
 
     th2 = ex.extended_theory(extra_bundles=bundles)

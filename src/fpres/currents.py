@@ -31,7 +31,16 @@ from .errors import (
     ResolutionError,
 )
 from .groups import MultGroup
-from .modular import ModularData, fusion_matrix
+from .modular import (
+    ModularData,
+    _label_from_json,
+    _label_to_json,
+    complex_array,
+    complex_pairs,
+    dump_json,
+    fusion_matrix,
+    native,
+)
 from .phases import norm1, snap_phase, unit, units
 
 
@@ -333,25 +342,25 @@ class Theory:
 # bundle serialization, format "fp-bundle v1"
 
 
-def bundle_to_document(md: ModularData, b: FixedPointBundle) -> dict:
-    from .modular import _label_to_json
-
+def bundle_array_document(md: ModularData, b: FixedPointBundle) -> dict:
+    """The "fp-bundle v1" document of `b` with its matrix and eta as array
+    leaves (see `modular.complex_pairs`); `save_bundle` writes it."""
     doc = {
         "format": "fp-bundle v1",
         "current": _label_to_json(md.labels[b.current]),
         "fields": [_label_to_json(md.labels[a]) for a in b.fields],
-        "matrix": [
-            [[float(z.real), float(z.imag)] for z in row] for row in b.matrix
-        ],
+        "matrix": complex_pairs(b.matrix),
     }
     if b.eta is not None:
-        doc["eta"] = [[float(z.real), float(z.imag)] for z in b.eta]
+        doc["eta"] = complex_pairs(b.eta)
     return doc
 
 
-def bundle_from_document(md: ModularData, doc: dict) -> FixedPointBundle:
-    from .modular import _label_from_json
+def bundle_to_document(md: ModularData, b: FixedPointBundle) -> dict:
+    return native(bundle_array_document(md, b))
 
+
+def bundle_from_document(md: ModularData, doc: dict) -> FixedPointBundle:
     if doc.get("format") != "fp-bundle v1":
         raise MalformedBundleError(
             f"unsupported bundle format {doc.get('format')!r}"
@@ -359,12 +368,10 @@ def bundle_from_document(md: ModularData, doc: dict) -> FixedPointBundle:
     try:
         j = md.index(_label_from_json(doc["current"]))
         fields = tuple(md.index(_label_from_json(x)) for x in doc["fields"])
-        mat = np.array(
-            [[complex(re, im) for re, im in row] for row in doc["matrix"]]
-        )
+        mat = complex_array(doc["matrix"], "matrix")
         eta = None
         if "eta" in doc:
-            eta = np.array([complex(re, im) for re, im in doc["eta"]])
+            eta = complex_array(doc["eta"], "eta")
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedBundleError(f"malformed bundle document: {exc}") from exc
     return FixedPointBundle(j, fields, mat, eta)
@@ -372,8 +379,7 @@ def bundle_from_document(md: ModularData, doc: dict) -> FixedPointBundle:
 
 def save_bundle(md: ModularData, b: FixedPointBundle, path) -> None:
     with open(path, "w") as fh:
-        json.dump(bundle_to_document(md, b), fh, indent=1)
-        fh.write("\n")
+        dump_json(bundle_array_document(md, b), fh)
 
 
 def load_bundle(md: ModularData, path) -> FixedPointBundle:

@@ -171,13 +171,16 @@ class ModularData:
         return self.s
 
     def conjugation(self) -> np.ndarray:
-        """Permutation a -> abar, read off from S^2."""
+        """Permutation a -> abar, read off from S^2, factor-wise for tensor
+        products."""
         if self._conj is not None:
             return self._conj
-        if self.is_product:
+        if self.factors is not None:
             parts = [f.conjugation() for f in self.factors]
             grids = np.meshgrid(*parts, indexing="ij")
-            flat = np.ravel_multi_index(tuple(g.ravel() for g in grids), self.s.sizes)
+            flat = np.ravel_multi_index(
+                tuple(g.ravel() for g in grids), [f.size for f in self.factors]
+            )
             self._conj = flat.astype(np.intp)
         else:
             self._conj = conjugation_from_S(self.s)
@@ -347,6 +350,142 @@ def tensor(*mds: ModularData, dense_limit: int = DENSE_LIMIT, name: str = "") ->
 
 # ---------------------------------------------------------------------------
 # serialization, format "modular-data v1"
+#
+# Every file fpres writes goes through `dump_json`. Complex matrices travel as
+# float64 arrays of [re, im] pairs, shape (..., 2), and are written straight
+# from the array; the bytes are those of `json.dump(native(doc), fh,
+# indent=1)` plus a newline, so a document written from arrays is the same
+# file, with the same hash, as one written from nested lists.
+
+_SLOT = "\x00"                    # stands for an array leaf in the skeleton
+_SLOT_JSON = json.dumps(_SLOT)
+_CHUNK = 1 << 16                  # floats formatted per write
+_NONFINITE_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def native(doc):
+    """`doc` with every ndarray leaf replaced by its `.tolist()`."""
+    if isinstance(doc, np.ndarray):
+        return doc.tolist()
+    if isinstance(doc, dict):
+        return {k: native(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [native(v) for v in doc]
+    return doc
+
+
+def dump_json(doc, fh) -> None:
+    """Write `doc` and a newline to the text file `fh`, byte for byte as
+    `json.dump(native(doc), fh, indent=1)` followed by `fh.write("\n")`.
+
+    Leaves may be float64 ndarrays. The rest of the document is encoded
+    by `json.dumps` with a placeholder per array, and each array is spliced
+    in at its placeholder's indentation, written in chunks of whole rows of
+    its first axis.
+    """
+    arrays = []
+
+    def slot(obj):
+        if isinstance(obj, np.ndarray) and obj.dtype == np.float64:
+            arrays.append(obj)
+            return _SLOT
+        raise TypeError(
+            f"Object of type {type(obj).__name__} is not JSON serializable"
+        )
+
+    parts = json.dumps(doc, indent=1, default=slot).split(_SLOT_JSON)
+    if len(parts) != len(arrays) + 1:
+        # a string of the document is the placeholder itself
+        json.dump(native(doc), fh, indent=1)
+        fh.write("\n")
+        return
+    for part, a in zip(parts, arrays):
+        fh.write(part)
+        line = part[part.rfind("\n") + 1:]
+        _dump_array(a, len(line) - len(line.lstrip(" ")), fh)
+    fh.write(parts[-1])
+    fh.write("\n")
+
+
+def _dump_array(a: np.ndarray, depth: int, fh) -> None:
+    """Write the float64 array `a` as json's indent=1 nested lists whose
+    opening bracket sits on a line indented by `depth`."""
+    if a.size == 0:
+        fh.write(json.dumps(a.tolist(), indent=1).replace("\n", "\n" + " " * depth))
+        return
+    r = a.ndim
+    flat = np.ascontiguousarray(a).reshape(-1)
+    # each distinct bit pattern is formatted once; -0.0 stays apart from 0.0
+    bits, inv = np.unique(flat.view(np.uint64), return_inverse=True)
+    values = bits.view(np.float64)
+    texts = list(map(float.__repr__, values.tolist()))
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        texts[i] = _NONFINITE_JSON[texts[i]]
+    vocab = np.array(texts, dtype=object)
+
+    nl = ["\n" + " " * (depth + k) for k in range(r + 1)]
+
+    def closes(j):
+        return "".join(nl[r - m] + "]" for m in range(1, j + 1))
+
+    def opens(j):
+        return "".join(nl[k] + "[" for k in range(r - j, r)) + nl[r]
+
+    # seps[j] follows an element after which the j innermost lists close;
+    # after flat element i that is the number of periods dividing i + 1
+    seps = np.array([closes(j) + "," + opens(j) for j in range(r)], dtype=object)
+    periods = [math.prod(a.shape[k:]) for k in range(1, r)]
+    fh.write("[" + opens(r - 1))
+    row = periods[0] if periods else 1
+    step = row * max(1, _CHUNK // row)  # whole rows of the first axis
+    for lo in range(0, flat.size, step):
+        hi = min(lo + step, flat.size)
+        after = np.arange(lo + 1, hi + 1)
+        j = np.zeros(hi - lo, dtype=np.intp)
+        for p in periods:
+            j += after % p == 0
+        buf = np.empty(2 * (hi - lo), dtype=object)
+        buf[0::2] = vocab[inv[lo:hi]]
+        buf[1::2] = seps[j]
+        if hi == flat.size:
+            buf[-1] = closes(r)
+        fh.write("".join(buf.tolist()))
+
+
+def complex_array(obj, field: str) -> np.ndarray:
+    """Complex array from nested [re, im] pairs of JSON numbers (ints,
+    floats, bools), bitwise equal to `complex(re, im)` per pair.
+
+    Strings, nulls, ragged rows and pairs that are not exactly two numbers
+    raise `InvalidInputError` naming `field`.
+    """
+    try:
+        a = np.array(obj)
+    except ValueError:
+        raise InvalidInputError(f"{field} has rows of unequal length") from None
+    numbers = a.dtype.kind in "biuf" or (
+        a.dtype.kind == "O"
+        and all(isinstance(x, (int, float)) for x in a.flat)
+    )
+    if not numbers:
+        raise InvalidInputError(f"{field} must hold numbers only")
+    if a.shape[-1:] != (2,):
+        raise InvalidInputError(
+            f"{field} entries must be [re, im] pairs, got shape {a.shape}"
+        )
+    try:
+        a = np.ascontiguousarray(a, dtype=np.float64)
+    except OverflowError:
+        raise InvalidInputError(
+            f"{field} holds a number too large for a float"
+        ) from None
+    return a.view(np.complex128).reshape(a.shape[:-1])
+
+
+def complex_pairs(z: np.ndarray) -> np.ndarray:
+    """The complex array `z` as float64 [re, im] pairs, shape z.shape + (2,)."""
+    z = np.ascontiguousarray(z, dtype=np.complex128)
+    return z.view(np.float64).reshape(z.shape + (2,))
 
 
 def _label_to_json(lab):
@@ -361,13 +500,15 @@ def _label_from_json(lab):
     return lab
 
 
-def to_document(md: ModularData) -> dict:
+def array_document(md: ModularData) -> dict:
+    """The "modular-data v1" document of `md` with its S as an array leaf
+    (see `complex_pairs`); `save` writes it, `to_document` lists it."""
     # keep the factor structure, it drives bundle construction downstream
     if md.factors is not None:
         return {
             "format": "modular-data v1",
             "name": md.name,
-            "product": [to_document(f) for f in md.factors],
+            "product": [array_document(f) for f in md.factors],
         }
     return {
         "format": "modular-data v1",
@@ -377,10 +518,12 @@ def to_document(md: ModularData) -> dict:
             {"label": _label_to_json(lab), "h": str(q)}
             for lab, q in zip(md.labels, md.h)
         ],
-        "s_matrix": [
-            [[float(z.real), float(z.imag)] for z in row] for row in md.s
-        ],
+        "s_matrix": complex_pairs(md.s),
     }
+
+
+def to_document(md: ModularData) -> dict:
+    return native(array_document(md))
 
 
 def from_document(doc: dict) -> ModularData:
@@ -395,9 +538,7 @@ def from_document(doc: dict) -> ModularData:
         labels = tuple(_label_from_json(f["label"]) for f in doc["fields"])
         h = tuple(Fraction(f["h"]) for f in doc["fields"])
         c = Fraction(doc["central_charge"])
-        s = np.array(
-            [[complex(re, im) for re, im in row] for row in doc["s_matrix"]]
-        )
+        s = complex_array(doc["s_matrix"], "s_matrix")
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed modular data document: {exc}") from exc
     return ModularData(labels, h, c, s, name=doc.get("name", ""))
@@ -405,8 +546,7 @@ def from_document(doc: dict) -> ModularData:
 
 def save(md: ModularData, path) -> None:
     with open(path, "w") as fh:
-        json.dump(to_document(md), fh, indent=1)
-        fh.write("\n")
+        dump_json(array_document(md), fh)
 
 
 def load(path) -> ModularData:

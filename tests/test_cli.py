@@ -188,3 +188,73 @@ def test_non_square_s_document_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "S matrix of bad is not square: shape (2, 3)" in err
+
+
+SPOIL_FIRST_PAIR = {
+    "string": lambda p: [str(p[0]), p[1]],
+    "null": lambda p: [None, p[1]],
+    "ragged rows": lambda p: p[:1],
+}
+RESIZE_PAIRS = {
+    "three numbers": lambda p: p + [0.0],
+    "one number": lambda p: p[:1],
+}
+
+
+def _corrupt(pairs, case):
+    """A list of [re, im] pairs (eta), or of rows of them (a matrix), with
+    one defect the loader must reject."""
+    if isinstance(pairs[0][0], list):
+        rows = pairs[1:]
+        if case in RESIZE_PAIRS:
+            rows = [_corrupt(r, case) for r in rows]
+        return [_corrupt(pairs[0], case)] + rows
+    if case in RESIZE_PAIRS:
+        return [RESIZE_PAIRS[case](p) for p in pairs]
+    return [SPOIL_FIRST_PAIR[case](pairs[0])] + pairs[1:]
+
+
+LOADER_CASES = list(SPOIL_FIRST_PAIR) + list(RESIZE_PAIRS)
+
+
+@pytest.fixture
+def extended_run(tmp_path, capsys):
+    src = tmp_path / "su24.json"
+    pair = tmp_path / "pair.json"
+    run(capsys, "generate", "su2", "--k", "4", "--out", str(src))
+    run(capsys, "tensor", str(src), str(src), "--out", str(pair))
+    rc, _ = run(capsys, "extend", str(pair), "--by", "[4, 4]",
+                "--out", str(tmp_path / "ext"))
+    assert rc == 0
+    bundle = sorted((tmp_path / "ext").glob("bundle_*.json"))[0]
+    return tmp_path / "ext" / "extended.json", bundle
+
+
+@pytest.mark.parametrize("case", LOADER_CASES)
+def test_bad_s_matrix_pairs_are_usage_errors(extended_run, tmp_path, capsys, case):
+    ext, _ = extended_run
+    doc = json.loads(ext.read_text())
+    doc["s_matrix"] = _corrupt(doc["s_matrix"], case)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["validate", str(bad)])
+    assert rc == 2
+    assert "document: s_matrix " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "extend"])
+@pytest.mark.parametrize("field", ["matrix", "eta"])
+@pytest.mark.parametrize("case", LOADER_CASES)
+def test_bad_bundle_pairs_are_usage_errors(extended_run, tmp_path, capsys,
+                                           case, field, command):
+    ext, bundle = extended_run
+    doc = json.loads(bundle.read_text())
+    doc[field] = _corrupt(doc[field], case)
+    bad = tmp_path / "bad_bundle.json"
+    bad.write_text(json.dumps(doc))
+    argv = [command, str(ext), "--bundles", str(bad)]
+    if command == "extend":
+        argv += ["--by", "0", "--out", str(tmp_path / "again")]
+    rc = main(argv)
+    assert rc == 2
+    assert f"document: {field} " in capsys.readouterr().err

@@ -153,6 +153,22 @@ def test_check_modular_shares_its_square_with_conjugation(monkeypatch):
     assert np.array_equal(fresh.conjugation(), expect)
 
 
+def test_dense_product_conjugation_is_factor_wise(monkeypatch):
+    md = tensor(su2(4), su2(4), su2(4), su2(4))
+    assert not md.is_product and md.factors is not None
+    expect = conjugation_from_S(md.s)
+    squared = []
+
+    def recording(s, *args, **kwargs):
+        squared.append(s.shape[0])
+        return conjugation_from_S(s, *args, **kwargs)
+
+    monkeypatch.setattr("fpres.modular.conjugation_from_S", recording)
+    fresh = tensor(su2(4), su2(4), su2(4), su2(4))
+    assert np.array_equal(fresh.conjugation(), expect)
+    assert 625 not in squared
+
+
 def test_sampled_fusion_residual():
     lazy = tensor(su2(3), su2(4), dense_limit=1)
     worst = sampled_fusion_residual(lazy, 20, random.Random(0))
