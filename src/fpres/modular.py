@@ -105,6 +105,7 @@ class ModularData:
         if len(self._index) != len(self.labels):
             raise InvalidInputError("field labels are not distinct")
         self._conj = None
+        self._unitary = None
         self._phases = None
         # per-object caches: current permutations by (current, tol) and the
         # Theory of a tensor factor by tol
@@ -186,8 +187,22 @@ class ModularData:
             self._conj = conjugation_from_S(self.s)
         return self._conj
 
+    def unitarity(self) -> float:
+        """|S S^dagger - 1|max, computed once; `check_modular` and the
+        current permutations share it."""
+        if self._unitary is None:
+            self._unitary = unitarity_deviation(self.s_dense())
+        return self._unitary
+
     def atomic_factors(self):
         return self.factors if self.factors is not None else (self,)
+
+
+def unitarity_deviation(s: np.ndarray) -> float:
+    """max |S S^dagger - 1| over all entries: one dense product."""
+    prod = s @ s.conj().T
+    prod[np.diag_indices(s.shape[0])] -= 1
+    return float(np.abs(prod).max())
 
 
 def conjugation_from_S(s: np.ndarray, tol: float = 1e-6) -> np.ndarray:
@@ -223,14 +238,15 @@ def check_modular(md: ModularData, tol: float = 1e-9) -> dict:
         }
 
     s = md.s
-    n = md.size
     t = md.t_values()
     checks = {}
-    checks["unitary"] = float(np.abs(s @ s.conj().T - np.eye(n)).max())
+    checks["unitary"] = md.unitarity()
     checks["symmetric"] = float(np.abs(s - s.T).max())
     c2 = s @ s
-    st = s * t[np.newaxis, :]
-    checks["st_cubed"] = float(np.abs(st @ st @ st - c2).max())
+    # (ST)^3 = S^2 is S T S = T^-1 S T^-1 for unitary S and diagonal unitary T
+    tbar = t.conj()
+    sts = (s * t[np.newaxis, :]) @ s
+    checks["st_cubed"] = float(np.abs(sts - tbar[:, np.newaxis] * s * tbar).max())
     try:
         conj = _conjugation_from_square(c2, tol=max(tol, 1e-6))
         checks["charge_conjugation"] = 0.0
@@ -292,7 +308,8 @@ def sampled_fusion_residual(
         if md.is_product:
             col = _product_matvec_conj(md.s, vec)
         else:
-            col = md.s.conj() @ vec
+            # conj(S) @ vec without copying S: the same bits
+            col = (md.s @ vec.conj()).conj()
         resid = float(np.abs(col - np.rint(col.real)).max())
         worst = max(worst, resid)
         if resid > tol:

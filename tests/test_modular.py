@@ -153,6 +153,21 @@ def test_check_modular_shares_its_square_with_conjugation(monkeypatch):
     assert np.array_equal(fresh.conjugation(), expect)
 
 
+@pytest.mark.parametrize("fault", ["central_charge", "s_entry"])
+def test_check_modular_flags_wrong_c_and_corrupted_s(fault):
+    md = su2(4)
+    c, s = md.c, md.s.copy()
+    if fault == "central_charge":
+        c += 1
+    else:
+        s[1, 2] += 1e-3
+    rep = check_modular(ModularData(md.labels, md.h, c, s))
+    assert not rep["ok"]
+    # the cube relation fails by itself, not only through unitarity
+    assert rep["checks"]["st_cubed"] > 1e-6
+    assert (rep["checks"]["unitary"] > 1e-6) == (fault == "s_entry")
+
+
 def test_dense_product_conjugation_is_factor_wise(monkeypatch):
     md = tensor(su2(4), su2(4), su2(4), su2(4))
     assert not md.is_product and md.factors is not None
