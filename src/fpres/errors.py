@@ -5,10 +5,6 @@ class InvalidInputError(ValueError):
     """Malformed or contradictory input data."""
 
 
-class IncompleteInputError(InvalidInputError):
-    """A required ingredient (e.g. a resolution matrix) is missing."""
-
-
 class MalformedBundleError(InvalidInputError):
     """A resolution-matrix bundle violates its structural contract."""
 

@@ -29,7 +29,7 @@ from .currents import FixedPointBundle, Theory
 from .errors import InvalidInputError, ResolutionError
 from .groups import MultGroup
 from .modular import ModularData
-from .phases import norm1, principal_root_exp, snap_phase, unit, units
+from .phases import norm1, snap_phase, unit, units
 
 
 @dataclass
@@ -44,10 +44,6 @@ class OrbitData:
     ugroup: MultGroup
     char_labels: tuple
     ext_ids: tuple        # extended field ids, one per character
-
-    @property
-    def is_free(self) -> bool:
-        return len(self.stab) == 1
 
 
 @dataclass
@@ -432,12 +428,8 @@ class Extension:
                     f"representative closure {closure} left the untwisted "
                     f"stabilizer of {o.rep}"
                 )
-            phis[o.index] = {
-                lab: principal_root_exp(
-                    o.ugroup.char_exponent(lab, closure), cls.order
-                )
-                for lab in o.char_labels
-            }
+            phis[o.index] = dict(zip(
+                o.char_labels, o.ugroup.principal_roots(closure, cls.order)))
         rab = self._pair_representatives(cls, support_orbits)
         dress = self._dressing(cls, support_orbits, rab, r_assign, phis)
         mat = self._block_kernel(support_orbits, rab, cls.members, dress)

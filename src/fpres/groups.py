@@ -1,12 +1,14 @@
-"""Finite abelian groups, characters, coset presentations and phase cocycles.
+"""Finite abelian groups, coset presentations and phase cocycles.
 
-Three views of the same algebra live here:
+One group type, ``MultGroup``, carries the algebra: a finite abelian group
+over sortable element ids whose product is supplied by a callable, with a
+cyclic basis, exponent coordinates and an integer character table. The
+engine builds it over field ids (fusion subgroups, untwisted stabilizers);
+``decompose`` builds it over int tuples for Z_{N_1} x ... x Z_{N_r}.
 
-* vector groups Z_{N_1} x ... x Z_{N_r} with elements as int tuples,
-* opaque-element groups (``MultGroup``) whose product is supplied by a
-  callable, used for fusion subgroups of field ids,
-* coset presentations G/H with multiplicative representative maps and the
-  phase data needed to lift subgroup characters to the ambient group.
+On top of it sit the coset presentation G/H with a multiplicative
+representative map, the cocycle phases that repair products of
+representatives, and the characters of G lifted from those of H.
 
 The congruence solver at the bottom picks representatives that are
 untwisted against a generating set; it works over exact rationals.
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -25,108 +27,7 @@ from .errors import (
     InconsistentSystemError,
     InvalidInputError,
 )
-from .phases import norm1, principal_root_exp, unit
-
-Vec = tuple[int, ...]
-
-
-# ---------------------------------------------------------------------------
-# vector groups
-
-
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
-    """Product of cyclic groups with fixed factor orders."""
-
-    orders: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(n < 1 for n in self.orders):
-            raise InvalidInputError(f"orders must be >= 1, got {self.orders}")
-
-    @property
-    def rank(self) -> int:
-        return len(self.orders)
-
-    @property
-    def size(self) -> int:
-        out = 1
-        for n in self.orders:
-            out *= n
-        return out
-
-    @property
-    def identity(self) -> Vec:
-        return (0,) * len(self.orders)
-
-    def check(self, x: Vec) -> Vec:
-        if len(x) != len(self.orders) or any(
-            not (0 <= xi < n) for xi, n in zip(x, self.orders)
-        ):
-            raise InvalidInputError(f"{x} is not an element of Z{self.orders}")
-        return x
-
-    def add(self, x: Vec, y: Vec) -> Vec:
-        return tuple((a + b) % n for a, b, n in zip(x, y, self.orders))
-
-    def neg(self, x: Vec) -> Vec:
-        return tuple((-a) % n for a, n in zip(x, self.orders))
-
-    def scale(self, k: int, x: Vec) -> Vec:
-        return tuple((k * a) % n for a, n in zip(x, self.orders))
-
-    def order_of(self, x: Vec) -> int:
-        out = 1
-        for a, n in zip(x, self.orders):
-            if a:
-                out = math.lcm(out, n // math.gcd(n, a))
-        return out
-
-    def exponent(self) -> int:
-        return math.lcm(*self.orders)
-
-    def elements(self):
-        return itertools.product(*(range(n) for n in self.orders))
-
-
-def decompose(orders) -> FiniteAbelianGroup:
-    """Build the canonical product group with the given cyclic factors."""
-    return FiniteAbelianGroup(tuple(int(n) for n in orders))
-
-
-# ---------------------------------------------------------------------------
-# characters of a vector group
-
-
-@dataclass(frozen=True)
-class CharacterTable:
-    """Characters chi_i(h) = exp(2 pi i sum_l i_l h_l / N_l) of a vector group.
-
-    Labels live in the same vector space as the elements.
-    """
-
-    group: FiniteAbelianGroup
-
-    def exponent(self, label: Vec, elem: Vec) -> Fraction:
-        q = Fraction(0)
-        for i, h, n in zip(label, elem, self.group.orders):
-            q += Fraction(i * h, n)
-        return norm1(q)
-
-    def value(self, label: Vec, elem: Vec) -> complex:
-        return unit(self.exponent(label, elem))
-
-    def matrix(self) -> np.ndarray:
-        elems = list(self.group.elements())
-        out = np.empty((len(elems), len(elems)), dtype=complex)
-        for r, lab in enumerate(elems):
-            for c, el in enumerate(elems):
-                out[r, c] = self.value(lab, el)
-        return out
-
-
-def characters(group: FiniteAbelianGroup) -> CharacterTable:
-    return CharacterTable(group)
+from .phases import common_denominator, norm1, principal_root_exp, unit, units
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +75,6 @@ def abelian_basis(elements, add, zero):
     if len(sub) == len(elems):
         return [g1], [expo]
 
-    sub_set = set(sub)
     canon: dict = {}
     for x in elems:
         canon[x] = min(add(x, h) for h in sub)
@@ -212,9 +112,10 @@ def coordinate_map(basis, orders, add, zero):
 class MultGroup:
     """Small abelian group over opaque (sortable) element ids.
 
-    The product is supplied as a callable; basis, coordinates and characters
-    are derived eagerly. Intended for groups of at most a few hundred
-    elements (fusion subgroups, stabilizers, coset classes).
+    The product is supplied as a callable; basis and coordinates are derived
+    eagerly, the character table on first use. Intended for groups of at
+    most a few hundred elements (fusion subgroups, stabilizers, coset
+    classes, small vector groups).
     """
 
     def __init__(self, elements, mul, identity):
@@ -284,40 +185,67 @@ class MultGroup:
     def char_value(self, label, x) -> complex:
         return unit(self.char_exponent(label, x))
 
+    def principal_roots(self, x, n: int) -> tuple:
+        """Exponents of the principal n-th roots of chi(x), one per label in
+        `char_labels` order."""
+        table, e, col = self.char_table()
+        return tuple(principal_root_exp(Fraction(int(v), e), n)
+                     for v in table[:, col[x]])
+
+
+def decompose(orders) -> MultGroup:
+    """Z_{N_1} x ... x Z_{N_r} over int tuples, added componentwise."""
+    orders = tuple(int(n) for n in orders)
+    if any(n < 1 for n in orders):
+        raise InvalidInputError(f"orders must be >= 1, got {orders}")
+
+    def add(x, y):
+        return tuple((a + b) % n for a, b, n in zip(x, y, orders))
+
+    return MultGroup(itertools.product(*(range(n) for n in orders)), add,
+                     (0,) * len(orders))
+
 
 # ---------------------------------------------------------------------------
 # coset presentations
 
 
+def _member(group: MultGroup, x):
+    if x not in group.coords:
+        raise InvalidInputError(f"{x!r} is not an element of the group")
+    return x
+
+
 class CosetPresentation:
     """Quotient G/H with a multiplicative representative map.
 
-    Classes are labelled by exponent vectors over a cyclic basis of the
-    quotient (orders descending). The representative of a product of basis
-    classes is the product of basis representatives, so discrepancies
+    Classes are labelled by exponent vectors over the cyclic basis of the
+    quotient group (orders descending). The representative of a product of
+    basis classes is the product of basis representatives, so discrepancies
     R(J)R(K) = R(JK) h(J,K) factor over the cyclic factors.
     """
 
-    def __init__(self, ambient: FiniteAbelianGroup, subgroup_gens, basis_reps=None):
+    def __init__(self, ambient: MultGroup, subgroup_gens, basis_reps=None):
         self.ambient = ambient
-        gens = [ambient.check(tuple(g)) for g in subgroup_gens]
-        self.subgroup = tuple(span(gens, ambient.add, ambient.identity))
+        mul = ambient.mul
+        self.subgroup = ambient.subgroup(
+            [_member(ambient, x) for x in subgroup_gens])
         self._sub_set = set(self.subgroup)
-
-        add, zero = ambient.add, ambient.identity
-        canon: dict[Vec, Vec] = {}
-        for x in ambient.elements():
-            canon[x] = min(add(x, h) for h in self.subgroup)
-        self._canon = canon
-        q_elems = sorted(set(canon.values()))
-        q_add = lambda a, b: canon[add(a, b)]
-        q_zero = canon[zero]
-        q_basis, q_orders = abelian_basis(q_elems, q_add, q_zero)
-        self.class_orders = tuple(q_orders)
+        # canonical (smallest) member of each element's class
+        self.canon = {
+            x: min(mul(x, h) for h in self.subgroup) for x in ambient.elements
+        }
+        canon = self.canon
+        self.quotient = MultGroup(
+            set(canon.values()), lambda a, b: canon[mul(a, b)],
+            canon[ambient.identity],
+        )
+        self.class_orders = tuple(self.quotient.orders)
+        q_basis = self.quotient.basis
         if basis_reps is None:
             self.basis_reps = tuple(q_basis)
         else:
-            basis_reps = tuple(ambient.check(tuple(r)) for r in basis_reps)
+            basis_reps = tuple(_member(ambient, x) for x in basis_reps)
             if len(basis_reps) != len(q_basis):
                 raise InvalidInputError("wrong number of basis representatives")
             for r, qb in zip(basis_reps, q_basis):
@@ -327,163 +255,119 @@ class CosetPresentation:
                     )
             self.basis_reps = basis_reps
 
-        # class coordinates: quotient canonical member -> exponent vector
-        q_coords = coordinate_map(q_basis, q_orders, q_add, q_zero)
-        self._class_of_canon = q_coords
-
     @property
     def num_classes(self) -> int:
-        out = 1
-        for n in self.class_orders:
-            out *= n
-        return out
+        return self.quotient.size
 
     def class_labels(self):
         return itertools.product(*(range(n) for n in self.class_orders))
 
-    def class_of(self, g: Vec) -> Vec:
-        return self._class_of_canon[self._canon[self.ambient.check(tuple(g))]]
+    def class_of(self, g):
+        return self.quotient.coords[self.canon[_member(self.ambient, g)]]
 
-    def representative(self, m: Vec) -> Vec:
+    def representative(self, m):
         out = self.ambient.identity
         for k, r in zip(m, self.basis_reps):
-            out = self.ambient.add(out, self.ambient.scale(k, r))
+            out = self.ambient.mul(out, self.ambient.power(r, k))
         return out
 
-    def in_subgroup(self, g: Vec) -> bool:
-        return tuple(g) in self._sub_set
+    def in_subgroup(self, g) -> bool:
+        return g in self._sub_set
 
-    def subgroup_part(self, g: Vec) -> Vec:
+    def subgroup_part(self, g):
         """h such that g = R(class(g)) h."""
-        g = self.ambient.check(tuple(g))
-        h = self.ambient.add(g, self.ambient.neg(self.representative(self.class_of(g))))
+        rep = self.representative(self.class_of(g))
+        h = self.ambient.mul(g, self.ambient.inverse(rep))
         if h not in self._sub_set:
             raise InvalidInputError("representative map is inconsistent")
         return h
 
-    def closure(self, l: int) -> Vec:
+    def closure(self, l: int):
         """R(J_l)^{N_l}, an element of the subgroup."""
-        h = self.ambient.scale(self.class_orders[l], self.basis_reps[l])
+        h = self.ambient.power(self.basis_reps[l], self.class_orders[l])
         if h not in self._sub_set:
             raise InvalidInputError("basis closure left the subgroup")
         return h
 
-    def discrepancy(self, m: Vec, k: Vec) -> Vec:
+    def discrepancy(self, m, k):
         """h(J,K) with R(J)R(K) = R(JK) h(J,K); factorizes over cyclic factors."""
         out = self.ambient.identity
         for l, (ml, kl, nl) in enumerate(zip(m, k, self.class_orders)):
             if ml + kl >= nl:
-                out = self.ambient.add(out, self.closure(l))
+                out = self.ambient.mul(out, self.closure(l))
         return out
 
 
-def choose_coset_representatives(
-    ambient: FiniteAbelianGroup, subgroup_gens
-) -> CosetPresentation:
-    return CosetPresentation(ambient, subgroup_gens)
-
-
-def with_representatives(pres: CosetPresentation, basis_reps) -> CosetPresentation:
-    """Same quotient, different (validated) choice of basis representatives."""
-    return CosetPresentation(pres.ambient, pres.subgroup, basis_reps=basis_reps)
-
-
 # ---------------------------------------------------------------------------
-# subgroup characters, cocycle phases, lifted characters
-
-
-class SubgroupCharacters:
-    """Characters of a subgroup H of a vector group, labelled by exponent
-    vectors over H's own cyclic basis."""
-
-    def __init__(self, ambient: FiniteAbelianGroup, subgroup_elems):
-        self.ambient = ambient
-        self.elements = tuple(sorted(subgroup_elems))
-        self.basis, self.orders = abelian_basis(
-            self.elements, ambient.add, ambient.identity
-        )
-        self.coords = coordinate_map(
-            self.basis, self.orders, ambient.add, ambient.identity
-        )
-        if len(self.coords) != len(self.elements):
-            raise InvalidInputError("subgroup element list is not closed")
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
-
-    def labels(self):
-        return itertools.product(*(range(n) for n in self.orders))
-
-    def exponent(self, label, h) -> Fraction:
-        v = self.coords[tuple(h)]
-        q = Fraction(0)
-        for i, m, n in zip(label, v, self.orders):
-            q += Fraction(i * m, n)
-        return norm1(q)
-
-    def value(self, label, h) -> complex:
-        return unit(self.exponent(label, h))
+# cocycle phases, lifted characters
 
 
 class CocycleData:
     """Phases phi_i(classes) repairing the mismatch between products of coset
     representatives and representatives of products.
 
-    Per basis factor the phase is the principal N_l-th root of the subgroup
-    character at the factor closure; general classes get the product.
-    Satisfies  Psi_i(h(J,K)) phi_i(JK) = phi_i(J) phi_i(K)  exactly.
+    `chars` is the subgroup H as a `MultGroup`; its labels index the
+    subgroup characters Psi_i. Per basis factor the phase is the principal
+    N_l-th root of Psi_i at the factor closure; general classes get the
+    product. Satisfies  Psi_i(h(J,K)) phi_i(JK) = phi_i(J) phi_i(K)  exactly.
     """
 
-    def __init__(self, pres: CosetPresentation, chars: SubgroupCharacters,
+    def __init__(self, pres: CosetPresentation, chars: MultGroup,
                  base_exponents=None):
         self.pres = pres
         self.chars = chars
         if base_exponents is None:
-            base_exponents = {}
-            for lab in chars.labels():
-                roots = []
-                for l, nl in enumerate(pres.class_orders):
-                    psi = chars.exponent(lab, pres.closure(l))
-                    roots.append(principal_root_exp(psi, nl))
-                base_exponents[lab] = tuple(roots)
+            roots = [chars.principal_roots(pres.closure(l), nl)
+                     for l, nl in enumerate(pres.class_orders)]
+            base_exponents = {
+                lab: tuple(r[row] for r in roots)
+                for row, lab in enumerate(chars.char_labels())
+            }
         self.base_exponents = base_exponents
 
-    def phi_exponent(self, label, m: Vec) -> Fraction:
+    def phi_exponent(self, label, m) -> Fraction:
         roots = self.base_exponents[tuple(label)]
         q = Fraction(0)
         for ml, r in zip(m, roots):
             q += ml * r
         return norm1(q)
 
-    def phi(self, label, m: Vec) -> complex:
+    def phi(self, label, m) -> complex:
         return unit(self.phi_exponent(label, m))
+
+    def phi_table(self):
+        """(nums, den): phi exponents as numerators over one denominator,
+        row per label in `chars.char_labels` order, column per class in
+        `pres.class_labels` order."""
+        roots = [self.base_exponents[lab] for lab in self.chars.char_labels()]
+        den = common_denominator(q for r in roots for q in r)
+        rank = len(self.pres.class_orders)
+        base = np.array(
+            [[q.numerator * (den // q.denominator) for q in r] for r in roots],
+            dtype=np.int64).reshape(len(roots), rank)
+        classes = np.array(list(self.pres.class_labels()),
+                           dtype=np.int64).reshape(self.pres.num_classes, rank)
+        return (base @ classes.T) % den, den
 
     def check_cocycle_law(self) -> Fraction:
         """Max deviation exponent of the defining law; Fraction(0) if exact."""
-        worst = Fraction(0)
-        for lab in self.chars.labels():
-            for m in self.pres.class_labels():
-                for k in self.pres.class_labels():
-                    mk = tuple(
-                        (a + b) % n
-                        for a, b, n in zip(m, k, self.pres.class_orders)
-                    )
-                    lhs = norm1(
-                        self.chars.exponent(lab, self.pres.discrepancy(m, k))
-                        + self.phi_exponent(lab, mk)
-                    )
-                    rhs = norm1(
-                        self.phi_exponent(lab, m) + self.phi_exponent(lab, k)
-                    )
-                    dev = norm1(lhs - rhs)
-                    dev = min(dev, 1 - dev)
-                    worst = max(worst, dev)
-        return worst
-
-
-def cocycle_phases(pres: CosetPresentation, chars: SubgroupCharacters) -> CocycleData:
-    return CocycleData(pres, chars)
+        phi, phi_den = self.phi_table()
+        table, e, col = self.chars.char_table()
+        den = math.lcm(phi_den, e)
+        phi = phi * (den // phi_den)
+        classes = list(self.pres.class_labels())
+        index = {m: c for c, m in enumerate(classes)}
+        worst = 0
+        for a, m in enumerate(classes):
+            for b, k in enumerate(classes):
+                mk = tuple(
+                    (x + y) % n
+                    for x, y, n in zip(m, k, self.pres.class_orders)
+                )
+                psi = table[:, col[self.pres.discrepancy(m, k)]] * (den // e)
+                dev = (psi + phi[:, index[mk]] - phi[:, a] - phi[:, b]) % den
+                worst = max(worst, int(np.minimum(dev, den - dev).max()))
+        return Fraction(worst, den)
 
 
 def rebase_phases(
@@ -495,34 +379,29 @@ def rebase_phases(
     cocycle law for the new presentation's discrepancies.
     """
     old = cocycle.pres
-    if new_pres.ambient.orders != old.ambient.orders:
+    g = new_pres.ambient
+    if g.elements != old.ambient.elements:
         raise InvalidInputError("presentations live in different ambient groups")
     if new_pres.subgroup != old.subgroup:
         raise InvalidInputError("presentations quotient by different subgroups")
     if new_pres.class_orders != old.class_orders:
         raise InvalidInputError("class bases are incompatible")
+    shifts = []
+    for new_r, old_r in zip(new_pres.basis_reps, old.basis_reps):
+        shift = g.mul(new_r, g.inverse(old_r))
+        if not old.in_subgroup(shift):
+            raise InvalidInputError(
+                "new representatives are not in the old classes"
+            )
+        shifts.append(shift)
     chars = cocycle.chars
-    base = {}
-    for lab in chars.labels():
-        roots = []
-        for l in range(len(old.class_orders)):
-            e_l = tuple(
-                1 if i == l else 0 for i in range(len(old.class_orders))
-            )
-            shift = new_pres.ambient.add(
-                new_pres.representative(e_l),
-                new_pres.ambient.neg(old.representative(e_l)),
-            )
-            if not old.in_subgroup(shift):
-                raise InvalidInputError(
-                    "new representatives are not in the old classes"
-                )
-            roots.append(
-                norm1(
-                    cocycle.base_exponents[lab][l] + chars.exponent(lab, shift)
-                )
-            )
-        base[lab] = tuple(roots)
+    base = {
+        lab: tuple(
+            norm1(q + chars.char_exponent(lab, shift))
+            for q, shift in zip(cocycle.base_exponents[lab], shifts)
+        )
+        for lab in chars.char_labels()
+    }
     out = CocycleData(new_pres, chars, base_exponents=base)
     if out.check_cocycle_law() != 0:
         raise InvalidInputError("rebased phases violate the cocycle law")
@@ -532,6 +411,9 @@ def rebase_phases(
 class LiftedCharacters:
     """Characters of the ambient group built from coset characters, subgroup
     characters and cocycle phases; restrict to plain subgroup characters on H.
+
+    The coset character with label m is the quotient group's character m at
+    the class; labels are pairs (m, i) with i a label of the subgroup.
     """
 
     def __init__(self, cocycle: CocycleData):
@@ -541,34 +423,38 @@ class LiftedCharacters:
         self.labels = [
             (m, i)
             for m in self.pres.class_labels()
-            for i in self.chars.labels()
+            for i in self.chars.char_labels()
         ]
 
-    def exponent(self, label, g: Vec) -> Fraction:
+    def exponent(self, label, g) -> Fraction:
         m_char, i = label
-        cls = self.pres.class_of(g)
-        h = self.pres.subgroup_part(g)
-        q = Fraction(0)
-        for mc, c, n in zip(m_char, cls, self.pres.class_orders):
-            q += Fraction(mc * c, n)
-        q += self.chars.exponent(i, h)
-        q += self.cocycle.phi_exponent(i, cls)
-        return norm1(q)
+        pres = self.pres
+        cls = pres.class_of(g)
+        return norm1(
+            pres.quotient.char_exponent(m_char, pres.canon[g])
+            + self.chars.char_exponent(i, pres.subgroup_part(g))
+            + self.cocycle.phi_exponent(i, cls)
+        )
 
-    def value(self, label, g: Vec) -> complex:
+    def value(self, label, g) -> complex:
         return unit(self.exponent(label, g))
 
     def matrix(self) -> np.ndarray:
-        elems = list(self.pres.ambient.elements())
-        out = np.empty((len(self.labels), len(elems)), dtype=complex)
-        for r, lab in enumerate(self.labels):
-            for c, g in enumerate(elems):
-                out[r, c] = self.value(lab, g)
-        return out
-
-
-def lifted_characters(cocycle: CocycleData) -> LiftedCharacters:
-    return LiftedCharacters(cocycle)
+        """value(label, g): row per label in `labels` order, column per
+        element in `ambient.elements` order."""
+        pres = self.pres
+        elems = pres.ambient.elements
+        q_table, q_e, q_col = pres.quotient.char_table()
+        h_table, h_e, h_col = self.chars.char_table()
+        phi, phi_den = self.cocycle.phi_table()
+        den = math.lcm(q_e, h_e, phi_den)
+        classes = {m: c for c, m in enumerate(pres.class_labels())}
+        coset = q_table[:, [q_col[pres.canon[g]] for g in elems]]
+        sub = h_table[:, [h_col[pres.subgroup_part(g)] for g in elems]]
+        sub = sub * (den // h_e) + phi[:, [classes[pres.class_of(g)]
+                                          for g in elems]] * (den // phi_den)
+        nums = coset[:, None, :] * (den // q_e) + sub[None, :, :]
+        return units(nums.reshape(len(self.labels), len(elems)) % den, den)
 
 
 # ---------------------------------------------------------------------------

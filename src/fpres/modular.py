@@ -142,9 +142,6 @@ class ModularData:
         den, _, tn = self.phase_numerators()
         return Fraction(int(tn[a]), den)
 
-    def t_exponents(self):
-        return [self.t_exponent(a) for a in range(self.size)]
-
     def t_values(self) -> np.ndarray:
         den, _, tn = self.phase_numerators()
         return units(tn, den)

@@ -450,11 +450,9 @@ def realize_twist_row(s_j, s_k, n, m, target_f) -> dict:
     powers = {}
     for p in range(nj):
         for q in range(nk):
-            g = 0
-            for _ in range(p):
-                g = th.center.mul(g, jc)
-            for _ in range(q):
-                g = th.center.mul(g, kc)
+            g = th.center.power(jc, p)
+            if kc is not None:
+                g = th.center.mul(g, th.center.power(kc, q))
             powers[g] = (p, q)
     report = {
         "factors": [f.name for f in factors],

@@ -15,18 +15,17 @@ import numpy as np
 from fpres.currents import Theory
 from fpres.extend import extend, match_fields
 from fpres.groups import (
+    CocycleData,
     CosetPresentation,
-    SubgroupCharacters,
+    LiftedCharacters,
+    MultGroup,
     TwistSystem,
-    cocycle_phases,
     congruence_solution_set,
     decompose,
     is_nondegenerate,
-    lifted_characters,
     rebase_phases,
     solve_congruence_system,
     span,
-    with_representatives,
 )
 from fpres.modular import check_modular, fusion_matrix, tensor
 from fpres.phases import norm1
@@ -273,7 +272,7 @@ def _random_group_pair(rng):
                 tuple(rng.randrange(n) for n in orders)
                 for _ in range(rng.randint(1, 2))
             ]
-            sub = span(gens, g.add, g.identity)
+            sub = span(gens, g.mul, g.identity)
             if 1 < len(sub) < g.size:
                 return g, gens
 
@@ -283,9 +282,9 @@ def test_lifted_characters_on_random_subgroup_pairs():
     for _ in range(100):
         g, gens = _random_group_pair(rng)
         pres = CosetPresentation(g, gens)
-        chars = SubgroupCharacters(g, pres.subgroup)
-        cd = cocycle_phases(pres, chars)
-        lift = lifted_characters(cd)
+        chars = MultGroup(pres.subgroup, g.mul, g.identity)
+        cd = CocycleData(pres, chars)
+        lift = LiftedCharacters(cd)
         assert len(lift.labels) == g.size
 
         m = lift.matrix()
@@ -293,21 +292,21 @@ def test_lifted_characters_on_random_subgroup_pairs():
         assert np.abs(m @ m.conj().T - eye).max() < 1e-12
         assert np.abs(m.conj().T @ m - eye).max() < 1e-12
 
-        elems = list(g.elements())
+        elems = list(g.elements)
         for _ in range(24):
             lab = lift.labels[rng.randrange(len(lift.labels))]
             x = elems[rng.randrange(len(elems))]
             y = elems[rng.randrange(len(elems))]
-            assert lift.exponent(lab, g.add(x, y)) == norm1(
+            assert lift.exponent(lab, g.mul(x, y)) == norm1(
                 lift.exponent(lab, x) + lift.exponent(lab, y)
             )
 
         # labels with a trivial coset part restrict to plain subgroup
         # characters, with exact exponents
         zero = tuple(0 for _ in pres.class_orders)
-        for i in chars.labels():
+        for i in chars.char_labels():
             for h in pres.subgroup:
-                assert lift.exponent((zero, i), h) == chars.exponent(i, h)
+                assert lift.exponent((zero, i), h) == chars.char_exponent(i, h)
 
         # move every basis representative within its class and rebase
         reps = []
@@ -318,7 +317,8 @@ def test_lifted_characters_on_random_subgroup_pairs():
             pool = [x for x in elems if pres.class_of(x) == e_l]
             reps.append(pool[rng.randrange(len(pool))])
         assert reps
-        cd2 = rebase_phases(cd, with_representatives(pres, reps))
+        cd2 = rebase_phases(
+            cd, CosetPresentation(g, pres.subgroup, basis_reps=reps))
         assert cd2.check_cocycle_law() == Fraction(0)
 
 

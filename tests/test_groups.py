@@ -13,26 +13,25 @@ from fpres.errors import (
     InvalidInputError,
 )
 from fpres.groups import (
-    CharacterTable,
+    CocycleData,
     CosetPresentation,
-    FiniteAbelianGroup,
+    LiftedCharacters,
     MultGroup,
-    SubgroupCharacters,
     TwistSystem,
     abelian_basis,
-    cocycle_phases,
     congruence_solution_set,
     coordinate_map,
     decompose,
     is_nondegenerate,
-    lifted_characters,
     rebase_phases,
     smith_normal_form,
     solve_congruence_system,
     span,
-    with_representatives,
 )
+from fpres.currents import Theory
+from fpres.modular import tensor
 from fpres.phases import norm1, unit
+from fpres.wzw import su2, sun
 
 small_orders = st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=3)
 
@@ -44,23 +43,23 @@ small_orders = st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_s
 @given(small_orders, st.data())
 def test_group_laws(orders, data):
     g = decompose(orders)
-    elems = list(g.elements())
+    elems = list(g.elements)
     x = data.draw(st.sampled_from(elems))
     y = data.draw(st.sampled_from(elems))
     z = data.draw(st.sampled_from(elems))
-    assert g.add(x, g.identity) == x
-    assert g.add(x, g.neg(x)) == g.identity
-    assert g.add(g.add(x, y), z) == g.add(x, g.add(y, z))
-    assert g.add(x, y) == g.add(y, x)
+    assert g.mul(x, g.identity) == x
+    assert g.mul(x, g.inverse(x)) == g.identity
+    assert g.mul(g.mul(x, y), z) == g.mul(x, g.mul(y, z))
+    assert g.mul(x, y) == g.mul(y, x)
 
 
 @given(small_orders, st.data())
 def test_order_of_matches_brute_force(orders, data):
     g = decompose(orders)
-    x = data.draw(st.sampled_from(list(g.elements())))
+    x = data.draw(st.sampled_from(list(g.elements)))
     n, y = 1, x
     while y != g.identity:
-        y = g.add(y, x)
+        y = g.mul(y, x)
         n += 1
     assert g.order_of(x) == n
     assert g.exponent() % n == 0
@@ -69,20 +68,21 @@ def test_order_of_matches_brute_force(orders, data):
 @pytest.mark.parametrize("orders", [(2,), (3,), (4,), (2, 2), (2, 4), (6, 2)])
 def test_character_table_orthogonality(orders):
     g = decompose(orders)
-    m = CharacterTable(g).matrix()
+    m = np.array(
+        [[g.char_value(lab, x) for x in g.elements] for lab in g.char_labels()]
+    )
     assert np.allclose(m @ m.conj().T, g.size * np.eye(g.size), atol=1e-12)
 
 
 @given(small_orders, st.data())
 def test_character_group_law_exact(orders, data):
     g = decompose(orders)
-    elems = list(g.elements())
-    tab = CharacterTable(g)
-    lab = data.draw(st.sampled_from(elems))
+    elems = list(g.elements)
+    lab = data.draw(st.sampled_from(list(g.char_labels())))
     x = data.draw(st.sampled_from(elems))
     y = data.draw(st.sampled_from(elems))
-    assert tab.exponent(lab, g.add(x, y)) == norm1(
-        tab.exponent(lab, x) + tab.exponent(lab, y)
+    assert g.char_exponent(lab, g.mul(x, y)) == norm1(
+        g.char_exponent(lab, x) + g.char_exponent(lab, y)
     )
 
 
@@ -91,7 +91,7 @@ def test_group_rejects_bad_orders():
         decompose([0, 2])
     g = decompose([2, 3])
     with pytest.raises(InvalidInputError):
-        g.check((2, 0))
+        CosetPresentation(g, [(2, 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -112,17 +112,17 @@ def test_group_rejects_bad_orders():
 )
 def test_abelian_basis_invariant_factors(orders, expected):
     g = decompose(orders)
-    basis, fac = abelian_basis(list(g.elements()), g.add, g.identity)
+    basis, fac = abelian_basis(list(g.elements), g.mul, g.identity)
     assert tuple(fac) == expected
     for a, b in zip(fac, fac[1:]):
         assert a % b == 0
-    coords = coordinate_map(basis, fac, g.add, g.identity)
+    coords = coordinate_map(basis, fac, g.mul, g.identity)
     assert len(coords) == g.size
 
 
 def test_span_closure():
     g = decompose([4, 2])
-    sub = span([(2, 0), (0, 1)], g.add, g.identity)
+    sub = span([(2, 0), (0, 1)], g.mul, g.identity)
     assert sub == [(0, 0), (0, 1), (2, 0), (2, 1)]
 
 
@@ -183,21 +183,21 @@ def test_representative_map_is_multiplicative(orders, gens):
     for m in pres.class_labels():
         for k in pres.class_labels():
             mk = tuple((a + b) % n for a, b, n in zip(m, k, pres.class_orders))
-            lhs = g.add(pres.representative(m), pres.representative(k))
-            rhs = g.add(pres.representative(mk), pres.discrepancy(m, k))
+            lhs = g.mul(pres.representative(m), pres.representative(k))
+            rhs = g.mul(pres.representative(mk), pres.discrepancy(m, k))
             assert lhs == rhs
-    for x in g.elements():
+    for x in g.elements:
         cls = pres.class_of(x)
-        assert x == g.add(pres.representative(cls), pres.subgroup_part(x))
+        assert x == g.mul(pres.representative(cls), pres.subgroup_part(x))
 
 
 def test_with_representatives_validates_class():
     g = decompose([4])
     pres = CosetPresentation(g, [(2,)])
-    alt = with_representatives(pres, [(3,)])
+    alt = CosetPresentation(g, pres.subgroup, basis_reps=[(3,)])
     assert alt.basis_reps == ((3,),)
     with pytest.raises(InvalidInputError):
-        with_representatives(pres, [(2,)])
+        CosetPresentation(g, pres.subgroup, basis_reps=[(2,)])
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +209,8 @@ def test_cocycle_phase_z4_example():
     # Psi(closure) = -1 and the principal square root gives phi = i
     g = decompose([4])
     pres = CosetPresentation(g, [(2,)])
-    chars = SubgroupCharacters(g, pres.subgroup)
-    coc = cocycle_phases(pres, chars)
+    chars = MultGroup(pres.subgroup, g.mul, g.identity)
+    coc = CocycleData(pres, chars)
     assert coc.phi_exponent((1,), (1,)) == Fraction(1, 4)
     assert coc.phi((1,), (1,)) == pytest.approx(1j)
     assert coc.phi_exponent((0,), (1,)) == 0
@@ -222,13 +222,13 @@ def test_rebase_differs_from_reseed():
     # re-deriving principal roots for the new closure would give +i again
     g = decompose([4])
     pres = CosetPresentation(g, [(2,)])
-    chars = SubgroupCharacters(g, pres.subgroup)
-    coc = cocycle_phases(pres, chars)
-    alt = with_representatives(pres, [(3,)])
+    chars = MultGroup(pres.subgroup, g.mul, g.identity)
+    coc = CocycleData(pres, chars)
+    alt = CosetPresentation(g, pres.subgroup, basis_reps=[(3,)])
     moved = rebase_phases(coc, alt)
     assert moved.phi_exponent((1,), (1,)) == Fraction(3, 4)
     assert moved.check_cocycle_law() == 0
-    reseeded = cocycle_phases(alt, chars)
+    reseeded = CocycleData(alt, chars)
     assert reseeded.phi_exponent((1,), (1,)) == Fraction(1, 4)
     assert reseeded.check_cocycle_law() == 0
 
@@ -246,7 +246,7 @@ def _random_pair(rng):
                 tuple(rng.randrange(n) for n in orders)
                 for _ in range(rng.randint(1, 2))
             ]
-            sub = span(gens, g.add, g.identity)
+            sub = span(gens, g.mul, g.identity)
             if 1 < len(sub) < g.size:
                 return g, gens
 
@@ -256,19 +256,19 @@ def test_lifted_characters_random_pairs(seed):
     rng = random.Random(seed)
     g, gens = _random_pair(rng)
     pres = CosetPresentation(g, gens)
-    chars = SubgroupCharacters(g, pres.subgroup)
-    lift = lifted_characters(cocycle_phases(pres, chars))
+    chars = MultGroup(pres.subgroup, g.mul, g.identity)
+    lift = LiftedCharacters(CocycleData(pres, chars))
     assert len(lift.labels) == g.size
     m = lift.matrix()
     # orthogonality and completeness
     assert np.allclose(m @ m.conj().T, g.size * np.eye(g.size), atol=1e-12)
     # multiplicative on the nose, as exact exponents
-    elems = list(g.elements())
+    elems = list(g.elements)
     for lab in lift.labels[:: max(1, len(lift.labels) // 6)]:
         for _ in range(8):
             x = elems[rng.randrange(len(elems))]
             y = elems[rng.randrange(len(elems))]
-            assert lift.exponent(lab, g.add(x, y)) == norm1(
+            assert lift.exponent(lab, g.mul(x, y)) == norm1(
                 lift.exponent(lab, x) + lift.exponent(lab, y)
             )
     # restriction to the subgroup forgets the coset and cocycle parts
@@ -276,7 +276,37 @@ def test_lifted_characters_random_pairs(seed):
         if any(mc):
             continue
         for h in pres.subgroup:
-            assert lift.exponent((mc, i), h) == chars.exponent(i, h)
+            assert lift.exponent((mc, i), h) == chars.char_exponent(i, h)
+
+
+def _su2_4_pair_diagonal():
+    md = tensor(su2(4), su2(4))
+    return Theory(md).center, md.index((4, 4))
+
+
+def _su4_2_square():
+    # Z_4 center over its Z_2: the basis closure is not the identity
+    g = Theory(sun(4, 2)).center
+    return g, g.power(g.basis[0], 2)
+
+
+@pytest.mark.parametrize("build", [_su2_4_pair_diagonal, _su4_2_square])
+def test_coset_layer_on_fusion_center(build):
+    # field ids are opaque ints; the product is fusion of simple currents
+    g, current = build()
+    pres = CosetPresentation(g, [current])
+    assert pres.num_classes * len(pres.subgroup) == g.size
+    for m in pres.class_labels():
+        for k in pres.class_labels():
+            mk = tuple((a + b) % n for a, b, n in zip(m, k, pres.class_orders))
+            lhs = g.mul(pres.representative(m), pres.representative(k))
+            rhs = g.mul(pres.representative(mk), pres.discrepancy(m, k))
+            assert lhs == rhs
+    chars = MultGroup(pres.subgroup, g.mul, g.identity)
+    coc = CocycleData(pres, chars)
+    assert coc.check_cocycle_law() == 0
+    m = LiftedCharacters(coc).matrix()
+    assert np.abs(m @ m.conj().T - g.size * np.eye(g.size)).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
