@@ -25,7 +25,8 @@ from .errors import (
     ResourceLimitError,
 )
 from .extend import extend
-from .modular import dump_json, fusion_matrix, load, save, tensor
+from .modular import (_label_from_json, _label_to_json, dump_json,
+                      fusion_matrix, load, save, tensor)
 from .phases import norm1
 from .validate import check_fusion_integrality, condition_report
 from .wzw import ising, su2, sun
@@ -82,15 +83,7 @@ def _parse_current(md, token: str) -> int:
         parsed = json.loads(token)
     except json.JSONDecodeError:
         parsed = token
-    if isinstance(parsed, list):
-        parsed = _untuple(parsed)
-    return md.index(parsed)
-
-
-def _untuple(x):
-    if isinstance(x, list):
-        return tuple(_untuple(v) for v in x)
-    return x
+    return md.index(_label_from_json(parsed))
 
 
 # --- commands -------------------------------------------------------------
@@ -130,7 +123,7 @@ def cmd_currents(args) -> int:
         "currents": [
             {
                 "id": j,
-                "label": _label_json(md.labels[j]),
+                "label": _label_to_json(md.labels[j]),
                 "h": str(md.h[j]),
                 "order": th.current_order(j),
                 "integer_spin": norm1(md.h[j]) == 0,
@@ -142,12 +135,6 @@ def cmd_currents(args) -> int:
     if args.out:
         _manifest(args, [args.input], outputs, args.out)
     return 0
-
-
-def _label_json(lab):
-    from .modular import _label_to_json
-
-    return _label_to_json(lab)
 
 
 def cmd_extend(args) -> int:
@@ -210,7 +197,7 @@ def cmd_fusion(args) -> int:
     doc = {
         "format": "fusion-table v1",
         "name": md.name,
-        "fields": [_label_json(lab) for lab in md.labels],
+        "fields": [_label_to_json(lab) for lab in md.labels],
         "tables": tables,
     }
     outputs = _emit(doc, args.out)

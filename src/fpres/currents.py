@@ -15,7 +15,10 @@ charge column Q_J = (h + h[J] - h[J x]) mod 1 against every field as one
 array operation. Fractions appear only at the accessors.
 
 Twist factors F(a, K, J) compare the K-translated rows of S^J against the
-monodromy phase and are snapped to exact roots of unity.
+monodromy phase. Only this module snaps twists and etas to exact roots of
+unity, once per table: `Theory.twists(k, j)` and `Theory.etas(j)` keep
+int64 numerators and mark what does not snap, so that only the accessor
+of that field raises.
 """
 from __future__ import annotations
 
@@ -32,6 +35,7 @@ from .errors import (
     FusionIntegralityError,
     InvalidInputError,
     MalformedBundleError,
+    PhaseSnapError,
     ResolutionError,
 )
 from .groups import MultGroup
@@ -44,7 +48,7 @@ from .modular import (
     dump_json,
     native,
 )
-from .phases import norm1, snap_phase, unit, units
+from .phases import norm1, snap_phases, unit, units
 
 
 @dataclass
@@ -191,7 +195,11 @@ class Theory:
                     f"its fixed fields"
                 )
             self._bundles[b.current] = b
+        # resolved etas are roots of class order times character order
+        # beyond the base snap order, each dividing the center's exponent
+        self.eta_order = self.snap_order * self.center.exponent() ** 2
         self._twists = {}
+        self._etas = {}
 
     # --- current basics
 
@@ -200,9 +208,6 @@ class Theory:
 
     def current_order(self, j: int) -> int:
         return self.center.order_of(j)
-
-    def inverse(self, j: int) -> int:
-        return self.center.inverse(j)
 
     def apply(self, j: int, a: int) -> int:
         return int(self.perms[j][a])
@@ -331,45 +336,76 @@ class Theory:
             raise ResolutionError(f"bundle for current {j} lacks eta data")
         return b.eta[b.position(a)]
 
+    def etas(self, j: int) -> np.ndarray:
+        """eta^J at every support field of J, in bundle order, as numerators
+        over `eta_order`, snapped once; -1 marks an entry that is no root of
+        that order, for which `eta_exponent` raises."""
+        if j not in self._etas:
+            eta = self.bundle(j).eta
+            if eta is None:
+                raise ResolutionError(f"bundle for current {j} lacks eta data")
+            self._etas[j] = snap_phases(eta, self.eta_order, tol=1e-6)
+        return self._etas[j]
+
+    def eta_exponent(self, j: int, a: int) -> Fraction:
+        """Exact exponent of eta^J at a field fixed by J."""
+        if j == 0:
+            return Fraction(0)
+        n = int(self.etas(j)[self.bundle(j).position(a)])
+        if n < 0:
+            raise PhaseSnapError(f"eta of current {j} at {a} is not a snapped root")
+        return Fraction(n, self.eta_order)
+
     # --- twists
+
+    def twists(self, k: int, j: int) -> np.ndarray:
+        """F(a, K, J) for every support field a of J, in bundle order, as
+        numerators over `snap_order`, snapped once per (K, J). Negative
+        entries mark the fields for which `twist_exponent` raises: -1 when
+        the row ratio is no snapped phase, -2 when it is not constant and
+        -3 when the row vanishes."""
+        if (k, j) in self._twists:
+            return self._twists[(k, j)]
+        b = self.bundle(j)
+        fields = np.array(b.fields, dtype=np.intp)
+        charges = self.charges(k)[fields]
+        if b.dim == 1:
+            # one-dimensional bundles twist by the inverse monodromy, whose
+            # denominator divides the snap order
+            g = math.gcd(self.den, self.snap_order)
+            table = -charges % self.den // (self.den // g) * (self.snap_order // g)
+        else:
+            # row ratios S^J_{Ka,c} exp(-2 pi i Q_K(c)) / S^J_{ac} over the
+            # entries with a non-negligible denominator
+            m = b.matrix
+            moved = m[[b.position(a) for a in self.perms[k][fields].tolist()]]
+            mask = np.abs(m) > 1e-6
+            ratios = np.divide(moved * units(-charges, self.den), m,
+                               out=np.zeros_like(m), where=mask)
+            count = mask.sum(axis=1)
+            mean = ratios.sum(axis=1) / np.maximum(count, 1)
+            table = snap_phases(mean, self.snap_order, tol=1e-6)
+            table[np.abs(ratios - mean[:, None]).max(
+                axis=1, where=mask, initial=0) > 1e-6] = -2
+            table[count == 0] = -3
+        self._twists[(k, j)] = table
+        return table
 
     def twist_exponent(self, a: int, k: int, j: int) -> Fraction:
         """Exact exponent of F(a, K, J); a must be fixed by J."""
-        key = (a, k, j)
-        if key in self._twists:
-            return self._twists[key]
         if j == 0:
-            out = Fraction(0)
-        else:
-            b = self.bundle(j)
-            if b.dim == 1:
-                # one-dimensional bundles twist by the inverse monodromy
-                out = Fraction(-int(self.charges(k)[a]) % self.den, self.den)
-            else:
-                out = self._extract_twist(b, a, k)
-        self._twists[key] = out
-        return out
+            return Fraction(0)
+        n = int(self.twists(k, j)[self.bundle(j).position(a)])
+        if n == -1:
+            raise PhaseSnapError(f"twist of ({a},{k}) against {j} is not a snapped root")
+        if n == -2:
+            raise ResolutionError(f"twist of ({a},{k}) against {j} is not constant")
+        if n == -3:
+            raise ResolutionError(f"row of field {a} in bundle {j} vanishes")
+        return Fraction(n, self.snap_order)
 
     def twist_value(self, a: int, k: int, j: int) -> complex:
         return unit(self.twist_exponent(a, k, j))
-
-    def _extract_twist(self, b: FixedPointBundle, a: int, k: int) -> Fraction:
-        ka = self.apply(k, a)
-        row_a = b.matrix[b.position(a)]
-        row_ka = b.matrix[b.position(ka)]
-        phases = units(-self.charges(k)[list(b.fields)], self.den)
-        mask = np.abs(row_a) > 1e-6
-        if not mask.any():
-            raise ResolutionError(
-                f"row of field {a} in bundle {b.current} vanishes"
-            )
-        ratios = row_ka[mask] * phases[mask] / row_a[mask]
-        mean = ratios.mean()
-        if np.abs(ratios - mean).max() > 1e-6:
-            raise ResolutionError(
-                f"twist of ({a},{k}) against {b.current} is not constant"
-            )
-        return snap_phase(mean, self.snap_order, tol=1e-6)
 
 
 # ---------------------------------------------------------------------------

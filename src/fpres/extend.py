@@ -29,7 +29,7 @@ from .currents import FixedPointBundle, Theory
 from .errors import InvalidInputError, ResolutionError
 from .groups import MultGroup
 from .modular import ModularData
-from .phases import norm1, snap_phase, unit, units
+from .phases import norm1, unit, units
 
 
 @dataclass
@@ -519,34 +519,25 @@ class Extension:
         """Character relabeling induced by the translation to the
         conjugate representative."""
         th = self.theory
-        out = {}
-        targets = {}
-        for lab in o.char_labels:
-            vals = []
-            for hh in o.unt:
-                if hh == 0:
-                    q = Fraction(0)
-                else:
-                    f = norm1(-th.twist_exponent(o.rep, k_a, hh))
-                    e = snap_phase(
-                        th.eta_value(hh, cbar), th.snap_order, tol=1e-6
-                    )
-                    q = norm1(f + e)
-                vals.append(norm1(q + o.ugroup.char_exponent(lab, hh)))
-            targets[lab] = tuple(vals)
+        shift = [
+            -th.twist_exponent(o.rep, k_a, hh) + th.eta_exponent(hh, cbar)
+            for hh in o.unt
+        ]
         table = {
             tuple(
                 o.ugroup.char_exponent(lab, hh) for hh in o.unt
             ): lab
             for lab in o.char_labels
         }
-        for lab, t in targets.items():
-            if t not in table:
+        out = {}
+        for key, lab in table.items():
+            target = tuple(norm1(q + e) for q, e in zip(shift, key))
+            if target not in table:
                 raise ResolutionError(
                     "conjugation data does not permute the stabilizer "
                     "characters"
                 )
-            out[lab] = table[t]
+            out[lab] = table[target]
         return out
 
     # ------------------------------------------------------------------

@@ -8,7 +8,8 @@ large for safe int64 sums fall back to object arrays of Python ints. A
 single exponent leaves this representation as a Fraction reduced mod 1,
 which is what the public accessors, the JSON documents and the reports
 carry. Conversion to complex happens only at the numerical boundary,
-through `unit`.
+through `unit`, and back through `snap_phases`, which snaps a whole array
+at one order and marks what does not snap.
 """
 from __future__ import annotations
 
@@ -66,20 +67,30 @@ def units(nums, den: int) -> np.ndarray:
     return table[inv.reshape(nums.shape)]
 
 
-def snap_phase(z: complex, order: int, tol: float = 1e-8) -> Fraction:
-    """Identify a unimodular complex number with the nearest root of unity
-    of order dividing `order`, as an exact exponent.
-    """
+def snap_phases(zs, order: int, tol: float = 1e-8) -> np.ndarray:
+    """Numerators n in [0, order) of the roots of unity exp(2 pi i n / order)
+    nearest to each entry of `zs`, as int64 (Python ints for orders from
+    INT64_SAFE up), and -1 where an entry is not within `tol` of that root."""
     if order <= 0:
         raise ValueError("order must be positive")
-    r = abs(z)
-    if abs(r - 1.0) > tol:
-        raise PhaseSnapError(f"|z| = {r!r} is not within {tol} of 1")
-    ang = cmath.phase(z) / (2.0 * math.pi)
-    k = round(ang * order) % order
-    q = Fraction(k, order)
-    if abs(z - unit(q)) > tol:
+    zs = np.asarray(zs, dtype=complex)
+    near = np.rint(np.angle(np.where(np.isfinite(zs), zs, 1)) / (2.0 * math.pi)
+                   * order)
+    if order < INT64_SAFE:
+        nums = near.astype(np.int64) % order
+    else:
+        nums = np.vectorize(int, otypes=[object])(near) % order
+    # |z - root| <= tol also bounds ||z| - 1| by tol
+    return np.where(np.abs(zs - units(nums, order)) <= tol, nums, -1)
+
+
+def snap_phase(z: complex, order: int, tol: float = 1e-8) -> Fraction:
+    """Identify a unimodular complex number with the nearest root of unity
+    of order dividing `order`, as an exact exponent (see `snap_phases`).
+    """
+    n = int(snap_phases([z], order, tol)[0])
+    if n < 0:
         raise PhaseSnapError(
-            f"z = {z!r} is not within {tol} of any root of unity of order {order}"
+            f"z = {z!r} is not within {tol} of a root of unity of order {order}"
         )
-    return q
+    return Fraction(n, order)

@@ -2,10 +2,13 @@
 
 Each twisted matrix is checked against the full condition system:
 support, unitarity, the cube relation with the restricted T, row
-covariance under translations, the square/eta pairing, and the
-transpose pairing with the inverse current. Twist tables are checked
-for multiplicativity, conjugation symmetry, and the spin rule, and the
-eta product law is compared against the twists.
+covariance under translations (one broadcast per translator), the
+square/eta pairing, and the transpose pairing with the inverse current.
+Twist tables are checked for multiplicativity, conjugation symmetry and
+the spin rule, and the eta product law against the twists, as integer
+identities over (field, stabilizer element) grids of the exact tables of
+`Theory`; an entry that did not snap raises through its accessor, as a
+field-by-field evaluation would.
 """
 from __future__ import annotations
 
@@ -16,32 +19,14 @@ import numpy as np
 from .currents import Theory
 from .errors import InvalidInputError, PhaseSnapError, ResolutionError
 from .modular import ModularData, sampled_fusion_residual, tensor
-from .phases import norm1, snap_phase, unit, units
+from .phases import INT64_SAFE, norm1, unit, units
 from .wzw import ising, sun
 
 HALF = Fraction(1, 2)
+NA = -4  # grid entry below the twist codes: no data for the cell
 
 
-def _eta_exponent(theory: Theory, j: int, a: int) -> Fraction:
-    if j == 0:
-        return Fraction(0)
-    # resolved eta data carries roots beyond the base snap order: class
-    # order times character order, each dividing the center's exponent
-    order = theory.snap_order * theory.center.exponent() ** 2
-    try:
-        return snap_phase(theory.eta_value(j, a), order, tol=1e-6)
-    except PhaseSnapError:
-        raise PhaseSnapError(
-            f"eta of current {j} at {a} is not a snapped root"
-        ) from None
-
-
-def _stabilizer_t(theory: Theory, a: int):
-    """Center elements fixing the field (the full stabilizer)."""
-    return [x for x in theory.center.elements if theory.apply(x, a) == a]
-
-
-def _have_bundle(theory: Theory, j: int) -> bool:
+def _has_bundle(theory: Theory, j: int) -> bool:
     if j == 0:
         return True
     try:
@@ -51,9 +36,53 @@ def _have_bundle(theory: Theory, j: int) -> bool:
         return False
 
 
-def _have_eta(theory: Theory, j: int) -> bool:
-    return j == 0 or (_have_bundle(theory, j)
-                      and theory.bundle(j).eta is not None)
+def _grids(theory: Theory, fields, members):
+    """Twists tw[i, x, y] = F(fields[i], x, y) over `snap_order` and etas
+    eta[i, y] over `eta_order` for center elements x, y among `members`
+    fixing fields[i], in `center.elements` order; negative where the
+    accessor raises, NA elsewhere. Also fix[i, x], x fixes fields[i], and
+    the product table mul[x, y]."""
+    elems = np.array(theory.center.elements)
+    fields = np.asarray(fields, dtype=np.intp)
+    fix = np.array([theory.perms[x][fields] == fields for x in elems]).T
+    mul = np.searchsorted(elems, [theory.perms[x][elems] for x in elems])
+    use = fix & np.isin(elems, list(members))
+    dtype = np.int64 if theory.eta_order < INT64_SAFE else object
+    tw = np.full((len(fields), len(elems), len(elems)), NA, dtype=dtype)
+    eta = np.full((len(fields), len(elems)), NA, dtype=dtype)
+    tw[:, :, 0] = eta[:, 0] = 0
+    for y, j in enumerate(elems.tolist()):
+        sel = np.flatnonzero(use[:, y])
+        if j and len(sel) and _has_bundle(theory, j):
+            b = theory.bundle(j)
+            pos = [b.position(a) for a in fields[sel].tolist()]
+            for x in np.flatnonzero(use[sel].any(axis=0)):
+                tw[sel, x, y] = theory.twists(int(elems[x]), j)[pos]
+            if b.eta is not None:
+                eta[sel, y] = theory.etas(j)[pos]
+    return fix, mul, tw, eta
+
+
+def _product_law(theory: Theory, grids, fields, i, j, k):
+    """The {5b}/GF eta product law on cells (fields[i], J, K), index arrays
+    into `grids` in report order, of currents J, K with eta data fixing the
+    field: keeps the cells where JK has eta data too, and returns them with
+    G = eta^J + eta^K - eta^JK and F(a, K, J), both over `eta_order`. The
+    first cell whose lookups fail raises through the accessors."""
+    _, mul, tw, eta = grids
+    jk = mul[j, k]
+    i, j, k, jk = (v[eta[i, jk] != NA] for v in (i, j, k, jk))
+    parts = (eta[i, j], eta[i, k], eta[i, jk], tw[i, k, j])
+    hit = np.flatnonzero(np.logical_or.reduce([p < 0 for p in parts]))
+    if len(hit):
+        a = fields[i[hit[0]]]
+        cj, ck, cjk = (theory.center.elements[v[hit[0]]] for v in (j, k, jk))
+        for c in (cj, ck, cjk):
+            theory.eta_exponent(c, a)
+        theory.twist_exponent(a, ck, cj)
+    e = theory.eta_order
+    g = (parts[0] + parts[1] - parts[2]) % e
+    return i, j, k, g, parts[3] * (e // theory.snap_order)
 
 
 def check_conditions(theory: Theory, j: int, tol: float = 1e-8) -> dict:
@@ -100,51 +129,52 @@ def check_conditions(theory: Theory, j: int, tol: float = 1e-8) -> dict:
     dev, wit = worst_entry(np.linalg.matrix_power(m @ t, 3) - m @ m)
     record("{3}", dev <= tol, dev, witness=wit if dev > tol else None)
 
+    elems = theory.center.elements
+    y = elems.index(j)
+    order = theory.snap_order
     pos = {a: i for i, a in enumerate(supp)}
+    grids = fix, mul, tw, eta = _grids(theory, supp, elems)
+    avail = tw[:, 0] != NA          # [i, y]: y fixes supp[i], has a bundle
+
+    # {4}: one broadcast of the row covariance per translator
     dev4 = 0.0
     wit4 = None
-    for k in theory.center.elements:
-        if k == 0:
-            continue
+    for k in elems[1:]:
+        f = theory.twists(k, j)
+        if (f < 0).any():
+            record("{4}", False, 1.0,
+                   witness={"field": supp[int(np.argmax(f < 0))],
+                            "translator": k},
+                   note="row ratio is not a constant snapped phase")
+            break
         col = units(theory.charges(k)[list(supp)], theory.den)
-        for a in supp:
-            try:
-                f = theory.twist_value(a, k, j)
-            except (ResolutionError, PhaseSnapError):
-                record("{4}", False, 1.0, witness={"field": a, "translator": k},
-                       note="row ratio is not a constant snapped phase")
-                break
-            d = np.abs(m[pos[theory.apply(k, a)]] - f * col * m[pos[a]]).max()
-            if d > dev4:
-                dev4 = d
-                wit4 = {"field": a, "translator": k}
-        else:
-            continue
-        break
-    if "{4}" not in checks:
+        moved = m[[pos[a] for a in theory.perms[k][list(supp)].tolist()]]
+        d = np.abs(moved - units(f, order)[:, None] * col * m).max(axis=1)
+        i = int(d.argmax())
+        if d[i] > dev4:
+            dev4 = d[i]
+            wit4 = {"field": supp[i], "translator": k}
+    else:
         record("{4}", dev4 <= tol, dev4,
                witness=wit4 if dev4 > tol else None)
 
-    bad4a = []
+    # the twist identities hold exactly mod snap_order; cells in report order
     try:
-        for a in supp:
-            stab = _stabilizer_t(theory, a)
-            usable = [x for x in stab if _have_bundle(theory, x)]
-            for j1 in usable:
-                j2 = theory.center.mul(theory.center.inverse(j1), j)
-                if j2 not in usable:
-                    continue
-                for k in stab:
-                    q = norm1(
-                        theory.twist_exponent(a, k, j1)
-                        + theory.twist_exponent(a, k, j2)
-                        - theory.twist_exponent(a, k, j)
-                    )
-                    if q != 0:
-                        bad4a.append({"field": a, "translator": k,
-                                      "parts": [j1, j2]})
-        record("{4a}", not bad4a, float(bool(bad4a)),
-               witness=bad4a[:3] or None)
+        # {4a}: F(a, K, J1) + F(a, K, J2) = F(a, K, J) on cells (a, J1, K)
+        inv = np.argmax(mul == y, axis=1)           # J1 J2 = J
+        cells = (avail & avail[:, inv])[:, :, None] & fix[:, None, :]
+        parts = np.stack(np.broadcast_arrays(
+            tw, tw[:, :, inv], tw[:, :, [y]])).transpose(0, 1, 3, 2)
+        hit = np.argwhere(cells & (parts < 0).any(axis=0))
+        if len(hit):
+            i, y1, x = hit[0]
+            for part in (elems[y1], elems[inv[y1]], j):
+                theory.twist_exponent(supp[i], elems[x], part)
+        bad = np.argwhere(cells & ((parts[0] + parts[1] - parts[2]) % order != 0))
+        record("{4a}", not len(bad), float(bool(len(bad))),
+               witness=[{"field": supp[i], "translator": elems[x],
+                         "parts": [elems[y1], elems[inv[y1]]]}
+                        for i, y1, x in bad[:3]] or None)
     except PhaseSnapError:
         record("{4a}", False, 1.0, note="twist is not a snapped phase")
 
@@ -158,9 +188,9 @@ def check_conditions(theory: Theory, j: int, tol: float = 1e-8) -> dict:
         for cid in ("{5a}", "{5b}", "{5c}", "GF"):
             skip(cid, "support not closed under conjugation")
     else:
+        cp = [pos[int(conj[a])] for a in supp]
         pairing = np.zeros((n, n), dtype=complex)
-        for a in supp:
-            pairing[pos[a], pos[int(conj[a])]] = b.eta[pos[a]]
+        pairing[np.arange(n), cp] = b.eta
         dev, wit = worst_entry(m @ m - pairing)
         record("{5}", dev <= tol, dev, witness=wit if dev > tol else None)
 
@@ -168,51 +198,35 @@ def check_conditions(theory: Theory, j: int, tol: float = 1e-8) -> dict:
         record("{5a}", dev <= tol, dev)
 
         try:
-            bad5b = []
-            gf_fail = []
-            complex_f = 0
-            pairs = 0
-            for a in supp:
-                stab = [x for x in _stabilizer_t(theory, a)
-                        if _have_eta(theory, x)]
-                for k in stab:
-                    jk = theory.center.mul(j, k)
-                    if jk != 0 and (theory.apply(jk, a) != a
-                                    or not _have_eta(theory, jk)):
-                        continue
-                    g = norm1(
-                        _eta_exponent(theory, j, a)
-                        + _eta_exponent(theory, k, a)
-                        - _eta_exponent(theory, jk, a)
-                    )
-                    f = theory.twist_exponent(a, k, j)
-                    pairs += 1
-                    if norm1(2 * f) != 0:
-                        complex_f += 1
-                    if g != f:
-                        bad5b.append({"field": a, "current": k,
-                                      "G": str(g), "F": str(f)})
-                    if f == 0 and g != 0:
-                        gf_fail.append({"field": a, "current": k,
-                                        "G": str(g)})
+            i, x = np.nonzero(eta != NA)
+            i, _, x, g, f = _product_law(theory, grids, supp, i,
+                                         np.full_like(x, y), x)
+            e = theory.eta_order
+            bad5b = [{"field": supp[i[r]], "current": elems[x[r]],
+                      "G": str(Fraction(int(g[r]), e)),
+                      "F": str(Fraction(int(f[r]), e))}
+                     for r in np.flatnonzero(g != f)[:3]]
+            gf_fail = [{"field": supp[i[r]], "current": elems[x[r]],
+                        "G": str(Fraction(int(g[r]), e))}
+                       for r in np.flatnonzero((f == 0) & (g != 0))[:3]]
+            complex_f = np.count_nonzero(2 * f % e)
             record("{5b}", not bad5b, float(bool(bad5b)),
-                   witness=bad5b[:3] or None)
+                   witness=bad5b or None)
             record("GF", not bad5b and not gf_fail,
                    float(bool(bad5b or gf_fail)),
                    witness=(bad5b + gf_fail)[:3] or None,
-                   note=f"{pairs} pairs, {complex_f} complex" if pairs else None)
+                   note=f"{len(i)} pairs, {complex_f} complex" if len(i) else None)
         except PhaseSnapError:
             record("{5b}", False, 1.0, note="eta is not a snapped phase")
             record("GF", False, 1.0, note="eta is not a snapped phase")
 
-        devs = {a: abs(b.eta[pos[int(conj[a])]] - np.conj(b.eta[pos[a]]))
-                for a in supp}
-        worst = max(devs, key=devs.get)
+        devs = np.abs(b.eta[cp] - np.conj(b.eta))
+        worst = int(devs.argmax())
         record("{5c}", devs[worst] <= tol, devs[worst],
-               witness=[int(worst)] if devs[worst] > tol else None)
+               witness=[supp[worst]] if devs[worst] > tol else None)
 
     jinv = theory.center.inverse(j)
-    if _have_bundle(theory, jinv):
+    if _has_bundle(theory, jinv):
         binv = theory.bundle(jinv)
         if tuple(sorted(binv.fields)) != tuple(sorted(supp)):
             record("{6}", False, 1.0, note="inverse support differs")
@@ -224,20 +238,21 @@ def check_conditions(theory: Theory, j: int, tol: float = 1e-8) -> dict:
         skip("{6}", "inverse bundle unavailable")
 
     try:
-        bad_sym = []
-        for a in supp:
-            for k in _stabilizer_t(theory, a):
-                if k == 0 or not _have_bundle(theory, k):
-                    continue
-                q = norm1(theory.twist_exponent(a, k, j)
-                          + theory.twist_exponent(a, j, k))
-                if q != 0:
-                    bad_sym.append({"field": a, "current": k})
-        record("fsym", not bad_sym, float(bool(bad_sym)),
-               witness=bad_sym[:3] or None)
+        # fsym: F(a, K, J) + F(a, J, K) = 0 on cells (a, K); the cells of
+        # K = 1 hold 0 + 0, since {4a} raised for any marked F(a, 1, J)
+        hit = np.argwhere(avail & ((tw[:, :, y] < 0) | (tw[:, y] < 0)))
+        if len(hit):
+            i, x = hit[0]
+            theory.twist_exponent(supp[i], elems[x], j)
+            theory.twist_exponent(supp[i], j, elems[x])
+        bad = np.argwhere(avail & ((tw[:, :, y] + tw[:, y]) % order != 0))
+        record("fsym", not len(bad), float(bool(len(bad))),
+               witness=[{"field": supp[i], "current": elems[x]}
+                        for i, x in bad[:3]] or None)
 
-        spin = norm1(theory.md.h[j])
-        bad_spin = [a for a in supp if theory.twist_exponent(a, j, j) != spin]
+        # spin rule: F(a, J, J) is the spin of J; fsym has read it unmarked
+        bad_spin = [supp[i] for i in np.flatnonzero(
+            tw[:, y, y] != norm1(theory.md.h[j]) * order)]
         record("spin-rule", not bad_spin, float(bool(bad_spin)),
                witness=bad_spin[:3] or None)
     except PhaseSnapError:
@@ -252,39 +267,25 @@ def check_conditions(theory: Theory, j: int, tol: float = 1e-8) -> dict:
 def check_GF(theory: Theory, a: int, currents=None) -> dict:
     """Compare the eta product phase with the twist on one field."""
     if currents is None:
-        currents = _stabilizer_t(theory, a)
-    group = [x for x in currents if theory.apply(x, a) == a
-             and _have_eta(theory, x)]
-    failures = []
-    complex_f = []
-    pairs = 0
-    for j in group:
-        if j == 0:
-            continue
-        for k in group:
-            jk = theory.center.mul(j, k)
-            if jk != 0 and (theory.apply(jk, a) != a
-                            or not _have_eta(theory, jk)):
-                continue
-            g = norm1(
-                _eta_exponent(theory, j, a)
-                + _eta_exponent(theory, k, a)
-                - _eta_exponent(theory, jk, a)
-            )
-            f = theory.twist_exponent(a, k, j)
-            pairs += 1
-            if norm1(2 * f) != 0:
-                complex_f.append({"current": j, "translator": k, "F": str(f)})
-            if g != f:
-                failures.append(
-                    {"current": j, "translator": k, "G": str(g), "F": str(f)}
-                )
+        currents = theory.stabilizer(a)
+    grids = _grids(theory, [a], currents)
+    elems = theory.center.elements
+    group = [elems.index(x) for x in currents
+             if grids[3][0, elems.index(x)] != NA]
+    j, k = np.array([(x, y) for x in group if x for y in group],
+                    dtype=np.intp).reshape(-1, 2).T
+    _, j, k, g, f = _product_law(theory, grids, (a,), np.zeros_like(j), j, k)
+    e = theory.eta_order
+    fs = [str(Fraction(int(v), e)) for v in f]
     return {
         "field": a,
-        "pairs": pairs,
-        "ok": not failures,
-        "failures": failures,
-        "complex_twists": complex_f,
+        "pairs": len(j),
+        "ok": bool((g == f).all()),
+        "failures": [{"current": elems[x], "translator": elems[y],
+                      "G": str(Fraction(int(gr), e)), "F": fr}
+                     for x, y, gr, fr, bad in zip(j, k, g, fs, g != f) if bad],
+        "complex_twists": [{"current": elems[x], "translator": elems[y], "F": fr}
+                           for x, y, fr, c in zip(j, k, fs, 2 * f % e) if c],
     }
 
 
@@ -323,7 +324,7 @@ def condition_report(theory: Theory, currents=None, tol: float = 1e-8) -> dict:
         currents = [
             j
             for j in theory.center.elements
-            if j and len(theory.fixed_fields(j)) and _have_bundle(theory, j)
+            if j and len(theory.fixed_fields(j)) and _has_bundle(theory, j)
         ]
     bundles = {}
     for j in currents:

@@ -59,15 +59,18 @@ def sun_weights(n: int, k: int):
     return out
 
 
+def _weight_numerators(n: int, labels) -> np.ndarray:
+    """2 n (n + k) h for every Dynkin label: the inverse Cartan form, scaled
+    by n to integers, of lambda against lambda + 2 rho."""
+    i = np.arange(1, n)
+    form = np.minimum.outer(i, i) * n - np.outer(i, i)
+    lam = np.array(labels, dtype=np.int64).reshape(-1, n - 1)
+    return np.einsum("ai,ij,aj->a", lam, form, lam + 2)
+
+
 def sun_weight_h(n: int, k: int, lam) -> Fraction:
     """Exact conformal weight from the inverse Cartan quadratic form."""
-    kappa = 2 * (n + k)
-    q = Fraction(0)
-    for i in range(1, n):
-        for j in range(1, n):
-            g = Fraction(min(i, j) * n - i * j, n)
-            q += g * lam[i - 1] * (lam[j - 1] + 2)
-    return q / kappa
+    return Fraction(int(_weight_numerators(n, [lam])[0]), 2 * n * (n + k))
 
 
 def _orthogonal_coords(n: int, lam) -> np.ndarray:
@@ -88,7 +91,8 @@ def sun(n: int, k: int, cache_dir=None) -> ModularData:
     labels = tuple(sun_weights(n, k))
     if len(labels) != count:
         raise InvalidInputError("weight enumeration mismatch")
-    h = tuple(sun_weight_h(n, k, lam) for lam in labels)
+    den = 2 * n * (n + k)
+    h = tuple(Fraction(int(q), den) for q in _weight_numerators(n, labels))
     c = Fraction(k * (n * n - 1), n + k)
     name = f"su{n}_{k}"
 

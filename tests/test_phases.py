@@ -1,0 +1,57 @@
+"""Snapping complex numbers to exact roots of unity, one at a time and in
+bulk."""
+import cmath
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from fpres.errors import PhaseSnapError
+from fpres.phases import INT64_SAFE, snap_phase, snap_phases, unit
+
+TOL = 1e-6
+
+
+def shifted_roots(order):
+    """(n, z) for every root exp(2 pi i n / order), moved by tol/2 along the
+    circle both ways and off it both ways."""
+    moves = (cmath.exp(0.5j * TOL), cmath.exp(-0.5j * TOL),
+             1 + TOL / 2, 1 - TOL / 2)
+    return [(n, unit(Fraction(n, order)) * w)
+            for n in range(order) for w in moves]
+
+
+@pytest.mark.parametrize("order", range(1, 49))
+def test_scalar_and_array_snap_agree_on_shifted_roots(order):
+    nums, zs = zip(*shifted_roots(order))
+    got = snap_phases(np.array(zs), order, tol=TOL)
+    assert got.dtype == np.int64
+    assert got.tolist() == list(nums)
+    assert [snap_phase(z, order, tol=TOL) for z in zs] == [
+        Fraction(n, order) for n in nums
+    ]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 7, 12, 48])
+def test_off_circle_and_midway_points_fail_both_forms(order):
+    root = unit(Fraction(1, order))
+    bad = [
+        (1 + 2 * TOL) * root,                        # |z| != 1
+        (1 - 2 * TOL) * root,
+        0j,
+        complex("nan"),
+        unit(Fraction(1, 2 * order)),                # midway between roots
+        unit(Fraction(2 * order - 1, 2 * order)),
+    ]
+    assert snap_phases(np.array(bad), order, tol=TOL).tolist() == [-1] * len(bad)
+    for z in bad:
+        with pytest.raises(PhaseSnapError):
+            snap_phase(z, order, tol=TOL)
+
+
+def test_orders_beyond_int64_keep_exact_numerators():
+    order = 4 * INT64_SAFE
+    got = snap_phases(np.array([1j, -1, 1]), order)
+    assert got.dtype == object
+    assert got.tolist() == [INT64_SAFE, 2 * INT64_SAFE, 0]
+    assert snap_phase(-1j, order) == Fraction(3, 4)

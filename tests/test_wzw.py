@@ -23,6 +23,25 @@ def test_sun_weight_count():
     assert len(sun_weights(5, 5)) == math.comb(9, 4)
 
 
+def ref_weight_h(n, k, lam):
+    """The inverse Cartan quadratic form as a Fraction double loop."""
+    q = Fraction(0)
+    for i in range(1, n):
+        for j in range(1, n):
+            g = Fraction(min(i, j) * n - i * j, n)
+            q += g * lam[i - 1] * (lam[j - 1] + 2)
+    return q / (2 * (n + k))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_sun_weights_match_fraction_double_loop(n, k):
+    md = sun(n, k)
+    ref = tuple(ref_weight_h(n, k, lam) for lam in md.labels)
+    assert md.h == ref
+    assert tuple(sun_weight_h(n, k, lam) for lam in md.labels) == ref
+
+
 def test_su3_level1_is_z3():
     md = sun(3, 1)
     assert md.size == 3
