@@ -1,0 +1,174 @@
+"""Stage ladder: the wall time of every stage of a checked simple-current
+extension on a fixed set of workloads, written to `BENCH_<short-sha>.json`.
+
+    python bench/ladder.py                      # the whole ladder, repo root
+    python bench/ladder.py --only su2_4^3 --out /tmp/bench
+
+A run of one workload is the chain generate + tensor, `Theory`, `extend`,
+`check_modular`, every resolution, the extended `Theory`, the condition
+report and the fusion check. Each stage is timed from outside the library
+with `perf_counter`, and the file records the median of each stage over the
+workload's repeats. Every workload runs in a fresh interpreter, which
+reports its own peak RSS, so one workload's memory does not hide another's.
+Each pass builds its theories from fresh objects, so nothing cached on a
+theory object carries over.
+
+fpres is imported from `PYTHONPATH` when that provides it, else from the
+`src/` of this checkout; the short sha names the checkout that fpres came
+from, with `-dirty` when its `src/` has uncommitted changes. OpenBLAS runs
+on one thread unless `OPENBLAS_NUM_THREADS` says otherwise.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import resource
+import statistics
+import subprocess
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.append(os.path.join(ROOT, "src"))
+
+STAGES = ("generate_tensor", "theory", "extend", "check_modular", "resolve",
+          "extended_theory", "condition_report", "fusion_check")
+
+# name -> (base theory, repeats); the su(2)_4^k theories are extended by the
+# diagonal current (4, ..., 4), the su(5)_5 pair by its diagonal order-5
+# current
+WORKLOADS = {
+    "su2_4^3": (("su2_4", 3), 5),
+    "su2_4^4": (("su2_4", 4), 5),
+    "su2_4^5": (("su2_4", 5), 3),
+    "su2_4^6": (("su2_4", 6), 1),
+    "su5_5-pair": (("su5_5", 2), 9),
+}
+
+
+def one_pass(base: str, k: int):
+    """(stage times, counts, ok) of one chain on fresh objects."""
+    from fpres import currents, extend, modular, validate, wzw
+
+    times = {}
+    clock = time.perf_counter
+
+    def stage(name, fn, *args, **kwargs):
+        t0 = clock()
+        out = fn(*args, **kwargs)
+        times[name] = clock() - t0
+        return out
+
+    def generate():
+        factor, top = ((wzw.su2(4), 4) if base == "su2_4"
+                       else (wzw.sun(5, 5), (5, 0, 0, 0)))
+        md = modular.tensor(*(factor for _ in range(k)))
+        return md, md.index((top,) * k)
+
+    md, gen = stage("generate_tensor", generate)
+    th = stage("theory", currents.Theory, md)
+    ex = stage("extend", extend.extend, th, [gen])
+    checked = stage("check_modular", modular.check_modular, ex.ext_md)
+    classes = [c for c in ex.residual_classes() if c.order > 1]
+    res = stage("resolve", lambda: [ex.resolve(c) for c in classes])
+    th2 = stage("extended_theory", ex.extended_theory,
+                extra_bundles=[r.bundle for r in res])
+    report = stage("condition_report", validate.condition_report, th2)
+    fusion = stage("fusion_check", validate.check_fusion_integrality, ex.ext_md)
+    counts = {"fields": md.size, "currents": len(th.perms),
+              "orbits": len(ex.orbits), "ext_fields": ex.n_ext,
+              "classes": len(classes), "ext_currents": len(th2.perms)}
+    ok = bool(checked["ok"] and report["ok"] and fusion["ok"])
+    return times, counts, ok
+
+
+def run_workload(name: str) -> dict:
+    """Every repeat of one workload, in this interpreter."""
+    import gc
+
+    (base, k), repeats = WORKLOADS[name]
+    runs, counts, ok = [], None, True
+    for _ in range(repeats):
+        gc.collect()
+        times, counts, good = one_pass(base, k)
+        runs.append(times)
+        ok = ok and good
+    stages = {s: statistics.median(r[s] for r in runs) for s in STAGES}
+    return {
+        "repeats": repeats,
+        "stages_s": stages,
+        "total_s": statistics.median(sum(r.values()) for r in runs),
+        "runs_s": [[r[s] for s in STAGES] for r in runs],
+        "counts": counts,
+        "ok": ok,
+        # ru_maxrss is in kB on Linux
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    }
+
+
+def source_sha() -> str:
+    import fpres
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fpres.__file__)))
+
+    def git(*args):
+        return subprocess.run(["git", "-C", src, *args], capture_output=True,
+                              text=True).stdout.strip()
+
+    sha = git("rev-parse", "--short", "HEAD") or "unknown"
+    return sha + "-dirty" if git("status", "--porcelain", "--", ".") else sha
+
+
+def versions() -> dict:
+    import numpy
+
+    import fpres
+
+    return {
+        "fpres": fpres.__version__,
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "openblas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+    }
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--only", action="append", choices=list(WORKLOADS),
+                   help="run only this workload (repeatable)")
+    p.add_argument("--out", default=ROOT, help="directory for BENCH_<sha>.json")
+    p.add_argument("--worker", choices=list(WORKLOADS), help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    if args.worker:
+        print(json.dumps(run_workload(args.worker)))
+        return 0
+
+    doc = {"format": "fpres-ladder v1", "sha": source_sha(),
+           "versions": versions(), "stages": list(STAGES), "workloads": {}}
+    for name in args.only or WORKLOADS:
+        proc = subprocess.run([sys.executable, os.path.abspath(__file__),
+                               "--worker", name], capture_output=True,
+                              text=True, env=os.environ.copy())
+        if proc.returncode != 0:
+            sys.stderr.write(proc.stderr)
+            return 1
+        doc["workloads"][name] = json.loads(proc.stdout.splitlines()[-1])
+        w = doc["workloads"][name]
+        print(f"{name}: {w['total_s']:.3f} s, {w['peak_rss_mb']:.0f} MB, "
+              f"ok={w['ok']}", file=sys.stderr)
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, f"BENCH_{doc['sha']}.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

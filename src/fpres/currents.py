@@ -3,7 +3,8 @@
 A simple current is a field whose fusion acts as a permutation; the set of
 all of them forms an abelian group under fusion. A `Theory` finds the
 current actions by verified S-row matching, S_{Ja,b} = S_{ab} S_{Jb} / S_{0b},
-in O(N^2) per current and factor-wise for tensor products. Each current J
+in O(N^2) for each current of a generating set, composes the rest exactly,
+and works factor-wise for tensor products. Each current J
 carries a unitary matrix S^J supported on the fields it fixes, together
 with a diagonal eta^J. One-dimensional S^J follow in closed form from the
 twisted modular relation; product theories compose them factor-wise;
@@ -22,10 +23,10 @@ of that field raises.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,9 +47,10 @@ from .modular import (
     complex_array,
     complex_pairs,
     dump_json,
+    match_rows,
     native,
 )
-from .phases import norm1, snap_phases, unit, units
+from .phases import INT64_SAFE, norm1, snap_phases, unit, units
 
 
 @dataclass
@@ -83,6 +85,37 @@ class FixedPointBundle:
             ) from None
 
 
+class ProductBundle(FixedPointBundle):
+    """S^J of a tensor product: the Kronecker product of the factor bundle
+    matrices `mats`, with S itself where the factor current is trivial,
+    over the product of their supports in row-major order. `matrix` is
+    formed on first use: `Theory.bundle_block` and `Theory.twists` work
+    factor-wise without it."""
+
+    def __init__(self, current: int, fields: tuple, mats, eta):
+        self.current, self.fields, self.mats, self.eta = (current, fields,
+                                                          mats, eta)
+        self._pos = {a: i for i, a in enumerate(fields)}
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        mat = np.array([[1.0 + 0.0j]])
+        for m in self.mats:
+            mat = np.kron(mat, m)
+        return mat
+
+    def block(self, ri, ci) -> np.ndarray:
+        """`matrix[np.ix_(ri, ci)]` bit for bit: the factor entries multiply
+        in np.kron's order and, like it, out of place."""
+        sizes = [len(m) for m in self.mats]
+        rows = np.unravel_index(np.asarray(ri, dtype=np.intp), sizes)
+        cols = np.unravel_index(np.asarray(ci, dtype=np.intp), sizes)
+        out = np.ones((len(ri), len(ci)), dtype=complex)
+        for m, r, c in zip(self.mats, rows, cols):
+            out = out * m[np.ix_(r, c)]
+        return out
+
+
 def solve_1x1_bundle(t_exponent: Fraction):
     """Unique unimodular solution of the twisted torus relation in size one:
     s = t^-3, and (s)^2 = eta gives eta = t^-6."""
@@ -111,12 +144,14 @@ def current_permutation(md: ModularData, j: int, tol: float = 1e-6) -> np.ndarra
     An atomic theory finds the current action by verified S-row matching:
     J maps a to the field whose S row is S_{ab} S_{Jb} / S_{0b}. Rows are
     paired through their projections onto one fixed key vector, then
-    checked in full, in O(N^2). As N_J = P S S^dagger + (S Lambda_J - P S)
-    S^dagger, this is the Verlinde test as long as S is unitary, so a
-    non-unitary S fails first, as non-integral fusion.
+    checked in full, in O(N^2) and in row blocks (`modular.match_rows`).
+    As N_J = P S S^dagger + (S Lambda_J - P S) S^dagger, this is the
+    Verlinde test as long as S is unitary, so a non-unitary S fails first,
+    as non-integral fusion.
 
     Permutations of atomic theories are cached on their ModularData, so a
-    product computes each factor permutation once."""
+    product computes each factor permutation once. `current_permutations`
+    matches only a generating set."""
     if md.factors is not None:
         sizes = [f.size for f in md.factors]
         ji = np.unravel_index(j, sizes)
@@ -136,6 +171,39 @@ def current_permutation(md: ModularData, j: int, tol: float = 1e-6) -> np.ndarra
     return md._perms[key]
 
 
+def current_permutations(md: ModularData, ids, tol: float = 1e-6) -> dict:
+    """Fusion actions of the detected currents `ids`, by id.
+
+    A product theory takes each one factor-wise. An atomic theory
+    row-matches (`current_permutation`) only the currents that are not yet
+    reached, in ascending order, so the identity comes first and its match
+    runs the unitarity gate. Everything else is composed exactly,
+    perm[J1 J2] = perm[J1][perm[J2]] with J1 J2 = perm[J1][J2]: the row
+    ratios multiply, lambda_{J1 J2} = lambda_{J1} lambda_{J2}, so this is
+    the action the row match of J1 J2 would verify."""
+    if md.factors is not None:
+        return {j: current_permutation(md, j, tol) for j in ids}
+    perms, gens = {}, []
+    for j in ids:
+        if j in perms:
+            continue
+        gens.append(current_permutation(md, j, tol))
+        # multiply everything reached so far by every generator, to closure
+        frontier = list(perms.values())
+        if not perms:
+            perms[j] = gens[-1]
+            frontier = [gens[-1]]
+        while frontier:
+            p = frontier.pop()
+            for g in gens:
+                q = g[p]
+                if int(q[0]) not in perms:
+                    q.flags.writeable = False
+                    perms[int(q[0])] = q
+                    frontier.append(q)
+    return {j: perms[j] for j in ids}
+
+
 def _match_rows(md: ModularData, j: int, tol: float) -> np.ndarray:
     dev = md.unitarity()
     if not dev <= tol:  # NaN fails too
@@ -144,21 +212,9 @@ def _match_rows(md: ModularData, j: int, tol: float) -> np.ndarray:
             f"field {j} is not integral"
         )
     s = md.s_dense()
-    n = md.size
-    target = s * (s[j] / s[0])[np.newaxis, :]   # row a: S_{Ja, .}
-    # one fixed key vector for every call; the stdlib generator keeps
-    # numpy.random (several MB resident) unimported
-    rng = random.Random(0)
-    probe = np.array([rng.random() - 0.5 for _ in range(2 * n)]).view(complex)
-    keys = (s @ probe).real
-    order = np.argsort(keys)
-    ranked = keys[order]
-    # nearest key: the number of midpoints between sorted keys below it
-    perm = order[np.searchsorted((ranked[1:] + ranked[:-1]) / 2,
-                                 (target @ probe).real)]
-    target -= s[perm]
-    if (not np.abs(target).max() <= tol
-            or not np.array_equal(np.sort(perm), np.arange(n))):
+    ratio = s[j] / s[0]
+    perm, dev = match_rows(s, lambda rows: rows * ratio)
+    if not dev <= tol or not np.array_equal(np.sort(perm), np.arange(md.size)):
         raise InvalidInputError(f"field {j} does not fuse as a permutation")
     return perm
 
@@ -170,7 +226,7 @@ class Theory:
         self.md = md
         self.tol = tol
         ids = detect_simple_currents(md, tol)
-        self.perms = {j: current_permutation(md, j, tol) for j in ids}
+        self.perms = current_permutations(md, ids, tol)
         self.center = MultGroup(ids, lambda a, b: int(self.perms[a][b]), 0)
         # weights and T exponents mod 1, as numerators over self.den
         self.den, self._hn, tn = md.phase_numerators()
@@ -282,7 +338,13 @@ class Theory:
         self._bundles[j] = b
         return b
 
-    def _product_bundle(self, j: int, fixed) -> FixedPointBundle:
+    def _factor_theory(self, f: ModularData) -> "Theory":
+        sub = f._theories.get(self.tol)
+        if sub is None:
+            sub = f._theories[self.tol] = Theory(f, self.tol)
+        return sub
+
+    def _product_bundle(self, j: int, fixed) -> ProductBundle:
         sizes = [f.size for f in self.md.factors]
         ji = np.unravel_index(j, sizes)
         mats, etas, supports = [], [], []
@@ -293,10 +355,7 @@ class Theory:
                 etas.append(np.ones(f.size, dtype=complex))
                 supports.append(np.arange(f.size))
             else:
-                sub = f._theories.get(self.tol)
-                if sub is None:
-                    sub = f._theories[self.tol] = Theory(f, self.tol)
-                fb = sub.bundle(jf)
+                fb = self._factor_theory(f).bundle(jf)
                 mats.append(fb.matrix)
                 eta = fb.eta
                 if eta is None:
@@ -305,10 +364,8 @@ class Theory:
                     )
                 etas.append(eta)
                 supports.append(np.asarray(fb.fields, dtype=np.intp))
-        mat = np.array([[1.0 + 0.0j]])
         eta = np.array([1.0 + 0.0j])
-        for m, e in zip(mats, etas):
-            mat = np.kron(mat, m)
+        for e in etas:
             eta = np.kron(eta, e)
         grids = np.meshgrid(*supports, indexing="ij")
         support = np.ravel_multi_index(
@@ -316,7 +373,7 @@ class Theory:
         )
         if sorted(int(x) for x in support) != fixed:
             raise ResolutionError("factor supports do not tile the fixed set")
-        return FixedPointBundle(j, tuple(int(x) for x in support), mat, eta)
+        return ProductBundle(j, tuple(int(x) for x in support), mats, eta)
 
     def bundle_block(self, j: int, rows, cols) -> np.ndarray:
         """S^J entries on arbitrary support fields; j = 0 means S itself."""
@@ -325,6 +382,8 @@ class Theory:
         b = self.bundle(j)
         ri = [b.position(a) for a in rows]
         ci = [b.position(a) for a in cols]
+        if isinstance(b, ProductBundle):
+            return b.block(ri, ci)
         return b.matrix[np.ix_(ri, ci)]
 
     def bundle_entry(self, j: int, a: int, b: int) -> complex:
@@ -363,13 +422,16 @@ class Theory:
         numerators over `snap_order`, snapped once per (K, J). Negative
         entries mark the fields for which `twist_exponent` raises: -1 when
         the row ratio is no snapped phase, -2 when it is not constant and
-        -3 when the row vanishes."""
+        -3 when the row vanishes. A product bundle sums its factor tables
+        (`_product_twists`)."""
         if (k, j) in self._twists:
             return self._twists[(k, j)]
         b = self.bundle(j)
         fields = np.array(b.fields, dtype=np.intp)
         charges = self.charges(k)[fields]
-        if b.dim == 1:
+        if isinstance(b, ProductBundle):
+            table = self._product_twists(k, j)
+        elif b.dim == 1:
             # one-dimensional bundles twist by the inverse monodromy, whose
             # denominator divides the snap order
             g = math.gcd(self.den, self.snap_order)
@@ -390,6 +452,33 @@ class Theory:
             table[count == 0] = -3
         self._twists[(k, j)] = table
         return table
+
+    def _product_twists(self, k: int, j: int) -> np.ndarray:
+        """The twist table of a product bundle from the factor tables: row
+        ratios of a Kronecker product multiply, so F(a, K, J) is the sum of
+        the F(a_f, K_f, J_f), which vanish where J_f is trivial (the current
+        relation of the rows of S_f). A factor entry that is marked, or no
+        multiple of 1/snap_order, marks the entries it enters."""
+        order = self.snap_order
+        dtype = np.int64 if order < INT64_SAFE else object
+        sizes = [f.size for f in self.md.factors]
+        nums = np.zeros(1, dtype=dtype)
+        marks = np.zeros(1, dtype=np.int64)
+        for f, kf, jf in zip(self.md.factors, np.unravel_index(k, sizes),
+                             np.unravel_index(j, sizes)):
+            if jf == 0:
+                part = np.zeros(f.size, dtype=dtype)
+                mark = np.zeros(f.size, dtype=np.int64)
+            else:
+                sub = self._factor_theory(f)
+                part = sub.twists(int(kf), int(jf)).astype(dtype)
+                g = math.gcd(sub.snap_order, order)
+                step = sub.snap_order // g
+                mark = np.where(part < 0, part, np.where(part % step, -1, 0))
+                part = np.where(mark < 0, 0, part // step * (order // g))
+            nums = np.add.outer(nums, part).ravel()
+            marks = np.minimum.outer(marks, mark).ravel()
+        return np.where(marks < 0, marks, nums % order)
 
     def twist_exponent(self, a: int, k: int, j: int) -> Fraction:
         """Exact exponent of F(a, K, J); a must be fixed by J."""

@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,6 +23,9 @@ from .errors import (
 from .phases import common_denominator, numerators, units
 
 DENSE_LIMIT = 2_000_000  # max entries a dense S materialization may take
+# rows per block of the dense reductions over S (unitarity, symmetry, the
+# cube relation, row matching): no temporary exceeds ROW_BLOCK x N entries
+ROW_BLOCK = 256
 
 
 class ProductS:
@@ -106,6 +110,7 @@ class ModularData:
             raise InvalidInputError("field labels are not distinct")
         self._conj = None
         self._unitary = None
+        self._symmetric = None
         self._phases = None
         # per-object caches: current permutations by (current, tol) and the
         # Theory of a tensor factor by tol
@@ -169,8 +174,9 @@ class ModularData:
         return self.s
 
     def conjugation(self) -> np.ndarray:
-        """Permutation a -> abar, read off from S^2, factor-wise for tensor
-        products."""
+        """Permutation a -> abar, read off from the rows of S
+        (`conjugation_from_rows`) and checked to 1e-6, factor-wise for
+        tensor products."""
         if self._conj is not None:
             return self._conj
         if self.factors is not None:
@@ -181,50 +187,133 @@ class ModularData:
             )
             self._conj = flat.astype(np.intp)
         else:
-            self._conj = conjugation_from_S(self.s)
+            self._conj = conjugation_from_rows(self, 1e-6)
         return self._conj
 
     def unitarity(self) -> float:
-        """|S S^dagger - 1|max, computed once; `check_modular` and the
-        current permutations share it."""
+        """|S S^dagger - 1|max, computed once; `check_modular`, the
+        conjugation and the current permutations share it."""
         if self._unitary is None:
             self._unitary = unitarity_deviation(self.s_dense())
         return self._unitary
+
+    def symmetry(self) -> float:
+        """|S - S^T|max, computed once; `check_modular` and the conjugation
+        share it."""
+        if self._symmetric is None:
+            self._symmetric = symmetry_deviation(self.s_dense())
+        return self._symmetric
 
     def atomic_factors(self):
         return self.factors if self.factors is not None else (self,)
 
 
+# ---------------------------------------------------------------------------
+# dense reductions over S, in row blocks
+
+
+def _block_max(n: int, dev, upper: bool = False) -> float:
+    """Max of dev(rows, lo) over the blocks of ROW_BLOCK rows of an N x N
+    matrix: `rows` is the block's row slice and `lo` its first column, the
+    block's first row when only entries on and above the diagonal count.
+    NaN propagates."""
+    blocks = [slice(lo, min(lo + ROW_BLOCK, n)) for lo in range(0, n, ROW_BLOCK)]
+    return float(np.max([dev(r, r.start if upper else 0) for r in blocks],
+                        initial=0.0))
+
+
 def unitarity_deviation(s: np.ndarray) -> float:
-    """max |S S^dagger - 1| over all entries: one dense product."""
-    prod = s @ s.conj().T
-    prod[np.diag_indices(s.shape[0])] -= 1
-    return float(np.abs(prod).max())
+    """max |S S^dagger - 1| over all entries. S S^dagger is Hermitian, so
+    only the entries on and above the diagonal are formed, as conjugates."""
+    def dev(r, lo):
+        block = s[r].conj() @ s[lo:].T   # its columns start at the diagonal
+        diag = np.arange(block.shape[0])
+        block[diag, diag] -= 1
+        return np.abs(block).max()
+
+    return _block_max(s.shape[0], dev, upper=True)
 
 
-def conjugation_from_S(s: np.ndarray, tol: float = 1e-6) -> np.ndarray:
-    return _conjugation_from_square(s @ s, tol)
+def symmetry_deviation(s: np.ndarray) -> float:
+    """max |S - S^T|: antisymmetric, so the entries on and above the
+    diagonal suffice."""
+    return _block_max(s.shape[0],
+                      lambda r, lo: np.abs(s[r, lo:] - s[lo:, r].T).max(),
+                      upper=True)
 
 
-def _conjugation_from_square(c: np.ndarray, tol: float) -> np.ndarray:
-    n = c.shape[0]
-    perm = np.argmax(np.abs(c), axis=1)
-    p = np.zeros_like(c)
-    p[np.arange(n), perm] = 1.0
-    dev = np.abs(c - p).max()
-    if dev > tol:
+def cube_deviation(s: np.ndarray, t: np.ndarray, symmetric: bool) -> float:
+    """max |S T S - T^-1 S T^-1| for the diagonal unitary T = diag(t): the
+    relation (ST)^3 = S^2 for unitary S. The difference is symmetric when
+    S is, so a `symmetric` S forms only the entries on and above the
+    diagonal."""
+    tbar = t.conj()
+
+    def dev(r, lo):
+        block = (s[r] * t) @ s[:, lo:]
+        block -= tbar[r, np.newaxis] * s[r, lo:] * tbar[lo:]
+        return np.abs(block).max()
+
+    return _block_max(s.shape[0], dev, upper=symmetric)
+
+
+def match_rows(s: np.ndarray, image):
+    """(perm, dev): perm[a] is the row of S whose key, its projection onto
+    one fixed vector, is nearest to the key of image(S[a]), and dev is the
+    full check max_a |image(S[a]) - S[perm[a]]|. `image` maps a block of
+    rows to their images. O(N^2), in row blocks."""
+    n = s.shape[0]
+    # one fixed key vector for every call; the stdlib generator keeps
+    # numpy.random (several MB resident) unimported
+    rng = random.Random(0)
+    probe = np.array([rng.random() - 0.5 for _ in range(2 * n)]).view(complex)
+    keys = (s @ probe).real
+    order = np.argsort(keys)
+    ranked = keys[order]
+    # nearest key: the number of midpoints between sorted keys below it
+    mids = (ranked[1:] + ranked[:-1]) / 2
+    perm = np.empty(n, dtype=np.intp)
+
+    def dev(r, lo):
+        img = image(s[r])
+        perm[r] = order[np.searchsorted(mids, (img @ probe).real)]
+        return np.abs(img - s[perm[r]]).max()
+
+    return perm, _block_max(n, dev)
+
+
+def conjugation_from_rows(md: ModularData, tol: float) -> np.ndarray:
+    """Charge conjugation C of an atomic S, checked to `tol`.
+
+    For a unitary symmetric S, S^2 = C holds exactly when S = C conj(S),
+    that is when row abar of S is the conjugate of row a. So C is found by
+    matching each conjugated row (`match_rows`), behind the unitarity and
+    symmetry of S, and the check is |S - C conj(S)|max <= tol together
+    with C C = 1."""
+    unitary, symmetric = md.unitarity(), md.symmetry()
+    if not (unitary <= tol and symmetric <= tol):  # NaN fails too
         raise InvalidInputError(
-            f"S^2 is not a permutation matrix (deviation {dev:.2e})"
+            f"S is not unitary and symmetric (deviations {unitary:.2e}, "
+            f"{symmetric:.2e}), so S^2 is no permutation"
         )
-    if not np.array_equal(np.sort(perm), np.arange(n)):
-        raise InvalidInputError("S^2 rows do not form a permutation")
-    if np.any(perm[perm] != np.arange(n)):
+    perm, dev = match_rows(md.s_dense(), np.conj)
+    if not dev <= tol:
+        raise InvalidInputError(
+            f"S is not C conj(S) for a permutation C (deviation {dev:.2e})"
+        )
+    if np.any(perm[perm] != np.arange(md.size)):
         raise InvalidInputError("conjugation is not an involution")
-    return perm.astype(np.intp)
+    return perm
 
 
 def check_modular(md: ModularData, tol: float = 1e-9) -> dict:
-    """Deviations of the defining constraints; factor-wise for products."""
+    """Deviations of the defining constraints; factor-wise for products.
+
+    An atomic S takes two dense products, S S^dagger (`ModularData.unitarity`,
+    shared with the current permutations) and S T S for the cube relation
+    (`cube_deviation`), each over the entries on and above the diagonal.
+    The charge conjugation is read off from the rows of S
+    (`conjugation_from_rows`) and reports 0.0 or inf."""
     if md.is_product:
         reports = [check_modular(f, tol) for f in md.factors]
         worst = max(r["max_deviation"] for r in reports)
@@ -235,21 +324,18 @@ def check_modular(md: ModularData, tol: float = 1e-9) -> dict:
         }
 
     s = md.s
-    t = md.t_values()
     checks = {}
     checks["unitary"] = md.unitarity()
-    checks["symmetric"] = float(np.abs(s - s.T).max())
-    c2 = s @ s
-    # (ST)^3 = S^2 is S T S = T^-1 S T^-1 for unitary S and diagonal unitary T
-    tbar = t.conj()
-    sts = (s * t[np.newaxis, :]) @ s
-    checks["st_cubed"] = float(np.abs(sts - tbar[:, np.newaxis] * s * tbar).max())
+    checks["symmetric"] = md.symmetry()
+    checks["st_cubed"] = cube_deviation(s, md.t_values(),
+                                        checks["symmetric"] <= tol)
     try:
-        conj = _conjugation_from_square(c2, tol=max(tol, 1e-6))
+        # up to 1e-6 this is the check md.conjugation() makes and caches
+        if tol > 1e-6:
+            conjugation_from_rows(md, tol)
+        else:
+            md.conjugation()
         checks["charge_conjugation"] = 0.0
-        # up to 1e-6 this is the check md.conjugation() makes: cache it
-        if md._conj is None and tol <= 1e-6:
-            md._conj = conj
     except InvalidInputError:
         checks["charge_conjugation"] = float("inf")
     row = s[0]

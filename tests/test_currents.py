@@ -6,13 +6,14 @@ import pytest
 
 from fpres.currents import (
     FixedPointBundle,
+    ProductBundle,
     Theory,
     bundle_from_document,
     bundle_to_document,
     detect_simple_currents,
     solve_1x1_bundle,
 )
-from fpres.errors import InvalidInputError, MalformedBundleError
+from fpres.errors import InvalidInputError, MalformedBundleError, ResolutionError
 from fpres.modular import tensor
 from fpres.phases import norm1
 from fpres.wzw import ising, su2, sun
@@ -220,3 +221,51 @@ def test_identity_bundle_block_is_s():
     assert np.allclose(
         th.bundle_block(0, [0, 2], [1, 3]), md.s[np.ix_([0, 2], [1, 3])]
     )
+
+
+# --- product bundles: Kronecker factors, read factor-wise ------------------
+
+PRODUCTS = {
+    "su2_4^2": lambda: tensor(su2(4), su2(4)),
+    "su2_4-su2_6-su2_2": lambda: tensor(su2(4), su2(6), su2(2)),
+    "ising^2-su2_4": lambda: tensor(ising(), ising(), su2(4)),
+    "su2_4-su3_3": lambda: tensor(su2(4), sun(3, 3)),
+    "su3_3^2": lambda: tensor(sun(3, 3), sun(3, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCTS))
+def test_product_bundles_read_factor_wise_as_their_dense_matrix(name):
+    md = PRODUCTS[name]()
+    th = Theory(md)
+    checked = 0
+    for j in th.center.elements[1:]:
+        b = th.bundle(j)
+        assert isinstance(b, ProductBundle)
+        assert "matrix" not in vars(b)
+        pos = np.arange(b.dim)
+        rows, cols = pos[::2], pos[::-3]
+        block = th.bundle_block(j, [b.fields[i] for i in rows],
+                                [b.fields[i] for i in cols])
+        assert "matrix" not in vars(b)
+        dense = b.matrix[np.ix_(rows, cols)]
+        # bit for bit, signed zeros included
+        assert np.array_equal(block.view(np.uint64), dense.view(np.uint64))
+        # the numeric twist path on the same bundle as a dense input
+        oracle = Theory(md, extra_bundles=[
+            FixedPointBundle(j, b.fields, b.matrix, b.eta)])
+        for k in th.center.elements:
+            assert np.array_equal(th.twists(k, j), oracle.twists(k, j))
+            checked += 1
+    assert checked
+
+
+def test_product_twists_mark_what_the_factors_mark():
+    md = tensor(su2(4), su2(4))
+    th = Theory(md)
+    sub = th._factor_theory(md.factors[0])
+    j, k = md.index((4, 0)), md.index((4, 4))
+    sub._twists[(4, 4)] = np.array([-2])
+    assert th.twists(k, j).tolist() == [-2] * 5
+    with pytest.raises(ResolutionError, match="not constant"):
+        th.twist_exponent(md.index((2, 3)), k, j)

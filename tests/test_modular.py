@@ -5,13 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fpres import modular
 from fpres.errors import FusionIntegralityError, InvalidInputError
 from fpres.modular import (
     ModularData,
     ProductS,
     _product_matvec_conj,
     check_modular,
-    conjugation_from_S,
     from_document,
     fusion_matrix,
     fusion_tensor,
@@ -20,6 +20,7 @@ from fpres.modular import (
     to_document,
 )
 from fpres.wzw import ising, su2, sun
+from test_row_oracles import conjugation_from_square
 
 
 def test_su2_4_frozen_entries():
@@ -94,7 +95,7 @@ def test_conjugation_su3():
 def test_conjugation_rejects_non_permutation():
     s = np.eye(3) * 0.5
     with pytest.raises(InvalidInputError):
-        conjugation_from_S(s)
+        ModularData((0, 1, 2), (0, 0, 0), Fraction(0), s).conjugation()
 
 
 def test_tensor_dense():
@@ -140,17 +141,28 @@ def test_check_modular_product_report():
     assert len(rep["factors"]) == 2
 
 
+def row_match_spy(monkeypatch):
+    """Sizes of the S matrices whose rows `modular.match_rows` matches."""
+    sizes = []
+    real = modular.match_rows
+
+    def recording(s, image):
+        sizes.append(s.shape[0])
+        return real(s, image)
+
+    monkeypatch.setattr(modular, "match_rows", recording)
+    return sizes
+
+
 def test_check_modular_shares_its_square_with_conjugation(monkeypatch):
     md = sun(3, 2)
     fresh = ModularData(md.labels, md.h, md.c, md.s.copy())
-    expect = conjugation_from_S(md.s)
+    expect = conjugation_from_square(md.s)
+    matched = row_match_spy(monkeypatch)
     assert check_modular(fresh)["ok"]
-
-    def no_second_square(*args, **kwargs):
-        raise AssertionError("S was squared again")
-
-    monkeypatch.setattr("fpres.modular.conjugation_from_S", no_second_square)
     assert np.array_equal(fresh.conjugation(), expect)
+    # one conjugation for the md, shared by check_modular and conjugation()
+    assert matched == [md.size]
 
 
 @pytest.mark.parametrize("fault", ["central_charge", "s_entry"])
@@ -171,17 +183,11 @@ def test_check_modular_flags_wrong_c_and_corrupted_s(fault):
 def test_dense_product_conjugation_is_factor_wise(monkeypatch):
     md = tensor(su2(4), su2(4), su2(4), su2(4))
     assert not md.is_product and md.factors is not None
-    expect = conjugation_from_S(md.s)
-    squared = []
-
-    def recording(s, *args, **kwargs):
-        squared.append(s.shape[0])
-        return conjugation_from_S(s, *args, **kwargs)
-
-    monkeypatch.setattr("fpres.modular.conjugation_from_S", recording)
+    expect = conjugation_from_square(md.s)
+    matched = row_match_spy(monkeypatch)
     fresh = tensor(su2(4), su2(4), su2(4), su2(4))
     assert np.array_equal(fresh.conjugation(), expect)
-    assert 625 not in squared
+    assert 625 not in matched and matched
 
 
 def test_sampled_fusion_residual():
