@@ -1,8 +1,13 @@
 """Generators of concrete modular data: su(2)_k, su(N)_k and the Ising model.
 
-The su(N) S matrix is a Weyl-group sum over centered orthogonal coordinates
-of shifted weights; weights are Dynkin label tuples at level k. Conformal
-weights and central charges are exact rationals throughout.
+The su(N) S matrix is a sum over the Weyl group (the permutations of the N
+orthogonal axes) of signed roots of unity. Every exponent is an exact
+integer over n (n + k), so each permutation costs one small product and one
+lookup in a single table of roots, with no exponential per entry. Weights
+are Dynkin label tuples at level k. Conformal weights and central charges
+are exact rationals throughout. The S matrix can be cached on disk; cache
+entries carry the tag SUN_S_METHOD of the method that computed them, and an
+entry with another tag is recomputed.
 """
 from __future__ import annotations
 
@@ -47,7 +52,7 @@ def ising() -> ModularData:
 
 
 # ---------------------------------------------------------------------------
-# su(N)_k via the Weyl determinant formula
+# su(N)_k: the Weyl-group sum over exact integer exponents
 
 
 def sun_weights(n: int, k: int):
@@ -73,11 +78,13 @@ def sun_weight_h(n: int, k: int, lam) -> Fraction:
     return Fraction(int(_weight_numerators(n, [lam])[0]), 2 * n * (n + k))
 
 
-def _orthogonal_coords(n: int, lam) -> np.ndarray:
-    """Centered coordinates of lambda + rho in the orthogonal basis."""
-    l = [sum(lam[j] for j in range(i, n - 1)) for i in range(n - 1)] + [0]
-    a = np.array([l[i] + (n - 1 - i) for i in range(n)], dtype=float)
-    return a - a.mean()
+def _shifted_coords(n: int, labels) -> np.ndarray:
+    """lambda + rho in the orthogonal basis, uncentered: the integers
+    a_i = lambda_{i+1} + ... + lambda_{n-1} + (n - 1 - i), one row a label."""
+    lam = np.array(labels, dtype=np.int64).reshape(-1, n - 1)
+    tails = np.cumsum(lam[:, ::-1], axis=1)[:, ::-1]
+    return np.hstack([tails, np.zeros((len(lam), 1), np.int64)]) + np.arange(n - 1, -1, -1)
+
 
 def sun(n: int, k: int, cache_dir=None) -> ModularData:
     """Level-k su(n) modular data; Weyl-sum S matrix, weights exact."""
@@ -105,16 +112,31 @@ def sun(n: int, k: int, cache_dir=None) -> ModularData:
 
 
 def _sun_s_matrix(n: int, k: int, labels) -> np.ndarray:
-    coords = np.stack([_orthogonal_coords(n, lam) for lam in labels])
-    kappa = n + k
+    """S_ab proportional to sum over permutations p of sign(p) exp(-2 pi i
+    x_a[p] . x_b / (n + k)), x the centered coordinates of lambda + rho.
+
+    As x_b sums to zero, x_a[p] . x_b = a[p] . (n x_b) / n with the integer
+    rows a of `_shifted_coords`, so every term is w^m for w = exp(-2 pi i /
+    (n (n + k))) and an integer m, |m| <= bound. Per permutation, m comes
+    from one product of small integers (exact in float64) and the terms from
+    one lookup in a table of w^(m + bound); no exponential per entry.
+    """
+    a = _shifted_coords(n, labels)
+    nx = n * a - a.sum(axis=1, keepdims=True)
+    order = n * (n + k)
+    bound = int(a.max()) * int(np.abs(nx).sum(axis=1).max())
+    roots = np.exp(-2j * np.pi * np.arange(order) / order)
+    table = roots[np.arange(-bound, bound + 1) % order]
+    left, right = a.astype(float), nx.T.astype(float)
     acc = np.zeros((len(labels), len(labels)), dtype=complex)
     for perm in itertools.permutations(range(n)):
-        sgn = _perm_sign(perm)
-        dots = coords[:, perm] @ coords.T
-        acc += sgn * np.exp(-2j * np.pi * dots / kappa)
-    # fix normalization and overall phase by unitarity and S_00 > 0
-    norm = math.sqrt((acc @ acc.conj().T)[0, 0].real)
-    s = acc / norm
+        terms = table.take((left[:, perm] @ right).astype(np.intp) + bound)
+        if _perm_sign(perm) > 0:
+            acc += terms
+        else:
+            acc -= terms
+    # fix normalization by the norm of row 0 and the phase by S_00 > 0
+    s = acc / math.sqrt(np.vdot(acc[0], acc[0]).real)
     s *= abs(s[0, 0]) / s[0, 0]
     dev = np.abs(s @ s.conj().T - np.eye(len(labels))).max()
     if dev > 1e-8:
@@ -139,7 +161,12 @@ def _perm_sign(perm) -> int:
 
 
 # ---------------------------------------------------------------------------
-# S-matrix disk cache
+# S-matrix disk cache: one .npy and one meta file per su(N)_k. The meta file
+# holds the size, the sha256 of the data and the method tag; an entry whose
+# tag differs is a miss and is rewritten, so a hit returns the same bits as
+# a fresh computation.
+
+SUN_S_METHOD = "weyl-sum exact-exponent table v1"
 
 
 def _cache_paths(cache_dir, name):
@@ -156,6 +183,7 @@ def _cache_store(cache_dir, name, s: np.ndarray) -> None:
     meta = {
         "name": name,
         "size": s.shape[0],
+        "method": SUN_S_METHOD,
         "sha256": hashlib.sha256(payload).hexdigest(),
     }
     # write-then-rename keeps partial files out of the cache
@@ -170,6 +198,8 @@ def _cache_store(cache_dir, name, s: np.ndarray) -> None:
 
 
 def _cache_load(cache_dir, name, expected_size):
+    """The cached S of `name`, or None on a miss: a missing, unreadable or
+    corrupted entry, or one written by another method than SUN_S_METHOD."""
     data_path, meta_path = _cache_paths(cache_dir, name)
     if not (os.path.exists(data_path) and os.path.exists(meta_path)):
         return None
@@ -177,7 +207,9 @@ def _cache_load(cache_dir, name, expected_size):
         with open(meta_path) as fh:
             meta = json.load(fh)
         s = np.load(data_path)
-    except (OSError, ValueError, json.JSONDecodeError):
+    except (OSError, ValueError, EOFError):
+        return None
+    if not isinstance(meta, dict) or meta.get("method") != SUN_S_METHOD:
         return None
     if meta.get("size") != expected_size or s.shape != (expected_size, expected_size):
         return None

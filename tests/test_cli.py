@@ -45,6 +45,21 @@ def test_generate_sun_uses_cache(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_generate_sun_rebuilds_an_empty_cache_file(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    good = tmp_path / "good.json"
+    out = tmp_path / "out.json"
+    rc, _ = run(capsys, "generate", "suN", "--N", "3", "--k", "2",
+                "--cache-dir", str(cache), "--out", str(good))
+    assert rc == 0
+    (cache / "su3_2_s.npy").write_bytes(b"")
+    rc, _ = run(capsys, "generate", "suN", "--N", "3", "--k", "2",
+                "--cache-dir", str(cache), "--out", str(out))
+    assert rc == 0
+    assert out.read_bytes() == good.read_bytes()
+    assert (cache / "su3_2_s.npy").stat().st_size > 0
+
+
 def test_generate_missing_level(tmp_path, capsys):
     rc, _ = run(capsys, "generate", "su2", "--out", str(tmp_path / "x.json"))
     assert rc == 2

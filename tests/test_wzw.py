@@ -1,3 +1,5 @@
+import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -6,7 +8,8 @@ import pytest
 
 from fpres.errors import InvalidInputError, ResourceLimitError
 from fpres.modular import check_modular, fusion_matrix
-from fpres.wzw import _cache_load, su2, sun, sun_weight_h, sun_weights
+from fpres.wzw import (SUN_S_METHOD, _cache_load, su2, sun, sun_weight_h,
+                       sun_weights)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 8])
@@ -94,14 +97,84 @@ def test_cache_roundtrip(tmp_path):
     assert _cache_load(cache, "su3_2", first.size) is not None
 
 
-def test_cache_rejects_corruption(tmp_path):
-    cache = str(tmp_path)
-    sun(3, 2, cache_dir=cache)
+def _flip_last_byte(tmp_path):
     data = tmp_path / "su3_2_s.npy"
     raw = bytearray(data.read_bytes())
     raw[-1] ^= 0xFF
     data.write_bytes(bytes(raw))
+
+
+def _drop_method(tmp_path):
+    meta = tmp_path / "su3_2_meta.json"
+    doc = json.loads(meta.read_text())
+    del doc["method"]
+    meta.write_text(json.dumps(doc))
+
+
+CORRUPTIONS = {
+    "flipped-last-byte": _flip_last_byte,
+    "empty-data": lambda p: (p / "su3_2_s.npy").write_bytes(b""),
+    "truncated-header": lambda p: (p / "su3_2_s.npy").write_bytes(
+        (p / "su3_2_s.npy").read_bytes()[:20]),
+    "meta-not-an-object": lambda p: (p / "su3_2_meta.json").write_text("[1]"),
+    "meta-without-method": _drop_method,
+}
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS.keys())
+def test_cache_rejects_corruption(tmp_path, corrupt):
+    cache = str(tmp_path)
+    fresh = sun(3, 2, cache_dir=cache)
+    corrupt(tmp_path)
     assert _cache_load(cache, "su3_2", 6) is None
     # a corrupted cache is silently rebuilt
     md = sun(3, 2, cache_dir=cache)
     assert check_modular(md)["ok"]
+    assert np.array_equal(md.s, fresh.s)
+    assert _cache_load(cache, "su3_2", 6) is not None
+    assert json.loads((tmp_path / "su3_2_meta.json").read_text())["method"] == SUN_S_METHOD
+
+
+def test_cache_hit_and_miss_are_bitwise_equal(tmp_path):
+    cache = str(tmp_path)
+    miss = sun(5, 2, cache_dir=cache)
+    hit = sun(5, 2, cache_dir=cache)
+    assert miss.s.tobytes() == hit.s.tobytes()
+    assert miss.s.tobytes() == sun(5, 2).s.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# oracle: the Weyl sum with one float exponential per entry and permutation
+
+
+def oracle_sun(n, k):
+    """(labels, h, c, S) from float orthogonal coordinates, Fraction weights
+    and inversion-count signs, with unitarity fixed by the full SS-dagger."""
+    labels = [lam for lam in itertools.product(range(k + 1), repeat=n - 1)
+              if sum(lam) <= k]
+    coords = []
+    for lam in labels:
+        a = [sum(lam[i:]) + (n - 1 - i) for i in range(n - 1)] + [0]
+        coords.append(np.array(a, dtype=float) - sum(a) / n)
+    coords = np.array(coords)
+    acc = np.zeros((len(labels), len(labels)), dtype=complex)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+        dots = coords[:, perm] @ coords.T
+        acc += (-1) ** inversions * np.exp(-2j * np.pi * dots / (n + k))
+    s = acc / math.sqrt((acc @ acc.conj().T)[0, 0].real)
+    s *= abs(s[0, 0]) / s[0, 0]
+    h = tuple(ref_weight_h(n, k, lam) for lam in labels)
+    return tuple(labels), h, Fraction(k * (n * n - 1), n + k), s
+
+
+@pytest.mark.parametrize("n, k", [(2, 5), (3, 4), (4, 3), (5, 2), (5, 5), (6, 2)])
+def test_sun_matches_float_weyl_sum_oracle(n, k):
+    md = sun(n, k)
+    labels, h, c, s = oracle_sun(n, k)
+    assert md.labels == labels
+    assert md.h == h
+    assert md.c == c
+    assert np.abs(md.s - s).max() <= 1e-13
+    t_ref = [(x - c / 24) % 1 for x in h]
+    assert [md.t_exponent(a) for a in range(md.size)] == t_ref
