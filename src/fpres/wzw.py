@@ -80,7 +80,7 @@ def sun_weight_h(n: int, k: int, lam) -> Fraction:
 
 def _shifted_coords(n: int, labels) -> np.ndarray:
     """lambda + rho in the orthogonal basis, uncentered: the integers
-    a_i = lambda_{i+1} + ... + lambda_{n-1} + (n - 1 - i), one row a label."""
+    a_i = lambda_{i+1} + ... + lambda_{n-1} + (n - 1 - i), one row per label."""
     lam = np.array(labels, dtype=np.int64).reshape(-1, n - 1)
     tails = np.cumsum(lam[:, ::-1], axis=1)[:, ::-1]
     return np.hstack([tails, np.zeros((len(lam), 1), np.int64)]) + np.arange(n - 1, -1, -1)
@@ -119,7 +119,8 @@ def _sun_s_matrix(n: int, k: int, labels) -> np.ndarray:
     rows a of `_shifted_coords`, so every term is w^m for w = exp(-2 pi i /
     (n (n + k))) and an integer m, |m| <= bound. Per permutation, m comes
     from one product of small integers (exact in float64) and the terms from
-    one lookup in a table of w^(m + bound); no exponential per entry.
+    one lookup at m + bound in the table of w^j, j = -bound..bound; no
+    exponential per entry.
     """
     a = _shifted_coords(n, labels)
     nx = n * a - a.sum(axis=1, keepdims=True)
