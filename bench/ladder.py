@@ -36,24 +36,38 @@ sys.path.append(os.path.join(ROOT, "src"))
 STAGES = ("generate_tensor", "theory", "extend", "check_modular", "resolve",
           "extended_theory", "condition_report", "fusion_check")
 
-# name -> (base theory, repeats, warm su(N) cache); the su(2)_4^k theories are
-# extended by the diagonal current (4, ..., 4), the su(5)_5 pair by its
-# diagonal order-5 current. The cold su(5)_5 row builds S in every pass; the
-# warm row reads it from a disk cache filled before the first timed pass.
+# name -> (factors, generator label, convention seed, repeats, warm su(N)
+# cache). The su(2)_4^k theories are extended by the diagonal current
+# (4, ..., 4), the su(5)_5 pair by its diagonal order-5 current. The cold
+# su(5)_5 row builds S in every pass; the warm row reads it from a disk cache
+# filled before the first timed pass. su(2)_4 x su(3)_3 is extended by
+# (0, (3, 0)) with convention seed 0: its class representative r has order 6
+# in a class of order 2, so r^2 is not the identity and the resolution
+# phases are not all 0.
+FACTORS = {"su2_4": (2, 4), "su3_3": (3, 3), "su5_5": (5, 5)}
 WORKLOADS = {
-    "su2_4^3": (("su2_4", 3), 5, False),
-    "su2_4^4": (("su2_4", 4), 5, False),
-    "su2_4^5": (("su2_4", 5), 3, False),
-    "su2_4^6": (("su2_4", 6), 1, False),
-    "su5_5-pair": (("su5_5", 2), 9, False),
-    "su5_5-pair-warm": (("su5_5", 2), 9, True),
+    "su2_4^3": (("su2_4",) * 3, (4,) * 3, None, 5, False),
+    "su2_4^4": (("su2_4",) * 4, (4,) * 4, None, 5, False),
+    "su2_4^5": (("su2_4",) * 5, (4,) * 5, None, 3, False),
+    "su2_4^6": (("su2_4",) * 6, (4,) * 6, None, 1, False),
+    "su5_5-pair": (("su5_5",) * 2, ((5, 0, 0, 0),) * 2, None, 9, False),
+    "su5_5-pair-warm": (("su5_5",) * 2, ((5, 0, 0, 0),) * 2, None, 9, True),
+    "su2_4-su3_3-closure": (("su2_4", "su3_3"), (0, (3, 0)), 0, 25, False),
 }
 
 
-def one_pass(base: str, k: int, cache_dir=None):
-    """(stage times, counts, ok) of one chain on fresh objects."""
-    from fpres import currents, extend, modular, validate, wzw
+def make_factor(name: str, cache_dir=None):
+    from fpres import wzw
 
+    n, k = FACTORS[name]
+    return wzw.su2(k) if n == 2 else wzw.sun(n, k, cache_dir=cache_dir)
+
+
+def one_pass(workload: str, cache_dir=None):
+    """(stage times, counts, ok) of one chain on fresh objects."""
+    from fpres import currents, extend, modular, validate
+
+    factors, top, seed = WORKLOADS[workload][:3]
     times = {}
     clock = time.perf_counter
 
@@ -64,14 +78,13 @@ def one_pass(base: str, k: int, cache_dir=None):
         return out
 
     def generate():
-        factor, top = ((wzw.su2(4), 4) if base == "su2_4"
-                       else (wzw.sun(5, 5, cache_dir=cache_dir), (5, 0, 0, 0)))
-        md = modular.tensor(*(factor for _ in range(k)))
-        return md, md.index((top,) * k)
+        built = {f: make_factor(f, cache_dir) for f in dict.fromkeys(factors)}
+        md = modular.tensor(*(built[f] for f in factors))
+        return md, md.index(top)
 
     md, gen = stage("generate_tensor", generate)
     th = stage("theory", currents.Theory, md)
-    ex = stage("extend", extend.extend, th, [gen])
+    ex = stage("extend", extend.extend, th, [gen], convention_seed=seed)
     checked = stage("check_modular", modular.check_modular, ex.ext_md)
     classes = [c for c in ex.residual_classes() if c.order > 1]
     res = stage("resolve", lambda: [ex.resolve(c) for c in classes])
@@ -91,17 +104,16 @@ def run_workload(name: str) -> dict:
     import gc
     import tempfile
 
-    from fpres import wzw
-
-    (base, k), repeats, warm = WORKLOADS[name]
+    factors, _, _, repeats, warm = WORKLOADS[name]
     runs, counts, ok = [], None, True
     with tempfile.TemporaryDirectory() as tmp:
         cache_dir = tmp if warm else None
         if warm:
-            wzw.sun(5, 5, cache_dir=cache_dir)
+            for f in set(factors):
+                make_factor(f, cache_dir)
         for _ in range(repeats):
             gc.collect()
-            times, counts, good = one_pass(base, k, cache_dir)
+            times, counts, good = one_pass(name, cache_dir)
             runs.append(times)
             ok = ok and good
     stages = {s: statistics.median(r[s] for r in runs) for s in STAGES}

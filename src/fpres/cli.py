@@ -26,7 +26,7 @@ from .errors import (
 )
 from .extend import extend
 from .modular import (_label_from_json, _label_to_json, dump_json,
-                      fusion_matrix, load, save, tensor)
+                      fusion_tensor, load, save, tensor)
 from .phases import norm1
 from .validate import check_fusion_integrality, condition_report
 from .wzw import ising, su2, sun
@@ -45,12 +45,13 @@ def _write_json(doc: dict, path) -> None:
         dump_json(doc, fh)
 
 
-def _emit(doc: dict, out) -> list:
-    if out is None:
+def _emit(doc: dict, args, inputs) -> None:
+    """Print `doc`, or write it to --out together with its manifest."""
+    if args.out is None:
         dump_json(doc, sys.stdout)
-        return []
-    _write_json(doc, out)
-    return [out]
+    else:
+        _write_json(doc, args.out)
+        _manifest(args, inputs, [args.out], args.out)
 
 
 def _manifest(args, inputs, outputs, anchor) -> None:
@@ -98,6 +99,11 @@ def cmd_generate(args) -> int:
     elif args.family == "suN":
         if args.n is None or args.k is None:
             raise InvalidInputError("suN needs --n and --k")
+        if cache:
+            try:
+                os.makedirs(cache, exist_ok=True)
+            except OSError as exc:
+                raise InvalidInputError(f"--cache-dir {cache}: {exc.strerror}")
         md = sun(args.n, args.k, cache_dir=cache)
     else:
         md = ising()
@@ -131,9 +137,7 @@ def cmd_currents(args) -> int:
             for j in th.center.elements
         ],
     }
-    outputs = _emit(doc, args.out)
-    if args.out:
-        _manifest(args, [args.input], outputs, args.out)
+    _emit(doc, args, [args.input])
     return 0
 
 
@@ -181,28 +185,19 @@ def cmd_validate(args) -> int:
     th = Theory(md, tol=args.tolerance, extra_bundles=extra)
     currents = [b.current for b in extra] or None
     doc = condition_report(th, currents=currents, tol=args.tolerance)
-    outputs = _emit(doc, args.out)
-    if args.out:
-        _manifest(args, [args.input] + list(args.bundles), outputs, args.out)
+    _emit(doc, args, [args.input] + list(args.bundles))
     return 0 if doc["ok"] else 1
 
 
 def cmd_fusion(args) -> int:
     md = load(args.input)
-    if md.size > args.max_fields:
-        raise ResourceLimitError(
-            f"{md.size} fields exceeds --max-fields {args.max_fields}"
-        )
-    tables = [fusion_matrix(md, a).tolist() for a in range(md.size)]
     doc = {
         "format": "fusion-table v1",
         "name": md.name,
         "fields": [_label_to_json(lab) for lab in md.labels],
-        "tables": tables,
+        "tables": fusion_tensor(md, limit=args.max_fields).tolist(),
     }
-    outputs = _emit(doc, args.out)
-    if args.out:
-        _manifest(args, [args.input], outputs, args.out)
+    _emit(doc, args, [args.input])
     return 0
 
 

@@ -48,7 +48,6 @@ from .modular import (
     complex_pairs,
     dump_json,
     match_rows,
-    native,
 )
 from .phases import INT64_SAFE, norm1, snap_phases, unit, units
 
@@ -513,10 +512,6 @@ def bundle_array_document(md: ModularData, b: FixedPointBundle) -> dict:
     if b.eta is not None:
         doc["eta"] = complex_pairs(b.eta)
     return doc
-
-
-def bundle_to_document(md: ModularData, b: FixedPointBundle) -> dict:
-    return native(bundle_array_document(md, b))
 
 
 def bundle_from_document(md: ModularData, doc: dict) -> FixedPointBundle:

@@ -8,8 +8,9 @@ matrices over the untwisted stabilizer intersection.
 
 Surviving currents are subgroup cosets of uncharged currents. For each
 such class the resolution matrix on its fixed extended fields combines a
-per-orbit class representative, the character extension phases of its
-closure, and the twisted matrices of the representative's translates.
+per-orbit class representative r, the characters of <r, U_a> lifted
+through the cocycle of <r, U_a> / U_a (`fpres.groups`), and the twisted
+matrices of the representative's translates.
 A class and the class of the inverse current use inverse representatives.
 
 The extended S and every resolution matrix come from one block kernel,
@@ -27,9 +28,10 @@ import numpy as np
 
 from .currents import FixedPointBundle, Theory
 from .errors import InvalidInputError, ResolutionError
-from .groups import MultGroup
+from .groups import (CocycleData, CosetPresentation, LiftedCharacters,
+                     MultGroup)
 from .modular import ModularData
-from .phases import norm1, unit, units
+from .phases import norm1, units
 
 
 @dataclass
@@ -86,6 +88,7 @@ class Extension:
         self._resolutions = {}
         self._r_cache = {}
         self._tables = {}
+        self._lifts = {}
 
     # ------------------------------------------------------------------
     # spectrum
@@ -414,7 +417,7 @@ class Extension:
         support_orbits = self._fixed_orbits(cls)
         support = tuple(e for o in support_orbits for e in o.ext_ids)
         r_assign = {}
-        phis = {}
+        lifts = []
         for o in support_orbits:
             r = self.orbit_representative(cls, o)
             if r is None:
@@ -428,13 +431,12 @@ class Extension:
                     f"representative closure {closure} left the untwisted "
                     f"stabilizer of {o.rep}"
                 )
-            phis[o.index] = dict(zip(
-                o.char_labels, o.ugroup.principal_roots(closure, cls.order)))
+            lifts.append(self._lifted_characters(r, o))
         rab = self._pair_representatives(cls, support_orbits)
-        dress = self._dressing(cls, support_orbits, rab, r_assign, phis)
+        dress = self._dressing(cls, support_orbits, rab, lifts)
         mat = self._block_kernel(support_orbits, rab, cls.members, dress)
-        eta, dev = self._resolved_eta(cls, support_orbits, support, mat,
-                                      r_assign, phis)
+        eta, dev = self._resolved_eta(support_orbits, support, mat, r_assign,
+                                      lifts)
         bundle = FixedPointBundle(
             self.class_current_ext_id(cls), support, mat, eta
         )
@@ -442,44 +444,51 @@ class Extension:
         self._resolutions[cls.rep] = res
         return res
 
-    def _dressing(self, cls, orbits, rab, r_assign, phis) -> np.ndarray:
+    def _lifted_characters(self, r: int, o: OrbitData) -> LiftedCharacters:
+        """The characters of <r, U_a> lifted from those of U_a through the
+        cocycle of the presentation <r, U_a> / U_a with basis rep r, whose
+        base exponents are the principal roots of chi_i(r^N); built once
+        per (r, U_a)."""
+        key = (r, o.unt)
+        lift = self._lifts.get(key)
+        if lift is None:
+            center = self.theory.center
+            group = MultGroup(center.subgroup([r, *o.unt]), center.mul, 0)
+            pres = CosetPresentation(group, o.unt, basis_reps=[r])
+            lift = self._lifts[key] = LiftedCharacters(
+                CocycleData(pres, o.ugroup))
+        return lift
+
+    def _dressing(self, cls, orbits, rab, lifts) -> np.ndarray:
         """dress[i, b] = unit(phi_i + chi_i(r_ab / r_a)) for i on orbit a,
-        with r_a the orbit's representative and r_ab the pair's; exact
-        exponents over one denominator."""
-        th = self.theory
+        with r_a the orbit's representative and r_ab the pair's: the
+        character lifted from chi_i at r_ab, exact exponents over one
+        denominator."""
+        tables = [lift.table() for lift in lifts]
+        den = math.lcm(*(d for _, d, _ in tables))
         sizes = [len(o.ext_ids) for o in orbits]
-        phi = [q for o in orbits for q in phis[o.index].values()]
-        den = math.lcm(*(q.denominator for q in phi),
-                       *(o.ugroup.exponent() for o in orbits))
         nums = np.zeros((sum(sizes), len(orbits)), dtype=np.int64)
-        members = np.array(cls.members, dtype=np.intp)
         start = 0
-        for a, o in enumerate(orbits):
+        for a, (table, d, col) in enumerate(tables):
             part = np.flatnonzero(rab[a] >= 0)
-            inv_r = th.center.inverse(r_assign[o.rep])
-            shifts = th.perms[inv_r][members[rab[a, part]]]
-            if not np.isin(shifts, o.unt).all():
+            pair = [cls.members[k] for k in rab[a, part]]
+            # r_ab lies in <r_a, U_a> exactly when r_ab / r_a is untwisted
+            if not all(x in col for x in pair):
                 raise ResolutionError(
                     "pair representative differs from the orbit choice by a "
                     "twisted element"
                 )
-            table, e, where = o.ugroup.char_table()
-            rows = slice(start, start + sizes[a])
-            nums[rows, part] = table[:, [where[int(x)] for x in shifts]] * (
-                den // e)
-            nums[rows] += np.array(
-                [q.numerator * (den // q.denominator)
-                 for q in phis[o.index].values()],
-                dtype=np.int64)[:, None]
+            nums[start:start + sizes[a], part] = table[
+                :sizes[a], [col[x] for x in pair]] * (den // d)
             start += sizes[a]
         return units(nums, den)
 
-    def _resolved_eta(self, cls, support_orbits, support, mat, r_assign, phis):
+    def _resolved_eta(self, support_orbits, support, mat, r_assign, lifts):
         th = self.theory
         conj = th.md.conjugation()
         eta = np.zeros(len(support), dtype=complex)
         pos = {e: i for i, e in enumerate(support)}
-        for o in support_orbits:
+        for o, lift in zip(support_orbits, lifts):
             a = o.rep
             r = r_assign[a]
             partner = self.orbit_of(int(conj[a]))
@@ -490,10 +499,10 @@ class Extension:
             base = th.eta_value(r, a) if r else 1.0
             f_corr = np.conj(th.twist_value(a, k_a, r))
             pi = self._pi_map(o, k_a, cbar)
+            phi = lift.cocycle.phi
             for i, lab in zip(o.ext_ids, o.char_labels):
-                phi_i = unit(phis[o.index][lab])
-                phi_pi = unit(phis[o.index][pi[lab]])
-                eta[pos[i]] = base * f_corr * phi_i * np.conj(phi_pi)
+                eta[pos[i]] = (base * f_corr * phi(lab, (1,))
+                               * np.conj(phi(pi[lab], (1,))))
         if not support:
             return eta, 0.0
         # cross-check the defining square relation on the extended theory

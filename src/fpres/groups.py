@@ -128,6 +128,7 @@ class MultGroup:
         self.coords = coordinate_map(self.basis, self.orders, mul, identity)
         if len(self.coords) != len(self.elements):
             raise InvalidInputError("element list is not closed under product")
+        self._element = {v: x for x, v in self.coords.items()}
         self._chars = None
 
     @property
@@ -138,13 +139,11 @@ class MultGroup:
         return self._mul(x, y)
 
     def power(self, x, k: int):
-        out, y, k = self.identity, x, k % self.order_of(x)
-        for _ in range(k):
-            out = self._mul(out, y)
-        return out
+        return self._element[tuple(k * c % n for c, n in
+                                   zip(self.coords[x], self.orders))]
 
     def inverse(self, x):
-        return self.power(x, self.order_of(x) - 1)
+        return self.power(x, -1)
 
     def order_of(self, x) -> int:
         return _element_order(x, self._mul, self.identity)
@@ -185,13 +184,6 @@ class MultGroup:
     def char_value(self, label, x) -> complex:
         return unit(self.char_exponent(label, x))
 
-    def principal_roots(self, x, n: int) -> tuple:
-        """Exponents of the principal n-th roots of chi(x), one per label in
-        `char_labels` order."""
-        table, e, col = self.char_table()
-        return tuple(principal_root_exp(Fraction(int(v), e), n)
-                     for v in table[:, col[x]])
-
 
 def decompose(orders) -> MultGroup:
     """Z_{N_1} x ... x Z_{N_r} over int tuples, added componentwise."""
@@ -219,10 +211,13 @@ def _member(group: MultGroup, x):
 class CosetPresentation:
     """Quotient G/H with a multiplicative representative map.
 
-    Classes are labelled by exponent vectors over the cyclic basis of the
-    quotient group (orders descending). The representative of a product of
-    basis classes is the product of basis representatives, so discrepancies
-    R(J)R(K) = R(JK) h(J,K) factor over the cyclic factors.
+    Classes are labelled by exponent vectors over basis classes whose orders
+    are those of the quotient's cyclic basis (descending). The basis
+    representatives default to that cyclic basis; any others must lie
+    outside H and their classes must generate the quotient freely with the
+    same orders. The representative of a product of basis classes is the
+    product of basis representatives, so discrepancies R(J)R(K) = R(JK)
+    h(J,K) factor over the cyclic factors.
     """
 
     def __init__(self, ambient: MultGroup, subgroup_gens, basis_reps=None):
@@ -241,19 +236,20 @@ class CosetPresentation:
             canon[ambient.identity],
         )
         self.class_orders = tuple(self.quotient.orders)
-        q_basis = self.quotient.basis
         if basis_reps is None:
-            self.basis_reps = tuple(q_basis)
-        else:
-            basis_reps = tuple(_member(ambient, x) for x in basis_reps)
-            if len(basis_reps) != len(q_basis):
-                raise InvalidInputError("wrong number of basis representatives")
-            for r, qb in zip(basis_reps, q_basis):
-                if canon[r] != qb:
-                    raise InvalidInputError(
-                        f"representative {r} is not in the basis class of {qb}"
-                    )
-            self.basis_reps = basis_reps
+            basis_reps = self.quotient.basis
+        basis_reps = tuple(_member(ambient, x) for x in basis_reps)
+        if len(basis_reps) != len(self.class_orders):
+            raise InvalidInputError("wrong number of basis representatives")
+        for r in basis_reps:
+            if r in self._sub_set:
+                raise InvalidInputError(
+                    f"representative {r!r} lies in the subgroup")
+        self.basis_reps = basis_reps
+        # class coordinates over the basis classes; raises unless free
+        self._coords = coordinate_map(
+            [canon[r] for r in basis_reps], self.class_orders,
+            self.quotient.mul, self.quotient.identity)
 
     @property
     def num_classes(self) -> int:
@@ -263,7 +259,7 @@ class CosetPresentation:
         return itertools.product(*(range(n) for n in self.class_orders))
 
     def class_of(self, g):
-        return self.quotient.coords[self.canon[_member(self.ambient, g)]]
+        return self._coords[self.canon[_member(self.ambient, g)]]
 
     def representative(self, m):
         out = self.ambient.identity
@@ -317,7 +313,9 @@ class CocycleData:
         self.pres = pres
         self.chars = chars
         if base_exponents is None:
-            roots = [chars.principal_roots(pres.closure(l), nl)
+            table, e, col = chars.char_table()
+            roots = [[principal_root_exp(Fraction(int(v), e), nl)
+                      for v in table[:, col[pres.closure(l)]]]
                      for l, nl in enumerate(pres.class_orders)]
             base_exponents = {
                 lab: tuple(r[row] for r in roots)
@@ -425,36 +423,39 @@ class LiftedCharacters:
             for m in self.pres.class_labels()
             for i in self.chars.char_labels()
         ]
+        self._table = None
 
     def exponent(self, label, g) -> Fraction:
-        m_char, i = label
-        pres = self.pres
-        cls = pres.class_of(g)
-        return norm1(
-            pres.quotient.char_exponent(m_char, pres.canon[g])
-            + self.chars.char_exponent(i, pres.subgroup_part(g))
-            + self.cocycle.phi_exponent(i, cls)
-        )
+        nums, den, col = self.table()
+        return Fraction(int(nums[self.labels.index(label), col[g]]), den)
 
-    def value(self, label, g) -> complex:
-        return unit(self.exponent(label, g))
+    def table(self):
+        """(nums, den, col): the exponents as numerators over one
+        denominator, row per label in `labels` order (those with a trivial
+        coset part first), column col[g] per element g of the ambient group;
+        built on first use."""
+        if self._table is None:
+            pres = self.pres
+            elems = pres.ambient.elements
+            q_table, q_e, q_col = pres.quotient.char_table()
+            h_table, h_e, h_col = self.chars.char_table()
+            phi, phi_den = self.cocycle.phi_table()
+            den = math.lcm(q_e, h_e, phi_den)
+            classes = {m: c for c, m in enumerate(pres.class_labels())}
+            coset = q_table[:, [q_col[pres.canon[g]] for g in elems]]
+            sub = h_table[:, [h_col[pres.subgroup_part(g)] for g in elems]]
+            sub = sub * (den // h_e) + phi[:, [classes[pres.class_of(g)]
+                                              for g in elems]] * (den // phi_den)
+            nums = coset[:, None, :] * (den // q_e) + sub[None, :, :]
+            self._table = (nums.reshape(len(self.labels), len(elems)) % den,
+                           den, {g: k for k, g in enumerate(elems)})
+        return self._table
 
     def matrix(self) -> np.ndarray:
         """value(label, g): row per label in `labels` order, column per
         element in `ambient.elements` order."""
-        pres = self.pres
-        elems = pres.ambient.elements
-        q_table, q_e, q_col = pres.quotient.char_table()
-        h_table, h_e, h_col = self.chars.char_table()
-        phi, phi_den = self.cocycle.phi_table()
-        den = math.lcm(q_e, h_e, phi_den)
-        classes = {m: c for c, m in enumerate(pres.class_labels())}
-        coset = q_table[:, [q_col[pres.canon[g]] for g in elems]]
-        sub = h_table[:, [h_col[pres.subgroup_part(g)] for g in elems]]
-        sub = sub * (den // h_e) + phi[:, [classes[pres.class_of(g)]
-                                          for g in elems]] * (den // phi_den)
-        nums = coset[:, None, :] * (den // q_e) + sub[None, :, :]
-        return units(nums.reshape(len(self.labels), len(elems)) % den, den)
+        nums, den, _ = self.table()
+        return units(nums, den)
 
 
 # ---------------------------------------------------------------------------

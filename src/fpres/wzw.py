@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidInputError, ResourceLimitError
-from .modular import ModularData
+from .modular import ModularData, unitarity_deviation
 
 SUN_FIELD_LIMIT = 5000
 
@@ -71,11 +71,6 @@ def _weight_numerators(n: int, labels) -> np.ndarray:
     form = np.minimum.outer(i, i) * n - np.outer(i, i)
     lam = np.array(labels, dtype=np.int64).reshape(-1, n - 1)
     return np.einsum("ai,ij,aj->a", lam, form, lam + 2)
-
-
-def sun_weight_h(n: int, k: int, lam) -> Fraction:
-    """Exact conformal weight from the inverse Cartan quadratic form."""
-    return Fraction(int(_weight_numerators(n, [lam])[0]), 2 * n * (n + k))
 
 
 def _shifted_coords(n: int, labels) -> np.ndarray:
@@ -139,7 +134,7 @@ def _sun_s_matrix(n: int, k: int, labels) -> np.ndarray:
     # fix normalization by the norm of row 0 and the phase by S_00 > 0
     s = acc / math.sqrt(np.vdot(acc[0], acc[0]).real)
     s *= abs(s[0, 0]) / s[0, 0]
-    dev = np.abs(s @ s.conj().T - np.eye(len(labels))).max()
+    dev = unitarity_deviation(s)
     if dev > 1e-8:
         raise InvalidInputError(f"Weyl sum gave a non-unitary S ({dev:.2e})")
     return s

@@ -45,6 +45,24 @@ def test_generate_sun_uses_cache(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_generate_sun_rejects_an_uncreatable_cache_dir(tmp_path, capsys,
+                                                      monkeypatch):
+    from fpres import wzw
+
+    def forbidden(*args):
+        raise AssertionError("the Weyl sum ran before the cache check")
+
+    monkeypatch.setattr(wzw, "_sun_s_matrix", forbidden)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = tmp_path / "out.json"
+    rc = main(["generate", "suN", "--N", "3", "--k", "2",
+               "--cache-dir", str(blocker / "x"), "--out", str(out)])
+    assert rc == 2
+    assert "--cache-dir" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_sun_rebuilds_an_empty_cache_file(tmp_path, capsys):
     cache = tmp_path / "cache"
     good = tmp_path / "good.json"

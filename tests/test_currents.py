@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -9,8 +10,8 @@ from fpres.currents import (
     ProductBundle,
     Theory,
     bundle_from_document,
-    bundle_to_document,
     detect_simple_currents,
+    save_bundle,
     solve_1x1_bundle,
 )
 from fpres.errors import InvalidInputError, MalformedBundleError, ResolutionError
@@ -171,11 +172,12 @@ def test_stabilizer_triple_product():
     assert th.stabilizer(a, sub) == (0,)
 
 
-def test_bundle_document_roundtrip():
+def test_bundle_document_roundtrip(tmp_path):
     md = tensor(su2(4), su2(4))
     th = Theory(md)
     b = th.bundle(20)
-    doc = bundle_to_document(md, b)
+    save_bundle(md, b, tmp_path / "b.json")
+    doc = json.loads((tmp_path / "b.json").read_text())
     assert doc["format"] == "fp-bundle v1"
     back = bundle_from_document(md, doc)
     assert back.current == b.current

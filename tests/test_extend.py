@@ -7,9 +7,9 @@ import pytest
 
 from fpres.currents import Theory
 from fpres.errors import InvalidInputError, ResolutionError
-from fpres.extend import Extension, extend, match_fields
-from fpres.groups import CocycleData, CosetPresentation, MultGroup
+from fpres.extend import extend, match_fields
 from fpres.modular import check_modular, fusion_matrix, tensor
+from fpres.phases import norm1, principal_root_exp
 from fpres.wzw import ising, su2, sun
 
 
@@ -391,19 +391,6 @@ def test_match_fields_rejects_different_theories():
 # --- closure phases against the cocycle layer ------------------------------
 
 
-def _ordered_by_power(g, sub, r):
-    """<sub, r> over pairs (k, x) with x in r^k sub, so that the class of
-    (1, r) is the first basis class of the quotient by (0, sub); the pairs
-    (0, h) keep the order, basis and labels of sub."""
-    n = next(k for k in range(1, g.size + 1) if g.power(r, k) in sub)
-    key = {
-        g.mul(g.power(r, k), h): (k, g.mul(g.power(r, k), h))
-        for k in range(n) for h in sub
-    }
-    return MultGroup(key.values(), lambda a, b: key[g.mul(a[1], b[1])],
-                     (0, g.identity))
-
-
 @pytest.mark.parametrize(
     "theory,current,seed,closures",
     [
@@ -417,41 +404,43 @@ def _ordered_by_power(g, sub, r):
     ids=["su2x4-diagonal", "su2x4-diagonal-seed1", "su5-pair",
          "su5-pair-seed2", "su2_4-su3_3-seed0"],
 )
-def test_resolve_phases_are_cocycle_base_exponents(monkeypatch, theory,
-                                                   current, seed, closures):
-    # the principal closure roots resolve dresses with are the base
-    # exponents of the presentation <U_a, r> / U_a with basis rep r;
+def test_resolve_phases_are_cocycle_base_exponents(theory, current, seed,
+                                                   closures):
+    # resolve dresses with the cocycle of <r, U_a> / U_a with basis rep r,
+    # whose base exponents are the principal N-th roots of chi_i(r^N);
     # `closures` says whether some r^N is not the identity, so that the
     # phases are not all 0
     th = theory()
     ex = extend(th, [th.md.index(current)], convention_seed=seed)
-    seen = {}
-    dressing = Extension._dressing
-
-    def spy(self, cls, orbits, rab, r_assign, phis):
-        seen[cls.rep] = phis
-        return dressing(self, cls, orbits, rab, r_assign, phis)
-
-    monkeypatch.setattr(Extension, "_dressing", spy)
     g = th.center
-    orbits = 0
+    phases = []
     for cls in ex.residual_classes():
         if cls.order == 1:
             continue
         res = ex.resolve(cls)
         for o in ex._fixed_orbits(cls):
             r = res.r_assignments[o.rep]
-            amb = _ordered_by_power(g, o.unt, r)
-            sub = [(0, h) for h in o.unt]
-            pres = CosetPresentation(amb, sub, basis_reps=[(1, r)])
+            lift = ex._lifts[(r, o.unt)]
+            coc = lift.cocycle
+            pres = coc.pres
+            assert pres.ambient.elements == g.subgroup([r, *o.unt])
+            assert pres.subgroup == o.unt
+            assert pres.basis_reps == (r,)
             assert pres.class_orders == (cls.order,)
-            chars = MultGroup(sub, amb.mul, amb.identity)
-            assert tuple(chars.char_labels()) == o.char_labels
-            coc = CocycleData(pres, chars)
-            assert coc.base_exponents == {
-                lab: (q,) for lab, q in seen[cls.rep][o.index].items()
-            }
-            orbits += 1
-    assert orbits
-    phases = [q for p in seen.values() for d in p.values() for q in d.values()]
+            assert tuple(coc.chars.char_labels()) == o.char_labels
+            assert coc.check_cocycle_law() == 0
+            closure = g.power(r, cls.order)
+            inv_r = g.inverse(r)
+            for lab in o.char_labels:
+                phi = principal_root_exp(
+                    o.ugroup.char_exponent(lab, closure), cls.order)
+                assert coc.base_exponents[lab] == (phi,)
+                phases.append(phi)
+                # the dressing at a class member x = r u, u in U_a
+                for x in cls.members:
+                    u = g.mul(x, inv_r)
+                    if u in o.unt:
+                        assert lift.exponent(((0,), lab), x) == norm1(
+                            phi + o.ugroup.char_exponent(lab, u))
+    assert phases
     assert any(phases) == closures

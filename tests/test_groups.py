@@ -200,6 +200,39 @@ def test_with_representatives_validates_class():
         CosetPresentation(g, pres.subgroup, basis_reps=[(2,)])
 
 
+def test_presentation_takes_any_generating_representative():
+    # Z_6 over {0, 3}: the quotient basis class is that of 1 = {1, 4};
+    # 2 lies in the other generating class {2, 5}
+    g = decompose([6])
+    pres = CosetPresentation(g, [(3,)], basis_reps=[(2,)])
+    assert pres.quotient.basis == [(1,)]
+    assert pres.basis_reps == ((2,),)
+    assert pres.class_orders == (3,)
+    assert pres.class_of((1,)) == (2,)
+    assert pres.class_of((5,)) == (1,)
+    assert pres.closure(0) == (0,)
+    for x in g.elements:
+        assert x == g.mul(pres.representative(pres.class_of(x)),
+                          pres.subgroup_part(x))
+    chars = MultGroup(pres.subgroup, g.mul, g.identity)
+    coc = CocycleData(pres, chars)
+    assert coc.check_cocycle_law() == 0
+    m = LiftedCharacters(coc).matrix()
+    assert np.abs(m @ m.conj().T - 6 * np.eye(6)).max() < 1e-12
+
+
+def test_presentation_rejects_non_generating_representatives():
+    with pytest.raises(InvalidInputError, match="lies in the subgroup"):
+        CosetPresentation(decompose([6]), [(3,)], basis_reps=[(3,)])
+    # Z_4 x Z_2 over <(2, 0)>: the quotient is Z_2 x Z_2, and (3, 0) is in
+    # the class of (1, 0)
+    g = decompose([4, 2])
+    pres = CosetPresentation(g, [(2, 0)], basis_reps=[(1, 0), (1, 1)])
+    assert pres.class_of((0, 1)) == (1, 1)
+    with pytest.raises(InvalidInputError, match="not free"):
+        CosetPresentation(g, [(2, 0)], basis_reps=[(1, 0), (3, 0)])
+
+
 # ---------------------------------------------------------------------------
 # cocycle phases and lifted characters
 

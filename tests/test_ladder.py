@@ -1,4 +1,5 @@
-"""Smoke test of the stage ladder on its smallest workload."""
+"""Smoke test of the stage ladder on its smallest workload and its closure
+row."""
 import json
 import os
 import subprocess
@@ -9,7 +10,8 @@ LADDER = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "ladder.py"
 
 def test_ladder_writes_stage_medians_counts_and_peak_rss(tmp_path):
     proc = subprocess.run(
-        [sys.executable, LADDER, "--only", "su2_4^3", "--out", str(tmp_path)],
+        [sys.executable, LADDER, "--only", "su2_4^3", "--only",
+         "su2_4-su3_3-closure", "--out", str(tmp_path)],
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
@@ -29,3 +31,8 @@ def test_ladder_writes_stage_medians_counts_and_peak_rss(tmp_path):
     assert w["counts"] == {"fields": 125, "currents": 8, "orbits": 32,
                            "ext_fields": 33, "classes": 3, "ext_currents": 4}
     assert w["ok"] and w["peak_rss_mb"] > 0
+    # the row whose resolution closes on a nontrivial current
+    w = doc["workloads"]["su2_4-su3_3-closure"]
+    assert w["counts"] == {"fields": 50, "currents": 6, "orbits": 10,
+                           "ext_fields": 20, "classes": 1, "ext_currents": 8}
+    assert w["ok"]

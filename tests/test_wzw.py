@@ -8,8 +8,7 @@ import pytest
 
 from fpres.errors import InvalidInputError, ResourceLimitError
 from fpres.modular import check_modular, fusion_matrix
-from fpres.wzw import (SUN_S_METHOD, _cache_load, su2, sun, sun_weight_h,
-                       sun_weights)
+from fpres.wzw import SUN_S_METHOD, _cache_load, su2, sun, sun_weights
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 8])
@@ -42,7 +41,6 @@ def test_sun_weights_match_fraction_double_loop(n, k):
     md = sun(n, k)
     ref = tuple(ref_weight_h(n, k, lam) for lam in md.labels)
     assert md.h == ref
-    assert tuple(sun_weight_h(n, k, lam) for lam in md.labels) == ref
 
 
 def test_su3_level1_is_z3():
@@ -58,8 +56,8 @@ def test_su3_level3_frozen_values():
     md = sun(3, 3)
     assert md.size == 10
     assert md.c == Fraction(4)
-    assert sun_weight_h(3, 3, (3, 0)) == Fraction(1)
-    assert sun_weight_h(3, 3, (1, 1)) == Fraction(1, 2)
+    assert md.h[md.index((3, 0))] == Fraction(1)
+    assert md.h[md.index((1, 1))] == Fraction(1, 2)
     rep = check_modular(md)
     assert rep["ok"], rep
 
