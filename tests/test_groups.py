@@ -196,8 +196,15 @@ def test_with_representatives_validates_class():
     pres = CosetPresentation(g, [(2,)])
     alt = CosetPresentation(g, pres.subgroup, basis_reps=[(3,)])
     assert alt.basis_reps == ((3,),)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="lies in the subgroup"):
         CosetPresentation(g, pres.subgroup, basis_reps=[(2,)])
+    # Z_4 x Z_2 over <(2, 0)>: the quotient is Z_2 x Z_2, and (3, 0) is in
+    # the class of (1, 0)
+    g = decompose([4, 2])
+    pres = CosetPresentation(g, [(2, 0)], basis_reps=[(1, 0), (1, 1)])
+    assert pres.class_of((0, 1)) == (1, 1)
+    with pytest.raises(InvalidInputError, match="not free"):
+        CosetPresentation(g, [(2, 0)], basis_reps=[(1, 0), (3, 0)])
 
 
 def test_presentation_takes_any_generating_representative():
@@ -219,18 +226,6 @@ def test_presentation_takes_any_generating_representative():
     assert coc.check_cocycle_law() == 0
     m = LiftedCharacters(coc).matrix()
     assert np.abs(m @ m.conj().T - 6 * np.eye(6)).max() < 1e-12
-
-
-def test_presentation_rejects_non_generating_representatives():
-    with pytest.raises(InvalidInputError, match="lies in the subgroup"):
-        CosetPresentation(decompose([6]), [(3,)], basis_reps=[(3,)])
-    # Z_4 x Z_2 over <(2, 0)>: the quotient is Z_2 x Z_2, and (3, 0) is in
-    # the class of (1, 0)
-    g = decompose([4, 2])
-    pres = CosetPresentation(g, [(2, 0)], basis_reps=[(1, 0), (1, 1)])
-    assert pres.class_of((0, 1)) == (1, 1)
-    with pytest.raises(InvalidInputError, match="not free"):
-        CosetPresentation(g, [(2, 0)], basis_reps=[(1, 0), (3, 0)])
 
 
 # ---------------------------------------------------------------------------
