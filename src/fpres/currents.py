@@ -24,7 +24,6 @@ of that field raises.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -42,12 +41,14 @@ from .errors import (
 from .groups import MultGroup
 from .modular import (
     ModularData,
+    ProductS,
     _label_from_json,
     _label_to_json,
     complex_array,
     complex_pairs,
     dump_json,
     match_rows,
+    product_ids,
 )
 from .phases import INT64_SAFE, norm1, snap_phases, unit, units
 
@@ -85,34 +86,20 @@ class FixedPointBundle:
 
 
 class ProductBundle(FixedPointBundle):
-    """S^J of a tensor product: the Kronecker product of the factor bundle
-    matrices `mats`, with S itself where the factor current is trivial,
+    """S^J of a tensor product: the Kronecker product `kron` of the factor
+    bundle matrices, with S itself where the factor current is trivial,
     over the product of their supports in row-major order. `matrix` is
     formed on first use: `Theory.bundle_block` and `Theory.twists` work
     factor-wise without it."""
 
     def __init__(self, current: int, fields: tuple, mats, eta):
-        self.current, self.fields, self.mats, self.eta = (current, fields,
-                                                          mats, eta)
+        self.current, self.fields, self.eta = current, fields, eta
+        self.kron = ProductS(mats)
         self._pos = {a: i for i, a in enumerate(fields)}
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        mat = np.array([[1.0 + 0.0j]])
-        for m in self.mats:
-            mat = np.kron(mat, m)
-        return mat
-
-    def block(self, ri, ci) -> np.ndarray:
-        """`matrix[np.ix_(ri, ci)]` bit for bit: the factor entries multiply
-        in np.kron's order and, like it, out of place."""
-        sizes = [len(m) for m in self.mats]
-        rows = np.unravel_index(np.asarray(ri, dtype=np.intp), sizes)
-        cols = np.unravel_index(np.asarray(ci, dtype=np.intp), sizes)
-        out = np.ones((len(ri), len(ci)), dtype=complex)
-        for m, r, c in zip(self.mats, rows, cols):
-            out = out * m[np.ix_(r, c)]
-        return out
+        return self.kron.to_dense()
 
 
 def solve_1x1_bundle(t_exponent: Fraction):
@@ -127,12 +114,7 @@ def detect_simple_currents(md: ModularData, tol: float = 1e-6):
     """Field ids whose vacuum S-column has vacuum magnitude."""
     if md.factors is not None:
         parts = [detect_simple_currents(f, tol) for f in md.factors]
-        sizes = [f.size for f in md.factors]
-        out = [
-            int(np.ravel_multi_index(combo, sizes))
-            for combo in itertools.product(*parts)
-        ]
-        return sorted(out)
+        return sorted(product_ids(parts, [f.size for f in md.factors]).tolist())
     col = np.abs(md.s_block(range(md.size), [0]).ravel())
     return [int(j) for j in np.where(np.abs(col - col[0]) < tol)[0]]
 
@@ -158,10 +140,7 @@ def current_permutation(md: ModularData, j: int, tol: float = 1e-6) -> np.ndarra
             current_permutation(f, int(jf), tol)
             for f, jf in zip(md.factors, ji)
         ]
-        grids = np.meshgrid(*parts, indexing="ij")
-        return np.ravel_multi_index(
-            tuple(g.ravel() for g in grids), sizes
-        ).astype(np.intp)
+        return product_ids(parts, sizes)
     key = (j, tol)
     if key not in md._perms:
         perm = _match_rows(md, j, max(tol, 1e-6))
@@ -366,10 +345,7 @@ class Theory:
         eta = np.array([1.0 + 0.0j])
         for e in etas:
             eta = np.kron(eta, e)
-        grids = np.meshgrid(*supports, indexing="ij")
-        support = np.ravel_multi_index(
-            tuple(g.ravel() for g in grids), sizes
-        )
+        support = product_ids(supports, sizes)
         if sorted(int(x) for x in support) != fixed:
             raise ResolutionError("factor supports do not tile the fixed set")
         return ProductBundle(j, tuple(int(x) for x in support), mats, eta)
@@ -382,7 +358,7 @@ class Theory:
         ri = [b.position(a) for a in rows]
         ci = [b.position(a) for a in cols]
         if isinstance(b, ProductBundle):
-            return b.block(ri, ci)
+            return b.kron.block(ri, ci)
         return b.matrix[np.ix_(ri, ci)]
 
     def bundle_entry(self, j: int, a: int, b: int) -> complex:

@@ -11,7 +11,8 @@ representative map, the cocycle phases that repair products of
 representatives, and the characters of G lifted from those of H.
 
 The congruence solver at the bottom picks representatives that are
-untwisted against a generating set; it works over exact rationals.
+untwisted against a generating set; it enumerates prod Z_{N_j} in exact
+integer arithmetic.
 """
 from __future__ import annotations
 
@@ -504,135 +505,31 @@ class TwistSystem:
         )
 
 
-def smith_normal_form(a):
-    """Smith normal form over the integers for small dense matrices.
+def _solutions(system: TwistSystem, homogeneous: bool = False):
+    """Every k in prod Z_{N_j} solving the system, in lexicographic order.
 
-    Returns (d, u, v) with u a v = d, u and v unimodular, d diagonal with
-    divisibility along the diagonal. Pure-Python ints, no overflow.
+    Integer arithmetic over the common denominator L of the 1/N_ij and the
+    p_i: sum_j k_j r_ji (L / N_ij) = -p_i L (mod L). With `homogeneous` the
+    right-hand side is taken as 0.
     """
-    a = [list(map(int, row)) for row in a]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, c):
-        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, c):
-        for row in a:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    t = 0
-    while t < min(m, n):
-        # find pivot: smallest nonzero magnitude in the trailing block
-        piv = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] and (piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    add_row(t, i, -(a[i][t] // a[t][t]))
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    add_col(t, j, -(a[t][j] // a[t][t]))
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        # enforce divisibility d_t | trailing entries
-        fixed = True
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % a[t][t]:
-                    add_row(i, t, 1)
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if fixed:
-            t += 1
-    return a, u, v
-
-
-def _solve_mod(a_rows, b, modulus):
-    """One solution of A y = b (mod modulus) over Z, via Smith reduction.
-
-    Returns (particular solution list, list of kernel generators mod the
-    modulus lattice) or raises InconsistentSystemError.
-    """
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
-    d, u, v = smith_normal_form(a_rows)
-    # rhs in the transformed basis
-    ub = [sum(u[i][k] * b[k] for k in range(m)) % modulus for i in range(m)]
-    y = [0] * n
-    kernel = []
-    for i in range(n):
-        di = d[i][i] if i < m else 0
-        rhs = ub[i] if i < m else 0
-        if di == 0:
-            if i < m and rhs % modulus:
-                raise InconsistentSystemError("congruence system has no solution")
-            kernel.append((i, 1))  # fully free coordinate
-            continue
-        g = math.gcd(di, modulus)
-        if rhs % g:
-            raise InconsistentSystemError("congruence system has no solution")
-        y[i] = (rhs // g) * pow(di // g, -1, modulus // g) % (modulus // g)
-        if g > 1:
-            kernel.append((i, modulus // g))
-    k_part = [sum(v[j][i] * y[i] for i in range(n)) for j in range(n)]
-    kernel_vecs = []
-    for (i, step) in kernel:
-        kernel_vecs.append([v[j][i] * step for j in range(n)])
-    return k_part, kernel_vecs
+    n = system.n
+    big_l = math.lcm(*system.orders, *(q.denominator for q in system.p))
+    coef = [
+        [system.r[j][i] * (big_l // system.n_ij(i, j)) % big_l for j in range(n)]
+        for i in range(n)
+    ]
+    rhs = [0 if homogeneous else int(q * big_l) % big_l for q in system.p]
+    for k in itertools.product(*(range(o) for o in system.orders)):
+        if all(
+            (sum(c * x for c, x in zip(row, k)) + b) % big_l == 0
+            for row, b in zip(coef, rhs)
+        ):
+            yield k
 
 
 def is_nondegenerate(system: TwistSystem) -> bool:
-    """Brute-force the vanishing condition: only m = 0 annihilates all columns."""
-    n = system.n
-    for m in itertools.product(*(range(o) for o in system.orders)):
-        if not any(m):
-            continue
-        if all(
-            norm1(
-                sum(
-                    (Fraction(m[i] * system.r[i][j], system.n_ij(i, j)))
-                    for i in range(n)
-                )
-            )
-            == 0
-            for j in range(n)
-        ):
-            return False
-    return True
+    """The vanishing condition: only k = 0 solves the homogeneous system."""
+    return not any(any(k) for k in _solutions(system, homogeneous=True))
 
 
 def solve_congruence_system(
@@ -645,33 +542,12 @@ def solve_congruence_system(
     """
     if require_nondegenerate and not is_nondegenerate(system):
         raise DegenerateSystemError("twist pairing is degenerate")
-    n = system.n
-    if n == 0:
-        return ()
-    big_l = math.lcm(*system.orders, *(q.denominator for q in system.p))
-    # integerized system: rows = equations i, cols = unknowns j
-    a = [
-        [system.r[j][i] * (big_l // system.n_ij(i, j)) for j in range(n)]
-        for i in range(n)
-    ]
-    b = [int(norm1(-system.p[i]) * big_l) for i in range(n)]
-    part, kernel_vecs = _solve_mod(a, b, big_l)
-    k = tuple(part[j] % system.orders[j] for j in range(n))
-    if not system.is_solution(k):
-        raise InconsistentSystemError("solver produced a non-solution")
-    if require_nondegenerate:
-        return k
-    # canonicalize over the full solution set
-    sols = congruence_solution_set(system)
-    if not sols:
+    k = next(_solutions(system), None)
+    if k is None:
         raise InconsistentSystemError("congruence system has no solution")
-    return min(sols)
+    return k
 
 
 def congruence_solution_set(system: TwistSystem) -> list[tuple[int, ...]]:
     """All solutions by exhaustive search (small systems only)."""
-    out = []
-    for k in itertools.product(*(range(o) for o in system.orders)):
-        if system.is_solution(k):
-            out.append(k)
-    return out
+    return list(_solutions(system))

@@ -28,6 +28,15 @@ DENSE_LIMIT = 2_000_000  # max entries a dense S materialization may take
 ROW_BLOCK = 256
 
 
+def product_ids(parts, sizes) -> np.ndarray:
+    """Row-major field ids of a tensor product over the per-factor id
+    arrays `parts`, in itertools.product order of the parts; `sizes` are
+    the factor field counts."""
+    grids = np.meshgrid(*(np.asarray(p, dtype=np.intp) for p in parts),
+                        indexing="ij")
+    return np.ravel_multi_index(tuple(g.ravel() for g in grids), sizes)
+
+
 class ProductS:
     """Kronecker product of factor S matrices, evaluated lazily.
 
@@ -46,20 +55,14 @@ class ProductS:
     def unravel(self, ids):
         return np.unravel_index(np.asarray(ids, dtype=np.intp), self.sizes)
 
-    def entry(self, a: int, b: int) -> complex:
-        ai = np.unravel_index(a, self.sizes)
-        bi = np.unravel_index(b, self.sizes)
-        out = 1.0 + 0.0j
-        for m, i, j in zip(self.mats, ai, bi):
-            out *= m[i, j]
-        return out
-
     def block(self, rows, cols) -> np.ndarray:
+        """`to_dense()[np.ix_(rows, cols)]` bit for bit: the factor entries
+        multiply in np.kron's order and, like it, out of place."""
         ri = self.unravel(rows)
         ci = self.unravel(cols)
         out = np.ones((len(ri[0]), len(ci[0])), dtype=complex)
         for m, r, c in zip(self.mats, ri, ci):
-            out *= m[np.ix_(r, c)]
+            out = out * m[np.ix_(r, c)]
         return out
 
     def row(self, a: int) -> np.ndarray:
@@ -154,9 +157,7 @@ class ModularData:
     # --- S access, uniform over dense and factorized storage
 
     def s_entry(self, a: int, b: int) -> complex:
-        if self.is_product:
-            return self.s.entry(a, b)
-        return self.s[a, b]
+        return self.s_block([a], [b])[0, 0]
 
     def s_row(self, a: int) -> np.ndarray:
         if self.is_product:
@@ -180,12 +181,8 @@ class ModularData:
         if self._conj is not None:
             return self._conj
         if self.factors is not None:
-            parts = [f.conjugation() for f in self.factors]
-            grids = np.meshgrid(*parts, indexing="ij")
-            flat = np.ravel_multi_index(
-                tuple(g.ravel() for g in grids), [f.size for f in self.factors]
-            )
-            self._conj = flat.astype(np.intp)
+            self._conj = product_ids([f.conjugation() for f in self.factors],
+                                     [f.size for f in self.factors])
         else:
             self._conj = conjugation_from_rows(self, 1e-6)
         return self._conj

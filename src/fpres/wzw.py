@@ -25,6 +25,10 @@ from .errors import InvalidInputError, ResourceLimitError
 from .modular import ModularData, unitarity_deviation
 
 SUN_FIELD_LIMIT = 5000
+# work of the su(n) Weyl sum: n! permutations, each costing count^2 entries
+# of S (count fields) plus a fixed overhead worth about 1024 entries, which
+# dominates at small levels; 5e8 is about 5 s on one 2-vCPU BLAS thread
+SUN_WEYL_LIMIT = 500_000_000
 
 
 def su2(k: int) -> ModularData:
@@ -89,6 +93,13 @@ def sun(n: int, k: int, cache_dir=None) -> ModularData:
     if count > SUN_FIELD_LIMIT:
         raise ResourceLimitError(
             f"su({n}) level {k} has {count} fields, over the limit {SUN_FIELD_LIMIT}"
+        )
+    work = math.factorial(n) * (count * count + 1024)
+    if work > SUN_WEYL_LIMIT:
+        raise ResourceLimitError(
+            f"su({n}) level {k}: the Weyl sum over {n}! permutations of "
+            f"{count}^2 entries is {work:.1e} steps, over the limit "
+            f"{SUN_WEYL_LIMIT:.1e}"
         )
     labels = tuple(sun_weights(n, k))
     if len(labels) != count:

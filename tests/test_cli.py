@@ -1,6 +1,7 @@
 """End-to-end command line runs against small models."""
 import json
 import os
+import time
 
 import pytest
 
@@ -60,6 +61,16 @@ def test_generate_sun_rejects_an_uncreatable_cache_dir(tmp_path, capsys,
                "--cache-dir", str(blocker / "x"), "--out", str(out)])
     assert rc == 2
     assert "--cache-dir" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_sun_over_the_weyl_limit_exits_3(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    t0 = time.perf_counter()
+    rc = main(["generate", "suN", "--N", "12", "--k", "1", "--out", str(out)])
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 3
+    assert "Weyl sum" in capsys.readouterr().err
     assert not out.exists()
 
 

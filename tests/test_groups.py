@@ -24,7 +24,6 @@ from fpres.groups import (
     decompose,
     is_nondegenerate,
     rebase_phases,
-    smith_normal_form,
     solve_congruence_system,
     span,
 )
@@ -338,28 +337,7 @@ def test_coset_layer_on_fusion_center(build):
 
 
 # ---------------------------------------------------------------------------
-# Smith reduction and the congruence solver
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_smith_normal_form_random(seed):
-    rng = random.Random(100 + seed)
-    m = rng.randint(1, 4)
-    n = rng.randint(1, 4)
-    a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-    d, u, v = smith_normal_form(a)
-    ua = [[sum(u[i][k] * a[k][j] for k in range(m)) for j in range(n)] for i in range(m)]
-    uav = [[sum(ua[i][k] * v[k][j] for k in range(n)) for j in range(n)] for i in range(m)]
-    assert uav == d
-    for i in range(m):
-        for j in range(n):
-            if i != j:
-                assert d[i][j] == 0
-    diag = [d[i][i] for i in range(min(m, n)) if d[i][i]]
-    for x, y in zip(diag, diag[1:]):
-        assert y % x == 0
-    assert abs(round(np.linalg.det(np.array(u, dtype=float)))) == 1
-    assert abs(round(np.linalg.det(np.array(v, dtype=float)))) == 1
+# the congruence solver
 
 
 def test_congruence_two_generator_example():
@@ -394,44 +372,62 @@ def test_congruence_trivial_system():
     assert solve_congruence_system(sys) == ()
 
 
-def random_twist_system(rng, max_order=6):
+def random_twist_system(rng, max_order=6, planted=True):
+    """A random system with arbitrary r. With `planted`, p is read off a
+    known solution k0; otherwise p is a random rational, so the system may
+    be inconsistent, and k0 is None."""
     n = rng.randint(1, 3)
-    orders = tuple(rng.choice([2, 2, 3, 4, max_order]) for _ in range(n))
-    r = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            nij = np.gcd(orders[i], orders[j])
-            r[i][j] = rng.randrange(nij)
-            r[j][i] = (-r[i][j]) % nij
-        r[i][i] = rng.choice([0, orders[i] // 2]) if orders[i] % 2 == 0 else 0
-    # build p from a known solution so the system is consistent
+    orders = tuple(rng.choice([1, 2, 2, 3, 4, max_order]) for _ in range(n))
+    r = tuple(
+        tuple(rng.randrange(-2 * max_order, 2 * max_order) for _ in range(n))
+        for _ in range(n)
+    )
+    if not planted:
+        p = tuple(Fraction(rng.randrange(-12, 12), rng.choice([1, 2, 3, 4, 6, 12]))
+                  for _ in range(n))
+        return TwistSystem(orders, r, p), None
     k0 = tuple(rng.randrange(o) for o in orders)
-    sys0 = TwistSystem(tuple(orders), tuple(map(tuple, r)), (Fraction(0),) * n)
+    sys0 = TwistSystem(orders, r, (Fraction(0),) * n)
     p = tuple(norm1(-sys0.lhs_exponent(k0, i)) for i in range(n))
-    return TwistSystem(tuple(orders), tuple(map(tuple, r)), p), k0
+    return TwistSystem(orders, r, p), k0
 
 
 @pytest.mark.parametrize("seed", range(30))
 def test_congruence_solver_vs_exhaustive(seed):
+    # the oracle filters the grid with the Fraction predicates of TwistSystem
     rng = random.Random(1000 + seed)
-    sys, _ = random_twist_system(rng)
-    sols = congruence_solution_set(sys)
-    assert sols, "constructed system must be solvable"
-    if is_nondegenerate(sys):
-        assert len(sols) == 1
-        assert solve_congruence_system(sys) == sols[0]
-    else:
-        with pytest.raises(DegenerateSystemError):
-            solve_congruence_system(sys)
-        assert solve_congruence_system(sys, require_nondegenerate=False) == min(sols)
+    for planted in (True, False):
+        sys, k0 = random_twist_system(rng, planted=planted)
+        grid = list(itertools.product(*(range(o) for o in sys.orders)))
+        sols = [k for k in grid if sys.is_solution(k)]
+        kernel = [k for k in grid
+                  if all(sys.lhs_exponent(k, i) == 0 for i in range(sys.n))]
+        assert congruence_solution_set(sys) == sols
+        assert is_nondegenerate(sys) == (kernel == [grid[0]])
+        # none, or a coset of the kernel: unique when nondegenerate
+        assert len(sols) in (0, len(kernel))
+        if k0 is not None:
+            assert k0 in sols
+        for require in (True, False):
+            if require and len(kernel) > 1:
+                with pytest.raises(DegenerateSystemError):
+                    solve_congruence_system(sys)
+            elif not sols:
+                with pytest.raises(InconsistentSystemError,
+                                   match="congruence system has no solution"):
+                    solve_congruence_system(sys, require_nondegenerate=require)
+            else:
+                assert solve_congruence_system(
+                    sys, require_nondegenerate=require) == sols[0]
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_degenerate_solution_count_matches_annihilators(seed):
     # the solution set, when nonempty, is a torsor under the annihilator lattice
     rng = random.Random(2000 + seed)
-    sys, _ = random_twist_system(rng, max_order=4)
+    sys, k0 = random_twist_system(rng, max_order=4)
     sols = congruence_solution_set(sys)
+    assert k0 in sols
     ann = 0
     for k in itertools.product(*(range(o) for o in sys.orders)):
         if all(sys.lhs_exponent(k, i) == 0 for i in range(sys.n)):

@@ -134,6 +134,35 @@ def test_product_s_matches_dense():
     )
 
 
+LAZY_PRODUCTS = {
+    "su3_3^2": lambda: tensor(sun(3, 3), sun(3, 3), dense_limit=1),
+    "su3_3-su4_2": lambda: tensor(sun(3, 3), sun(4, 2), dense_limit=1),
+    "su3_3-ising-su3_2": lambda: tensor(sun(3, 3), ising(), sun(3, 2),
+                                        dense_limit=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAZY_PRODUCTS))
+def test_lazy_product_blocks_equal_dense_bitwise(name):
+    # a theory carries the same bits whether its S is lazy or dense; random
+    # sub-blocks, single entries and rows against to_dense()
+    md = LAZY_PRODUCTS[name]()
+    dense = md.s.to_dense()
+    rng = random.Random(11)
+    for _ in range(400):
+        rows = [rng.randrange(md.size) for _ in range(rng.randint(1, 6))]
+        cols = [rng.randrange(md.size) for _ in range(rng.randint(1, 6))]
+        block = md.s_block(rows, cols)
+        assert np.array_equal(block.view(np.uint64),
+                              dense[np.ix_(rows, cols)].view(np.uint64))
+    for _ in range(200):
+        a, b = rng.randrange(md.size), rng.randrange(md.size)
+        assert np.array_equal(np.array([md.s_entry(a, b)]).view(np.uint64),
+                              dense[a, b:b + 1].view(np.uint64))
+        assert np.array_equal(md.s_row(a).view(np.uint64),
+                              dense[a].view(np.uint64))
+
+
 def test_check_modular_product_report():
     lazy = tensor(su2(2), su2(3), dense_limit=1)
     rep = check_modular(lazy)

@@ -113,6 +113,30 @@ def test_half_integer_current_violates_5c_only():
     assert rep["checks"]["spin-rule"]["ok"]
 
 
+def test_fsym_pairs_the_two_twist_orders():
+    # no honest grid twist of su3_3 x su3_3 lies outside {0, 1/2}, where a
+    # sign error in F(a, K, J) + F(a, J, K) = 0 cancels; seed order-3 twists
+    # at a field that J and K both fix
+    su3 = sun(3, 3)
+    md = tensor(su3, su3)
+    j = md.index(((3, 0), (0, 0)))
+    k = md.index(((0, 0), (3, 0)))
+    a = md.index(((1, 1), (1, 1)))
+
+    def fsym(f_kj, f_jk):
+        th = Theory(md)
+        for (x, y), f in (((k, j), f_kj), ((j, k), f_jk)):
+            table = th.twists(x, y).copy()
+            table[th.bundle(y).position(a)] = int(f * th.snap_order)
+            th._twists[(x, y)] = table
+        return check_conditions(th, j)["checks"]["fsym"]
+
+    assert fsym(Fraction(1, 3), Fraction(2, 3))["ok"]
+    bad = fsym(Fraction(1, 3), Fraction(1, 3))
+    assert not bad["ok"]
+    assert bad["witness"] == [{"field": a, "current": k}]
+
+
 def test_report_is_deterministic():
     def run():
         rep = condition_report(Theory(tensor(ising(), ising())))

@@ -80,6 +80,25 @@ def test_sun_field_limit():
         sun(5, 20)
 
 
+@pytest.mark.parametrize("n, k, admitted", [
+    (6, 6, True), (9, 1, True), (5, 5, True), (10, 1, False), (12, 1, False),
+    (6, 8, False),
+])
+def test_sun_weyl_limit(monkeypatch, n, k, admitted):
+    # the bound is checked before the Weyl sum; an admitted group reaches it
+    from fpres import wzw
+
+    class Reached(Exception):
+        pass
+
+    def sentinel(*args):
+        raise Reached
+
+    monkeypatch.setattr(wzw, "_sun_s_matrix", sentinel)
+    with pytest.raises(Reached if admitted else ResourceLimitError):
+        sun(n, k)
+
+
 def test_sun_rejects_bad_input():
     with pytest.raises(InvalidInputError):
         sun(1, 3)
