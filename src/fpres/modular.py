@@ -346,14 +346,28 @@ def check_modular(md: ModularData, tol: float = 1e-9) -> dict:
 # fusion
 
 
+def _verlinde(s: np.ndarray, fields, upper: bool = False):
+    """Yield (N, residual) for each field a in `fields`: the Verlinde sums
+    N_ab^c = sum_m S_am S_bm conj(S_cm) / S_0m rounded to integers, and
+    max |sum - N| over them, imaginary part included; NaN propagates. Rows
+    b run over every field, or over b >= a when `upper` (N_ab^c = N_ba^c).
+    An S with no imaginary part at all is summed in real arithmetic, where
+    N_ab^c is symmetric in a, b and c by the formula alone, so `upper` also
+    keeps only the columns c >= a; a complex S forms every column."""
+    real = not s.imag.any()  # a NaN imaginary part counts as one
+    s = np.ascontiguousarray(s.real) if real else s  # contiguous for BLAS
+    sc = s.T if real else s.conj().T
+    for a in fields:
+        lo = a if upper else 0
+        raw = (s[lo:] * (s[a] / s[0])) @ (sc[:, lo:] if real else sc)
+        ints = np.rint(raw.real)
+        yield ints, float(np.abs(raw - ints).max())
+
+
 def fusion_matrix(md: ModularData, a: int, tol: float = 1e-6) -> np.ndarray:
     """Integer matrix (N_a)_b^c from the S-matrix sum over the spectrum."""
-    s = md.s_dense()
-    lam = s[a] / s[0]
-    mat = (s * lam[np.newaxis, :]) @ s.conj().T
-    out = np.rint(mat.real)
-    residual = float(np.abs(mat - out).max())
-    if residual > tol:
+    out, residual = next(_verlinde(md.s_dense(), [a]))
+    if not residual <= tol:  # NaN fails too
         raise FusionIntegralityError(
             f"fusion coefficients not integral (residual {residual:.2e})"
         )
@@ -392,7 +406,7 @@ def sampled_fusion_residual(
             col = (md.s @ vec.conj()).conj()
         resid = float(np.abs(col - np.rint(col.real)).max())
         worst = max(worst, resid)
-        if resid > tol:
+        if not resid <= tol:  # NaN fails too, even against an infinite tol
             raise FusionIntegralityError(
                 f"sampled fusion row ({a},{b}) residual {resid:.2e}"
             )

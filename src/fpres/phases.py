@@ -27,7 +27,14 @@ def norm1(q: Fraction) -> Fraction:
     return q - Fraction(math.floor(q))
 
 
+QUARTER_TURNS = (complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1))
+
+
 def unit(q: Fraction | float) -> complex:
+    """exp(2 pi i q), exactly 1, i, -1 or -i at an exact multiple of 1/4, so
+    real modular data stays exactly real."""
+    if isinstance(q, Fraction) and 4 % q.denominator == 0:
+        return QUARTER_TURNS[int(4 * q) % 4]
     return cmath.exp(2j * math.pi * float(q))
 
 

@@ -206,6 +206,18 @@ def test_fusion_respects_field_cap(tmp_path, capsys):
     assert rc == 3
 
 
+def test_fusion_fails_on_a_nan_in_s(tmp_path, capsys):
+    one = tmp_path / "su24.json"
+    run(capsys, "generate", "su2", "--k", "4", "--out", str(one))
+    doc = json.loads(one.read_text())
+    doc["s_matrix"][1][2][0] = float("nan")
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(doc))
+    rc, text = run(capsys, "fusion", str(bad))
+    assert rc == 1
+    assert text == ""
+
+
 def test_missing_input_is_usage_error(tmp_path, capsys):
     rc, _ = run(capsys, "validate", str(tmp_path / "nope.json"))
     assert rc == 2

@@ -1,0 +1,195 @@
+"""The dense Verlinde kernel against the complex scan it replaced.
+
+`oracle_scan` is the dense branch of `check_fusion_integrality` before the
+real branch: complex products over the rows b >= a and every column c, with
+the residual of the real part only. `verlinde_tensor` forms every N_ab^c of
+a small S at once. Exact quarter turns in `phases.unit` keep the su2_4^4
+diagonal extension's S exactly real, which is what sends it down the real
+branch.
+"""
+import cmath
+import functools
+import math
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from fpres.currents import Theory
+from fpres.errors import FusionIntegralityError
+from fpres.extend import extend
+from fpres.modular import (ModularData, fusion_matrix, fusion_tensor,
+                           sampled_fusion_residual, tensor)
+from fpres.phases import unit, units
+from fpres.validate import check_fusion_integrality
+from fpres.wzw import su2, sun
+
+
+def oracle_scan(md, tol=1e-6):
+    s = md.s_dense()
+    sc = s.conj().T
+    max_residual = 0.0
+    min_entry = 0.0
+    for a in range(md.size):
+        raw = ((s[a:] * (s[a] / s[0])) @ sc).real
+        ints = np.rint(raw)
+        max_residual = max(max_residual, float(np.abs(raw - ints).max()))
+        min_entry = min(min_entry, float(ints.min()))
+    return {"max_residual": max_residual, "min_entry": min_entry,
+            "ok": max_residual <= tol and min_entry >= 0}
+
+
+def verlinde_tensor(s):
+    """N[a, b, c] = sum_m S_am S_bm conj(S_cm) / S_0m, unrounded."""
+    return np.einsum("am,bm,cm->abc", s / s[0], s, s.conj())
+
+
+def with_s(md, s, name):
+    return ModularData(md.labels, md.h, md.c, s, name=name)
+
+
+@functools.lru_cache(maxsize=None)
+def diagonal_extension(k, seed=None):
+    md = tensor(*[su2(4)] * k)
+    return extend(Theory(md), [md.index((4,) * k)],
+                  convention_seed=seed).ext_md
+
+
+def moved(md, a, b, by):
+    s = md.s_dense().copy()
+    s[a, b] += by
+    return with_s(md, s, f"{md.name} moved")
+
+
+def noisy_su24():
+    """su2_4 with 1e-4 i A added to S, A a fixed random real matrix."""
+    md = su2(4)
+    a = np.random.default_rng(7).standard_normal((md.size, md.size))
+    return with_s(md, md.s + 1e-4j * a, "su2_4 + 1e-4 i A")
+
+
+# --- exact quarter turns --------------------------------------------------
+
+
+def test_unit_is_exact_at_quarter_turns():
+    exact = {0: 1, 1: 1j, 2: -1, 3: -1j}
+    for k in range(-4, 9):
+        z = unit(Fraction(k, 4))
+        assert z == exact[k % 4] and type(z) is complex
+        assert units(np.array([k]), 4)[0] == z
+        assert units(np.array([2 * k]), 8)[0] == z
+
+
+@pytest.mark.parametrize("q", [Fraction(1, 3), Fraction(1, 8),
+                               Fraction(5, 12)])
+def test_unit_is_unchanged_off_quarter_turns(q):
+    z = cmath.exp(2j * math.pi * float(q))
+    assert unit(q) == z and unit(q).imag != 0
+    got = units(np.array([q.numerator]), q.denominator)[0]
+    assert (got.real, got.imag) == (z.real, z.imag)
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2, 5])
+def test_su24_diagonal_extension_has_a_real_s(seed):
+    s = diagonal_extension(4, seed).s_dense()
+    assert s.shape == (158, 158)
+    assert not s.imag.any()
+
+
+def test_su24_cube_extension_stays_complex():
+    assert abs(diagonal_extension(3).s_dense().imag).max() > 0.4
+
+
+# --- the scan against the oracle ------------------------------------------
+
+
+SCAN_CASES = {
+    "su2_4^4-diag": lambda: diagonal_extension(4),
+    "su2_4^4-diag-moved": lambda: moved(diagonal_extension(4), 3, 7, 1e-3),
+    "su2_4^3-diag": lambda: diagonal_extension(3),
+    "su3_3": lambda: sun(3, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCAN_CASES))
+def test_scan_matches_the_complex_oracle(case):
+    md = SCAN_CASES[case]()
+    got = check_fusion_integrality(md)
+    want = oracle_scan(md)
+    assert got["mode"] == "full"
+    assert got["ok"] == want["ok"] == (case != "su2_4^4-diag-moved")
+    assert got["min_entry"] == want["min_entry"]
+    assert abs(got["max_residual"] - want["max_residual"]) <= 1e-14
+
+
+@pytest.mark.parametrize("case", ["su2_4+iA", "su2_4^3-diag-moved"])
+def test_complex_scan_covers_every_column(case):
+    md = (noisy_su24() if case == "su2_4+iA"
+          else moved(diagonal_extension(3), 5, 2, 1e-3))
+    n = verlinde_tensor(md.s_dense())
+    want = np.abs(n - np.rint(n.real)).max()
+    got = check_fusion_integrality(md)
+    assert not got["ok"]
+    assert abs(got["max_residual"] - want) <= 1e-14
+
+
+def test_fusion_tensor_matches_the_verlinde_sum():
+    for md in (diagonal_extension(3), su2(5), sun(3, 3)):
+        n = verlinde_tensor(md.s_dense())
+        assert np.array_equal(fusion_tensor(md), np.rint(n.real))
+
+
+# --- one residual definition ----------------------------------------------
+
+
+def test_every_path_counts_the_imaginary_part():
+    md = noisy_su24()
+    n = verlinde_tensor(md.s)
+    complex_residual = np.abs(n - np.rint(n.real)).max()
+    assert complex_residual > 1e-4 > 1e-6 > np.abs(n.real
+                                                  - np.rint(n.real)).max()
+    dense = check_fusion_integrality(md)
+    assert not dense["ok"]
+    assert dense["max_residual"] == pytest.approx(complex_residual, abs=1e-14)
+    with pytest.raises(FusionIntegralityError):
+        fusion_matrix(md, 1)
+    sampled = sampled_fusion_residual(md, 40, random.Random(0),
+                                      tol=float("inf"))
+    assert 1e-4 < sampled <= complex_residual + 1e-14
+
+
+# --- NaN fails every path -------------------------------------------------
+
+
+def nan_su24():
+    md = su2(4)
+    s = md.s.copy()
+    s[1, 2] = complex(float("nan"), 0)
+    return with_s(md, s, "su2_4 with a NaN")
+
+
+def test_nan_fails_the_dense_scan():
+    for md in (nan_su24(), tensor(nan_su24(), su2(4))):
+        rep = check_fusion_integrality(md)
+        assert rep["mode"] == "full"
+        assert not rep["ok"]
+        assert math.isnan(rep["max_residual"])
+
+
+def test_nan_fails_the_sampled_scan():
+    lazy = tensor(su2(4), nan_su24(), su2(4), su2(4), dense_limit=1)
+    rep = check_fusion_integrality(lazy)
+    assert rep["mode"] == "sampled"
+    assert not rep["ok"]
+    assert math.isnan(rep["max_residual"])
+    with pytest.raises(FusionIntegralityError):
+        sampled_fusion_residual(lazy, 60, random.Random(0), tol=float("inf"))
+
+
+def test_nan_fails_fusion_matrix():
+    md = nan_su24()
+    with pytest.raises(FusionIntegralityError, match="nan"):
+        fusion_matrix(md, 1)
+    with pytest.raises(FusionIntegralityError):
+        fusion_tensor(md)
