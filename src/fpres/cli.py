@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -28,7 +29,7 @@ from .extend import extend
 from .modular import (_label_from_json, _label_to_json, dump_json,
                       fusion_tensor, load, save, tensor)
 from .phases import norm1
-from .validate import check_fusion_integrality, condition_report
+from .validate import CHECK_TOL, check_fusion_integrality, condition_report
 from .wzw import ising, su2, sun
 
 
@@ -121,7 +122,7 @@ def cmd_tensor(args) -> int:
 
 def cmd_currents(args) -> int:
     md = load(args.input)
-    th = Theory(md, tol=args.tolerance)
+    th = Theory(md)
     doc = {
         "format": "current-report v1",
         "name": md.name,
@@ -144,7 +145,7 @@ def cmd_currents(args) -> int:
 def cmd_extend(args) -> int:
     md = load(args.input)
     extra = [load_bundle(md, p) for p in args.bundles]
-    th = Theory(md, tol=args.tolerance, extra_bundles=extra)
+    th = Theory(md, extra_bundles=extra)
     gens = [_parse_current(md, g) for g in args.by]
     ex = extend(th, gens, convention_seed=args.seed_conventions)
 
@@ -182,7 +183,7 @@ def cmd_extend(args) -> int:
 def cmd_validate(args) -> int:
     md = load(args.input)
     extra = [load_bundle(md, p) for p in args.bundles]
-    th = Theory(md, tol=args.tolerance, extra_bundles=extra)
+    th = Theory(md, extra_bundles=extra)
     currents = [b.current for b in extra] or None
     doc = condition_report(th, currents=currents, tol=args.tolerance)
     _emit(doc, args, [args.input] + list(args.bundles))
@@ -202,6 +203,15 @@ def cmd_fusion(args) -> int:
 
 
 # --- argument parsing -----------------------------------------------------
+
+
+def _tolerance(text: str) -> float:
+    """--tolerance of the condition checks: a finite number > 0."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -227,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("currents", help="list the simple currents")
     p.add_argument("input")
-    p.add_argument("--tolerance", type=float, default=1e-8)
     p.add_argument("--out")
     p.set_defaults(func=cmd_currents)
 
@@ -236,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--by", action="append", required=True,
                    help="generator: field id or exact label (repeatable)")
     p.add_argument("--bundles", nargs="*", default=[])
-    p.add_argument("--tolerance", type=float, default=1e-8)
+    p.add_argument("--tolerance", type=_tolerance, default=CHECK_TOL)
     p.add_argument("--seed-conventions", type=int)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_extend)
@@ -244,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="run the condition report")
     p.add_argument("input")
     p.add_argument("--bundles", nargs="*", default=[])
-    p.add_argument("--tolerance", type=float, default=1e-8)
+    p.add_argument("--tolerance", type=_tolerance, default=CHECK_TOL)
     p.add_argument("--out")
     p.set_defaults(func=cmd_validate)
 

@@ -40,6 +40,7 @@ from .errors import (
 )
 from .groups import MultGroup
 from .modular import (
+    S_TOL,
     ModularData,
     ProductS,
     _label_from_json,
@@ -50,7 +51,7 @@ from .modular import (
     match_rows,
     product_ids,
 )
-from .phases import INT64_SAFE, norm1, snap_phases, unit, units
+from .phases import INT64_SAFE, SNAP_TOL, norm1, snap_phases, unit, units
 
 
 @dataclass
@@ -110,16 +111,16 @@ def solve_1x1_bundle(t_exponent: Fraction):
     return np.array([[s]]), np.array([eta])
 
 
-def detect_simple_currents(md: ModularData, tol: float = 1e-6):
-    """Field ids whose vacuum S-column has vacuum magnitude."""
+def detect_simple_currents(md: ModularData):
+    """Field ids whose vacuum S-column has vacuum magnitude, within S_TOL."""
     if md.factors is not None:
-        parts = [detect_simple_currents(f, tol) for f in md.factors]
+        parts = [detect_simple_currents(f) for f in md.factors]
         return sorted(product_ids(parts, [f.size for f in md.factors]).tolist())
     col = np.abs(md.s_block(range(md.size), [0]).ravel())
-    return [int(j) for j in np.where(np.abs(col - col[0]) < tol)[0]]
+    return [int(j) for j in np.where(np.abs(col - col[0]) < S_TOL)[0]]
 
 
-def current_permutation(md: ModularData, j: int, tol: float = 1e-6) -> np.ndarray:
+def current_permutation(md: ModularData, j: int) -> np.ndarray:
     """Fusion action of a simple current as a permutation of field ids.
 
     An atomic theory finds the current action by verified S-row matching:
@@ -136,20 +137,16 @@ def current_permutation(md: ModularData, j: int, tol: float = 1e-6) -> np.ndarra
     if md.factors is not None:
         sizes = [f.size for f in md.factors]
         ji = np.unravel_index(j, sizes)
-        parts = [
-            current_permutation(f, int(jf), tol)
-            for f, jf in zip(md.factors, ji)
-        ]
+        parts = [current_permutation(f, int(jf)) for f, jf in zip(md.factors, ji)]
         return product_ids(parts, sizes)
-    key = (j, tol)
-    if key not in md._perms:
-        perm = _match_rows(md, j, max(tol, 1e-6))
+    if j not in md._perms:
+        perm = _match_rows(md, j)
         perm.flags.writeable = False
-        md._perms[key] = perm
-    return md._perms[key]
+        md._perms[j] = perm
+    return md._perms[j]
 
 
-def current_permutations(md: ModularData, ids, tol: float = 1e-6) -> dict:
+def current_permutations(md: ModularData, ids) -> dict:
     """Fusion actions of the detected currents `ids`, by id.
 
     A product theory takes each one factor-wise. An atomic theory
@@ -160,12 +157,12 @@ def current_permutations(md: ModularData, ids, tol: float = 1e-6) -> dict:
     ratios multiply, lambda_{J1 J2} = lambda_{J1} lambda_{J2}, so this is
     the action the row match of J1 J2 would verify."""
     if md.factors is not None:
-        return {j: current_permutation(md, j, tol) for j in ids}
+        return {j: current_permutation(md, j) for j in ids}
     perms, gens = {}, []
     for j in ids:
         if j in perms:
             continue
-        gens.append(current_permutation(md, j, tol))
+        gens.append(current_permutation(md, j))
         # multiply everything reached so far by every generator, to closure
         frontier = list(perms.values())
         if not perms:
@@ -182,9 +179,9 @@ def current_permutations(md: ModularData, ids, tol: float = 1e-6) -> dict:
     return {j: perms[j] for j in ids}
 
 
-def _match_rows(md: ModularData, j: int, tol: float) -> np.ndarray:
+def _match_rows(md: ModularData, j: int) -> np.ndarray:
     dev = md.unitarity()
-    if not dev <= tol:  # NaN fails too
+    if not dev <= S_TOL:  # NaN fails too
         raise FusionIntegralityError(
             f"S is not unitary (deviation {dev:.2e}), so the fusion of "
             f"field {j} is not integral"
@@ -192,7 +189,7 @@ def _match_rows(md: ModularData, j: int, tol: float) -> np.ndarray:
     s = md.s_dense()
     ratio = s[j] / s[0]
     perm, dev = match_rows(s, lambda rows: rows * ratio)
-    if not dev <= tol or not np.array_equal(np.sort(perm), np.arange(md.size)):
+    if not dev <= S_TOL or not np.array_equal(np.sort(perm), np.arange(md.size)):
         raise InvalidInputError(f"field {j} does not fuse as a permutation")
     return perm
 
@@ -200,11 +197,10 @@ def _match_rows(md: ModularData, j: int, tol: float) -> np.ndarray:
 class Theory:
     """Modular data together with its simple-current group and bundles."""
 
-    def __init__(self, md: ModularData, tol: float = 1e-6, extra_bundles=()):
+    def __init__(self, md: ModularData, extra_bundles=()):
         self.md = md
-        self.tol = tol
-        ids = detect_simple_currents(md, tol)
-        self.perms = current_permutations(md, ids, tol)
+        ids = detect_simple_currents(md)
+        self.perms = current_permutations(md, ids)
         self.center = MultGroup(ids, lambda a, b: int(self.perms[a][b]), 0)
         # weights and T exponents mod 1, as numerators over self.den
         self.den, self._hn, tn = md.phase_numerators()
@@ -317,10 +313,9 @@ class Theory:
         return b
 
     def _factor_theory(self, f: ModularData) -> "Theory":
-        sub = f._theories.get(self.tol)
-        if sub is None:
-            sub = f._theories[self.tol] = Theory(f, self.tol)
-        return sub
+        if f._theory is None:
+            f._theory = Theory(f)
+        return f._theory
 
     def _product_bundle(self, j: int, fixed) -> ProductBundle:
         sizes = [f.size for f in self.md.factors]
@@ -378,7 +373,7 @@ class Theory:
             eta = self.bundle(j).eta
             if eta is None:
                 raise ResolutionError(f"bundle for current {j} lacks eta data")
-            self._etas[j] = snap_phases(eta, self.eta_order, tol=1e-6)
+            self._etas[j] = snap_phases(eta, self.eta_order)
         return self._etas[j]
 
     def eta_exponent(self, j: int, a: int) -> Fraction:
@@ -416,14 +411,14 @@ class Theory:
             # entries with a non-negligible denominator
             m = b.matrix
             moved = m[[b.position(a) for a in self.perms[k][fields].tolist()]]
-            mask = np.abs(m) > 1e-6
+            mask = np.abs(m) > SNAP_TOL
             ratios = np.divide(moved * units(-charges, self.den), m,
                                out=np.zeros_like(m), where=mask)
             count = mask.sum(axis=1)
             mean = ratios.sum(axis=1) / np.maximum(count, 1)
-            table = snap_phases(mean, self.snap_order, tol=1e-6)
+            table = snap_phases(mean, self.snap_order)
             table[np.abs(ratios - mean[:, None]).max(
-                axis=1, where=mask, initial=0) > 1e-6] = -2
+                axis=1, where=mask, initial=0) > SNAP_TOL] = -2
             table[count == 0] = -3
         self._twists[(k, j)] = table
         return table

@@ -30,8 +30,12 @@ from .currents import FixedPointBundle, Theory
 from .errors import InvalidInputError, ResolutionError
 from .groups import (CocycleData, CosetPresentation, LiftedCharacters,
                      MultGroup)
-from .modular import ModularData
+from .modular import GATE_TOL, ModularData
 from .phases import norm1, units
+from .validate import eta_square_residual
+
+GRID_TOL = 1e-8  # S entries this close are equal: recombination, relabeling
+FINGERPRINT_TOL = 1e-6  # the coarser grid of the relabeling candidates
 
 
 @dataclass
@@ -278,9 +282,7 @@ class Extension:
 
     def extended_theory(self, extra_bundles=()) -> Theory:
         if self._ext_theory is None or extra_bundles:
-            self._ext_theory = Theory(
-                self.ext_md, tol=self.theory.tol, extra_bundles=extra_bundles
-            )
+            self._ext_theory = Theory(self.ext_md, extra_bundles=extra_bundles)
         return self._ext_theory
 
     def residual_classes(self):
@@ -506,18 +508,12 @@ class Extension:
         if not support:
             return eta, 0.0
         # cross-check the defining square relation on the extended theory
-        ext_conj = self.ext_md.conjugation()
-        sq = mat @ mat
-        expect = np.zeros_like(sq)
-        for x in support:
-            cx = int(ext_conj[x])
-            if cx not in pos:
-                raise ResolutionError(
-                    "resolved support is not closed under conjugation"
-                )
-            expect[pos[x], pos[cx]] = eta[pos[x]]
-        dev = float(np.abs(sq - expect).max())
-        if dev > 1e-8:
+        paired = eta_square_residual(mat @ mat, eta, support,
+                                     self.ext_md.conjugation())
+        if paired is None:
+            raise ResolutionError("resolved support is not closed under conjugation")
+        dev = float(np.abs(paired[1]).max())
+        if dev > GATE_TOL:
             raise ResolutionError(
                 f"resolved matrix square deviates from its eta pairing "
                 f"by {dev:.2e}"
@@ -552,13 +548,14 @@ class Extension:
     # ------------------------------------------------------------------
     # reporting
 
-    def recombination_groups(self, tol: float = 1e-8):
+    def recombination_groups(self):
+        """Extended fields whose S rows agree on the GRID_TOL grid."""
         s = self.ext_md.s
         keys = {}
         for i in range(self.n_ext):
             key = (
-                tuple(np.round(s[i].real / tol).astype(np.int64).tolist()),
-                tuple(np.round(s[i].imag / tol).astype(np.int64).tolist()),
+                tuple(np.round(s[i].real / GRID_TOL).astype(np.int64).tolist()),
+                tuple(np.round(s[i].imag / GRID_TOL).astype(np.int64).tolist()),
             )
             keys.setdefault(key, []).append(i)
         return [g for g in keys.values() if len(g) > 1]
@@ -588,8 +585,8 @@ def extend(theory: Theory, h_gens, convention_seed=None) -> Extension:
 # relabeling search between two realizations of the same theory
 
 
-def match_fields(md1: ModularData, md2: ModularData, tol: float = 1e-8):
-    """Permutation p with md2 = p(md1): exact T match, S match within tol.
+def match_fields(md1: ModularData, md2: ModularData):
+    """Permutation p with md2 = p(md1): exact T match, S match to GRID_TOL.
 
     Candidate sets start from the T exponent and the sorted row magnitudes,
     then shrink by comparing S entries against already matched fields.
@@ -606,7 +603,7 @@ def match_fields(md1: ModularData, md2: ModularData, tol: float = 1e-8):
     s2 = md2.s_dense()
 
     def fingerprint(s, a):
-        return tuple(sorted(np.round(np.abs(s[a]) / 1e-6).astype(np.int64)))
+        return tuple(sorted(np.round(np.abs(s[a]) / FINGERPRINT_TOL).astype(np.int64)))
 
     fp2 = {}
     for b in range(n):
@@ -626,7 +623,7 @@ def match_fields(md1: ModularData, md2: ModularData, tol: float = 1e-8):
             for a in range(n):
                 if a in pairs:
                     continue
-                keep = {b for b in cand[a] if abs(s1[a, x] - s2[b, y]) <= tol}
+                keep = {b for b in cand[a] if abs(s1[a, x] - s2[b, y]) <= GRID_TOL}
                 if not keep:
                     return False
                 if len(keep) == 1 and len(cand[a]) > 1:
@@ -667,7 +664,7 @@ def match_fields(md1: ModularData, md2: ModularData, tol: float = 1e-8):
     perm = np.array([got[a] for a in range(n)], dtype=np.intp)
     if len(set(got.values())) != n:
         raise InvalidInputError("matched assignment is not a permutation")
-    if np.abs(s2[perm][:, perm] - s1).max() > tol:
+    if np.abs(s2[perm][:, perm] - s1).max() > GRID_TOL:
         raise InvalidInputError("matched permutation fails the S check")
     for a in range(n):
         if t1[a] != t2[perm[a]]:

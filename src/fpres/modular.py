@@ -26,6 +26,12 @@ DENSE_LIMIT = 2_000_000  # max entries a dense S materialization may take
 # rows per block of the dense reductions over S (unitarity, symmetry, the
 # cube relation, row matching): no temporary exceeds ROW_BLOCK x N entries
 ROW_BLOCK = 256
+FUSION_DENSE_LIMIT = 300  # max fields of a dense fusion table or scan
+# tolerances, one per job
+S_TOL = 1e-6        # S entries: current detection, row matching, conjugation
+FUSION_TOL = 1e-6   # integrality of the Verlinde sums
+GATE_TOL = 1e-8     # consistency gates that raise (resolved eta^2, su(N) S)
+MODULAR_TOL = 1e-9  # check_modular
 
 
 def product_ids(parts, sizes) -> np.ndarray:
@@ -115,10 +121,9 @@ class ModularData:
         self._unitary = None
         self._symmetric = None
         self._phases = None
-        # per-object caches: current permutations by (current, tol) and the
-        # Theory of a tensor factor by tol
+        # caches: current permutations by current, the Theory of a factor
         self._perms = {}
-        self._theories = {}
+        self._theory = None
 
     @property
     def size(self) -> int:
@@ -176,15 +181,14 @@ class ModularData:
 
     def conjugation(self) -> np.ndarray:
         """Permutation a -> abar, read off from the rows of S
-        (`conjugation_from_rows`) and checked to 1e-6, factor-wise for
-        tensor products."""
+        (`conjugation_from_rows`), factor-wise for tensor products."""
         if self._conj is not None:
             return self._conj
         if self.factors is not None:
             self._conj = product_ids([f.conjugation() for f in self.factors],
                                      [f.size for f in self.factors])
         else:
-            self._conj = conjugation_from_rows(self, 1e-6)
+            self._conj = conjugation_from_rows(self)
         return self._conj
 
     def unitarity(self) -> float:
@@ -279,22 +283,22 @@ def match_rows(s: np.ndarray, image):
     return perm, _block_max(n, dev)
 
 
-def conjugation_from_rows(md: ModularData, tol: float) -> np.ndarray:
-    """Charge conjugation C of an atomic S, checked to `tol`.
+def conjugation_from_rows(md: ModularData) -> np.ndarray:
+    """Charge conjugation C of an atomic S, checked to S_TOL.
 
     For a unitary symmetric S, S^2 = C holds exactly when S = C conj(S),
     that is when row abar of S is the conjugate of row a. So C is found by
     matching each conjugated row (`match_rows`), behind the unitarity and
-    symmetry of S, and the check is |S - C conj(S)|max <= tol together
+    symmetry of S, and the check is |S - C conj(S)|max <= S_TOL together
     with C C = 1."""
     unitary, symmetric = md.unitarity(), md.symmetry()
-    if not (unitary <= tol and symmetric <= tol):  # NaN fails too
+    if not (unitary <= S_TOL and symmetric <= S_TOL):  # NaN fails too
         raise InvalidInputError(
             f"S is not unitary and symmetric (deviations {unitary:.2e}, "
             f"{symmetric:.2e}), so S^2 is no permutation"
         )
     perm, dev = match_rows(md.s_dense(), np.conj)
-    if not dev <= tol:
+    if not dev <= S_TOL:
         raise InvalidInputError(
             f"S is not C conj(S) for a permutation C (deviation {dev:.2e})"
         )
@@ -303,16 +307,16 @@ def conjugation_from_rows(md: ModularData, tol: float) -> np.ndarray:
     return perm
 
 
-def check_modular(md: ModularData, tol: float = 1e-9) -> dict:
-    """Deviations of the defining constraints; factor-wise for products.
+def check_modular(md: ModularData) -> dict:
+    """Deviations of the defining constraints, ok within MODULAR_TOL;
+    factor-wise for products.
 
     An atomic S takes two dense products, S S^dagger (`ModularData.unitarity`,
     shared with the current permutations) and S T S for the cube relation
     (`cube_deviation`), each over the entries on and above the diagonal.
-    The charge conjugation is read off from the rows of S
-    (`conjugation_from_rows`) and reports 0.0 or inf."""
+    The charge conjugation (`ModularData.conjugation`) reports 0.0 or inf."""
     if md.is_product:
-        reports = [check_modular(f, tol) for f in md.factors]
+        reports = [check_modular(f) for f in md.factors]
         worst = max(r["max_deviation"] for r in reports)
         return {
             "ok": all(r["ok"] for r in reports),
@@ -325,13 +329,9 @@ def check_modular(md: ModularData, tol: float = 1e-9) -> dict:
     checks["unitary"] = md.unitarity()
     checks["symmetric"] = md.symmetry()
     checks["st_cubed"] = cube_deviation(s, md.t_values(),
-                                        checks["symmetric"] <= tol)
+                                        checks["symmetric"] <= MODULAR_TOL)
     try:
-        # up to 1e-6 this is the check md.conjugation() makes and caches
-        if tol > 1e-6:
-            conjugation_from_rows(md, tol)
-        else:
-            md.conjugation()
+        md.conjugation()
         checks["charge_conjugation"] = 0.0
     except InvalidInputError:
         checks["charge_conjugation"] = float("inf")
@@ -339,7 +339,7 @@ def check_modular(md: ModularData, tol: float = 1e-9) -> dict:
     checks["vacuum_row_imag"] = float(np.abs(row.imag).max())
     checks["vacuum_row_positive"] = float(max(0.0, -row.real.min()))
     worst = max(checks.values())
-    return {"ok": worst <= tol, "max_deviation": worst, "checks": checks}
+    return {"ok": worst <= MODULAR_TOL, "max_deviation": worst, "checks": checks}
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +364,10 @@ def _verlinde(s: np.ndarray, fields, upper: bool = False):
         yield ints, float(np.abs(raw - ints).max())
 
 
-def fusion_matrix(md: ModularData, a: int, tol: float = 1e-6) -> np.ndarray:
+def fusion_matrix(md: ModularData, a: int) -> np.ndarray:
     """Integer matrix (N_a)_b^c from the S-matrix sum over the spectrum."""
     out, residual = next(_verlinde(md.s_dense(), [a]))
-    if not residual <= tol:  # NaN fails too
+    if not residual <= FUSION_TOL:  # NaN fails too
         raise FusionIntegralityError(
             f"fusion coefficients not integral (residual {residual:.2e})"
         )
@@ -376,23 +376,19 @@ def fusion_matrix(md: ModularData, a: int, tol: float = 1e-6) -> np.ndarray:
     return out.astype(np.int64)
 
 
-def fusion_tensor(md: ModularData, limit: int = 300, tol: float = 1e-6) -> np.ndarray:
+def fusion_tensor(md: ModularData, limit: int = FUSION_DENSE_LIMIT) -> np.ndarray:
     if md.size > limit:
         raise ResourceLimitError(
             f"{md.size} fields exceeds the dense fusion limit {limit}"
         )
-    return np.stack([fusion_matrix(md, a, tol) for a in range(md.size)])
+    return np.stack([fusion_matrix(md, a) for a in range(md.size)])
 
 
-def sampled_fusion_residual(
-    md: ModularData, n_samples: int, rng, tol: float = 1e-6
-) -> float:
-    """Max integrality residual over randomly sampled fusion rows.
-
-    Works off full S rows, so it stays cheap for factorized products.
-    """
+def sampled_fusion_residual(md: ModularData, n_samples: int, rng) -> float:
+    """Max integrality residual over randomly sampled fusion rows, NaN
+    propagating. Works off full S rows, so it stays cheap for products."""
     n = md.size
-    worst = 0.0
+    resids = []
     row0 = md.s_row(0)
     for _ in range(n_samples):
         a = rng.randrange(n)
@@ -404,13 +400,8 @@ def sampled_fusion_residual(
         else:
             # conj(S) @ vec without copying S: the same bits
             col = (md.s @ vec.conj()).conj()
-        resid = float(np.abs(col - np.rint(col.real)).max())
-        worst = max(worst, resid)
-        if not resid <= tol:  # NaN fails too, even against an infinite tol
-            raise FusionIntegralityError(
-                f"sampled fusion row ({a},{b}) residual {resid:.2e}"
-            )
-    return worst
+        resids.append(np.abs(col - np.rint(col.real)).max())
+    return float(np.max(resids, initial=0.0))
 
 
 def _product_matvec_conj(ps: ProductS, vec: np.ndarray) -> np.ndarray:

@@ -54,6 +54,7 @@ def common_denominator(qs) -> int:
 
 
 INT64_SAFE = 2 ** 58  # int64 sums of up to 32 values this size cannot overflow
+SNAP_TOL = 1e-6  # how far a phase may lie from the root of unity it snaps to
 
 
 def numerators(qs, den: int) -> np.ndarray:
@@ -74,10 +75,10 @@ def units(nums, den: int) -> np.ndarray:
     return table[inv.reshape(nums.shape)]
 
 
-def snap_phases(zs, order: int, tol: float = 1e-8) -> np.ndarray:
+def snap_phases(zs, order: int) -> np.ndarray:
     """Numerators n in [0, order) of the roots of unity exp(2 pi i n / order)
     nearest to each entry of `zs`, as int64 (Python ints for orders from
-    INT64_SAFE up), and -1 where an entry is not within `tol` of that root."""
+    INT64_SAFE up), and -1 where an entry lies farther than SNAP_TOL from it."""
     if order <= 0:
         raise ValueError("order must be positive")
     zs = np.asarray(zs, dtype=complex)
@@ -87,17 +88,17 @@ def snap_phases(zs, order: int, tol: float = 1e-8) -> np.ndarray:
         nums = near.astype(np.int64) % order
     else:
         nums = np.vectorize(int, otypes=[object])(near) % order
-    # |z - root| <= tol also bounds ||z| - 1| by tol
-    return np.where(np.abs(zs - units(nums, order)) <= tol, nums, -1)
+    # |z - root| <= SNAP_TOL also bounds ||z| - 1| by SNAP_TOL
+    return np.where(np.abs(zs - units(nums, order)) <= SNAP_TOL, nums, -1)
 
 
-def snap_phase(z: complex, order: int, tol: float = 1e-8) -> Fraction:
+def snap_phase(z: complex, order: int) -> Fraction:
     """Identify a unimodular complex number with the nearest root of unity
     of order dividing `order`, as an exact exponent (see `snap_phases`).
     """
-    n = int(snap_phases([z], order, tol)[0])
+    n = int(snap_phases([z], order)[0])
     if n < 0:
         raise PhaseSnapError(
-            f"z = {z!r} is not within {tol} of a root of unity of order {order}"
+            f"z = {z!r} is not within {SNAP_TOL} of a root of unity of order {order}"
         )
     return Fraction(n, order)

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidInputError, ResourceLimitError
-from .modular import ModularData, unitarity_deviation
+from .modular import GATE_TOL, ModularData, unitarity_deviation
 
 SUN_FIELD_LIMIT = 5000
 # work of the su(n) Weyl sum: n! permutations, each costing count^2 entries
@@ -146,7 +146,7 @@ def _sun_s_matrix(n: int, k: int, labels) -> np.ndarray:
     s = acc / math.sqrt(np.vdot(acc[0], acc[0]).real)
     s *= abs(s[0, 0]) / s[0, 0]
     dev = unitarity_deviation(s)
-    if dev > 1e-8:
+    if dev > GATE_TOL:
         raise InvalidInputError(f"Weyl sum gave a non-unitary S ({dev:.2e})")
     return s
 

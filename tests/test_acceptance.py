@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from fpres.currents import Theory
-from fpres.extend import extend, match_fields
+from fpres.extend import GRID_TOL, extend, match_fields
 from fpres.groups import (
     CocycleData,
     CosetPresentation,
@@ -27,7 +27,7 @@ from fpres.groups import (
     solve_congruence_system,
     span,
 )
-from fpres.modular import check_modular, fusion_matrix, tensor
+from fpres.modular import FUSION_TOL, check_modular, fusion_matrix, tensor
 from fpres.phases import norm1
 from fpres.validate import (
     TWIST_TABLE,
@@ -82,10 +82,11 @@ def test_su2_level4_extension_yields_z3_fusion_ring():
     t0 = time.perf_counter()
     ex = extend(Theory(su2(4)), [4])
     modularity = check_modular(ex.ext_md)
-    fusion = check_fusion_integrality(ex.ext_md, tol=1e-6)
+    fusion = check_fusion_integrality(ex.ext_md)
     mats = [fusion_matrix(ex.ext_md, a) for a in range(ex.n_ext)]
     elapsed = time.perf_counter() - t0
 
+    assert FUSION_TOL == 1e-6
     assert ex.n_ext == 3
     assert modularity["ok"] and modularity["max_deviation"] < 1e-9
     assert fusion["ok"] and fusion["max_residual"] < 1e-6
@@ -388,7 +389,8 @@ def test_one_step_extension_matches_two_step_resolution():
     assert check_modular(one.ext_md)["ok"]
     assert check_modular(two.ext_md)["ok"]
 
-    perm = match_fields(one.ext_md, two.ext_md, tol=1e-8)
+    assert GRID_TOL == 1e-8
+    perm = match_fields(one.ext_md, two.ext_md)
     assert sorted(perm.tolist()) == list(range(one.n_ext))
     assert np.abs(two.ext_md.s[perm][:, perm] - one.ext_md.s).max() < 1e-8
 

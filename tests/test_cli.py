@@ -314,3 +314,48 @@ def test_bad_bundle_pairs_are_usage_errors(extended_run, tmp_path, capsys,
     rc = main(argv)
     assert rc == 2
     assert f"document: {field} " in capsys.readouterr().err
+
+
+# --- --tolerance sets only the condition checks ---------------------------
+
+
+@pytest.mark.parametrize("command", ["extend", "validate"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_tolerance_must_be_finite_and_positive(tmp_path, capsys, command,
+                                               value):
+    src = tmp_path / "su24.json"
+    run(capsys, "generate", "su2", "--k", "4", "--out", str(src))
+    argv = [command, str(src), "--tolerance", value]
+    if command == "extend":
+        argv += ["--by", "4", "--out", str(tmp_path / "ext")]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "--tolerance" in capsys.readouterr().err
+    assert not (tmp_path / "ext").exists()
+
+
+def test_currents_takes_no_tolerance(tmp_path, capsys):
+    src = tmp_path / "su24.json"
+    run(capsys, "generate", "su2", "--k", "4", "--out", str(src))
+    with pytest.raises(SystemExit) as err:
+        main(["currents", str(src), "--tolerance", "1e-6"])
+    assert err.value.code == 2
+
+
+def test_a_loose_tolerance_leaves_the_extension_unchanged(extended_run,
+                                                          tmp_path, capsys):
+    """--tolerance 0.5 would have detected every su2_4 x su2_4 field as a
+    current; it now sets the condition checks and nothing else."""
+    default = extended_run[0].parent
+    loose = tmp_path / "loose"
+    rc, _ = run(capsys, "extend", str(tmp_path / "pair.json"), "--by",
+                "[4, 4]", "--tolerance", "0.5", "--out", str(loose))
+    assert rc == 0
+    written = sorted(p.name for p in default.glob("*.json")
+                     if p.name not in ("report.json", "manifest.json"))
+    assert "extended.json" in written and len(written) > 1
+    for name in written:
+        assert (loose / name).read_bytes() == (default / name).read_bytes()
+    report = json.loads((loose / "report.json").read_text())
+    assert report["conditions"]["tolerance"] == 0.5

@@ -15,7 +15,7 @@ from fpres.currents import Theory
 from fpres.extend import extend
 from fpres.groups import MultGroup
 from fpres.modular import ModularData, ProductS, tensor
-from fpres.phases import norm1, snap_phase, unit
+from fpres.phases import SNAP_TOL, norm1, snap_phase, unit
 from fpres.wzw import ising, su2, sun
 
 
@@ -48,7 +48,8 @@ def ref_twist(th, a, k, j, snap_order):
     phases = np.array([unit(-ref_charge(th, k, c)) for c in b.fields])
     mask = np.abs(row_a) > 1e-6
     ratios = row_ka[mask] * phases[mask] / row_a[mask]
-    return snap_phase(ratios.mean(), snap_order, tol=1e-6)
+    assert SNAP_TOL == 1e-6
+    return snap_phase(ratios.mean(), snap_order)
 
 
 def dense_su2_cubed():

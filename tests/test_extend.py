@@ -7,7 +7,7 @@ import pytest
 
 from fpres.currents import Theory
 from fpres.errors import InvalidInputError, ResolutionError
-from fpres.extend import extend, match_fields
+from fpres.extend import GRID_TOL, extend, match_fields
 from fpres.modular import check_modular, fusion_matrix, tensor
 from fpres.phases import norm1, principal_root_exp
 from fpres.wzw import ising, su2, sun
@@ -300,7 +300,8 @@ def test_su5_pair_two_step_matches_one_step():
     assert ex_one.n_ext == 100
     assert check_modular(ex_one.ext_md)["ok"]
 
-    perm = match_fields(ex_one.ext_md, ex2.ext_md, tol=1e-8)
+    assert GRID_TOL == 1e-8
+    perm = match_fields(ex_one.ext_md, ex2.ext_md)
     s1 = ex_one.ext_md.s
     s2 = ex2.ext_md.s
     assert np.abs(s2[perm][:, perm] - s1).max() < 1e-8
@@ -339,6 +340,45 @@ def test_sigma_pair_other_class_has_empty_support():
         if c.order > 1 and md.labels[c.rep] == ("1", "psi", 0)
     )
     assert ex.resolve(cls).bundle.fields == ()
+
+
+def pi_maps_of_diagonal_su24(monkeypatch, k, seed):
+    """Every `_pi_map` call resolving the diagonal extension of su2_4^k, as
+    (orbit representative label, k_a, cbar label, the map)."""
+    from fpres.extend import Extension
+
+    md = tensor(*(su2(4) for _ in range(k)))
+    calls = []
+    real = Extension._pi_map
+
+    def spy(self, o, k_a, cbar):
+        pi = real(self, o, k_a, cbar)
+        calls.append((md.labels[o.rep], k_a, md.labels[cbar], pi))
+        return pi
+
+    monkeypatch.setattr(Extension, "_pi_map", spy)
+    ex = extend(Theory(md), [md.index((4,) * k)], convention_seed=seed)
+    for cls in ex.residual_classes():
+        if cls.order > 1:
+            ex.resolve(cls)
+    return calls
+
+
+SWAP = {(0,): (1,), (1,): (0,)}
+
+
+@pytest.mark.parametrize("k, seed, calls, swaps", [
+    (3, None, 24, 3), (3, 0, 24, 3), (3, 1, 24, 3), (3, 2, 24, 3),
+    (3, 5, 24, 3), (5, None, 1170, 15),
+])
+def test_pi_map_swaps_the_characters_of_the_all_twos_orbit(monkeypatch, k,
+                                                           seed, calls, swaps):
+    """The eta of the self-conjugate orbit of (2, ..., 2) relabels its two
+    stabilizer characters; every other orbit keeps them."""
+    got = pi_maps_of_diagonal_su24(monkeypatch, k, seed)
+    assert len(got) == calls
+    moved = [c for c in got if any(a != b for a, b in c[3].items())]
+    assert moved == [((2,) * k, 0, (2,) * k, SWAP)] * swaps
 
 
 # --- convention independence --------------------------------------------

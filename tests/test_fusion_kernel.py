@@ -154,8 +154,7 @@ def test_every_path_counts_the_imaginary_part():
     assert dense["max_residual"] == pytest.approx(complex_residual, abs=1e-14)
     with pytest.raises(FusionIntegralityError):
         fusion_matrix(md, 1)
-    sampled = sampled_fusion_residual(md, 40, random.Random(0),
-                                      tol=float("inf"))
+    sampled = sampled_fusion_residual(md, 40, random.Random(0))
     assert 1e-4 < sampled <= complex_residual + 1e-14
 
 
@@ -183,8 +182,7 @@ def test_nan_fails_the_sampled_scan():
     assert rep["mode"] == "sampled"
     assert not rep["ok"]
     assert math.isnan(rep["max_residual"])
-    with pytest.raises(FusionIntegralityError):
-        sampled_fusion_residual(lazy, 60, random.Random(0), tol=float("inf"))
+    assert math.isnan(sampled_fusion_residual(lazy, 60, random.Random(0)))
 
 
 def test_nan_fails_fusion_matrix():

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from fpres import modular
-from fpres.errors import FusionIntegralityError, InvalidInputError
+from fpres.errors import InvalidInputError
 from fpres.modular import (
+    FUSION_TOL,
     ModularData,
     ProductS,
     _product_matvec_conj,
@@ -228,8 +229,7 @@ def test_sampled_fusion_residual():
 def test_sampled_fusion_detects_corruption():
     md = su2(3)
     bad = ModularData(md.labels, md.h, md.c, md.s + 0.01, name="bad")
-    with pytest.raises(FusionIntegralityError):
-        sampled_fusion_residual(bad, 50, random.Random(1))
+    assert sampled_fusion_residual(bad, 50, random.Random(1)) > FUSION_TOL
 
 
 def test_document_roundtrip_dense(tmp_path):

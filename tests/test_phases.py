@@ -7,9 +7,13 @@ import numpy as np
 import pytest
 
 from fpres.errors import PhaseSnapError
-from fpres.phases import INT64_SAFE, snap_phase, snap_phases, unit
+from fpres.phases import INT64_SAFE, SNAP_TOL, snap_phase, snap_phases, unit
 
 TOL = 1e-6
+
+
+def test_snap_tolerance_is_pinned():
+    assert SNAP_TOL == TOL
 
 
 def shifted_roots(order):
@@ -24,10 +28,10 @@ def shifted_roots(order):
 @pytest.mark.parametrize("order", range(1, 49))
 def test_scalar_and_array_snap_agree_on_shifted_roots(order):
     nums, zs = zip(*shifted_roots(order))
-    got = snap_phases(np.array(zs), order, tol=TOL)
+    got = snap_phases(np.array(zs), order)
     assert got.dtype == np.int64
     assert got.tolist() == list(nums)
-    assert [snap_phase(z, order, tol=TOL) for z in zs] == [
+    assert [snap_phase(z, order) for z in zs] == [
         Fraction(n, order) for n in nums
     ]
 
@@ -43,10 +47,10 @@ def test_off_circle_and_midway_points_fail_both_forms(order):
         unit(Fraction(1, 2 * order)),                # midway between roots
         unit(Fraction(2 * order - 1, 2 * order)),
     ]
-    assert snap_phases(np.array(bad), order, tol=TOL).tolist() == [-1] * len(bad)
+    assert snap_phases(np.array(bad), order).tolist() == [-1] * len(bad)
     for z in bad:
         with pytest.raises(PhaseSnapError):
-            snap_phase(z, order, tol=TOL)
+            snap_phase(z, order)
 
 
 def test_orders_beyond_int64_keep_exact_numerators():

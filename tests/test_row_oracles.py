@@ -61,9 +61,9 @@ def match_spy(monkeypatch):
     matched = []
     real = currents._match_rows
 
-    def recording(md, j, tol):
+    def recording(md, j):
         matched.append(j)
-        return real(md, j, tol)
+        return real(md, j)
 
     monkeypatch.setattr(currents, "_match_rows", recording)
     return matched
@@ -86,7 +86,7 @@ def test_composed_perms_match_one_row_match_per_current(name):
     assert list(th.perms) == ids
     oracle = fresh(md)
     for j in ids:
-        assert np.array_equal(th.perms[j], currents._match_rows(oracle, j, 1e-6))
+        assert np.array_equal(th.perms[j], currents._match_rows(oracle, j))
 
 
 @pytest.mark.parametrize("name, gens, orders", [
