@@ -113,7 +113,7 @@ def solve_1x1_bundle(t_exponent: Fraction):
 
 def detect_simple_currents(md: ModularData):
     """Field ids whose vacuum S-column has vacuum magnitude, within S_TOL."""
-    if md.factors is not None:
+    if md.is_product:
         parts = [detect_simple_currents(f) for f in md.factors]
         return sorted(product_ids(parts, [f.size for f in md.factors]).tolist())
     col = np.abs(md.s_block(range(md.size), [0]).ravel())
@@ -134,7 +134,7 @@ def current_permutation(md: ModularData, j: int) -> np.ndarray:
     Permutations of atomic theories are cached on their ModularData, so a
     product computes each factor permutation once. `current_permutations`
     matches only a generating set."""
-    if md.factors is not None:
+    if md.is_product:
         sizes = [f.size for f in md.factors]
         ji = np.unravel_index(j, sizes)
         parts = [current_permutation(f, int(jf)) for f, jf in zip(md.factors, ji)]
@@ -156,7 +156,7 @@ def current_permutations(md: ModularData, ids) -> dict:
     perm[J1 J2] = perm[J1][perm[J2]] with J1 J2 = perm[J1][J2]: the row
     ratios multiply, lambda_{J1 J2} = lambda_{J1} lambda_{J2}, so this is
     the action the row match of J1 J2 would verify."""
-    if md.factors is not None:
+    if md.is_product:
         return {j: current_permutation(md, j) for j in ids}
     perms, gens = {}, []
     for j in ids:
@@ -233,9 +233,6 @@ class Theory:
 
     # --- current basics
 
-    def current_h(self, j: int) -> Fraction:
-        return self.md.h[j]
-
     def current_order(self, j: int) -> int:
         return self.center.order_of(j)
 
@@ -256,13 +253,6 @@ class Theory:
     def charge_exponent(self, j: int, a: int) -> Fraction:
         """Monodromy of the current around a field, exact mod 1."""
         return Fraction(int(self.charges(j)[a]), self.den)
-
-    def is_local(self, j: int, a: int) -> bool:
-        return bool(self.charges(j)[a] == 0)
-
-    def integer_spin_currents(self, members=None):
-        members = self.center.elements if members is None else members
-        return tuple(j for j in members if self._hn[j] == 0)
 
     def subgroup(self, gens):
         for g in gens:
@@ -296,7 +286,7 @@ class Theory:
         if j == 0:
             raise InvalidInputError("the identity current has no bundle; use S")
         fixed = [int(a) for a in self.fixed_fields(j)]
-        if self.md.factors is not None:
+        if self.md.is_product:
             b = self._product_bundle(j, fixed)
         elif len(fixed) == 0:
             b = FixedPointBundle(j, (), np.zeros((0, 0), dtype=complex),
@@ -355,9 +345,6 @@ class Theory:
         if isinstance(b, ProductBundle):
             return b.kron.block(ri, ci)
         return b.matrix[np.ix_(ri, ci)]
-
-    def bundle_entry(self, j: int, a: int, b: int) -> complex:
-        return self.bundle_block(j, [a], [b])[0, 0]
 
     def eta_value(self, j: int, a: int) -> complex:
         b = self.bundle(j)

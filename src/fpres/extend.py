@@ -148,10 +148,6 @@ class Extension:
         for o in orbits:
             for m in o.members:
                 self._orbit_of[m] = o
-        self._ext_info = {}
-        for o in orbits:
-            for i, lab in zip(o.ext_ids, o.char_labels):
-                self._ext_info[i] = (o, lab)
 
     def orbit_of(self, base_field: int) -> OrbitData:
         try:
@@ -160,9 +156,6 @@ class Extension:
             raise InvalidInputError(
                 f"field {base_field} is charged under the subgroup"
             ) from None
-
-    def ext_field(self, ext_id: int):
-        return self._ext_info[ext_id]
 
     def _build_extended_md(self):
         md = self.theory.md

@@ -182,9 +182,6 @@ class MultGroup:
             row = row * n + i % n
         return Fraction(int(table[row, col[x]]), e)
 
-    def char_value(self, label, x) -> complex:
-        return unit(self.char_exponent(label, x))
-
 
 def decompose(orders) -> MultGroup:
     """Z_{N_1} x ... x Z_{N_r} over int tuples, added componentwise."""

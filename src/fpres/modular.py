@@ -1,8 +1,10 @@
 """Modular data containers: S and T matrices, fusion, tensor products.
 
 A theory is a list of field labels with exact rational conformal weights,
-an exact rational central charge and a unitary symmetric S matrix. Large
-tensor products keep S in factorized form and materialize blocks on demand.
+an exact rational central charge and a unitary symmetric S matrix. A
+tensor product keeps S in factorized form (`ProductS`) and materializes
+blocks and rows on demand; only `ProductS.to_dense` forms the dense S, on
+request and within DENSE_LIMIT.
 """
 from __future__ import annotations
 
@@ -96,7 +98,7 @@ class ModularData:
     labels: tuple
     h: tuple
     c: Fraction
-    s: object            # np.ndarray or ProductS
+    s: object            # np.ndarray, or ProductS for tensor products
     name: str = ""
     factors: tuple = None  # factor ModularData for tensor products
 
@@ -131,7 +133,7 @@ class ModularData:
 
     @property
     def is_product(self) -> bool:
-        return isinstance(self.s, ProductS)
+        return self.factors is not None
 
     def index(self, label) -> int:
         try:
@@ -161,9 +163,6 @@ class ModularData:
 
     # --- S access, uniform over dense and factorized storage
 
-    def s_entry(self, a: int, b: int) -> complex:
-        return self.s_block([a], [b])[0, 0]
-
     def s_row(self, a: int) -> np.ndarray:
         if self.is_product:
             return self.s.row(a)
@@ -184,7 +183,7 @@ class ModularData:
         (`conjugation_from_rows`), factor-wise for tensor products."""
         if self._conj is not None:
             return self._conj
-        if self.factors is not None:
+        if self.is_product:
             self._conj = product_ids([f.conjugation() for f in self.factors],
                                      [f.size for f in self.factors])
         else:
@@ -206,7 +205,7 @@ class ModularData:
         return self._symmetric
 
     def atomic_factors(self):
-        return self.factors if self.factors is not None else (self,)
+        return self.factors if self.is_product else (self,)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +308,8 @@ def conjugation_from_rows(md: ModularData) -> np.ndarray:
 
 def check_modular(md: ModularData) -> dict:
     """Deviations of the defining constraints, ok within MODULAR_TOL;
-    factor-wise for products.
+    factor-wise for products. A NaN deviation propagates into
+    `max_deviation` and fails.
 
     An atomic S takes two dense products, S S^dagger (`ModularData.unitarity`,
     shared with the current permutations) and S T S for the cube relation
@@ -317,7 +317,7 @@ def check_modular(md: ModularData) -> dict:
     The charge conjugation (`ModularData.conjugation`) reports 0.0 or inf."""
     if md.is_product:
         reports = [check_modular(f) for f in md.factors]
-        worst = max(r["max_deviation"] for r in reports)
+        worst = float(np.max([r["max_deviation"] for r in reports]))
         return {
             "ok": all(r["ok"] for r in reports),
             "max_deviation": worst,
@@ -338,7 +338,7 @@ def check_modular(md: ModularData) -> dict:
     row = s[0]
     checks["vacuum_row_imag"] = float(np.abs(row.imag).max())
     checks["vacuum_row_positive"] = float(max(0.0, -row.real.min()))
-    worst = max(checks.values())
+    worst = float(np.max(list(checks.values())))
     return {"ok": worst <= MODULAR_TOL, "max_deviation": worst, "checks": checks}
 
 
@@ -366,7 +366,12 @@ def _verlinde(s: np.ndarray, fields, upper: bool = False):
 
 def fusion_matrix(md: ModularData, a: int) -> np.ndarray:
     """Integer matrix (N_a)_b^c from the S-matrix sum over the spectrum."""
-    out, residual = next(_verlinde(md.s_dense(), [a]))
+    return _fusion_ints(*next(_verlinde(md.s_dense(), [a])))
+
+
+def _fusion_ints(out: np.ndarray, residual: float) -> np.ndarray:
+    """One `_verlinde` row as int64, raising on a residual above FUSION_TOL
+    or a negative coefficient."""
     if not residual <= FUSION_TOL:  # NaN fails too
         raise FusionIntegralityError(
             f"fusion coefficients not integral (residual {residual:.2e})"
@@ -377,11 +382,13 @@ def fusion_matrix(md: ModularData, a: int) -> np.ndarray:
 
 
 def fusion_tensor(md: ModularData, limit: int = FUSION_DENSE_LIMIT) -> np.ndarray:
+    """Every fusion matrix, `fusion_matrix` row by row over one dense S."""
     if md.size > limit:
         raise ResourceLimitError(
             f"{md.size} fields exceeds the dense fusion limit {limit}"
         )
-    return np.stack([fusion_matrix(md, a) for a in range(md.size)])
+    return np.stack([_fusion_ints(*row)
+                     for row in _verlinde(md.s_dense(), range(md.size))])
 
 
 def sampled_fusion_residual(md: ModularData, n_samples: int, rng) -> float:
@@ -418,7 +425,9 @@ def _product_matvec_conj(ps: ProductS, vec: np.ndarray) -> np.ndarray:
 # tensor products
 
 
-def tensor(*mds: ModularData, dense_limit: int = DENSE_LIMIT, name: str = "") -> ModularData:
+def tensor(*mds: ModularData, name: str = "") -> ModularData:
+    """The product of `mds` over their atomic factors, with its S kept as a
+    `ProductS` of the factor S matrices."""
     if len(mds) < 1:
         raise InvalidInputError("tensor needs at least one factor")
     factors = []
@@ -426,7 +435,6 @@ def tensor(*mds: ModularData, dense_limit: int = DENSE_LIMIT, name: str = "") ->
         factors.extend(md.atomic_factors())
     if any(isinstance(f.s, ProductS) for f in factors):
         raise InvalidInputError("atomic factors must carry dense S matrices")
-    mats = [f.s for f in factors]
     labels = tuple(
         tuple(x) for x in itertools.product(*(f.labels for f in factors))
     )
@@ -439,15 +447,10 @@ def tensor(*mds: ModularData, dense_limit: int = DENSE_LIMIT, name: str = "") ->
     distinct = [Fraction(int(v), den) for v in vals]
     h = tuple(distinct[i] for i in inv.tolist())
     c = sum((f.c for f in factors), Fraction(0))
-    n = len(labels)
     if not name:
         name = " x ".join(f.name or "?" for f in factors)
-    if n * n <= dense_limit:
-        s = mats[0]
-        for m in mats[1:]:
-            s = np.kron(s, m)
-        return ModularData(labels, h, c, s, name=name, factors=tuple(factors))
-    return ModularData(labels, h, c, ProductS(mats), name=name, factors=tuple(factors))
+    return ModularData(labels, h, c, ProductS([f.s for f in factors]),
+                       name=name, factors=tuple(factors))
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +609,7 @@ def array_document(md: ModularData) -> dict:
     """The "modular-data v1" document of `md` with its S as an array leaf
     (see `complex_pairs`); `save` writes it, `to_document` lists it."""
     # keep the factor structure, it drives bundle construction downstream
-    if md.factors is not None:
+    if md.is_product:
         return {
             "format": "modular-data v1",
             "name": md.name,

@@ -19,8 +19,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import PhaseSnapError
-
 
 def norm1(q: Fraction) -> Fraction:
     """Reduce an exponent mod 1 into [0, 1)."""
@@ -90,15 +88,3 @@ def snap_phases(zs, order: int) -> np.ndarray:
         nums = np.vectorize(int, otypes=[object])(near) % order
     # |z - root| <= SNAP_TOL also bounds ||z| - 1| by SNAP_TOL
     return np.where(np.abs(zs - units(nums, order)) <= SNAP_TOL, nums, -1)
-
-
-def snap_phase(z: complex, order: int) -> Fraction:
-    """Identify a unimodular complex number with the nearest root of unity
-    of order dividing `order`, as an exact exponent (see `snap_phases`).
-    """
-    n = int(snap_phases([z], order)[0])
-    if n < 0:
-        raise PhaseSnapError(
-            f"z = {z!r} is not within {SNAP_TOL} of a root of unity of order {order}"
-        )
-    return Fraction(n, order)

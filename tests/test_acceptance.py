@@ -380,7 +380,7 @@ def test_one_step_extension_matches_two_step_resolution():
     gen = next(
         e
         for e in th2.center.elements
-        if e and left in ex1.ext_field(e)[0].members
+        if e and left in next(o for o in ex1.orbits if e in o.ext_ids).members
     )
     two = extend(th2, [gen])
 

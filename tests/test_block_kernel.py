@@ -48,16 +48,17 @@ def oracle_extended_s(ex):
     for oa in rest:
         for ob in rest:
             common = sorted(set(oa.unt) & set(ob.unt))
-            vals = {j: th.bundle_entry(j, oa.rep, ob.rep) for j in common}
+            vals = {j: th.bundle_block(j, [oa.rep], [ob.rep])[0, 0]
+                    for j in common}
             for i, li in zip(oa.ext_ids, oa.char_labels):
                 for jj, lj in zip(ob.ext_ids, ob.char_labels):
                     acc = 0.0 + 0.0j
                     for j in common:
-                        acc += (oa.ugroup.char_value(li, j) * vals[j]
-                                * np.conj(ob.ugroup.char_value(lj, j)))
+                        acc += (unit(oa.ugroup.char_exponent(li, j)) * vals[j]
+                                * np.conj(unit(ob.ugroup.char_exponent(lj, j))))
                     s[i, jj] = _prefactor(ex, oa, ob) * acc
         for o in free:
-            v = md.s_entry(oa.rep, o.rep) * _prefactor(ex, oa, o)
+            v = md.s_block([oa.rep], [o.rep])[0, 0] * _prefactor(ex, oa, o)
             for i in oa.ext_ids:
                 s[i, o.ext_ids[0]] = s[o.ext_ids[0], i] = v
     return s
@@ -100,7 +101,7 @@ def _pair_block(ex, cls, oa, ob, r_assign, phis):
         return out
     rab = min(cands)
     common = sorted(set(oa.unt) & set(ob.unt))
-    vals = {j: th.bundle_entry(th.center.mul(rab, j), oa.rep, ob.rep)
+    vals = {j: th.bundle_block(th.center.mul(rab, j), [oa.rep], [ob.rep])[0, 0]
             for j in common}
     shift_a = th.center.mul(rab, th.center.inverse(r_assign[oa.rep]))
     shift_b = th.center.mul(rab, th.center.inverse(r_assign[ob.rep]))
@@ -111,8 +112,8 @@ def _pair_block(ex, cls, oa, ob, r_assign, phis):
         for q, lj in enumerate(ob.char_labels):
             acc = 0.0 + 0.0j
             for j in common:
-                acc += (oa.ugroup.char_value(li, j) * vals[j]
-                        * np.conj(ob.ugroup.char_value(lj, j)))
+                acc += (unit(oa.ugroup.char_exponent(li, j)) * vals[j]
+                        * np.conj(unit(ob.ugroup.char_exponent(lj, j))))
             dress_b = unit(phis[ob.index][lj]
                            + ob.ugroup.char_exponent(lj, shift_b))
             out[p, q] = (_prefactor(ex, oa, ob) * acc * dress_a

@@ -42,10 +42,10 @@ def test_su2_4_current_action():
     j = 4
     assert th.current_order(j) == 2
     assert [th.apply(j, a) for a in range(5)] == [4, 3, 2, 1, 0]
-    assert th.current_h(j) == Fraction(1)
+    assert th.md.h[j] == Fraction(1)
     charges = [th.charge_exponent(j, a) for a in range(5)]
     assert charges == [0, Fraction(1, 2), 0, Fraction(1, 2), 0]
-    assert [a for a in range(5) if th.is_local(j, a)] == [0, 2, 4]
+    assert [a for a in range(5) if th.charges(j)[a] == 0] == [0, 2, 4]
 
 
 def test_su5_center_is_z5():
@@ -101,7 +101,7 @@ def test_self_twist_is_current_spin(k):
     a = k // 2
     f = th.twist_value(a, k, k)
     assert f == pytest.approx((-1) ** (k // 2))
-    assert th.twist_exponent(a, k, k) == norm1(th.current_h(k))
+    assert th.twist_exponent(a, k, k) == norm1(th.md.h[k])
 
 
 def test_ising_self_twist():
@@ -116,7 +116,7 @@ def test_product_center_and_integer_spin_filter():
     md = tensor(su2(2), su2(2))
     th = Theory(md)
     assert th.center.elements == (0, 2, 6, 8)
-    assert th.integer_spin_currents() == (0, 8)
+    assert [j for j in th.center.elements if md.h[j].denominator == 1] == [0, 8]
 
 
 def test_product_bundle_kron():

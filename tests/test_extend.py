@@ -85,7 +85,7 @@ def test_su24_extension_report():
 
 def test_vacuum_orbit_comes_first():
     for ex in (su2_ext4(), triple_su2()):
-        orbit, char = ex.ext_field(0)
+        orbit = next(o for o in ex.orbits if 0 in o.ext_ids)
         assert 0 in orbit.members
         assert orbit.rep == 0
 
@@ -325,7 +325,8 @@ def test_sigma_pair_eta_is_minus_one():
     b = res.bundle
     assert len(b.fields) == 4
     sig = md.labels.index(("sigma", "sigma", 2))
-    idx = [i for i, x in enumerate(b.fields) if ex.ext_field(x)[0].rep == sig]
+    idx = [i for i, x in enumerate(b.fields)
+           if next(o for o in ex.orbits if x in o.ext_ids).rep == sig]
     assert len(idx) == 2
     assert np.abs(b.eta[idx] - (-1.0)).max() < 1e-12
     assert res.eta_deviation < 1e-12

@@ -19,7 +19,7 @@ import pytest
 from fpres.currents import Theory
 from fpres.errors import FusionIntegralityError
 from fpres.extend import extend
-from fpres.modular import (ModularData, fusion_matrix, fusion_tensor,
+from fpres.modular import (ModularData, ProductS, fusion_matrix, fusion_tensor,
                            sampled_fusion_residual, tensor)
 from fpres.phases import unit, units
 from fpres.validate import check_fusion_integrality
@@ -140,6 +140,22 @@ def test_fusion_tensor_matches_the_verlinde_sum():
         assert np.array_equal(fusion_tensor(md), np.rint(n.real))
 
 
+def test_fusion_tensor_forms_a_product_s_once(monkeypatch):
+    formed = []
+    to_dense = ProductS.to_dense
+
+    def counting(self):
+        formed.append(self.size)
+        return to_dense(self)
+
+    monkeypatch.setattr(ProductS, "to_dense", counting)
+    a, b = su2(2), su2(3)
+    tables = fusion_tensor(tensor(a, b))
+    assert formed == [12]
+    n = verlinde_tensor(np.kron(a.s, b.s))
+    assert np.array_equal(tables, np.rint(n.real))
+
+
 # --- one residual definition ----------------------------------------------
 
 
@@ -177,7 +193,7 @@ def test_nan_fails_the_dense_scan():
 
 
 def test_nan_fails_the_sampled_scan():
-    lazy = tensor(su2(4), nan_su24(), su2(4), su2(4), dense_limit=1)
+    lazy = tensor(su2(4), nan_su24(), su2(4), su2(4))
     rep = check_fusion_integrality(lazy)
     assert rep["mode"] == "sampled"
     assert not rep["ok"]

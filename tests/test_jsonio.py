@@ -110,8 +110,7 @@ DOCUMENTS = {
     "su2_4": lambda: array_document(su2(4)),
     "ising": lambda: array_document(ising()),
     "su2_2 x ising": lambda: array_document(tensor(su2(2), ising())),
-    "factorized product": lambda: array_document(
-        tensor(su2(2), su2(5), dense_limit=1)),
+    "factorized product": lambda: array_document(tensor(su2(2), su2(5))),
     "su2_4^4 diagonal extension": lambda: array_document(_su2x4_diagonal().ext_md),
     "bundle with eta": lambda: _bundle_docs()[0],
     "bundle without eta": lambda: _bundle_docs()[1],

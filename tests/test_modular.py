@@ -29,9 +29,9 @@ def test_su2_4_frozen_entries():
     assert md.size == 5
     assert md.c == Fraction(2)
     assert md.h == (0, Fraction(1, 8), Fraction(1, 3), Fraction(5, 8), Fraction(1))
-    assert md.s_entry(0, 0) == pytest.approx(1 / (2 * math.sqrt(3)))
-    assert md.s_entry(0, 2) == pytest.approx(1 / math.sqrt(3))
-    assert md.s_entry(2, 2) == pytest.approx(-1 / math.sqrt(3))
+    assert md.s_block([0], [0])[0, 0] == pytest.approx(1 / (2 * math.sqrt(3)))
+    assert md.s_block([0], [2])[0, 0] == pytest.approx(1 / math.sqrt(3))
+    assert md.s_block([2], [2])[0, 0] == pytest.approx(-1 / math.sqrt(3))
 
 
 def test_t_phase_uses_central_charge():
@@ -118,17 +118,16 @@ def test_tensor_flattens_nested_products():
 
 def test_product_s_matches_dense():
     a, b = su2(3), ising()
-    dense = tensor(a, b)
-    lazy = tensor(a, b, dense_limit=1)
+    lazy = tensor(a, b)
     assert isinstance(lazy.s, ProductS)
-    full = dense.s
+    full = np.kron(a.s, b.s)
     assert np.allclose(lazy.s.to_dense(), full, atol=1e-12)
     rows = [0, 3, 7, 11]
     cols = [1, 2, 5]
     assert np.allclose(lazy.s_block(rows, cols), full[np.ix_(rows, cols)], atol=1e-12)
     assert np.allclose(lazy.s_row(5), full[5], atol=1e-12)
-    assert lazy.s_entry(3, 8) == pytest.approx(full[3, 8])
-    assert np.array_equal(lazy.conjugation(), dense.conjugation())
+    assert lazy.s_block([3], [8])[0, 0] == pytest.approx(full[3, 8])
+    assert np.array_equal(lazy.conjugation(), conjugation_from_square(full))
     vec = np.arange(lazy.size, dtype=complex)
     assert np.allclose(
         _product_matvec_conj(lazy.s, vec), full.conj() @ vec, atol=1e-10
@@ -136,10 +135,9 @@ def test_product_s_matches_dense():
 
 
 LAZY_PRODUCTS = {
-    "su3_3^2": lambda: tensor(sun(3, 3), sun(3, 3), dense_limit=1),
-    "su3_3-su4_2": lambda: tensor(sun(3, 3), sun(4, 2), dense_limit=1),
-    "su3_3-ising-su3_2": lambda: tensor(sun(3, 3), ising(), sun(3, 2),
-                                        dense_limit=1),
+    "su3_3^2": lambda: tensor(sun(3, 3), sun(3, 3)),
+    "su3_3-su4_2": lambda: tensor(sun(3, 3), sun(4, 2)),
+    "su3_3-ising-su3_2": lambda: tensor(sun(3, 3), ising(), sun(3, 2)),
 }
 
 
@@ -158,17 +156,30 @@ def test_lazy_product_blocks_equal_dense_bitwise(name):
                               dense[np.ix_(rows, cols)].view(np.uint64))
     for _ in range(200):
         a, b = rng.randrange(md.size), rng.randrange(md.size)
-        assert np.array_equal(np.array([md.s_entry(a, b)]).view(np.uint64),
+        assert np.array_equal(md.s_block([a], [b])[0].view(np.uint64),
                               dense[a, b:b + 1].view(np.uint64))
         assert np.array_equal(md.s_row(a).view(np.uint64),
                               dense[a].view(np.uint64))
 
 
 def test_check_modular_product_report():
-    lazy = tensor(su2(2), su2(3), dense_limit=1)
+    lazy = tensor(su2(2), su2(3))
     rep = check_modular(lazy)
     assert rep["ok"]
     assert len(rep["factors"]) == 2
+
+
+def test_check_modular_product_keeps_a_nan():
+    # the NaN factor is not first, so a max that drops NaN reads the other
+    # factors' round-off instead
+    md = su2(4)
+    s = md.s.copy()
+    s[1, 2] = complex(float("nan"), 0)
+    bad = ModularData(md.labels, md.h, md.c, s, name="su2_4 with a NaN")
+    rep = check_modular(tensor(su2(4), bad, su2(4), su2(4), su2(4)))
+    assert math.isnan(rep["factors"][1]["max_deviation"])
+    assert math.isnan(rep["max_deviation"])
+    assert rep["ok"] is False
 
 
 def row_match_spy(monkeypatch):
@@ -212,8 +223,8 @@ def test_check_modular_flags_wrong_c_and_corrupted_s(fault):
 
 def test_dense_product_conjugation_is_factor_wise(monkeypatch):
     md = tensor(su2(4), su2(4), su2(4), su2(4))
-    assert not md.is_product and md.factors is not None
-    expect = conjugation_from_square(md.s)
+    assert md.is_product
+    expect = conjugation_from_square(md.s_dense())
     matched = row_match_spy(monkeypatch)
     fresh = tensor(su2(4), su2(4), su2(4), su2(4))
     assert np.array_equal(fresh.conjugation(), expect)
@@ -221,7 +232,7 @@ def test_dense_product_conjugation_is_factor_wise(monkeypatch):
 
 
 def test_sampled_fusion_residual():
-    lazy = tensor(su2(3), su2(4), dense_limit=1)
+    lazy = tensor(su2(3), su2(4))
     worst = sampled_fusion_residual(lazy, 20, random.Random(0))
     assert worst < 1e-9
 
@@ -238,11 +249,11 @@ def test_document_roundtrip_dense(tmp_path):
     assert back.labels == md.labels
     assert back.h == md.h
     assert back.c == md.c
-    assert np.allclose(back.s, md.s, atol=0)
+    assert np.allclose(back.s_dense(), np.kron(su2(2).s, ising().s), atol=0)
 
 
 def test_document_roundtrip_product():
-    lazy = tensor(su2(2), su2(5), dense_limit=1)
+    lazy = tensor(su2(2), su2(5))
     doc = to_document(lazy)
     assert "product" in doc
     back = from_document(doc)

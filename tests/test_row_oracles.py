@@ -122,7 +122,7 @@ def dense_deviations(s, t):
 
 
 def perturbed_su2x4():
-    s = tensor(*(su2(4) for _ in range(4))).s.copy()
+    s = tensor(*(su2(4) for _ in range(4))).s_dense().copy()
     s[600, 3] += 1e-3  # below the diagonal, in the last row block
     return s
 
@@ -134,7 +134,7 @@ def test_blocked_reductions_match_the_dense_formulas(case):
         s, t = md.s, md.t_values()
     else:
         md = tensor(*(su2(4) for _ in range(4)))
-        s = md.s if case == "su2x4" else perturbed_su2x4()
+        s = md.s_dense() if case == "su2x4" else perturbed_su2x4()
         t = md.t_values()
     assert s.shape[0] % ROW_BLOCK and s.shape[0] > 2 * ROW_BLOCK
     unitary, symmetric, cube = dense_deviations(s, t)
@@ -148,7 +148,7 @@ def test_blocked_reductions_match_the_dense_formulas(case):
 
 
 def test_nan_propagates_through_the_row_blocks():
-    s = tensor(*(su2(4) for _ in range(4))).s.copy()
+    s = tensor(*(su2(4) for _ in range(4))).s_dense().copy()
     s[600, 3] = np.nan
     assert np.isnan(unitarity_deviation(s))
     assert np.isnan(symmetry_deviation(s))
