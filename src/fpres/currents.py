@@ -450,9 +450,6 @@ class Theory:
             raise ResolutionError(f"row of field {a} in bundle {j} vanishes")
         return Fraction(n, self.snap_order)
 
-    def twist_value(self, a: int, k: int, j: int) -> complex:
-        return unit(self.twist_exponent(a, k, j))
-
 
 # ---------------------------------------------------------------------------
 # bundle serialization, format "fp-bundle v1"

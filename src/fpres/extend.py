@@ -31,7 +31,7 @@ from .errors import InvalidInputError, ResolutionError
 from .groups import (CocycleData, CosetPresentation, LiftedCharacters,
                      MultGroup)
 from .modular import GATE_TOL, ModularData
-from .phases import norm1, units
+from .phases import INT64_SAFE, norm1, numerators, units
 from .validate import eta_square_residual
 
 GRID_TOL = 1e-8  # S entries this close are equal: recombination, relabeling
@@ -479,27 +479,34 @@ class Extension:
         return units(nums, den)
 
     def _resolved_eta(self, support_orbits, support, mat, r_assign, lifts):
+        """eta_i = eta^r(a) exp(2 pi i (-F(a, k_a, r) + phi_i - phi_pi(i)))
+        for i on support orbit a, with k_a the subgroup member taking a to
+        the representative of its conjugate orbit and phi the cocycle phase
+        at the class of r, in support order. The exponents are numerators
+        over `eta_order`, which every phi and F denominator divides."""
+        if not support_orbits:
+            return np.zeros(0, dtype=complex), 0.0
         th = self.theory
         conj = th.md.conjugation()
-        eta = np.zeros(len(support), dtype=complex)
-        pos = {e: i for i, e in enumerate(support)}
+        den = th.eta_order
+        dtype = np.int64 if den < INT64_SAFE else object
+        nums, base = [], []
         for o, lift in zip(support_orbits, lifts):
             a = o.rep
             r = r_assign[a]
-            partner = self.orbit_of(int(conj[a]))
-            cbar = int(conj[partner.rep])
+            cbar = int(conj[self.orbit_of(int(conj[a])).rep])
             k_a = next(
                 k for k in self.h_members if th.apply(k, a) == cbar
             )
-            base = th.eta_value(r, a) if r else 1.0
-            f_corr = np.conj(th.twist_value(a, k_a, r))
-            pi = self._pi_map(o, k_a, cbar)
-            phi = lift.cocycle.phi
-            for i, lab in zip(o.ext_ids, o.char_labels):
-                eta[pos[i]] = (base * f_corr * phi(lab, (1,))
-                               * np.conj(phi(pi[lab], (1,))))
-        if not support:
-            return eta, 0.0
+            f = th.twist_exponent(a, k_a, r)
+            # r is the basis representative of its class, so the lifted
+            # characters with trivial coset part take the values phi_i at r
+            table, d, col = lift.table()
+            phi = table[:len(o.ext_ids), col[r]].astype(dtype) * (den // d)
+            nums.append(phi - phi[self._pi_map(o, k_a, cbar)]
+                        - f.numerator * (den // f.denominator))
+            base.append(np.full(len(phi), th.eta_value(r, a)))
+        eta = np.concatenate(base) * units(np.concatenate(nums), den)
         # cross-check the defining square relation on the extended theory
         paired = eta_square_residual(mat @ mat, eta, support,
                                      self.ext_md.conjugation())
@@ -513,30 +520,25 @@ class Extension:
             )
         return eta, dev
 
-    def _pi_map(self, o: OrbitData, k_a: int, cbar: int) -> dict:
+    def _pi_map(self, o: OrbitData, k_a: int, cbar: int) -> np.ndarray:
         """Character relabeling induced by the translation to the
-        conjugate representative."""
+        conjugate representative, as row indices of `o.ugroup.char_table()`:
+        row pi[i] is row i on U_a shifted by eta^u(cbar) - F(a, k_a, u)."""
         th = self.theory
-        shift = [
-            -th.twist_exponent(o.rep, k_a, hh) + th.eta_exponent(hh, cbar)
-            for hh in o.unt
-        ]
-        table = {
-            tuple(
-                o.ugroup.char_exponent(lab, hh) for hh in o.unt
-            ): lab
-            for lab in o.char_labels
-        }
-        out = {}
-        for key, lab in table.items():
-            target = tuple(norm1(q + e) for q, e in zip(shift, key))
-            if target not in table:
-                raise ResolutionError(
-                    "conjugation data does not permute the stabilizer "
-                    "characters"
-                )
-            out[lab] = table[target]
-        return out
+        den = th.eta_order
+        table, e, col = o.ugroup.char_table()
+        shift = numerators(
+            [th.eta_exponent(u, cbar) - th.twist_exponent(o.rep, k_a, u)
+             for u in o.unt], den)
+        rows = table[:, [col[u] for u in o.unt]].astype(shift.dtype)
+        rows *= den // e
+        hit = (((rows + shift) % den)[:, None] == rows).all(axis=2)
+        if not hit.any(axis=1).all():
+            raise ResolutionError(
+                "conjugation data does not permute the stabilizer "
+                "characters"
+            )
+        return hit.argmax(axis=1)
 
     # ------------------------------------------------------------------
     # reporting

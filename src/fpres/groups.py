@@ -28,7 +28,7 @@ from .errors import (
     InconsistentSystemError,
     InvalidInputError,
 )
-from .phases import common_denominator, norm1, principal_root_exp, unit, units
+from .phases import common_denominator, norm1, principal_root_exp
 
 
 # ---------------------------------------------------------------------------
@@ -321,16 +321,6 @@ class CocycleData:
             }
         self.base_exponents = base_exponents
 
-    def phi_exponent(self, label, m) -> Fraction:
-        roots = self.base_exponents[tuple(label)]
-        q = Fraction(0)
-        for ml, r in zip(m, roots):
-            q += ml * r
-        return norm1(q)
-
-    def phi(self, label, m) -> complex:
-        return unit(self.phi_exponent(label, m))
-
     def phi_table(self):
         """(nums, den): phi exponents as numerators over one denominator,
         row per label in `chars.char_labels` order, column per class in
@@ -423,10 +413,6 @@ class LiftedCharacters:
         ]
         self._table = None
 
-    def exponent(self, label, g) -> Fraction:
-        nums, den, col = self.table()
-        return Fraction(int(nums[self.labels.index(label), col[g]]), den)
-
     def table(self):
         """(nums, den, col): the exponents as numerators over one
         denominator, row per label in `labels` order (those with a trivial
@@ -448,12 +434,6 @@ class LiftedCharacters:
             self._table = (nums.reshape(len(self.labels), len(elems)) % den,
                            den, {g: k for k, g in enumerate(elems)})
         return self._table
-
-    def matrix(self) -> np.ndarray:
-        """value(label, g): row per label in `labels` order, column per
-        element in `ambient.elements` order."""
-        nums, den, _ = self.table()
-        return units(nums, den)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .currents import Theory
 from .errors import InvalidInputError, PhaseSnapError, ResolutionError
 from .modular import (FUSION_DENSE_LIMIT, FUSION_TOL, ModularData, _verlinde,
                       sampled_fusion_residual, tensor)
-from .phases import INT64_SAFE, norm1, unit, units
+from .phases import INT64_SAFE, norm1, units
 from .wzw import ising, sun
 
 HALF = Fraction(1, 2)
@@ -143,7 +143,7 @@ def check_conditions(theory: Theory, j: int, tol: float = CHECK_TOL) -> dict:
     dev, wit = worst_entry(m @ m.conj().T - np.eye(n))
     record("{2}", dev <= tol, dev, witness=wit if dev > tol else None)
 
-    t = np.diag([unit(theory.md.t_exponent(a)) for a in supp])
+    t = np.diag(theory.md.t_values()[list(supp)])
     sq = m @ m
     dev, wit = worst_entry(np.linalg.matrix_power(m @ t, 3) - sq)
     record("{3}", dev <= tol, dev, witness=wit if dev > tol else None)

@@ -14,7 +14,7 @@ import pytest
 from fpres.currents import Theory
 from fpres.extend import extend
 from fpres.modular import tensor
-from fpres.phases import principal_root_exp, unit
+from fpres.phases import norm1, principal_root_exp, unit
 from fpres.validate import check_fusion_integrality, condition_report
 from fpres.wzw import ising, su2, sun
 
@@ -121,6 +121,17 @@ def _pair_block(ex, cls, oa, ob, r_assign, phis):
     return out
 
 
+def oracle_pi(th, o, k_a, cbar):
+    """Character relabeling from exact character exponents: the label whose
+    exponents on U_a are those of lab shifted by eta^u(cbar) - F(a, k_a, u)."""
+    shift = [th.eta_exponent(u, cbar) - th.twist_exponent(o.rep, k_a, u)
+             for u in o.unt]
+    table = {tuple(o.ugroup.char_exponent(lab, u) for u in o.unt): lab
+             for lab in o.char_labels}
+    return {lab: table[tuple(norm1(q + e) for q, e in zip(shift, key))]
+            for key, lab in table.items()}
+
+
 def oracle_resolution(ex, cls):
     """(support, matrix, r_assignments, eta, eta deviation), pair by pair,
     on the engine's orbit representatives."""
@@ -145,9 +156,9 @@ def oracle_resolution(ex, cls):
         r = r_assign[o.rep]
         cbar = int(conj[ex.orbit_of(int(conj[o.rep])).rep])
         k_a = next(k for k in ex.h_members if th.apply(k, o.rep) == cbar)
-        base = th.eta_value(r, o.rep) if r else 1.0
-        f_corr = np.conj(th.twist_value(o.rep, k_a, r))
-        pi = ex._pi_map(o, k_a, cbar)
+        base = th.eta_value(r, o.rep)
+        f_corr = np.conj(unit(th.twist_exponent(o.rep, k_a, r)))
+        pi = oracle_pi(th, o, k_a, cbar)
         for lab in o.char_labels:
             eta.append(base * f_corr * unit(phis[o.index][lab])
                        * np.conj(unit(phis[o.index][pi[lab]])))
@@ -190,8 +201,22 @@ def _su5_pair(seed=None):
                   convention_seed=seed)
 
 
+@functools.lru_cache(maxsize=None)
+def _su2_4_su3_3_theory():
+    return Theory(tensor(su2(4), sun(3, 3)))
+
+
+def _su2_4_su3_3(seed):
+    # the conjugation swaps the two characters of one orbit, whose cocycle
+    # phases are 0 and 1/6: the one workload whose eta depends on phi(pi(i))
+    th = _su2_4_su3_3_theory()
+    return extend(th, [th.md.index((4, (0, 0)))], convention_seed=seed)
+
+
 BUILDERS = {
     "su2_4": lambda: extend(Theory(su2(4)), [4]),
+    "su2_4-su3_3-seed0": lambda: _su2_4_su3_3(0),
+    "su2_4-su3_3-seed2": lambda: _su2_4_su3_3(2),
     "triple": lambda: _triple(None),
     "triple-seed1": lambda: _triple(1),
     "triple-seed7": lambda: _triple(7),

@@ -16,7 +16,7 @@ from fpres.currents import (
 )
 from fpres.errors import InvalidInputError, MalformedBundleError, ResolutionError
 from fpres.modular import tensor
-from fpres.phases import norm1
+from fpres.phases import norm1, unit
 from fpres.wzw import ising, su2, sun
 
 
@@ -99,7 +99,7 @@ def test_self_twist_is_current_spin(k):
     # F(a, J, J) at the fixed field equals exp(2 pi i h_J), i.e. (-1)^(k/2)
     th = Theory(su2(k))
     a = k // 2
-    f = th.twist_value(a, k, k)
+    f = unit(th.twist_exponent(a, k, k))
     assert f == pytest.approx((-1) ** (k // 2))
     assert th.twist_exponent(a, k, k) == norm1(th.md.h[k])
 
@@ -109,7 +109,7 @@ def test_ising_self_twist():
     th = Theory(md)
     psi = md.index("psi")
     sig = md.index("sigma")
-    assert th.twist_value(sig, psi, psi) == pytest.approx(-1)
+    assert unit(th.twist_exponent(sig, psi, psi)) == pytest.approx(-1)
 
 
 def test_product_center_and_integer_spin_filter():

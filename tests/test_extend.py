@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fpres.currents import Theory
+from fpres.currents import FixedPointBundle, Theory
 from fpres.errors import InvalidInputError, ResolutionError
 from fpres.extend import GRID_TOL, extend, match_fields
 from fpres.modular import check_modular, fusion_matrix, tensor
@@ -227,6 +227,18 @@ def test_extended_twist_requires_fixed_orbit():
         ex.extended_twist(moved, classes[0], classes[1])
 
 
+def test_resolve_needs_the_eta_of_the_representative_bundle():
+    # the product bundle of (4, 0) given as input without its eta
+    md = tensor(su2(4), su2(4))
+    j = md.index((4, 0))
+    b = Theory(md).bundle(j)
+    th = Theory(md, extra_bundles=[FixedPointBundle(j, b.fields, b.matrix)])
+    ex = extend(th, [md.index((4, 4))])
+    cls = next(c for c in ex.residual_classes() if j in c.members)
+    with pytest.raises(ResolutionError, match="lacks eta data"):
+        ex.resolve(cls)
+
+
 # --- su5 pair ------------------------------------------------------------
 
 
@@ -345,7 +357,8 @@ def test_sigma_pair_other_class_has_empty_support():
 
 def pi_maps_of_diagonal_su24(monkeypatch, k, seed):
     """Every `_pi_map` call resolving the diagonal extension of su2_4^k, as
-    (orbit representative label, k_a, cbar label, the map)."""
+    (orbit representative label, k_a, cbar label, the map as row
+    indices)."""
     from fpres.extend import Extension
 
     md = tensor(*(su2(4) for _ in range(k)))
@@ -354,7 +367,7 @@ def pi_maps_of_diagonal_su24(monkeypatch, k, seed):
 
     def spy(self, o, k_a, cbar):
         pi = real(self, o, k_a, cbar)
-        calls.append((md.labels[o.rep], k_a, md.labels[cbar], pi))
+        calls.append((md.labels[o.rep], k_a, md.labels[cbar], pi.tolist()))
         return pi
 
     monkeypatch.setattr(Extension, "_pi_map", spy)
@@ -365,7 +378,7 @@ def pi_maps_of_diagonal_su24(monkeypatch, k, seed):
     return calls
 
 
-SWAP = {(0,): (1,), (1,): (0,)}
+SWAP = [1, 0]  # rows of the characters (0,) and (1,) trade places
 
 
 @pytest.mark.parametrize("k, seed, calls, swaps", [
@@ -378,7 +391,7 @@ def test_pi_map_swaps_the_characters_of_the_all_twos_orbit(monkeypatch, k,
     stabilizer characters; every other orbit keeps them."""
     got = pi_maps_of_diagonal_su24(monkeypatch, k, seed)
     assert len(got) == calls
-    moved = [c for c in got if any(a != b for a, b in c[3].items())]
+    moved = [c for c in got if c[3] != list(range(len(c[3])))]
     assert moved == [((2,) * k, 0, (2,) * k, SWAP)] * swaps
 
 
@@ -472,6 +485,7 @@ def test_resolve_phases_are_cocycle_base_exponents(theory, current, seed,
             assert coc.check_cocycle_law() == 0
             closure = g.power(r, cls.order)
             inv_r = g.inverse(r)
+            nums, den, col = lift.table()
             for lab in o.char_labels:
                 phi = principal_root_exp(
                     o.ugroup.char_exponent(lab, closure), cls.order)
@@ -481,7 +495,8 @@ def test_resolve_phases_are_cocycle_base_exponents(theory, current, seed,
                 for x in cls.members:
                     u = g.mul(x, inv_r)
                     if u in o.unt:
-                        assert lift.exponent(((0,), lab), x) == norm1(
+                        row = lift.labels.index(((0,), lab))
+                        assert Fraction(int(nums[row, col[x]]), den) == norm1(
                             phi + o.ugroup.char_exponent(lab, u))
     assert phases
     assert any(phases) == closures

@@ -29,7 +29,7 @@ from fpres.groups import (
 )
 from fpres.currents import Theory
 from fpres.modular import tensor
-from fpres.phases import norm1, unit
+from fpres.phases import norm1, unit, units
 from fpres.wzw import su2, sun
 
 small_orders = st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=3)
@@ -224,12 +224,19 @@ def test_presentation_takes_any_generating_representative():
     chars = MultGroup(pres.subgroup, g.mul, g.identity)
     coc = CocycleData(pres, chars)
     assert coc.check_cocycle_law() == 0
-    m = LiftedCharacters(coc).matrix()
+    m = units(*LiftedCharacters(coc).table()[:2])
     assert np.abs(m @ m.conj().T - 6 * np.eye(6)).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
 # cocycle phases and lifted characters
+
+
+def lifted_exponent(lift, label, g):
+    """The exact exponent of the lifted character `label` at g, read from
+    the lifted table."""
+    nums, den, col = lift.table()
+    return Fraction(int(nums[lift.labels.index(label), col[g]]), den)
 
 
 def test_cocycle_phase_z4_example():
@@ -239,9 +246,11 @@ def test_cocycle_phase_z4_example():
     pres = CosetPresentation(g, [(2,)])
     chars = MultGroup(pres.subgroup, g.mul, g.identity)
     coc = CocycleData(pres, chars)
-    assert coc.phi_exponent((1,), (1,)) == Fraction(1, 4)
-    assert coc.phi((1,), (1,)) == pytest.approx(1j)
-    assert coc.phi_exponent((0,), (1,)) == 0
+    assert coc.base_exponents[(1,)] == (Fraction(1, 4),)
+    # phi table: rows (0,), (1,) of H's characters, columns classes (0,), (1,)
+    nums, den = coc.phi_table()
+    assert units(nums, den)[1, 1] == pytest.approx(1j)
+    assert nums[0, 1] == 0
     assert coc.check_cocycle_law() == 0
 
 
@@ -254,10 +263,10 @@ def test_rebase_differs_from_reseed():
     coc = CocycleData(pres, chars)
     alt = CosetPresentation(g, pres.subgroup, basis_reps=[(3,)])
     moved = rebase_phases(coc, alt)
-    assert moved.phi_exponent((1,), (1,)) == Fraction(3, 4)
+    assert moved.base_exponents[(1,)] == (Fraction(3, 4),)
     assert moved.check_cocycle_law() == 0
     reseeded = CocycleData(alt, chars)
-    assert reseeded.phi_exponent((1,), (1,)) == Fraction(1, 4)
+    assert reseeded.base_exponents[(1,)] == (Fraction(1, 4),)
     assert reseeded.check_cocycle_law() == 0
 
 
@@ -287,7 +296,7 @@ def test_lifted_characters_random_pairs(seed):
     chars = MultGroup(pres.subgroup, g.mul, g.identity)
     lift = LiftedCharacters(CocycleData(pres, chars))
     assert len(lift.labels) == g.size
-    m = lift.matrix()
+    m = units(*lift.table()[:2])
     # orthogonality and completeness
     assert np.allclose(m @ m.conj().T, g.size * np.eye(g.size), atol=1e-12)
     # multiplicative on the nose, as exact exponents
@@ -296,15 +305,16 @@ def test_lifted_characters_random_pairs(seed):
         for _ in range(8):
             x = elems[rng.randrange(len(elems))]
             y = elems[rng.randrange(len(elems))]
-            assert lift.exponent(lab, g.mul(x, y)) == norm1(
-                lift.exponent(lab, x) + lift.exponent(lab, y)
+            assert lifted_exponent(lift, lab, g.mul(x, y)) == norm1(
+                lifted_exponent(lift, lab, x) + lifted_exponent(lift, lab, y)
             )
     # restriction to the subgroup forgets the coset and cocycle parts
     for (mc, i) in lift.labels:
         if any(mc):
             continue
         for h in pres.subgroup:
-            assert lift.exponent((mc, i), h) == chars.char_exponent(i, h)
+            assert lifted_exponent(lift, (mc, i), h) == chars.char_exponent(
+                i, h)
 
 
 def _su2_4_pair_diagonal():
@@ -333,7 +343,7 @@ def test_coset_layer_on_fusion_center(build):
     chars = MultGroup(pres.subgroup, g.mul, g.identity)
     coc = CocycleData(pres, chars)
     assert coc.check_cocycle_law() == 0
-    m = LiftedCharacters(coc).matrix()
+    m = units(*LiftedCharacters(coc).table()[:2])
     assert np.abs(m @ m.conj().T - g.size * np.eye(g.size)).max() < 1e-12
 
 
