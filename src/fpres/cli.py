@@ -132,7 +132,7 @@ def cmd_currents(args) -> int:
                 "id": j,
                 "label": _label_to_json(md.labels[j]),
                 "h": str(md.h[j]),
-                "order": th.current_order(j),
+                "order": th.center.order_of(j),
                 "integer_spin": norm1(md.h[j]) == 0,
             }
             for j in th.center.elements

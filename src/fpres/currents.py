@@ -228,13 +228,14 @@ class Theory:
         # resolved etas are roots of class order times character order
         # beyond the base snap order, each dividing the center's exponent
         self.eta_order = self.snap_order * self.center.exponent() ** 2
+        if self.eta_order >= INT64_SAFE:
+            raise InvalidInputError(
+                f"theory {md.name or '?'}: eta order {self.eta_order} "
+                f"leaves the int64 range (it must stay below 2**58)")
         self._twists = {}
         self._etas = {}
 
     # --- current basics
-
-    def current_order(self, j: int) -> int:
-        return self.center.order_of(j)
 
     def apply(self, j: int, a: int) -> int:
         return int(self.perms[j][a])
@@ -249,10 +250,6 @@ class Theory:
             col.flags.writeable = False
             self._charges[j] = col
         return col
-
-    def charge_exponent(self, j: int, a: int) -> Fraction:
-        """Monodromy of the current around a field, exact mod 1."""
-        return Fraction(int(self.charges(j)[a]), self.den)
 
     def subgroup(self, gens):
         for g in gens:
@@ -417,18 +414,17 @@ class Theory:
         relation of the rows of S_f). A factor entry that is marked, or no
         multiple of 1/snap_order, marks the entries it enters."""
         order = self.snap_order
-        dtype = np.int64 if order < INT64_SAFE else object
         sizes = [f.size for f in self.md.factors]
-        nums = np.zeros(1, dtype=dtype)
+        nums = np.zeros(1, dtype=np.int64)
         marks = np.zeros(1, dtype=np.int64)
         for f, kf, jf in zip(self.md.factors, np.unravel_index(k, sizes),
                              np.unravel_index(j, sizes)):
             if jf == 0:
-                part = np.zeros(f.size, dtype=dtype)
+                part = np.zeros(f.size, dtype=np.int64)
                 mark = np.zeros(f.size, dtype=np.int64)
             else:
                 sub = self._factor_theory(f)
-                part = sub.twists(int(kf), int(jf)).astype(dtype)
+                part = sub.twists(int(kf), int(jf))
                 g = math.gcd(sub.snap_order, order)
                 step = sub.snap_order // g
                 mark = np.where(part < 0, part, np.where(part % step, -1, 0))

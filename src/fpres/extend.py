@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .errors import InvalidInputError, ResolutionError
 from .groups import (CocycleData, CosetPresentation, LiftedCharacters,
                      MultGroup)
 from .modular import GATE_TOL, ModularData
-from .phases import INT64_SAFE, norm1, numerators, units
+from .phases import norm1, numerators, units
 from .validate import eta_square_residual
 
 GRID_TOL = 1e-8  # S entries this close are equal: recombination, relabeling
@@ -388,18 +387,6 @@ class Extension:
         both = good[:, None, :] & good[None, :, :]
         return np.where(both.any(axis=2), both.argmax(axis=2), -1)
 
-    def extended_twist(self, o: OrbitData, cls_k: ResidualClass,
-                       cls_j: ResidualClass) -> Fraction:
-        """Twist of the extended field against two surviving classes,
-        from base data at the chosen orbit representatives."""
-        rk = self.orbit_representative(cls_k, o)
-        rj = self.orbit_representative(cls_j, o)
-        if rk is None or rj is None:
-            raise ResolutionError(
-                f"class does not fix the orbit of {o.rep}"
-            )
-        return self.theory.twist_exponent(o.rep, rk, rj)
-
     # ------------------------------------------------------------------
     # resolution
 
@@ -489,7 +476,6 @@ class Extension:
         th = self.theory
         conj = th.md.conjugation()
         den = th.eta_order
-        dtype = np.int64 if den < INT64_SAFE else object
         nums, base = [], []
         for o, lift in zip(support_orbits, lifts):
             a = o.rep
@@ -502,7 +488,7 @@ class Extension:
             # r is the basis representative of its class, so the lifted
             # characters with trivial coset part take the values phi_i at r
             table, d, col = lift.table()
-            phi = table[:len(o.ext_ids), col[r]].astype(dtype) * (den // d)
+            phi = table[:len(o.ext_ids), col[r]] * (den // d)
             nums.append(phi - phi[self._pi_map(o, k_a, cbar)]
                         - f.numerator * (den // f.denominator))
             base.append(np.full(len(phi), th.eta_value(r, a)))
@@ -530,8 +516,7 @@ class Extension:
         shift = numerators(
             [th.eta_exponent(u, cbar) - th.twist_exponent(o.rep, k_a, u)
              for u in o.unt], den)
-        rows = table[:, [col[u] for u in o.unt]].astype(shift.dtype)
-        rows *= den // e
+        rows = table[:, [col[u] for u in o.unt]] * (den // e)
         hit = (((rows + shift) % den)[:, None] == rows).all(axis=2)
         if not hit.any(axis=1).all():
             raise ResolutionError(

@@ -8,7 +8,8 @@ engine builds it over field ids (fusion subgroups, untwisted stabilizers);
 
 On top of it sit the coset presentation G/H with a multiplicative
 representative map, the cocycle phases that repair products of
-representatives, and the characters of G lifted from those of H.
+representatives (an int64 table over one denominator), and the characters
+of G lifted from those of H.
 
 The congruence solver at the bottom picks representatives that are
 untwisted against a generating set; it enumerates prod Z_{N_j} in exact
@@ -28,7 +29,7 @@ from .errors import (
     InconsistentSystemError,
     InvalidInputError,
 )
-from .phases import common_denominator, norm1, principal_root_exp
+from .phases import norm1
 
 
 # ---------------------------------------------------------------------------
@@ -175,13 +176,6 @@ class MultGroup:
                            {x: i for i, x in enumerate(self.elements)})
         return self._chars
 
-    def char_exponent(self, label, x) -> Fraction:
-        table, e, col = self.char_table()
-        row = 0
-        for i, n in zip(label, self.orders):
-            row = row * n + i % n
-        return Fraction(int(table[row, col[x]]), e)
-
 
 def decompose(orders) -> MultGroup:
     """Z_{N_1} x ... x Z_{N_r} over int tuples, added componentwise."""
@@ -304,43 +298,40 @@ class CocycleData:
     subgroup characters Psi_i. Per basis factor the phase is the principal
     N_l-th root of Psi_i at the factor closure; general classes get the
     product. Satisfies  Psi_i(h(J,K)) phi_i(JK) = phi_i(J) phi_i(K)  exactly.
+
+    `base` holds the basis-factor phases as int64 numerators over
+    `den` = exponent(H) lcm(N_l): row per label in `chars.char_labels`
+    order, column per basis factor. The principal N-th root of v / e is
+    v / (e N), so column l is the character-table column at the closure
+    of factor l times den / (e N_l).
     """
 
-    def __init__(self, pres: CosetPresentation, chars: MultGroup,
-                 base_exponents=None):
+    def __init__(self, pres: CosetPresentation, chars: MultGroup, base=None):
         self.pres = pres
         self.chars = chars
-        if base_exponents is None:
-            table, e, col = chars.char_table()
-            roots = [[principal_root_exp(Fraction(int(v), e), nl)
-                      for v in table[:, col[pres.closure(l)]]]
-                     for l, nl in enumerate(pres.class_orders)]
-            base_exponents = {
-                lab: tuple(r[row] for r in roots)
-                for row, lab in enumerate(chars.char_labels())
-            }
-        self.base_exponents = base_exponents
+        table, e, col = chars.char_table()
+        self.den = e * math.lcm(*pres.class_orders)
+        if base is None:
+            orders = pres.class_orders
+            closures = [col[pres.closure(l)] for l in range(len(orders))]
+            scale = np.array([self.den // (e * n) for n in orders],
+                             dtype=np.int64)
+            base = table[:, closures] * scale
+        self.base = base
 
     def phi_table(self):
-        """(nums, den): phi exponents as numerators over one denominator,
-        row per label in `chars.char_labels` order, column per class in
+        """(nums, den): phi exponents as numerators over `den`, row per
+        label in `chars.char_labels` order, column per class in
         `pres.class_labels` order."""
-        roots = [self.base_exponents[lab] for lab in self.chars.char_labels()]
-        den = common_denominator(q for r in roots for q in r)
-        rank = len(self.pres.class_orders)
-        base = np.array(
-            [[q.numerator * (den // q.denominator) for q in r] for r in roots],
-            dtype=np.int64).reshape(len(roots), rank)
-        classes = np.array(list(self.pres.class_labels()),
-                           dtype=np.int64).reshape(self.pres.num_classes, rank)
-        return (base @ classes.T) % den, den
+        pres = self.pres
+        classes = np.array(list(pres.class_labels()), dtype=np.int64).reshape(
+            pres.num_classes, len(pres.class_orders))
+        return self.base @ classes.T % self.den, self.den
 
     def check_cocycle_law(self) -> Fraction:
         """Max deviation exponent of the defining law; Fraction(0) if exact."""
-        phi, phi_den = self.phi_table()
+        phi, den = self.phi_table()
         table, e, col = self.chars.char_table()
-        den = math.lcm(phi_den, e)
-        phi = phi * (den // phi_den)
         classes = list(self.pres.class_labels())
         index = {m: c for c, m in enumerate(classes)}
         worst = 0
@@ -380,15 +371,10 @@ def rebase_phases(
                 "new representatives are not in the old classes"
             )
         shifts.append(shift)
-    chars = cocycle.chars
-    base = {
-        lab: tuple(
-            norm1(q + chars.char_exponent(lab, shift))
-            for q, shift in zip(cocycle.base_exponents[lab], shifts)
-        )
-        for lab in chars.char_labels()
-    }
-    out = CocycleData(new_pres, chars, base_exponents=base)
+    table, e, col = cocycle.chars.char_table()
+    den = cocycle.den
+    base = (cocycle.base + table[:, [col[s] for s in shifts]] * (den // e)) % den
+    out = CocycleData(new_pres, cocycle.chars, base=base)
     if out.check_cocycle_law() != 0:
         raise InvalidInputError("rebased phases violate the cocycle law")
     return out

@@ -148,7 +148,7 @@ class ModularData:
             c24 = Fraction(self.c) / 24
             den = math.lcm(common_denominator(self.h), c24.denominator)
             hn = numerators(self.h, den) % den
-            tn = (hn - c24.numerator * (den // c24.denominator)) % den
+            tn = (hn - c24.numerator * (den // c24.denominator) % den) % den
             hn.flags.writeable = tn.flags.writeable = False
             self._phases = (den, hn, tn)
         return self._phases

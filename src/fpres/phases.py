@@ -3,13 +3,16 @@
 A phase exp(2*pi*i*q) is exact: q is rational and taken mod 1. Bulk data
 (weights, T exponents, monodromy charges, character tables) is stored as
 integer numerators n over one denominator d, q = n / d, in int64 numpy
-arrays, so a whole column of phases is one array operation; numerators too
-large for safe int64 sums fall back to object arrays of Python ints. A
-single exponent leaves this representation as a Fraction reduced mod 1,
-which is what the public accessors, the JSON documents and the reports
-carry. Conversion to complex happens only at the numerical boundary,
-through `unit`, and back through `snap_phases`, which snaps a whole array
-at one order and marks what does not snap.
+arrays, so a whole column of phases is one array operation. Every d and n
+stays below INT64_SAFE = 2**58, so int64 sums of up to 32 of them cannot
+overflow: `numerators` rejects input past that bound with
+InvalidInputError, `snap_phases` rejects orders past it, and a `Theory`
+whose eta order reaches it is rejected when it is built. A single exponent
+leaves this representation as a Fraction reduced mod 1, which is what the
+public accessors, the JSON documents and the reports carry. Conversion to
+complex happens only at the numerical boundary, through `unit`, and back
+through `snap_phases`, which snaps a whole array at one order and marks
+what does not snap.
 """
 from __future__ import annotations
 
@@ -18,6 +21,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from .errors import InvalidInputError
 
 
 def norm1(q: Fraction) -> Fraction:
@@ -36,13 +41,6 @@ def unit(q: Fraction | float) -> complex:
     return cmath.exp(2j * math.pi * float(q))
 
 
-def principal_root_exp(q: Fraction, n: int) -> Fraction:
-    """Exponent of the principal n-th root: argument in [0, 2*pi) divided by n."""
-    if n <= 0:
-        raise ValueError("root order must be positive")
-    return norm1(q) / n
-
-
 # --- integer numerators over a common denominator
 
 
@@ -56,12 +54,14 @@ SNAP_TOL = 1e-6  # how far a phase may lie from the root of unity it snaps to
 
 
 def numerators(qs, den: int) -> np.ndarray:
-    """The integers n with q = n / den: int64 while den and every n stay
-    below INT64_SAFE, Python ints in an object array otherwise."""
+    """The integers n with q = n / den, as int64; InvalidInputError when den
+    or some |n| reaches INT64_SAFE."""
     ints = [q.numerator * (den // q.denominator) for q in qs]
-    if den < INT64_SAFE and max(map(abs, ints), default=0) < INT64_SAFE:
-        return np.array(ints, dtype=np.int64)
-    return np.array(ints, dtype=object)
+    if den >= INT64_SAFE or max(map(abs, ints), default=0) >= INT64_SAFE:
+        raise InvalidInputError(
+            f"phases over the denominator {den} leave the int64 range "
+            f"(numerators and denominators must stay below 2**58)")
+    return np.array(ints, dtype=np.int64)
 
 
 def units(nums, den: int) -> np.ndarray:
@@ -75,16 +75,13 @@ def units(nums, den: int) -> np.ndarray:
 
 def snap_phases(zs, order: int) -> np.ndarray:
     """Numerators n in [0, order) of the roots of unity exp(2 pi i n / order)
-    nearest to each entry of `zs`, as int64 (Python ints for orders from
-    INT64_SAFE up), and -1 where an entry lies farther than SNAP_TOL from it."""
-    if order <= 0:
-        raise ValueError("order must be positive")
+    nearest to each entry of `zs`, as int64, and -1 where an entry lies
+    farther than SNAP_TOL from it; `order` lies in (0, INT64_SAFE)."""
+    if not 0 < order < INT64_SAFE:
+        raise ValueError(f"snap order {order} is outside (0, 2**58)")
     zs = np.asarray(zs, dtype=complex)
     near = np.rint(np.angle(np.where(np.isfinite(zs), zs, 1)) / (2.0 * math.pi)
                    * order)
-    if order < INT64_SAFE:
-        nums = near.astype(np.int64) % order
-    else:
-        nums = np.vectorize(int, otypes=[object])(near) % order
+    nums = near.astype(np.int64) % order
     # |z - root| <= SNAP_TOL also bounds ||z| - 1| by SNAP_TOL
     return np.where(np.abs(zs - units(nums, order)) <= SNAP_TOL, nums, -1)

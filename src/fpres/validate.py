@@ -21,7 +21,7 @@ from .currents import Theory
 from .errors import InvalidInputError, PhaseSnapError, ResolutionError
 from .modular import (FUSION_DENSE_LIMIT, FUSION_TOL, ModularData, _verlinde,
                       sampled_fusion_residual, tensor)
-from .phases import INT64_SAFE, norm1, units
+from .phases import norm1, units
 from .wzw import ising, sun
 
 HALF = Fraction(1, 2)
@@ -65,9 +65,8 @@ def _grids(theory: Theory, fields, members):
     fix = np.array([theory.perms[x][fields] == fields for x in elems]).T
     mul = np.searchsorted(elems, [theory.perms[x][elems] for x in elems])
     use = fix & np.isin(elems, list(members))
-    dtype = np.int64 if theory.eta_order < INT64_SAFE else object
-    tw = np.full((len(fields), len(elems), len(elems)), NA, dtype=dtype)
-    eta = np.full((len(fields), len(elems)), NA, dtype=dtype)
+    tw = np.full((len(fields), len(elems), len(elems)), NA, dtype=np.int64)
+    eta = np.full((len(fields), len(elems)), NA, dtype=np.int64)
     tw[:, :, 0] = eta[:, 0] = 0
     for y, j in enumerate(elems.tolist()):
         sel = np.flatnonzero(use[:, y])
@@ -451,8 +450,8 @@ def realize_twist_row(s_j, s_k, n, m, target_f) -> dict:
     # enumerate the group by generator powers; twists against composite
     # currents then follow from the generators by multiplicativity, so
     # only the generator bundles are ever needed
-    nj = th.current_order(jc)
-    nk = th.current_order(kc) if kc is not None else 1
+    nj = th.center.order_of(jc)
+    nk = th.center.order_of(kc) if kc is not None else 1
     powers = {}
     for p in range(nj):
         for q in range(nk):
@@ -478,7 +477,7 @@ def realize_twist_row(s_j, s_k, n, m, target_f) -> dict:
     ok = ok and fixed
 
     local = all(
-        th.charge_exponent(x, y) == 0 for x in powers for y in powers
+        th.charges(x)[y] == 0 for x in powers for y in powers
     )
     report["mutually_local"] = local
     ok = ok and local

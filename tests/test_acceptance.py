@@ -36,6 +36,7 @@ from fpres.validate import (
     realize_twist_row,
 )
 from fpres.wzw import ising, su2, sun
+from test_groups import char_exponent
 
 
 # --- shared builders ------------------------------------------------------
@@ -196,9 +197,14 @@ def test_triple_su2_representatives_and_opposite_twists():
         (0, 6, 2): (0, 6, 2),
     }
 
-    pairs = [(c1, c2) for i, c1 in enumerate(classes) for c2 in classes[i + 1:]]
-    twists_a = [ex.extended_twist(oa, c1, c2) for c1, c2 in pairs]
-    twists_b = [ex.extended_twist(ob, c1, c2) for c1, c2 in pairs]
+    # twists on the resolved extended theory at each orbit's extended field
+    th2 = ex.extended_theory(
+        extra_bundles=[ex.resolve(c).bundle for c in classes])
+    (ea,), (eb,) = oa.ext_ids, ob.ext_ids
+    pairs = [(ex.class_current_ext_id(c1), ex.class_current_ext_id(c2))
+             for i, c1 in enumerate(classes) for c2 in classes[i + 1:]]
+    twists_a = [th2.twist_exponent(ea, k, j) for k, j in pairs]
+    twists_b = [th2.twist_exponent(eb, k, j) for k, j in pairs]
     assert twists_a == [Fraction(1, 2), Fraction(0), Fraction(0)]
     assert twists_b == [Fraction(0), Fraction(1, 2), Fraction(1, 2)]
     for qa, qb in zip(twists_a, twists_b):
@@ -311,7 +317,7 @@ def test_lifted_characters_on_random_subgroup_pairs():
         zero = tuple(0 for _ in pres.class_orders)
         for i in chars.char_labels():
             for h in pres.subgroup:
-                assert exponent((zero, i), h) == chars.char_exponent(i, h)
+                assert exponent((zero, i), h) == char_exponent(chars, i, h)
 
         # move every basis representative within its class and rebase
         reps = []

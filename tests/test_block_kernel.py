@@ -14,9 +14,10 @@ import pytest
 from fpres.currents import Theory
 from fpres.extend import extend
 from fpres.modular import tensor
-from fpres.phases import norm1, principal_root_exp, unit
+from fpres.phases import norm1, unit
 from fpres.validate import check_fusion_integrality, condition_report
 from fpres.wzw import ising, su2, sun
+from test_groups import char_exponent
 
 TOL = 1e-12
 
@@ -54,8 +55,9 @@ def oracle_extended_s(ex):
                 for jj, lj in zip(ob.ext_ids, ob.char_labels):
                     acc = 0.0 + 0.0j
                     for j in common:
-                        acc += (unit(oa.ugroup.char_exponent(li, j)) * vals[j]
-                                * np.conj(unit(ob.ugroup.char_exponent(lj, j))))
+                        xa = unit(char_exponent(oa.ugroup, li, j))
+                        xb = unit(char_exponent(ob.ugroup, lj, j))
+                        acc += xa * vals[j] * np.conj(xb)
                     s[i, jj] = _prefactor(ex, oa, ob) * acc
         for o in free:
             v = md.s_block([oa.rep], [o.rep])[0, 0] * _prefactor(ex, oa, o)
@@ -108,14 +110,14 @@ def _pair_block(ex, cls, oa, ob, r_assign, phis):
     assert shift_a in oa.unt and shift_b in ob.unt
     for p, li in enumerate(oa.char_labels):
         dress_a = unit(phis[oa.index][li]
-                       + oa.ugroup.char_exponent(li, shift_a))
+                       + char_exponent(oa.ugroup, li, shift_a))
         for q, lj in enumerate(ob.char_labels):
             acc = 0.0 + 0.0j
             for j in common:
-                acc += (unit(oa.ugroup.char_exponent(li, j)) * vals[j]
-                        * np.conj(unit(ob.ugroup.char_exponent(lj, j))))
+                acc += (unit(char_exponent(oa.ugroup, li, j)) * vals[j]
+                        * np.conj(unit(char_exponent(ob.ugroup, lj, j))))
             dress_b = unit(phis[ob.index][lj]
-                           + ob.ugroup.char_exponent(lj, shift_b))
+                           + char_exponent(ob.ugroup, lj, shift_b))
             out[p, q] = (_prefactor(ex, oa, ob) * acc * dress_a
                          * np.conj(dress_b))
     return out
@@ -126,7 +128,7 @@ def oracle_pi(th, o, k_a, cbar):
     exponents on U_a are those of lab shifted by eta^u(cbar) - F(a, k_a, u)."""
     shift = [th.eta_exponent(u, cbar) - th.twist_exponent(o.rep, k_a, u)
              for u in o.unt]
-    table = {tuple(o.ugroup.char_exponent(lab, u) for u in o.unt): lab
+    table = {tuple(char_exponent(o.ugroup, lab, u) for u in o.unt): lab
              for lab in o.char_labels}
     return {lab: table[tuple(norm1(q + e) for q, e in zip(shift, key))]
             for key, lab in table.items()}
@@ -143,8 +145,7 @@ def oracle_resolution(ex, cls):
     for o in orbits:
         closure = th.center.power(r_assign[o.rep], cls.order)
         phis[o.index] = {
-            lab: principal_root_exp(o.ugroup.char_exponent(lab, closure),
-                                    cls.order)
+            lab: norm1(char_exponent(o.ugroup, lab, closure)) / cls.order
             for lab in o.char_labels
         }
     mat = np.block([[_pair_block(ex, cls, oa, ob, r_assign, phis)

@@ -2,6 +2,7 @@
 import json
 import os
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -244,6 +245,31 @@ def test_non_square_s_document_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "S matrix of bad is not square: shape (2, 3)" in err
+
+
+def test_weights_past_int64_exit_2(tmp_path, capsys):
+    # su2_4 with weights over the prime p = 2**61 - 1: their common
+    # denominator 24 p, and 48 p beside su2_2, leaves the int64 range
+    p = 2 ** 61 - 1
+    src = tmp_path / "su24.json"
+    run(capsys, "generate", "su2", "--k", "4", "--out", str(src))
+    doc = json.loads(src.read_text())
+    for a, field in enumerate(doc["fields"]):
+        field["h"] = str(Fraction(field["h"]) + Fraction(a, p))
+    odd = tmp_path / "odd.json"
+    odd.write_text(json.dumps(doc))
+    rc = main(["currents", str(odd)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"denominator {24 * p}" in err
+
+    two = tmp_path / "su22.json"
+    run(capsys, "generate", "su2", "--k", "2", "--out", str(two))
+    rc = main(["tensor", str(odd), str(two), "--out", str(tmp_path / "x.json")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"denominator {48 * p}" in err
+    assert not (tmp_path / "x.json").exists()
 
 
 SPOIL_FIRST_PAIR = {

@@ -374,7 +374,8 @@ def su3_row_on_charged_fields():
     su3 = sun(3, 3)
     th = Theory(su3)
     j = su3.index((3, 0))
-    charged = np.array([th.charge_exponent(j, b) == Fraction(1, 3)
+    charged = np.array([Fraction(int(th.charges(j)[b]), th.den)
+                        == Fraction(1, 3)
                         for b in range(su3.size)])
 
     def damage(mat, eta):

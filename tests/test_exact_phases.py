@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 
 from fpres.currents import Theory
+from fpres.errors import InvalidInputError
 from fpres.extend import extend
 from fpres.groups import MultGroup
 from fpres.modular import ModularData, ProductS, tensor
-from fpres.phases import SNAP_TOL, norm1, snap_phases, unit
+from fpres.phases import INT64_SAFE, SNAP_TOL, norm1, snap_phases, unit
 from fpres.wzw import ising, su2, sun
+from test_groups import char_exponent
 
 
 def ref_charge(th, j, a):
@@ -71,19 +73,7 @@ def fractional_spins():
     return tensor(su2(3), sun(3, 2), ising())
 
 
-def huge_denominators():
-    # weights over the prime 2**61 - 1 leave the int64 range of the
-    # numerator arrays, which then hold Python ints
-    p = 2 ** 61 - 1
-    base = su2(4)
-    odd = ModularData(base.labels, tuple(q + Fraction(a, p) for a, q in
-                                         enumerate(base.h)),
-                      base.c, base.s, name="odd")
-    return tensor(odd, su2(2))
-
-
-THEORIES = [dense_su2_cubed, factorized_su3_pair, fractional_spins,
-            huge_denominators]
+THEORIES = [dense_su2_cubed, factorized_su3_pair, fractional_spins]
 
 
 @pytest.mark.parametrize("make", THEORIES)
@@ -95,7 +85,6 @@ def test_charges_t_exponents_and_snap_order_match_fractions(make):
         col = th.charges(j)
         for a in range(md.size):
             ref = ref_charge(th, j, a)
-            assert th.charge_exponent(j, a) == ref
             assert Fraction(int(col[a]), th.den) == ref
             assert (col[a] == 0) == (ref == 0)
     assert th.snap_order == ref_snap_order(th)
@@ -117,7 +106,8 @@ def test_snap_order_keeps_spins_and_orders_beyond_the_t_exponents():
     assert th.snap_order == ref_snap_order(th) == 14
     for j in th.center.elements:
         for a in range(md.size):
-            assert th.charge_exponent(j, a) == ref_charge(th, j, a)
+            assert Fraction(int(th.charges(j)[a]), th.den) == ref_charge(
+                th, j, a)
 
 
 @pytest.mark.parametrize("make", THEORIES)
@@ -177,4 +167,44 @@ def test_char_exponents_match_fraction_sums():
                      for i, m, n in zip(lab, grp.coords[x], grp.orders)),
                     Fraction(0),
                 ))
-                assert grp.char_exponent(lab, x) == ref
+                assert char_exponent(grp, lab, x) == ref
+
+
+def test_central_charges_past_int64_keep_exact_t_exponents():
+    # c / 24 enters the T exponents only mod 1, so a central charge far
+    # past the int64 range leaves them exact
+    base = su2(4)
+    md = ModularData(base.labels, base.h, base.c + 24 * 10 ** 30 + 12, base.s)
+    assert [md.t_exponent(a) for a in range(md.size)] == [
+        norm1(ref_t_exponent(base, a) + Fraction(1, 2))
+        for a in range(md.size)]
+
+
+def shifted_su2_4(q):
+    """su2_4 with the weight of field a shifted by a / q."""
+    base = su2(4)
+    return ModularData(base.labels, tuple(h + Fraction(a, q) for a, h in
+                                          enumerate(base.h)),
+                       base.c, base.s, name="shifted")
+
+
+def test_weight_denominators_past_int64_are_rejected():
+    # weights over the prime 2**61 - 1: the common denominator is 24 p
+    # alone and 48 p beside su2_2
+    p = 2 ** 61 - 1
+    odd = shifted_su2_4(p)
+    with pytest.raises(InvalidInputError, match=str(48 * p)):
+        tensor(odd, su2(2))
+    with pytest.raises(InvalidInputError, match=str(24 * p)):
+        Theory(odd)
+
+
+def test_eta_orders_past_int64_are_rejected():
+    # weights over 24 q stay below INT64_SAFE, but the eta order is
+    # 4 (the squared center exponent) times the snap order 24 q
+    q = 4 * 10 ** 15 + 1
+    md = shifted_su2_4(q)
+    den, _, _ = md.phase_numerators()
+    assert den == 24 * q < INT64_SAFE <= 96 * q
+    with pytest.raises(InvalidInputError, match=f"shifted: eta order {96 * q}"):
+        Theory(md)

@@ -9,8 +9,9 @@ from fpres.currents import FixedPointBundle, Theory
 from fpres.errors import InvalidInputError, ResolutionError
 from fpres.extend import GRID_TOL, extend, match_fields
 from fpres.modular import check_modular, fusion_matrix, tensor
-from fpres.phases import norm1, principal_root_exp
+from fpres.phases import norm1
 from fpres.wzw import ising, su2, sun
+from test_groups import char_exponent
 
 
 @functools.lru_cache(maxsize=None)
@@ -170,17 +171,22 @@ def test_triple_su2_orbit_representatives():
 
 
 def test_triple_su2_extended_twists_differ_between_orbits():
-    # the twist table of one orbit is the sign flip of the other
+    # the twist table of one orbit is the sign flip of the other, read on
+    # the resolved extended theory at each orbit's extended field
     ex = triple_su2()
     oa = ex.orbit_of(46)
     ob = ex.orbit_of(10)
     classes = [c for c in ex.residual_classes() if c.order > 1]
+    th2 = ex.extended_theory(
+        extra_bundles=[ex.resolve(c).bundle for c in classes])
+    ext = ex.class_current_ext_id
+    (ea,), (eb,) = oa.ext_ids, ob.ext_ids
     table_a = []
     table_b = []
     for i, c1 in enumerate(classes):
         for c2 in classes[i + 1:]:
-            table_a.append(ex.extended_twist(oa, c1, c2))
-            table_b.append(ex.extended_twist(ob, c1, c2))
+            table_a.append(th2.twist_exponent(ea, ext(c1), ext(c2)))
+            table_b.append(th2.twist_exponent(eb, ext(c1), ext(c2)))
     assert table_a == [Fraction(1, 2), Fraction(0), Fraction(0)]
     assert table_b == [Fraction(0), Fraction(1, 2), Fraction(1, 2)]
     for qa, qb in zip(table_a, table_b):
@@ -223,8 +229,12 @@ def test_extended_twist_requires_fixed_orbit():
             moved = o
             break
     assert moved is not None
+    # the resolved extended current does not fix the orbit's field
+    th2 = ex.extended_theory(
+        extra_bundles=[ex.resolve(c).bundle for c in classes])
+    ext = ex.class_current_ext_id
     with pytest.raises(ResolutionError):
-        ex.extended_twist(moved, classes[0], classes[1])
+        th2.twist_exponent(moved.ext_ids[0], ext(classes[1]), ext(classes[0]))
 
 
 def test_resolve_needs_the_eta_of_the_representative_bundle():
@@ -487,9 +497,10 @@ def test_resolve_phases_are_cocycle_base_exponents(theory, current, seed,
             inv_r = g.inverse(r)
             nums, den, col = lift.table()
             for lab in o.char_labels:
-                phi = principal_root_exp(
-                    o.ugroup.char_exponent(lab, closure), cls.order)
-                assert coc.base_exponents[lab] == (phi,)
+                phi = norm1(char_exponent(o.ugroup, lab, closure)) / cls.order
+                row = list(coc.chars.char_labels()).index(lab)
+                assert [Fraction(int(n), coc.den)
+                        for n in coc.base[row]] == [phi]
                 phases.append(phi)
                 # the dressing at a class member x = r u, u in U_a
                 for x in cls.members:
@@ -497,6 +508,6 @@ def test_resolve_phases_are_cocycle_base_exponents(theory, current, seed,
                     if u in o.unt:
                         row = lift.labels.index(((0,), lab))
                         assert Fraction(int(nums[row, col[x]]), den) == norm1(
-                            phi + o.ugroup.char_exponent(lab, u))
+                            phi + char_exponent(o.ugroup, lab, u))
     assert phases
     assert any(phases) == closures

@@ -47,9 +47,12 @@ def test_off_circle_and_midway_points_fail_both_forms(order):
     assert snap_phases(np.array(bad), order).tolist() == [-1] * len(bad)
 
 
-def test_orders_beyond_int64_keep_exact_numerators():
-    order = 4 * INT64_SAFE
-    got = snap_phases(np.array([1j, -1, 1]), order)
-    assert got.dtype == object
-    assert got.tolist() == [INT64_SAFE, 2 * INT64_SAFE, 0]
-    assert snap_phases([-1j], order).tolist() == [3 * INT64_SAFE]
+def test_orders_from_int64_safe_up_are_rejected():
+    zs = np.array([1j, -1, 1])
+    for order in (INT64_SAFE, 4 * INT64_SAFE, 0):
+        with pytest.raises(ValueError, match="snap order"):
+            snap_phases(zs, order)
+    # the largest orders below the bound still snap exactly, in int64
+    got = snap_phases(zs, INT64_SAFE // 4)
+    assert got.dtype == np.int64
+    assert got.tolist() == [INT64_SAFE // 16, INT64_SAFE // 8, 0]
