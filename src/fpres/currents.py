@@ -51,7 +51,8 @@ from .modular import (
     match_rows,
     product_ids,
 )
-from .phases import INT64_SAFE, SNAP_TOL, norm1, snap_phases, unit, units
+from .phases import (SNAP_ORDER_LIMIT, SNAP_TOL, norm1, snap_phases, unit,
+                     units)
 
 
 @dataclass
@@ -228,10 +229,10 @@ class Theory:
         # resolved etas are roots of class order times character order
         # beyond the base snap order, each dividing the center's exponent
         self.eta_order = self.snap_order * self.center.exponent() ** 2
-        if self.eta_order >= INT64_SAFE:
+        if self.eta_order >= SNAP_ORDER_LIMIT:
             raise InvalidInputError(
                 f"theory {md.name or '?'}: eta order {self.eta_order} "
-                f"leaves the int64 range (it must stay below 2**58)")
+                f"is too large to snap (it must stay below 2**50)")
         self._twists = {}
         self._etas = {}
 

@@ -17,14 +17,6 @@ class PhaseSnapError(ArithmeticError):
     """A numeric value could not be identified with an exact root of unity."""
 
 
-class DegenerateSystemError(ArithmeticError):
-    """Congruence system violates the nondegeneracy requirement."""
-
-
-class InconsistentSystemError(ArithmeticError):
-    """Congruence system admits no solution; upstream data is inconsistent."""
-
-
 class ResolutionError(ArithmeticError):
     """Internal inconsistency while assembling resolution data."""
 

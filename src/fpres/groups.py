@@ -10,26 +10,15 @@ On top of it sit the coset presentation G/H with a multiplicative
 representative map, the cocycle phases that repair products of
 representatives (an int64 table over one denominator), and the characters
 of G lifted from those of H.
-
-The congruence solver at the bottom picks representatives that are
-untwisted against a generating set; it enumerates prod Z_{N_j} in exact
-integer arithmetic.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    DegenerateSystemError,
-    InconsistentSystemError,
-    InvalidInputError,
-)
-from .phases import norm1
+from .errors import InvalidInputError
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +248,6 @@ class CosetPresentation:
             out = self.ambient.mul(out, self.ambient.power(r, k))
         return out
 
-    def in_subgroup(self, g) -> bool:
-        return g in self._sub_set
-
     def subgroup_part(self, g):
         """h such that g = R(class(g)) h."""
         rep = self.representative(self.class_of(g))
@@ -276,14 +262,6 @@ class CosetPresentation:
         if h not in self._sub_set:
             raise InvalidInputError("basis closure left the subgroup")
         return h
-
-    def discrepancy(self, m, k):
-        """h(J,K) with R(J)R(K) = R(JK) h(J,K); factorizes over cyclic factors."""
-        out = self.ambient.identity
-        for l, (ml, kl, nl) in enumerate(zip(m, k, self.class_orders)):
-            if ml + kl >= nl:
-                out = self.ambient.mul(out, self.closure(l))
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -306,18 +284,15 @@ class CocycleData:
     of factor l times den / (e N_l).
     """
 
-    def __init__(self, pres: CosetPresentation, chars: MultGroup, base=None):
+    def __init__(self, pres: CosetPresentation, chars: MultGroup):
         self.pres = pres
         self.chars = chars
         table, e, col = chars.char_table()
-        self.den = e * math.lcm(*pres.class_orders)
-        if base is None:
-            orders = pres.class_orders
-            closures = [col[pres.closure(l)] for l in range(len(orders))]
-            scale = np.array([self.den // (e * n) for n in orders],
-                             dtype=np.int64)
-            base = table[:, closures] * scale
-        self.base = base
+        orders = pres.class_orders
+        self.den = e * math.lcm(*orders)
+        closures = [col[pres.closure(l)] for l in range(len(orders))]
+        scale = np.array([self.den // (e * n) for n in orders], dtype=np.int64)
+        self.base = table[:, closures] * scale
 
     def phi_table(self):
         """(nums, den): phi exponents as numerators over `den`, row per
@@ -327,57 +302,6 @@ class CocycleData:
         classes = np.array(list(pres.class_labels()), dtype=np.int64).reshape(
             pres.num_classes, len(pres.class_orders))
         return self.base @ classes.T % self.den, self.den
-
-    def check_cocycle_law(self) -> Fraction:
-        """Max deviation exponent of the defining law; Fraction(0) if exact."""
-        phi, den = self.phi_table()
-        table, e, col = self.chars.char_table()
-        classes = list(self.pres.class_labels())
-        index = {m: c for c, m in enumerate(classes)}
-        worst = 0
-        for a, m in enumerate(classes):
-            for b, k in enumerate(classes):
-                mk = tuple(
-                    (x + y) % n
-                    for x, y, n in zip(m, k, self.pres.class_orders)
-                )
-                psi = table[:, col[self.pres.discrepancy(m, k)]] * (den // e)
-                dev = (psi + phi[:, index[mk]] - phi[:, a] - phi[:, b]) % den
-                worst = max(worst, int(np.minimum(dev, den - dev).max()))
-        return Fraction(worst, den)
-
-
-def rebase_phases(
-    cocycle: CocycleData, new_pres: CosetPresentation
-) -> CocycleData:
-    """Transport cocycle phases to a new representative choice r(m) = H(m) R(m).
-
-    The new phases are phi'_i(m) = phi_i(m) Psi_i(H(m)); they satisfy the
-    cocycle law for the new presentation's discrepancies.
-    """
-    old = cocycle.pres
-    g = new_pres.ambient
-    if g.elements != old.ambient.elements:
-        raise InvalidInputError("presentations live in different ambient groups")
-    if new_pres.subgroup != old.subgroup:
-        raise InvalidInputError("presentations quotient by different subgroups")
-    if new_pres.class_orders != old.class_orders:
-        raise InvalidInputError("class bases are incompatible")
-    shifts = []
-    for new_r, old_r in zip(new_pres.basis_reps, old.basis_reps):
-        shift = g.mul(new_r, g.inverse(old_r))
-        if not old.in_subgroup(shift):
-            raise InvalidInputError(
-                "new representatives are not in the old classes"
-            )
-        shifts.append(shift)
-    table, e, col = cocycle.chars.char_table()
-    den = cocycle.den
-    base = (cocycle.base + table[:, [col[s] for s in shifts]] * (den // e)) % den
-    out = CocycleData(new_pres, cocycle.chars, base=base)
-    if out.check_cocycle_law() != 0:
-        raise InvalidInputError("rebased phases violate the cocycle law")
-    return out
 
 
 class LiftedCharacters:
@@ -421,96 +345,3 @@ class LiftedCharacters:
                            den, {g: k for k, g in enumerate(elems)})
         return self._table
 
-
-# ---------------------------------------------------------------------------
-# congruence systems for untwisted representatives
-
-
-@dataclass
-class TwistSystem:
-    """Exact data of the representative-correction congruences.
-
-    orders[j]  : order N_j of generator L_j in the stabilizer quotient
-    r[i][j]    : integer with F(L_i, L_j) = exp(2 pi i r_ij / gcd(N_i, N_j))
-    p[i]       : Fraction with F(X, L_i) = exp(2 pi i p_i)
-    Solves  sum_j k_j r_ji / N_ij = -p_i (mod 1)  for k_j in Z_{N_j}.
-    """
-
-    orders: tuple[int, ...]
-    r: tuple[tuple[int, ...], ...]
-    p: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        n = len(self.orders)
-        if len(self.r) != n or any(len(row) != n for row in self.r):
-            raise InvalidInputError("r must be square of size len(orders)")
-        if len(self.p) != n:
-            raise InvalidInputError("p must have one entry per generator")
-        if any(o < 1 for o in self.orders):
-            raise InvalidInputError("orders must be >= 1")
-
-    @property
-    def n(self) -> int:
-        return len(self.orders)
-
-    def n_ij(self, i: int, j: int) -> int:
-        return math.gcd(self.orders[i], self.orders[j])
-
-    def lhs_exponent(self, k, i: int) -> Fraction:
-        q = Fraction(0)
-        for j in range(self.n):
-            q += Fraction(k[j] * self.r[j][i], self.n_ij(i, j))
-        return norm1(q)
-
-    def is_solution(self, k) -> bool:
-        return all(
-            norm1(self.lhs_exponent(k, i) + self.p[i]) == 0 for i in range(self.n)
-        )
-
-
-def _solutions(system: TwistSystem, homogeneous: bool = False):
-    """Every k in prod Z_{N_j} solving the system, in lexicographic order.
-
-    Integer arithmetic over the common denominator L of the 1/N_ij and the
-    p_i: sum_j k_j r_ji (L / N_ij) = -p_i L (mod L). With `homogeneous` the
-    right-hand side is taken as 0.
-    """
-    n = system.n
-    big_l = math.lcm(*system.orders, *(q.denominator for q in system.p))
-    coef = [
-        [system.r[j][i] * (big_l // system.n_ij(i, j)) % big_l for j in range(n)]
-        for i in range(n)
-    ]
-    rhs = [0 if homogeneous else int(q * big_l) % big_l for q in system.p]
-    for k in itertools.product(*(range(o) for o in system.orders)):
-        if all(
-            (sum(c * x for c, x in zip(row, k)) + b) % big_l == 0
-            for row, b in zip(coef, rhs)
-        ):
-            yield k
-
-
-def is_nondegenerate(system: TwistSystem) -> bool:
-    """The vanishing condition: only k = 0 solves the homogeneous system."""
-    return not any(any(k) for k in _solutions(system, homogeneous=True))
-
-
-def solve_congruence_system(
-    system: TwistSystem, require_nondegenerate: bool = True
-) -> tuple[int, ...]:
-    """Canonical solution of the representative-correction congruences.
-
-    With the nondegeneracy condition the solution is unique in prod Z_{N_j};
-    without it the lexicographically smallest solution is returned.
-    """
-    if require_nondegenerate and not is_nondegenerate(system):
-        raise DegenerateSystemError("twist pairing is degenerate")
-    k = next(_solutions(system), None)
-    if k is None:
-        raise InconsistentSystemError("congruence system has no solution")
-    return k
-
-
-def congruence_solution_set(system: TwistSystem) -> list[tuple[int, ...]]:
-    """All solutions by exhaustive search (small systems only)."""
-    return list(_solutions(system))

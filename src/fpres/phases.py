@@ -6,13 +6,14 @@ integer numerators n over one denominator d, q = n / d, in int64 numpy
 arrays, so a whole column of phases is one array operation. Every d and n
 stays below INT64_SAFE = 2**58, so int64 sums of up to 32 of them cannot
 overflow: `numerators` rejects input past that bound with
-InvalidInputError, `snap_phases` rejects orders past it, and a `Theory`
-whose eta order reaches it is rejected when it is built. A single exponent
-leaves this representation as a Fraction reduced mod 1, which is what the
-public accessors, the JSON documents and the reports carry. Conversion to
-complex happens only at the numerical boundary, through `unit`, and back
-through `snap_phases`, which snaps a whole array at one order and marks
-what does not snap.
+InvalidInputError. Snap orders stay below SNAP_ORDER_LIMIT = 2**50, where
+float64 angles still separate adjacent roots: `snap_phases` rejects orders
+past it, and a `Theory` whose eta order reaches it is rejected when it is
+built. A single exponent leaves this representation as a Fraction
+reduced mod 1, which is what the public accessors, the JSON documents and
+the reports carry. Conversion to complex happens only at the numerical
+boundary, through `unit`, and back through `snap_phases`, which snaps a
+whole array at one order and marks what does not snap.
 """
 from __future__ import annotations
 
@@ -51,6 +52,7 @@ def common_denominator(qs) -> int:
 
 INT64_SAFE = 2 ** 58  # int64 sums of up to 32 values this size cannot overflow
 SNAP_TOL = 1e-6  # how far a phase may lie from the root of unity it snaps to
+SNAP_ORDER_LIMIT = 2 ** 50  # float64 angles separate adjacent roots below it
 
 
 def numerators(qs, den: int) -> np.ndarray:
@@ -76,9 +78,9 @@ def units(nums, den: int) -> np.ndarray:
 def snap_phases(zs, order: int) -> np.ndarray:
     """Numerators n in [0, order) of the roots of unity exp(2 pi i n / order)
     nearest to each entry of `zs`, as int64, and -1 where an entry lies
-    farther than SNAP_TOL from it; `order` lies in (0, INT64_SAFE)."""
-    if not 0 < order < INT64_SAFE:
-        raise ValueError(f"snap order {order} is outside (0, 2**58)")
+    farther than SNAP_TOL from it; `order` lies in (0, SNAP_ORDER_LIMIT)."""
+    if not 0 < order < SNAP_ORDER_LIMIT:
+        raise ValueError(f"snap order {order} is outside (0, 2**50)")
     zs = np.asarray(zs, dtype=complex)
     near = np.rint(np.angle(np.where(np.isfinite(zs), zs, 1)) / (2.0 * math.pi)
                    * order)

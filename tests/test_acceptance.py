@@ -4,8 +4,6 @@ Each test pins its tolerances and, where promised, a wall-clock budget.
 The checks run end to end on freshly built data; nothing is mocked.
 """
 import functools
-import itertools
-import math
 import random
 import time
 from fractions import Fraction
@@ -19,24 +17,15 @@ from fpres.groups import (
     CosetPresentation,
     LiftedCharacters,
     MultGroup,
-    TwistSystem,
-    congruence_solution_set,
     decompose,
-    is_nondegenerate,
-    rebase_phases,
-    solve_congruence_system,
     span,
 )
 from fpres.modular import FUSION_TOL, check_modular, fusion_matrix, tensor
 from fpres.phases import norm1, units
-from fpres.validate import (
-    TWIST_TABLE,
-    check_fusion_integrality,
-    condition_report,
-    realize_twist_row,
-)
+from fpres.validate import check_fusion_integrality, condition_report
 from fpres.wzw import ising, su2, sun
-from test_groups import char_exponent
+from test_groups import char_exponent, cocycle_law_deviation
+from twist_models import TWIST_TABLE, realize_twist_row
 
 
 # --- shared builders ------------------------------------------------------
@@ -213,57 +202,7 @@ def test_triple_su2_representatives_and_opposite_twists():
     assert time.perf_counter() - t0 < 5.0
 
 
-# --- 4: congruence solver against exhaustive search -----------------------
-
-
-def _random_small_twist_system(rng):
-    # consistent by construction: p is read off from a planted solution
-    while True:
-        n = rng.randint(1, 3)
-        orders = tuple(rng.choice([2, 2, 3, 4, 6, 8]) for _ in range(n))
-        if math.prod(orders) > 32:
-            continue
-        r = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                nij = math.gcd(orders[i], orders[j])
-                r[i][j] = rng.randrange(nij)
-                r[j][i] = (-r[i][j]) % nij
-            r[i][i] = rng.choice([0, orders[i] // 2]) if orders[i] % 2 == 0 else 0
-        k0 = tuple(rng.randrange(o) for o in orders)
-        hom = TwistSystem(orders, tuple(map(tuple, r)), (Fraction(0),) * n)
-        p = tuple(norm1(-hom.lhs_exponent(k0, i)) for i in range(n))
-        sys = TwistSystem(orders, tuple(map(tuple, r)), p)
-        if is_nondegenerate(sys):
-            return sys, k0
-
-
-def test_congruence_solver_matches_exhaustive_search():
-    rng = random.Random(423)
-    t0 = time.perf_counter()
-    for _ in range(200):
-        sys, planted = _random_small_twist_system(rng)
-        grid = list(itertools.product(*(range(o) for o in sys.orders)))
-        brute = {k for k in grid if sys.is_solution(k)}
-        kernel = {
-            k
-            for k in grid
-            if all(sys.lhs_exponent(k, i) == 0 for i in range(sys.n))
-        }
-        got = solve_congruence_system(sys)
-        assert got in brute and planted in brute
-        assert set(congruence_solution_set(sys)) == brute
-        # solutions are a coset of the kernel; nondegeneracy makes it a point
-        assert brute == {
-            tuple((a + u) % o for a, u, o in zip(got, k, sys.orders))
-            for k in kernel
-        }
-        assert kernel == {tuple(0 for _ in sys.orders)}
-        assert brute == {got}
-    assert time.perf_counter() - t0 < 10.0
-
-
-# --- 5: lifted characters on random subgroup pairs ------------------------
+# --- 4: lifted characters on random subgroup pairs ------------------------
 
 
 def _random_group_pair(rng):
@@ -319,7 +258,8 @@ def test_lifted_characters_on_random_subgroup_pairs():
             for h in pres.subgroup:
                 assert exponent((zero, i), h) == char_exponent(chars, i, h)
 
-        # move every basis representative within its class and rebase
+        # move every basis representative within its class: the phases
+        # built for the new representatives obey the cocycle law exactly
         reps = []
         for l in range(len(pres.class_orders)):
             e_l = tuple(
@@ -328,12 +268,12 @@ def test_lifted_characters_on_random_subgroup_pairs():
             pool = [x for x in elems if pres.class_of(x) == e_l]
             reps.append(pool[rng.randrange(len(pool))])
         assert reps
-        cd2 = rebase_phases(
-            cd, CosetPresentation(g, pres.subgroup, basis_reps=reps))
-        assert cd2.check_cocycle_law() == Fraction(0)
+        cd2 = CocycleData(
+            CosetPresentation(g, pres.subgroup, basis_reps=reps), chars)
+        assert cocycle_law_deviation(cd2) == Fraction(0)
 
 
-# --- 6: twist tables and eta sets satisfy the exact identities ------------
+# --- 5: twist tables and eta sets satisfy the exact identities ------------
 
 
 def test_twist_and_eta_identities_exact_on_computed_data():
@@ -375,7 +315,7 @@ def test_twist_and_eta_identities_exact_on_computed_data():
     assert eta_sets >= 8
 
 
-# --- 7: one-step extension equals two-step resolution ---------------------
+# --- 6: one-step extension equals two-step resolution ---------------------
 
 
 def test_one_step_extension_matches_two_step_resolution():
@@ -405,7 +345,7 @@ def test_one_step_extension_matches_two_step_resolution():
     assert np.abs(two.ext_md.s[perm][:, perm] - one.ext_md.s).max() < 1e-8
 
 
-# --- 8: every twist-table row realizes at the smallest orders -------------
+# --- 7: every twist-table row realizes at the smallest orders -------------
 
 
 def test_twist_table_rows_realize_at_minimal_orders():

@@ -272,6 +272,22 @@ def test_weights_past_int64_exit_2(tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
+def test_eta_order_past_the_snap_limit_exit_2(tmp_path, capsys):
+    # weights over 24 q fit int64, but the eta order 96 q reaches 2**50
+    q = 2 * 10 ** 13 + 3
+    src = tmp_path / "su24.json"
+    run(capsys, "generate", "su2", "--k", "4", "--out", str(src))
+    doc = json.loads(src.read_text())
+    for a, field in enumerate(doc["fields"]):
+        field["h"] = str(Fraction(field["h"]) + Fraction(a, q))
+    odd = tmp_path / "odd.json"
+    odd.write_text(json.dumps(doc))
+    rc = main(["currents", str(odd)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"eta order {96 * q}" in err
+
+
 SPOIL_FIRST_PAIR = {
     "string": lambda p: [str(p[0]), p[1]],
     "null": lambda p: [None, p[1]],

@@ -22,8 +22,9 @@ from fpres.errors import PhaseSnapError, ResolutionError
 from fpres.extend import extend
 from fpres.modular import tensor
 from fpres.phases import norm1, unit, units
-from fpres.validate import check_GF, condition_report
+from fpres.validate import condition_report
 from fpres.wzw import ising, su2, sun
+from twist_models import check_GF
 
 TOL = 1e-12
 

@@ -16,7 +16,8 @@ from fpres.errors import InvalidInputError
 from fpres.extend import extend
 from fpres.groups import MultGroup
 from fpres.modular import ModularData, ProductS, tensor
-from fpres.phases import INT64_SAFE, SNAP_TOL, norm1, snap_phases, unit
+from fpres.phases import (INT64_SAFE, SNAP_ORDER_LIMIT, SNAP_TOL, norm1,
+                          snap_phases, unit)
 from fpres.wzw import ising, su2, sun
 from test_groups import char_exponent
 
@@ -206,5 +207,16 @@ def test_eta_orders_past_int64_are_rejected():
     md = shifted_su2_4(q)
     den, _, _ = md.phase_numerators()
     assert den == 24 * q < INT64_SAFE <= 96 * q
+    with pytest.raises(InvalidInputError, match=f"shifted: eta order {96 * q}"):
+        Theory(md)
+
+
+def test_eta_orders_past_the_snap_limit_are_rejected():
+    # q is prime to 24, so the eta order is 96 q again; it fits int64 but
+    # float64 angles cannot be trusted to separate roots of that order
+    q = 2 * 10 ** 13 + 3
+    md = shifted_su2_4(q)
+    assert md.phase_numerators()[0] == 24 * q
+    assert SNAP_ORDER_LIMIT <= 96 * q < INT64_SAFE
     with pytest.raises(InvalidInputError, match=f"shifted: eta order {96 * q}"):
         Theory(md)

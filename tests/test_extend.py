@@ -11,7 +11,7 @@ from fpres.extend import GRID_TOL, extend, match_fields
 from fpres.modular import check_modular, fusion_matrix, tensor
 from fpres.phases import norm1
 from fpres.wzw import ising, su2, sun
-from test_groups import char_exponent
+from test_groups import char_exponent, cocycle_law_deviation
 
 
 @functools.lru_cache(maxsize=None)
@@ -492,7 +492,7 @@ def test_resolve_phases_are_cocycle_base_exponents(theory, current, seed,
             assert pres.basis_reps == (r,)
             assert pres.class_orders == (cls.order,)
             assert tuple(coc.chars.char_labels()) == o.char_labels
-            assert coc.check_cocycle_law() == 0
+            assert cocycle_law_deviation(coc) == 0
             closure = g.power(r, cls.order)
             inv_r = g.inverse(r)
             nums, den, col = lift.table()

@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -7,24 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpres.errors import (
-    DegenerateSystemError,
-    InconsistentSystemError,
-    InvalidInputError,
-)
+from fpres.errors import InvalidInputError
 from fpres.groups import (
     CocycleData,
     CosetPresentation,
     LiftedCharacters,
     MultGroup,
-    TwistSystem,
     abelian_basis,
-    congruence_solution_set,
     coordinate_map,
     decompose,
-    is_nondegenerate,
-    rebase_phases,
-    solve_congruence_system,
     span,
 )
 from fpres.currents import Theory
@@ -41,6 +31,34 @@ def char_exponent(group, label, x):
     table, e, col = group.char_table()
     row = list(group.char_labels()).index(tuple(label))
     return Fraction(int(table[row, col[x]]), e)
+
+
+def discrepancy(pres, m, k):
+    """h(J,K) with R(J)R(K) = R(JK) h(J,K); factorizes over cyclic factors."""
+    out = pres.ambient.identity
+    for l, (ml, kl, nl) in enumerate(zip(m, k, pres.class_orders)):
+        if ml + kl >= nl:
+            out = pres.ambient.mul(out, pres.closure(l))
+    return out
+
+
+def cocycle_law_deviation(cocycle):
+    """Max deviation exponent of the defining law; Fraction(0) if exact."""
+    phi, den = cocycle.phi_table()
+    table, e, col = cocycle.chars.char_table()
+    classes = list(cocycle.pres.class_labels())
+    index = {m: c for c, m in enumerate(classes)}
+    worst = 0
+    for a, m in enumerate(classes):
+        for b, k in enumerate(classes):
+            mk = tuple(
+                (x + y) % n
+                for x, y, n in zip(m, k, cocycle.pres.class_orders)
+            )
+            psi = table[:, col[discrepancy(cocycle.pres, m, k)]] * (den // e)
+            dev = (psi + phi[:, index[mk]] - phi[:, a] - phi[:, b]) % den
+            worst = max(worst, int(np.minimum(dev, den - dev).max()))
+    return Fraction(worst, den)
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +185,8 @@ def test_coset_presentation_z4_mod_z2():
     assert pres.class_orders == (2,)
     assert pres.basis_reps == ((1,),)
     assert pres.closure(0) == (2,)
-    assert pres.discrepancy((1,), (1,)) == (2,)
-    assert pres.discrepancy((0,), (1,)) == (0,)
+    assert discrepancy(pres, (1,), (1,)) == (2,)
+    assert discrepancy(pres, (0,), (1,)) == (0,)
     assert pres.class_of((3,)) == (1,)
     assert pres.subgroup_part((3,)) == (2,)
 
@@ -192,7 +210,7 @@ def test_representative_map_is_multiplicative(orders, gens):
         for k in pres.class_labels():
             mk = tuple((a + b) % n for a, b, n in zip(m, k, pres.class_orders))
             lhs = g.mul(pres.representative(m), pres.representative(k))
-            rhs = g.mul(pres.representative(mk), pres.discrepancy(m, k))
+            rhs = g.mul(pres.representative(mk), discrepancy(pres, m, k))
             assert lhs == rhs
     for x in g.elements:
         cls = pres.class_of(x)
@@ -231,7 +249,7 @@ def test_presentation_takes_any_generating_representative():
                           pres.subgroup_part(x))
     chars = MultGroup(pres.subgroup, g.mul, g.identity)
     coc = CocycleData(pres, chars)
-    assert coc.check_cocycle_law() == 0
+    assert cocycle_law_deviation(coc) == 0
     m = units(*LiftedCharacters(coc).table()[:2])
     assert np.abs(m @ m.conj().T - 6 * np.eye(6)).max() < 1e-12
 
@@ -264,23 +282,22 @@ def test_cocycle_phase_z4_example():
     nums, den = coc.phi_table()
     assert units(nums, den)[1, 1] == pytest.approx(1j)
     assert nums[0, 1] == 0
-    assert coc.check_cocycle_law() == 0
+    assert cocycle_law_deviation(coc) == 0
 
 
 def test_rebase_differs_from_reseed():
-    # moving the representative 1 -> 3 multiplies phi by Psi(2) = -1;
-    # re-deriving principal roots for the new closure would give +i again
+    # moving the representative 1 -> 3 would multiply phi by Psi(2) = -1;
+    # re-deriving principal roots for the new closure gives +i again
     g = decompose([4])
     pres = CosetPresentation(g, [(2,)])
     chars = MultGroup(pres.subgroup, g.mul, g.identity)
     coc = CocycleData(pres, chars)
+    moved = norm1(base_row(coc, 1)[0] + char_exponent(chars, (1,), (2,)))
+    assert moved == Fraction(3, 4)
     alt = CosetPresentation(g, pres.subgroup, basis_reps=[(3,)])
-    moved = rebase_phases(coc, alt)
-    assert base_row(moved, 1) == [Fraction(3, 4)]
-    assert moved.check_cocycle_law() == 0
     reseeded = CocycleData(alt, chars)
     assert base_row(reseeded, 1) == [Fraction(1, 4)]
-    assert reseeded.check_cocycle_law() == 0
+    assert cocycle_law_deviation(reseeded) == 0
 
 
 def _random_pair(rng):
@@ -351,109 +368,10 @@ def test_coset_layer_on_fusion_center(build):
         for k in pres.class_labels():
             mk = tuple((a + b) % n for a, b, n in zip(m, k, pres.class_orders))
             lhs = g.mul(pres.representative(m), pres.representative(k))
-            rhs = g.mul(pres.representative(mk), pres.discrepancy(m, k))
+            rhs = g.mul(pres.representative(mk), discrepancy(pres, m, k))
             assert lhs == rhs
     chars = MultGroup(pres.subgroup, g.mul, g.identity)
     coc = CocycleData(pres, chars)
-    assert coc.check_cocycle_law() == 0
+    assert cocycle_law_deviation(coc) == 0
     m = units(*LiftedCharacters(coc).table()[:2])
     assert np.abs(m @ m.conj().T - g.size * np.eye(g.size)).max() < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# the congruence solver
-
-
-def test_congruence_two_generator_example():
-    sys = TwistSystem(
-        orders=(2, 2),
-        r=((0, 1), (1, 0)),
-        p=(Fraction(1, 2), Fraction(0)),
-    )
-    assert is_nondegenerate(sys)
-    assert solve_congruence_system(sys) == (0, 1)
-    assert congruence_solution_set(sys) == [(0, 1)]
-
-
-def test_congruence_single_generator_example():
-    sys = TwistSystem(orders=(2,), r=((1,),), p=(Fraction(1, 2),))
-    assert is_nondegenerate(sys)
-    assert solve_congruence_system(sys) == (1,)
-    assert congruence_solution_set(sys) == [(1,)]
-
-
-def test_congruence_degenerate_and_inconsistent():
-    sys = TwistSystem(orders=(2,), r=((0,),), p=(Fraction(1, 2),))
-    assert not is_nondegenerate(sys)
-    with pytest.raises(DegenerateSystemError):
-        solve_congruence_system(sys)
-    with pytest.raises(InconsistentSystemError):
-        solve_congruence_system(sys, require_nondegenerate=False)
-
-
-def test_congruence_trivial_system():
-    sys = TwistSystem(orders=(), r=(), p=())
-    assert solve_congruence_system(sys) == ()
-
-
-def random_twist_system(rng, max_order=6, planted=True):
-    """A random system with arbitrary r. With `planted`, p is read off a
-    known solution k0; otherwise p is a random rational, so the system may
-    be inconsistent, and k0 is None."""
-    n = rng.randint(1, 3)
-    orders = tuple(rng.choice([1, 2, 2, 3, 4, max_order]) for _ in range(n))
-    r = tuple(
-        tuple(rng.randrange(-2 * max_order, 2 * max_order) for _ in range(n))
-        for _ in range(n)
-    )
-    if not planted:
-        p = tuple(Fraction(rng.randrange(-12, 12), rng.choice([1, 2, 3, 4, 6, 12]))
-                  for _ in range(n))
-        return TwistSystem(orders, r, p), None
-    k0 = tuple(rng.randrange(o) for o in orders)
-    sys0 = TwistSystem(orders, r, (Fraction(0),) * n)
-    p = tuple(norm1(-sys0.lhs_exponent(k0, i)) for i in range(n))
-    return TwistSystem(orders, r, p), k0
-
-
-@pytest.mark.parametrize("seed", range(30))
-def test_congruence_solver_vs_exhaustive(seed):
-    # the oracle filters the grid with the Fraction predicates of TwistSystem
-    rng = random.Random(1000 + seed)
-    for planted in (True, False):
-        sys, k0 = random_twist_system(rng, planted=planted)
-        grid = list(itertools.product(*(range(o) for o in sys.orders)))
-        sols = [k for k in grid if sys.is_solution(k)]
-        kernel = [k for k in grid
-                  if all(sys.lhs_exponent(k, i) == 0 for i in range(sys.n))]
-        assert congruence_solution_set(sys) == sols
-        assert is_nondegenerate(sys) == (kernel == [grid[0]])
-        # none, or a coset of the kernel: unique when nondegenerate
-        assert len(sols) in (0, len(kernel))
-        if k0 is not None:
-            assert k0 in sols
-        for require in (True, False):
-            if require and len(kernel) > 1:
-                with pytest.raises(DegenerateSystemError):
-                    solve_congruence_system(sys)
-            elif not sols:
-                with pytest.raises(InconsistentSystemError,
-                                   match="congruence system has no solution"):
-                    solve_congruence_system(sys, require_nondegenerate=require)
-            else:
-                assert solve_congruence_system(
-                    sys, require_nondegenerate=require) == sols[0]
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_degenerate_solution_count_matches_annihilators(seed):
-    # the solution set, when nonempty, is a torsor under the annihilator lattice
-    rng = random.Random(2000 + seed)
-    sys, k0 = random_twist_system(rng, max_order=4)
-    sols = congruence_solution_set(sys)
-    assert k0 in sols
-    ann = 0
-    for k in itertools.product(*(range(o) for o in sys.orders)):
-        if all(sys.lhs_exponent(k, i) == 0 for i in range(sys.n)):
-            ann += 1
-    assert len(sols) == ann

@@ -1,12 +1,14 @@
 """Snapping complex numbers to exact roots of unity, one at a time and in
 bulk."""
 import cmath
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fpres.phases import INT64_SAFE, SNAP_TOL, snap_phases, unit
+from fpres.phases import (INT64_SAFE, SNAP_ORDER_LIMIT, SNAP_TOL, snap_phases,
+                          unit)
 
 TOL = 1e-6
 
@@ -48,11 +50,20 @@ def test_off_circle_and_midway_points_fail_both_forms(order):
 
 
 def test_orders_from_int64_safe_up_are_rejected():
+    # float64 angles stop separating adjacent roots near order 2**52, so
+    # snap orders stop at SNAP_ORDER_LIMIT, below INT64_SAFE
+    assert SNAP_ORDER_LIMIT == 2 ** 50 < INT64_SAFE
     zs = np.array([1j, -1, 1])
-    for order in (INT64_SAFE, 4 * INT64_SAFE, 0):
+    for order in (SNAP_ORDER_LIMIT, INT64_SAFE // 4, INT64_SAFE, 0):
         with pytest.raises(ValueError, match="snap order"):
             snap_phases(zs, order)
     # the largest orders below the bound still snap exactly, in int64
-    got = snap_phases(zs, INT64_SAFE // 4)
+    order = SNAP_ORDER_LIMIT - 4
+    got = snap_phases(zs, order)
     assert got.dtype == np.int64
-    assert got.tolist() == [INT64_SAFE // 16, INT64_SAFE // 8, 0]
+    assert got.tolist() == [order // 4, order // 2, 0]
+    rng = random.Random(0)
+    for order in (SNAP_ORDER_LIMIT - 1, SNAP_ORDER_LIMIT - 3):
+        nums = [rng.randrange(order) for _ in range(2000)]
+        zs = np.array([unit(Fraction(n, order)) for n in nums])
+        assert snap_phases(zs, order).tolist() == nums

@@ -7,17 +7,17 @@ import numpy as np
 import pytest
 
 from fpres.currents import FixedPointBundle, Theory
-from fpres.errors import InvalidInputError
+from fpres.errors import InvalidInputError, ResolutionError
 from fpres.extend import extend
 from fpres.modular import ModularData, tensor
+from fpres.phases import norm1
 from fpres.validate import (
     check_conditions,
     check_fusion_integrality,
-    check_GF,
     condition_report,
-    realize_twist_row,
 )
 from fpres.wzw import ising, su2, sun
+from twist_models import check_GF, realize_twist_row
 
 HALF = Fraction(1, 2)
 
@@ -111,6 +111,44 @@ def test_half_integer_current_violates_5c_only():
     assert failed == ["{5c}"]
     assert rep["checks"]["{5b}"]["ok"]
     assert rep["checks"]["spin-rule"]["ok"]
+
+
+def resolved_extension(md, label):
+    ex = extend(Theory(md), [md.index(label)])
+    return ex.extended_theory(extra_bundles=[
+        ex.resolve(c).bundle for c in ex.residual_classes() if c.order > 1])
+
+
+@pytest.mark.parametrize("build,cells", [
+    (lambda: Theory(ising()), 1),
+    (lambda: Theory(sun(4, 4)), 2),
+    (lambda: resolved_extension(tensor(su2(6), su2(6)), (6, 6)), 2),
+    (lambda: resolved_extension(tensor(*[su2(2)] * 4), (2, 2, 2, 2)), 42),
+], ids=["ising", "su4_4", "su2_6^2", "su2_2^4"])
+def test_5c_is_the_half_integer_spin_flag(build, cells):
+    # {2}, {5}, {6} and {5b} with K = J^-1 give, on every bundle cell,
+    # eta^J(conj a) = F(a, J^-1, J) - eta^J(a) mod 1, and F(a, J^-1, J) =
+    # -F(a, J, J) is minus the spin of J. So {5c}, which asks for
+    # eta^J(conj a) = -eta^J(a), fails exactly on the currents of
+    # half-integer spin: it flags the spin, not bad data
+    th = build()
+    conj = th.md.conjugation()
+    seen = 0
+    for j in th.center.elements[1:]:
+        try:
+            fields = th.bundle(j).fields
+        except ResolutionError:
+            continue
+        jinv = th.center.inverse(j)
+        for a in map(int, fields):
+            assert th.eta_exponent(j, int(conj[a])) == norm1(
+                th.twist_exponent(a, jinv, j) - th.eta_exponent(j, a))
+            seen += 1
+    assert seen == cells
+    for cur, body in condition_report(th)["bundles"].items():
+        failed = [cid for cid, c in body["checks"].items() if not c["ok"]]
+        half = norm1(th.md.h[int(cur)]) == HALF
+        assert failed == (["{5c}"] if half else []), (cur, failed)
 
 
 def test_fsym_pairs_the_two_twist_orders():
