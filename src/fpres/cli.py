@@ -271,7 +271,8 @@ def main(argv=None) -> int:
     args.manifest_args = argv[1:]
     try:
         return args.func(args)
-    except (InvalidInputError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (InvalidInputError, FileNotFoundError, IsADirectoryError,
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:

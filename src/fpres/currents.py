@@ -24,7 +24,6 @@ of that field raises.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,9 +44,9 @@ from .modular import (
     ProductS,
     _label_from_json,
     _label_to_json,
+    _read_json,
     complex_array,
     complex_pairs,
-    dump_json,
     match_rows,
     product_ids,
 )
@@ -454,7 +453,8 @@ class Theory:
 
 def bundle_array_document(md: ModularData, b: FixedPointBundle) -> dict:
     """The "fp-bundle v1" document of `b` with its matrix and eta as array
-    leaves (see `modular.complex_pairs`); `save_bundle` writes it."""
+    leaves (see `modular.complex_pairs`); the CLI writes it with
+    `modular.dump_json`."""
     doc = {
         "format": "fp-bundle v1",
         "current": _label_to_json(md.labels[b.current]),
@@ -483,11 +483,6 @@ def bundle_from_document(md: ModularData, doc: dict) -> FixedPointBundle:
     return FixedPointBundle(j, fields, mat, eta)
 
 
-def save_bundle(md: ModularData, b: FixedPointBundle, path) -> None:
-    with open(path, "w") as fh:
-        dump_json(bundle_array_document(md, b), fh)
-
-
 def load_bundle(md: ModularData, path) -> FixedPointBundle:
-    with open(path) as fh:
-        return bundle_from_document(md, json.load(fh))
+    doc = _read_json(path, ("matrix", "eta"), lambda doc: [doc])
+    return bundle_from_document(md, doc)

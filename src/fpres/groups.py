@@ -3,8 +3,7 @@
 One group type, ``MultGroup``, carries the algebra: a finite abelian group
 over sortable element ids whose product is supplied by a callable, with a
 cyclic basis, exponent coordinates and an integer character table. The
-engine builds it over field ids (fusion subgroups, untwisted stabilizers);
-``decompose`` builds it over int tuples for Z_{N_1} x ... x Z_{N_r}.
+engine builds it over field ids (fusion subgroups, untwisted stabilizers).
 
 On top of it sit the coset presentation G/H with a multiplicative
 representative map, the cocycle phases that repair products of
@@ -164,19 +163,6 @@ class MultGroup:
             self._chars = (table % e, e,
                            {x: i for i, x in enumerate(self.elements)})
         return self._chars
-
-
-def decompose(orders) -> MultGroup:
-    """Z_{N_1} x ... x Z_{N_r} over int tuples, added componentwise."""
-    orders = tuple(int(n) for n in orders)
-    if any(n < 1 for n in orders):
-        raise InvalidInputError(f"orders must be >= 1, got {orders}")
-
-    def add(x, y):
-        return tuple((a + b) % n for a, b, n in zip(x, y, orders))
-
-    return MultGroup(itertools.product(*(range(n) for n in orders)), add,
-                     (0,) * len(orders))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -364,11 +365,6 @@ def _verlinde(s: np.ndarray, fields, upper: bool = False):
         yield ints, float(np.abs(raw - ints).max())
 
 
-def fusion_matrix(md: ModularData, a: int) -> np.ndarray:
-    """Integer matrix (N_a)_b^c from the S-matrix sum over the spectrum."""
-    return _fusion_ints(*next(_verlinde(md.s_dense(), [a])))
-
-
 def _fusion_ints(out: np.ndarray, residual: float) -> np.ndarray:
     """One `_verlinde` row as int64, raising on a residual above FUSION_TOL
     or a negative coefficient."""
@@ -382,7 +378,8 @@ def _fusion_ints(out: np.ndarray, residual: float) -> np.ndarray:
 
 
 def fusion_tensor(md: ModularData, limit: int = FUSION_DENSE_LIMIT) -> np.ndarray:
-    """Every fusion matrix, `fusion_matrix` row by row over one dense S."""
+    """Every fusion matrix (N_a)_b^c, one `_verlinde` row per field a over
+    one dense S."""
     if md.size > limit:
         raise ResourceLimitError(
             f"{md.size} fields exceeds the dense fusion limit {limit}"
@@ -557,15 +554,114 @@ def _dump_array(a: np.ndarray, depth: int, fh) -> None:
         fh.write("".join(buf.tolist()))
 
 
+# Loading reads the text once. Each array under one of the format's array
+# keys is decoded one top-level row at a time and stacked into a float64
+# array every _ROWS_PER_BATCH rows, so Python floats live only for the rows
+# of one batch. The rest of the document is decoded by `json.loads`, with a
+# placeholder string where each array was. An array that is not a regular
+# nested list of floats (an int, a string, a null, ragged rows, bad syntax),
+# or a placeholder that does not land where the format reads the array,
+# sends the whole text to `json.loads`, as before, so every value and every
+# error is the one `json.load` gives.
+
+_ROWS_PER_BATCH = 64              # rows decoded before numpy stacks them
+_WS = re.compile(r"[ \t\n\r]*")
+
+
+def _reject_int(text):
+    raise ValueError(f"integer {text} in a float array")
+
+
+# an int sends the array, as a part of the whole text, to `json.loads`
+_FLOAT_DECODER = json.JSONDecoder(parse_int=_reject_int)
+
+
+def _float_rows(text: str, pos: int):
+    """(a, end): the JSON array whose "[" is text[pos] as the float64 array
+    `a`, and the index just past its "]". Raises ValueError unless numpy
+    stacks its rows into one float64 array; a boolean beside floats becomes
+    0.0 or 1.0 there, as in `complex_array`."""
+    batches, rows = [], []
+    pos += 1
+    while True:
+        row, pos = _FLOAT_DECODER.raw_decode(text, _WS.match(text, pos).end())
+        rows.append(row)
+        pos = _WS.match(text, pos).end()
+        sep = text[pos:pos + 1]
+        pos += 1
+        if sep == "]" or len(rows) == _ROWS_PER_BATCH:
+            batch = np.array(rows)  # ValueError when ragged
+            if batch.dtype != np.float64:
+                raise ValueError("not a nested list of floats")
+            batches.append(batch)
+            rows = []
+        if sep == "]":
+            return np.concatenate(batches), pos  # ValueError: ragged rows
+        if sep != ",":
+            raise ValueError(f"expected ',' or ']' at {pos - 1}")
+
+
+def _decode_by_rows(text: str, keys, containers):
+    """The document of `text` with its arrays decoded by `_float_rows`, or
+    None when the whole text must go to `json.loads`."""
+    if "\\u0000" in text:
+        return None  # a string of the document could spell a placeholder
+    key = re.compile(r'"(?:%s)"[ \t\n\r]*:[ \t\n\r]*\[' % "|".join(keys))
+    parts, arrays = [], {}
+    pos = 0
+    try:
+        while (m := key.search(text, pos)) is not None:
+            slot = f"{_SLOT}{len(arrays)}"
+            a, end = _float_rows(text, m.end() - 1)
+            arrays[slot] = a
+            parts += [text[pos:m.end() - 1], json.dumps(slot)]
+            pos = end
+        if not arrays:
+            return None
+        parts.append(text[pos:])
+        doc = json.loads("".join(parts))
+    except (ValueError, RecursionError):
+        return None
+    if not isinstance(doc, dict):
+        return None
+    for obj in containers(doc):
+        for k in keys:
+            v = obj.get(k)
+            if isinstance(v, str) and v in arrays:
+                obj[k] = arrays.pop(v)
+    return None if arrays else doc
+
+
+def _read_json(path, keys, containers) -> dict:
+    """The JSON object in the file at `path`. The float arrays under `keys`
+    in the dicts `containers(doc)` lists come as float64 ndarrays, decoded
+    by rows; everything else, and every error, is as `json.load` gives
+    it."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(
+            f"{path} is not {exc.encoding} text: {exc.reason} at byte "
+            f"{exc.start}") from None
+    doc = _decode_by_rows(text, keys, containers)
+    if doc is None:
+        doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise InvalidInputError(f"{path} does not hold a JSON object")
+    return doc
+
+
 def complex_array(obj, field: str) -> np.ndarray:
     """Complex array from nested [re, im] pairs of JSON numbers (ints,
-    floats, bools), bitwise equal to `complex(re, im)` per pair.
+    floats, bools), bitwise equal to `complex(re, im)` per pair. A float64
+    array of pairs, as `_read_json` decodes them, is viewed without a copy.
 
     Strings, nulls, ragged rows and pairs that are not exactly two numbers
     raise `InvalidInputError` naming `field`.
     """
     try:
-        a = np.array(obj)
+        a = np.asarray(obj)
     except ValueError:
         raise InvalidInputError(f"{field} has rows of unequal length") from None
     numbers = a.dtype.kind in "biuf" or (
@@ -602,12 +698,25 @@ def _label_to_json(lab):
 def _label_from_json(lab):
     if isinstance(lab, list):
         return tuple(_label_from_json(x) for x in lab)
+    if isinstance(lab, dict):
+        raise InvalidInputError(
+            f"label {lab!r} is an object; a label is a string, number, "
+            f"boolean, null or a list of labels"
+        )
     return lab
+
+
+def _rational(text, field: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise InvalidInputError(
+            f"{field} {text!r} has a zero denominator") from None
 
 
 def array_document(md: ModularData) -> dict:
     """The "modular-data v1" document of `md` with its S as an array leaf
-    (see `complex_pairs`); `save` writes it, `to_document` lists it."""
+    (see `complex_pairs`); `save` writes it."""
     # keep the factor structure, it drives bundle construction downstream
     if md.is_product:
         return {
@@ -627,22 +736,22 @@ def array_document(md: ModularData) -> dict:
     }
 
 
-def to_document(md: ModularData) -> dict:
-    return native(array_document(md))
-
-
 def from_document(doc: dict) -> ModularData:
     if doc.get("format") != "modular-data v1":
         raise InvalidInputError(
             f"unsupported document format {doc.get('format')!r}"
         )
     if "product" in doc:
-        parts = [from_document(d) for d in doc["product"]]
-        return tensor(*parts, name=doc.get("name", ""))
+        parts = doc["product"]
+        if not (isinstance(parts, list)
+                and all(isinstance(d, dict) for d in parts)):
+            raise InvalidInputError(
+                "product must be a list of modular-data documents")
+        return tensor(*map(from_document, parts), name=doc.get("name", ""))
     try:
         labels = tuple(_label_from_json(f["label"]) for f in doc["fields"])
-        h = tuple(Fraction(f["h"]) for f in doc["fields"])
-        c = Fraction(doc["central_charge"])
+        h = tuple(_rational(f["h"], "h") for f in doc["fields"])
+        c = _rational(doc["central_charge"], "central_charge")
         s = complex_array(doc["s_matrix"], "s_matrix")
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed modular data document: {exc}") from exc
@@ -654,6 +763,15 @@ def save(md: ModularData, path) -> None:
         dump_json(array_document(md), fh)
 
 
+def _atomic_documents(doc: dict) -> list:
+    """The dicts of a modular-data document that `from_document` reads an
+    "s_matrix" from: the document, or the atomic parts of its "product"."""
+    if "product" not in doc:
+        return [doc]
+    parts = doc["product"]
+    return [a for d in (parts if isinstance(parts, list) else [])
+            if isinstance(d, dict) for a in _atomic_documents(d)]
+
+
 def load(path) -> ModularData:
-    with open(path) as fh:
-        return from_document(json.load(fh))
+    return from_document(_read_json(path, ("s_matrix",), _atomic_documents))

@@ -17,13 +17,13 @@ from fpres.groups import (
     CosetPresentation,
     LiftedCharacters,
     MultGroup,
-    decompose,
     span,
 )
-from fpres.modular import FUSION_TOL, check_modular, fusion_matrix, tensor
+from fpres.modular import FUSION_TOL, check_modular, tensor
 from fpres.phases import norm1, units
 from fpres.validate import check_fusion_integrality, condition_report
 from fpres.wzw import ising, su2, sun
+from oracles import decompose, fusion_matrix
 from test_groups import char_exponent, cocycle_law_deviation
 from twist_models import TWIST_TABLE, realize_twist_row
 

@@ -401,3 +401,77 @@ def test_a_loose_tolerance_leaves_the_extension_unchanged(extended_run,
         assert (loose / name).read_bytes() == (default / name).read_bytes()
     report = json.loads((loose / "report.json").read_text())
     assert report["conditions"]["tolerance"] == 0.5
+
+
+def _su2_4_document(tmp_path, capsys):
+    src = tmp_path / "su24.json"
+    run(capsys, "generate", "su2", "--k", "4", "--out", str(src))
+    return src, json.loads(src.read_text())
+
+
+def _write(path, doc):
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _not_utf8(tmp_path, src, doc):
+    bad = tmp_path / "latin.json"
+    bad.write_bytes(b"\xff\xfe" + json.dumps(doc).encode())
+    return [str(bad)], str(bad)
+
+
+def _array_input(tmp_path, src, doc):
+    return [str(_write(tmp_path / "array.json", [1, 2]))], "array.json"
+
+
+def _array_bundle(tmp_path, src, doc):
+    bad = _write(tmp_path / "array_bundle.json", [1, 2])
+    return [str(src), "--bundles", str(bad)], "array_bundle.json"
+
+
+def _product_number(tmp_path, src, doc):
+    bad = {"format": "modular-data v1", "name": "p", "product": 5}
+    return [str(_write(tmp_path / "p.json", bad))], "product"
+
+
+def _product_of_numbers(tmp_path, src, doc):
+    bad = {"format": "modular-data v1", "name": "p", "product": [5]}
+    return [str(_write(tmp_path / "p.json", bad))], "product"
+
+
+def _object_label(tmp_path, src, doc):
+    doc["fields"][1]["label"] = {}
+    return [str(_write(tmp_path / "label.json", doc))], "label {}"
+
+
+def _directory_input(tmp_path, src, doc):
+    folder = tmp_path / "folder.json"
+    folder.mkdir()
+    return [str(folder)], "folder.json"
+
+
+def _zero_denominator(tmp_path, src, doc):
+    doc["fields"][1]["h"] = "1/0"
+    return [str(_write(tmp_path / "h.json", doc))], "h '1/0'"
+
+
+MALFORMED_INPUTS = {
+    "not utf-8": _not_utf8,
+    "array document": _array_input,
+    "array bundle": _array_bundle,
+    "product of a number": _product_number,
+    "product of numbers": _product_of_numbers,
+    "object label": _object_label,
+    "directory": _directory_input,
+    "zero denominator": _zero_denominator,
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
+def test_malformed_input_exits_2_naming_it(tmp_path, capsys, case):
+    src, doc = _su2_4_document(tmp_path, capsys)
+    argv, named = MALFORMED_INPUTS[case](tmp_path, src, doc)
+    rc = main(["validate", *argv])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and named in err

@@ -10,12 +10,12 @@ from fpres.currents import (
     ProductBundle,
     Theory,
     bundle_from_document,
+    bundle_array_document,
     detect_simple_currents,
-    save_bundle,
     solve_1x1_bundle,
 )
 from fpres.errors import InvalidInputError, MalformedBundleError, ResolutionError
-from fpres.modular import tensor
+from fpres.modular import dump_json, tensor
 from fpres.phases import norm1, unit
 from fpres.wzw import ising, su2, sun
 
@@ -176,7 +176,8 @@ def test_bundle_document_roundtrip(tmp_path):
     md = tensor(su2(4), su2(4))
     th = Theory(md)
     b = th.bundle(20)
-    save_bundle(md, b, tmp_path / "b.json")
+    with open(tmp_path / "b.json", "w") as fh:
+        dump_json(bundle_array_document(md, b), fh)
     doc = json.loads((tmp_path / "b.json").read_text())
     assert doc["format"] == "fp-bundle v1"
     back = bundle_from_document(md, doc)

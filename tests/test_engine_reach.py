@@ -1,11 +1,13 @@
-"""Every public name in the package is named by the package itself.
+"""Every public name in the package is referenced by the package itself.
 
 Code that only tests reach is either wired into the engine or deleted, so
-a public module-level function or class, or a public method, must be named
-somewhere in `src/fpres` besides its own `def` or `class` line.
+a public module-level function or class, or a public method, must be
+referenced somewhere in `src/fpres`: as a name, an attribute or an
+imported name. A mention in a docstring or comment is no reference, and a
+`def` or `class` line does not reference what it defines.
 """
 import ast
-import re
+from collections import Counter
 from pathlib import Path
 
 import fpres
@@ -18,31 +20,69 @@ EXEMPT = {"match_fields"}
 
 
 def public_definitions(tree):
-    """(qualified name, name, line) of the public module-level functions
-    and classes, and of the public methods of module-level classes."""
+    """(qualified name, node) of the public module-level functions and
+    classes, and of the public methods of module-level classes."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             if not node.name.startswith("_"):
-                yield node.name, node.name, node.lineno
+                yield node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if (isinstance(item, ast.FunctionDef)
                         and not item.name.startswith("_")):
-                    yield f"{node.name}.{item.name}", item.name, item.lineno
+                    yield f"{node.name}.{item.name}", item
+
+
+def references(tree) -> Counter:
+    """How often each identifier is referenced in `tree`: names,
+    attribute names and the names that imports bind from a module."""
+    refs = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            refs[node.name.rsplit(".", 1)[-1]] += 1
+    return refs
+
+
+def unreferenced(trees):
+    """module:qualified name of every public definition in `trees` (module
+    name -> parsed source) that no node of any of them references."""
+    refs = Counter()
+    for tree in trees.values():
+        refs += references(tree)
+    return [f"{module}:{qualified}"
+            for module, tree in trees.items()
+            for qualified, node in public_definitions(tree)
+            if not refs[node.name] and node.name not in EXEMPT]
 
 
 def test_every_public_name_is_named_in_the_package():
-    sources = {path.name: path.read_text().splitlines()
-               for path in sorted(PACKAGE.glob("*.py"))}
-    unnamed = []
-    for module, lines in sources.items():
-        tree = ast.parse("\n".join(lines))
-        for qualified, name, lineno in public_definitions(tree):
-            word = re.compile(rf"\b{name}\b")
-            named = any(word.search(line)
-                        for other, text in sources.items()
-                        for k, line in enumerate(text, 1)
-                        if (other, k) != (module, lineno))
-            if not named and name not in EXEMPT:
-                unnamed.append(f"{module}:{qualified}")
-    assert unnamed == []
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced(trees) == []
+
+
+def test_mentions_in_docstrings_do_not_count():
+    trees = {"a.py": ast.parse('''
+"""`unused` and `Box.get` are named in this docstring."""
+
+def used():
+    """As is `unused` here."""
+
+def unused():
+    return 1  # unused
+
+class Box:
+    def get(self):
+        pass
+
+    def put(self):
+        return used()
+
+def caller(box):
+    return box.put()
+'''), "b.py": ast.parse("from a import caller, Box\n")}
+    assert unreferenced(trees) == ["a.py:unused", "a.py:Box.get"]

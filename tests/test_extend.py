@@ -8,9 +8,10 @@ import pytest
 from fpres.currents import FixedPointBundle, Theory
 from fpres.errors import InvalidInputError, ResolutionError
 from fpres.extend import GRID_TOL, extend, match_fields
-from fpres.modular import check_modular, fusion_matrix, tensor
+from fpres.modular import check_modular, tensor
 from fpres.phases import norm1
 from fpres.wzw import ising, su2, sun
+from oracles import fusion_matrix
 from test_groups import char_exponent, cocycle_law_deviation
 
 

@@ -14,13 +14,13 @@ from fpres.groups import (
     MultGroup,
     abelian_basis,
     coordinate_map,
-    decompose,
     span,
 )
 from fpres.currents import Theory
 from fpres.modular import tensor
 from fpres.phases import norm1, unit, units
 from fpres.wzw import su2, sun
+from oracles import decompose
 
 small_orders = st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=3)
 

@@ -1,30 +1,47 @@
-"""The bulk JSON writer and the vectorized [re, im] loader, against the
-encoders and the per-element path they replace.
+"""The bulk JSON writer, the row-by-row reader and the vectorized [re, im]
+loader, against the encoders and the per-element path they replace.
 
 The oracle for every written document is `json.dump(native(doc), fh,
-indent=1)` followed by a newline; the oracle for every loaded matrix is
-`complex(re, im)` per pair.
+indent=1)` followed by a newline; the oracle for every loaded document is
+`from_document(json.load(fh))` or `bundle_from_document(md, json.load(fh))`,
+bit for bit, and for every loaded matrix `complex(re, im)` per pair.
 """
 import glob
 import io
 import json
 import math
+import tempfile
+import tracemalloc
+from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fpres import modular
 from fpres.cli import main
-from fpres.currents import Theory, bundle_array_document, save_bundle
+from fpres.currents import (
+    FixedPointBundle,
+    Theory,
+    bundle_array_document,
+    bundle_from_document,
+    load_bundle,
+)
 from fpres.errors import InvalidInputError
 from fpres.extend import extend
 from fpres.modular import (
+    ModularData,
     array_document,
     complex_array,
     dump_json,
     from_document,
+    load,
     native,
+    save,
     tensor,
-    to_document,
 )
 from fpres.validate import check_fusion_integrality, condition_report
 from fpres.wzw import ising, su2
@@ -59,11 +76,16 @@ def _su2_4_pair_run():
     return ex, ex.resolve(cls).bundle
 
 
-def _empty_bundle_doc():
+def _ising_pair_run():
     md = tensor(ising(), ising())
     ex = extend(Theory(md), [md.labels.index(("psi", "psi"))])
     cls = next(c for c in ex.residual_classes() if c.order > 1)
-    return bundle_array_document(ex.ext_md, ex.resolve(cls).bundle)
+    return ex, ex.resolve(cls).bundle
+
+
+def _empty_bundle_doc():
+    ex, b = _ising_pair_run()
+    return bundle_array_document(ex.ext_md, b)
 
 
 def _bundle_docs():
@@ -141,9 +163,11 @@ def test_writer_rejects_what_json_rejects():
 
 def test_native_documents_match_the_written_ones(tmp_path):
     md = tensor(su2(2), ising())
-    assert to_document(md) == json.loads(written_text(array_document(md)))
+    assert native(array_document(md)) == json.loads(
+        written_text(array_document(md)))
     ex, b = _su2_4_pair_run()
-    save_bundle(ex.ext_md, b, tmp_path / "b.json")
+    with open(tmp_path / "b.json", "w") as fh:
+        dump_json(bundle_array_document(ex.ext_md, b), fh)
     doc = json.loads((tmp_path / "b.json").read_text())
     assert doc == native(bundle_array_document(ex.ext_md, b))
     assert isinstance(doc["matrix"], list)
@@ -151,7 +175,7 @@ def test_native_documents_match_the_written_ones(tmp_path):
 
 def test_loader_is_bitwise_the_per_element_path():
     md = _su2x4_diagonal().ext_md
-    rows = to_document(md)["s_matrix"]
+    rows = native(array_document(md))["s_matrix"]
     rows[0][0] = [-0.0, -0.0]
     rows[0][1] = [0.0, -0.0]
     rows[1][0] = [1, True]
@@ -161,7 +185,7 @@ def test_loader_is_bitwise_the_per_element_path():
     old = oracle_complex(rows)
     assert new.shape == old.shape
     assert np.array_equal(new.view(np.uint64), old.view(np.uint64))
-    back = from_document(to_document(md))
+    back = from_document(native(array_document(md)))
     assert np.array_equal(back.s.view(np.uint64), md.s.view(np.uint64))
 
 
@@ -209,3 +233,231 @@ def test_cli_files_are_json_fixed_points(tmp_path, capsys):
         with open(path) as fh:
             text = fh.read()
         assert text == json.dumps(json.loads(text), indent=1) + "\n", path
+
+
+# --- the reader behind `modular.load` and `currents.load_bundle`
+
+
+def oracle_load(path):
+    with open(path) as fh:
+        return from_document(json.load(fh))
+
+
+def oracle_load_bundle(md, path):
+    with open(path) as fh:
+        return bundle_from_document(md, json.load(fh))
+
+
+def bits(a):
+    return None if a is None else (a.shape, a.dtype.str, a.tobytes())
+
+
+def modular_key(md):
+    """Everything a load fixes, with each S as its bits."""
+    return (md.name, md.labels, md.h, md.c, md.is_product,
+            [bits(f.s) for f in md.atomic_factors()])
+
+
+def bundle_key(b):
+    return b.current, b.fields, bits(b.matrix), bits(b.eta)
+
+
+def outcome(read, key, *args):
+    """key(read(*args)), or the class and message of what it raised."""
+    try:
+        return key(read(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+WRITERS = {
+    "dump_json": written_text,
+    "one line": lambda doc: json.dumps(native(doc)),
+    "compact": lambda doc: json.dumps(native(doc), separators=(",", ":")),
+}
+MODULAR_DOCUMENTS = ["su2_4", "ising", "su2_2 x ising", "factorized product",
+                     "su2_4^4 diagonal extension"]
+BUNDLE_THEORIES = {
+    "bundle with eta": lambda: _su2_4_pair_run()[0].ext_md,
+    "bundle without eta": lambda: _su2_4_pair_run()[0].ext_md,
+    "bundle on no fields": lambda: _ising_pair_run()[0].ext_md,
+}
+
+
+@pytest.fixture
+def by_rows(monkeypatch):
+    """Records, per read, whether the arrays were decoded by rows."""
+    seen = []
+    decode = modular._decode_by_rows
+
+    def spy(*args):
+        doc = decode(*args)
+        seen.append(doc is not None)
+        return doc
+
+    monkeypatch.setattr(modular, "_decode_by_rows", spy)
+    return seen
+
+
+def assert_reads_as_json_load(path, md=None):
+    """load (or load_bundle over md) of `path` equals the json.load path,
+    value for value and bit for bit, or raises the same error."""
+    if md is None:
+        assert (outcome(load, modular_key, path)
+                == outcome(oracle_load, modular_key, path))
+    else:
+        assert (outcome(load_bundle, bundle_key, md, path)
+                == outcome(oracle_load_bundle, bundle_key, md, path))
+
+
+@pytest.mark.parametrize("writer", list(WRITERS))
+@pytest.mark.parametrize("name", MODULAR_DOCUMENTS + list(BUNDLE_THEORIES))
+def test_reader_matches_json_load(tmp_path, by_rows, name, writer):
+    path = tmp_path / "doc.json"
+    path.write_text(WRITERS[writer](DOCUMENTS[name]()))
+    md = BUNDLE_THEORIES[name]() if name in BUNDLE_THEORIES else None
+    assert_reads_as_json_load(path, md)
+    # an empty matrix is read whole; every other array by rows
+    assert by_rows[0] == (name != "bundle on no fields")
+
+
+SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, math.nan, math.inf,
+           -math.inf, 0.1, -2.5, 1.0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), batch=st.integers(1, 3),
+       writer=st.sampled_from(list(WRITERS)), data=st.data())
+def test_reader_matches_json_load_on_special_values(n, batch, writer, data):
+    values = st.lists(st.one_of(st.sampled_from(SPECIAL), st.floats()),
+                      min_size=2 * n * n + 2 * n, max_size=2 * n * n + 2 * n)
+    z = np.array(data.draw(values)).view(complex)
+    md = ModularData(tuple(range(n)), (Fraction(0),) * n, Fraction(1),
+                     z[:n * n].reshape(n, n), name="special")
+    b = FixedPointBundle(0, tuple(range(n)), z[:n * n].reshape(n, n), z[n * n:])
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(modular, "_ROWS_PER_BATCH", batch):
+        s_path, b_path = Path(tmp) / "s.json", Path(tmp) / "b.json"
+        s_path.write_text(WRITERS[writer](array_document(md)))
+        b_path.write_text(WRITERS[writer](bundle_array_document(md, b)))
+        assert_reads_as_json_load(s_path)
+        assert_reads_as_json_load(b_path, md)
+
+
+MARK = 0.123456789  # one S entry, replaced in the text by a literal
+
+
+def _spliced(literal):
+    return lambda doc, text: text.replace(repr(MARK), literal)
+
+
+def _set_s(change):
+    def mutate(doc, text):
+        change(doc["s_matrix"])
+        return json.dumps(doc)
+    return mutate
+
+
+READER_CASES = {
+    "int": _spliced("1"),
+    "int past the first batch": _spliced("1"),
+    "string past the first batch": _spliced('"1.0"'),
+    "boolean": _spliced("true"),
+    "int 10**30": _spliced(str(10 ** 30)),
+    "int past float range": _spliced(str(10 ** 400)),
+    "1e999": _spliced("1e999"),
+    "null": _spliced("null"),
+    "string": _spliced('"1.0"'),
+    "[1,]": _spliced(f"{MARK},"),
+    "[,1]": _spliced(f",{MARK}"),
+    "junk between rows": lambda doc, text: text.replace("]], [[", "]]x[[", 1),
+    "[]": _set_s(lambda s: s.clear()),
+    "[[]]": _set_s(lambda s: s.__setitem__(slice(None), [[]])),
+    "ragged rows": _set_s(lambda s: s[1].pop()),
+    "ragged pairs": _set_s(lambda s: s[1][0].pop()),
+    "rows of pairs and of numbers": _set_s(lambda s: s.__setitem__(1, [0.5, 0.5])),
+    "all booleans": _set_s(lambda s: s.__setitem__(
+        slice(None), [[[True, False]] * len(s)] * len(s))),
+    "duplicate s_matrix key": lambda doc, text: text[:-1] + ', "s_matrix": '
+        + json.dumps(doc["s_matrix"][:1]) + "}",
+    "duplicate equal s_matrix key": lambda doc, text: text[:-1]
+        + ', "s_matrix": ' + json.dumps(doc["s_matrix"]) + "}",
+    "key text inside a string value": lambda doc, text: json.dumps(
+        dict(doc, name='x", "s_matrix": [[[1.0, 0.0]]], "y": "')),
+    "key text ending another key": lambda doc, text: text[:-1]
+        + ', "x\\"s_matrix": [[[1.0, 0.0]]]}',
+    "s_matrix inside a label": lambda doc, text: json.dumps(
+        dict(doc, fields=[dict(doc["fields"][0], label={"s_matrix": [[0.5]]})]
+             + doc["fields"][1:])),
+    "s_matrix beside product": lambda doc, text: json.dumps(
+        {"format": "modular-data v1", "product": [doc, doc],
+         "s_matrix": doc["s_matrix"]}),
+    "a placeholder in a string": lambda doc, text: json.dumps(
+        dict(doc, name="\x000")),
+    "a placeholder under a duplicate key": lambda doc, text: text[:-1]
+        + ', "s_matrix": "\\u00000"}',
+    "trailing text": lambda doc, text: text + "]",
+}
+
+
+@pytest.mark.parametrize("case", list(READER_CASES))
+def test_reader_gives_the_json_load_outcome(tmp_path, case):
+    doc = native(array_document(su2(4)))
+    doc["s_matrix"][0][0][0] = MARK
+    if case.endswith("past the first batch"):
+        rows = doc["s_matrix"]  # 121 rows, the one with MARK last
+        doc["s_matrix"] = json.loads(json.dumps(rows[1:] * 30 + rows[:1]))
+    text = json.dumps(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(READER_CASES[case](doc, text))
+    assert_reads_as_json_load(path)
+
+
+BUNDLE_CASES = {
+    "int in eta": lambda doc: dict(doc, eta=[[1, 0]] + doc["eta"][1:]),
+    "boolean in matrix": lambda doc: dict(
+        doc, matrix=[[[True, 0.0]] + doc["matrix"][0][1:]] + doc["matrix"][1:]),
+    "eta of numbers": lambda doc: dict(doc, eta=[0.5] * len(doc["eta"])),
+    "empty eta": lambda doc: dict(doc, eta=[]),
+}
+
+
+@pytest.mark.parametrize("case", list(BUNDLE_CASES))
+def test_bundle_reader_gives_the_json_load_outcome(tmp_path, case):
+    ex, b = _su2_4_pair_run()
+    doc = BUNDLE_CASES[case](native(bundle_array_document(ex.ext_md, b)))
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(doc))
+    assert_reads_as_json_load(path, ex.ext_md)
+    dup = tmp_path / "dup.json"
+    dup.write_text(json.dumps(doc)[:-1] + ', "matrix": [[[1.0, 0.0]]]}')
+    assert_reads_as_json_load(dup, ex.ext_md)
+
+
+def test_load_holds_no_python_float_per_entry(tmp_path):
+    n = 300
+    rng = np.random.default_rng(0)
+    s = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    path = tmp_path / "s.json"
+    save(ModularData(tuple(range(n)), (Fraction(0),) * n, Fraction(0), s),
+         path)
+    size = path.stat().st_size  # 5.3 MB
+    tracemalloc.start()
+    try:
+        md = load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(md.s, s)
+    # the text and the array, about 2.0x the file: decoding the whole
+    # document into Python floats first peaked at 3.4x (18.4 MB)
+    assert peak < 2.5 * size
+
+
+def test_reader_names_a_file_without_an_object(tmp_path):
+    doc = native(array_document(su2(4)))
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([doc]))
+    with pytest.raises(InvalidInputError,
+                       match=f"{path} does not hold a JSON object"):
+        load(path)
