@@ -271,8 +271,7 @@ def main(argv=None) -> int:
     args.manifest_args = argv[1:]
     try:
         return args.func(args)
-    except (InvalidInputError, FileNotFoundError, IsADirectoryError,
-            json.JSONDecodeError) as exc:
+    except (InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:

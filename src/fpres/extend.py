@@ -7,10 +7,11 @@ stabilizer character. The extended S matrix averages the current-twisted
 matrices over the untwisted stabilizer intersection.
 
 Surviving currents are subgroup cosets of uncharged currents. For each
-such class the resolution matrix on its fixed extended fields combines a
-per-orbit class representative r, the characters of <r, U_a> lifted
-through the cocycle of <r, U_a> / U_a (`fpres.groups`), and the twisted
-matrices of the representative's translates.
+such class of order N the resolution matrix on its fixed extended fields
+combines a per-orbit class representative r, the characters chi_i of the
+orbit's untwisted stabilizer U_a extended to <r, U_a> (chi_i(r u) =
+phi_i + chi_i(u), with phi_i = chi_i(r^N) / N the principal root), and the
+twisted matrices of the representative's translates.
 A class and the class of the inverse current use inverse representatives.
 
 The extended S and every resolution matrix come from one block kernel,
@@ -27,8 +28,7 @@ import numpy as np
 
 from .currents import FixedPointBundle, Theory
 from .errors import InvalidInputError, ResolutionError
-from .groups import (CocycleData, CosetPresentation, LiftedCharacters,
-                     MultGroup)
+from .groups import MultGroup
 from .modular import GATE_TOL, ModularData
 from .phases import norm1, numerators, units
 from .validate import eta_square_residual
@@ -91,7 +91,6 @@ class Extension:
         self._resolutions = {}
         self._r_cache = {}
         self._tables = {}
-        self._lifts = {}
 
     # ------------------------------------------------------------------
     # spectrum
@@ -399,7 +398,7 @@ class Extension:
         support_orbits = self._fixed_orbits(cls)
         support = tuple(e for o in support_orbits for e in o.ext_ids)
         r_assign = {}
-        lifts = []
+        phis = []
         for o in support_orbits:
             r = self.orbit_representative(cls, o)
             if r is None:
@@ -413,12 +412,14 @@ class Extension:
                     f"representative closure {closure} left the untwisted "
                     f"stabilizer of {o.rep}"
                 )
-            lifts.append(self._lifted_characters(r, o))
+            # phi_i = chi_i(r^N) / N, over e N
+            table, _, col = o.ugroup.char_table()
+            phis.append(table[:, col[closure]])
         rab = self._pair_representatives(cls, support_orbits)
-        dress = self._dressing(cls, support_orbits, rab, lifts)
+        dress = self._dressing(cls, support_orbits, rab, r_assign, phis)
         mat = self._block_kernel(support_orbits, rab, cls.members, dress)
-        eta, dev = self._resolved_eta(support_orbits, support, mat, r_assign,
-                                      lifts)
+        eta, dev = self._resolved_eta(cls, support_orbits, support, mat,
+                                      r_assign, phis)
         bundle = FixedPointBundle(
             self.class_current_ext_id(cls), support, mat, eta
         )
@@ -426,58 +427,52 @@ class Extension:
         self._resolutions[cls.rep] = res
         return res
 
-    def _lifted_characters(self, r: int, o: OrbitData) -> LiftedCharacters:
-        """The characters of <r, U_a> lifted from those of U_a through the
-        cocycle of the presentation <r, U_a> / U_a with basis rep r, whose
-        base exponents are the principal roots of chi_i(r^N); built once
-        per (r, U_a)."""
-        key = (r, o.unt)
-        lift = self._lifts.get(key)
-        if lift is None:
-            center = self.theory.center
-            group = MultGroup(center.subgroup([r, *o.unt]), center.mul, 0)
-            pres = CosetPresentation(group, o.unt, basis_reps=[r])
-            lift = self._lifts[key] = LiftedCharacters(
-                CocycleData(pres, o.ugroup))
-        return lift
-
-    def _dressing(self, cls, orbits, rab, lifts) -> np.ndarray:
+    def _dressing(self, cls, orbits, rab, r_assign, phis) -> np.ndarray:
         """dress[i, b] = unit(phi_i + chi_i(r_ab / r_a)) for i on orbit a,
         with r_a the orbit's representative and r_ab the pair's: the
-        character lifted from chi_i at r_ab, exact exponents over one
+        extended character of <r_a, U_a> at r_ab, exact exponents over one
         denominator."""
-        tables = [lift.table() for lift in lifts]
-        den = math.lcm(*(d for _, d, _ in tables))
+        center = self.theory.center
+        n = cls.order
+        den = n * math.lcm(*(o.ugroup.exponent() for o in orbits))
         sizes = [len(o.ext_ids) for o in orbits]
         nums = np.zeros((sum(sizes), len(orbits)), dtype=np.int64)
         start = 0
-        for a, (table, d, col) in enumerate(tables):
+        for a, (o, phi) in enumerate(zip(orbits, phis)):
+            table, e, col = o.ugroup.char_table()
             part = np.flatnonzero(rab[a] >= 0)
-            pair = [cls.members[k] for k in rab[a, part]]
-            # r_ab lies in <r_a, U_a> exactly when r_ab / r_a is untwisted
-            if not all(x in col for x in pair):
+            pair = rab[a, part].tolist()
+            inv_r = center.inverse(r_assign[o.rep])
+            shift = {k: center.mul(cls.members[k], inv_r) for k in set(pair)}
+            # r_ab / r_a fixes the orbit, so it lies in U_a exactly when it
+            # is untwisted
+            if not all(u in col for u in shift.values()):
                 raise ResolutionError(
                     "pair representative differs from the orbit choice by a "
                     "twisted element"
                 )
-            nums[start:start + sizes[a], part] = table[
-                :sizes[a], [col[x] for x in pair]] * (den // d)
+            # reduced mod 1: `units` evaluates each exponent as written
+            d = e * n
+            nums[start:start + sizes[a], part] = (
+                table[:, [col[shift[k]] for k in pair]] * n + phi[:, None]
+            ) % d * (den // d)
             start += sizes[a]
         return units(nums, den)
 
-    def _resolved_eta(self, support_orbits, support, mat, r_assign, lifts):
+    def _resolved_eta(self, cls, support_orbits, support, mat, r_assign,
+                      phis):
         """eta_i = eta^r(a) exp(2 pi i (-F(a, k_a, r) + phi_i - phi_pi(i)))
         for i on support orbit a, with k_a the subgroup member taking a to
-        the representative of its conjugate orbit and phi the cocycle phase
-        at the class of r, in support order. The exponents are numerators
-        over `eta_order`, which every phi and F denominator divides."""
+        the representative of its conjugate orbit and phi_i = chi_i(r^N) / N,
+        in support order. The exponents are numerators over `eta_order`,
+        which every phi and F denominator divides."""
         if not support_orbits:
             return np.zeros(0, dtype=complex), 0.0
         th = self.theory
         conj = th.md.conjugation()
         den = th.eta_order
         nums, base = [], []
-        for o, lift in zip(support_orbits, lifts):
+        for o, phi in zip(support_orbits, phis):
             a = o.rep
             r = r_assign[a]
             cbar = int(conj[self.orbit_of(int(conj[a])).rep])
@@ -485,10 +480,7 @@ class Extension:
                 k for k in self.h_members if th.apply(k, a) == cbar
             )
             f = th.twist_exponent(a, k_a, r)
-            # r is the basis representative of its class, so the lifted
-            # characters with trivial coset part take the values phi_i at r
-            table, d, col = lift.table()
-            phi = table[:len(o.ext_ids), col[r]] * (den // d)
+            phi = phi * (den // (o.ugroup.exponent() * cls.order))
             nums.append(phi - phi[self._pi_map(o, k_a, cbar)]
                         - f.numerator * (den // f.denominator))
             base.append(np.full(len(phi), th.eta_value(r, a)))

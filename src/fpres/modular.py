@@ -636,7 +636,7 @@ def _read_json(path, keys, containers) -> dict:
     """The JSON object in the file at `path`. The float arrays under `keys`
     in the dicts `containers(doc)` lists come as float64 ndarrays, decoded
     by rows; everything else, and every error, is as `json.load` gives
-    it."""
+    it, a syntax error raised as `InvalidInputError` naming the file."""
     try:
         with open(path) as fh:
             text = fh.read()
@@ -646,7 +646,10 @@ def _read_json(path, keys, containers) -> dict:
             f"{exc.start}") from None
     doc = _decode_by_rows(text, keys, containers)
     if doc is None:
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InvalidInputError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise InvalidInputError(f"{path} does not hold a JSON object")
     return doc

@@ -4,7 +4,6 @@ Each test pins its tolerances and, where promised, a wall-clock budget.
 The checks run end to end on freshly built data; nothing is mocked.
 """
 import functools
-import random
 import time
 from fractions import Fraction
 
@@ -12,19 +11,10 @@ import numpy as np
 
 from fpres.currents import Theory
 from fpres.extend import GRID_TOL, extend, match_fields
-from fpres.groups import (
-    CocycleData,
-    CosetPresentation,
-    LiftedCharacters,
-    MultGroup,
-    span,
-)
 from fpres.modular import FUSION_TOL, check_modular, tensor
-from fpres.phases import norm1, units
 from fpres.validate import check_fusion_integrality, condition_report
 from fpres.wzw import ising, su2, sun
-from oracles import decompose, fusion_matrix
-from test_groups import char_exponent, cocycle_law_deviation
+from oracles import fusion_matrix
 from twist_models import TWIST_TABLE, realize_twist_row
 
 
@@ -43,6 +33,11 @@ def diagonal_current(th):
         for j in th.center.elements
         if j and th.md.labels[j][0] == th.md.labels[j][1]
     )
+
+
+@functools.lru_cache(maxsize=None)
+def su2_4_su3_3_theory():
+    return Theory(tensor(su2(4), sun(3, 3)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -202,75 +197,32 @@ def test_triple_su2_representatives_and_opposite_twists():
     assert time.perf_counter() - t0 < 5.0
 
 
-# --- 4: lifted characters on random subgroup pairs ------------------------
+# --- 4: closure phases under convention seeds, end to end ---------------
 
 
-def _random_group_pair(rng):
-    while True:
-        orders = tuple(
-            rng.choice([2, 3, 4, 6, 8]) for _ in range(rng.randint(1, 3))
-        )
-        g = decompose(orders)
-        if not 4 <= g.size <= 64:
-            continue
-        for _ in range(40):
-            gens = [
-                tuple(rng.randrange(n) for n in orders)
-                for _ in range(rng.randint(1, 2))
-            ]
-            sub = span(gens, g.mul, g.identity)
-            if 1 < len(sub) < g.size:
-                return g, gens
-
-
-def test_lifted_characters_on_random_subgroup_pairs():
-    rng = random.Random(77)
-    for _ in range(100):
-        g, gens = _random_group_pair(rng)
-        pres = CosetPresentation(g, gens)
-        chars = MultGroup(pres.subgroup, g.mul, g.identity)
-        cd = CocycleData(pres, chars)
-        lift = LiftedCharacters(cd)
-        assert len(lift.labels) == g.size
-
-        nums, den, col = lift.table()
-        m = units(nums, den)
-        eye = g.size * np.eye(g.size)
-        assert np.abs(m @ m.conj().T - eye).max() < 1e-12
-        assert np.abs(m.conj().T @ m - eye).max() < 1e-12
-
-        def exponent(label, x):
-            return Fraction(int(nums[lift.labels.index(label), col[x]]), den)
-
-        elems = list(g.elements)
-        for _ in range(24):
-            lab = lift.labels[rng.randrange(len(lift.labels))]
-            x = elems[rng.randrange(len(elems))]
-            y = elems[rng.randrange(len(elems))]
-            assert exponent(lab, g.mul(x, y)) == norm1(
-                exponent(lab, x) + exponent(lab, y)
-            )
-
-        # labels with a trivial coset part restrict to plain subgroup
-        # characters, with exact exponents
-        zero = tuple(0 for _ in pres.class_orders)
-        for i in chars.char_labels():
-            for h in pres.subgroup:
-                assert exponent((zero, i), h) == char_exponent(chars, i, h)
-
-        # move every basis representative within its class: the phases
-        # built for the new representatives obey the cocycle law exactly
-        reps = []
-        for l in range(len(pres.class_orders)):
-            e_l = tuple(
-                1 if i == l else 0 for i in range(len(pres.class_orders))
-            )
-            pool = [x for x in elems if pres.class_of(x) == e_l]
-            reps.append(pool[rng.randrange(len(pool))])
-        assert reps
-        cd2 = CocycleData(
-            CosetPresentation(g, pres.subgroup, basis_reps=reps), chars)
-        assert cocycle_law_deviation(cd2) == Fraction(0)
+def test_closure_phases_pass_every_check_under_seeds():
+    # su2_4 x su3_3 by (0, (3, 0)): the class of (4, (0, 0)) has order 2.
+    # Seeds 0 and 2 pick r = (4, (3, 0)) of order 6 on the orbit of
+    # (2, (1, 1)), so r^2 = (0, (0, 3)) is not the identity and the closure
+    # phases chi(r^2) / 2 reach the dressing and eta
+    th = su2_4_su3_3_theory()
+    t0 = time.perf_counter()
+    for seed in (None, 0, 2):
+        ex = extend(th, [th.md.index((0, (3, 0)))], convention_seed=seed)
+        classes = [c for c in ex.residual_classes() if c.order > 1]
+        resolutions = [ex.resolve(c) for c in classes]
+        closures = [th.center.power(r, res.cls.order)
+                    for res in resolutions for r in res.r_assignments.values()]
+        assert any(closures) == (seed is not None), seed
+        assert check_modular(ex.ext_md)["ok"], seed
+        assert check_fusion_integrality(ex.ext_md)["ok"], seed
+        report = condition_report(ex.extended_theory(
+            extra_bundles=[res.bundle for res in resolutions]))
+        assert len(report["bundles"]) == len(classes)
+        failed = [(j, cid) for j, body in report["bundles"].items()
+                  for cid, entry in body["checks"].items() if not entry["ok"]]
+        assert failed == [] and report["ok"], (seed, failed)
+    assert time.perf_counter() - t0 < 10.0
 
 
 # --- 5: twist tables and eta sets satisfy the exact identities ------------

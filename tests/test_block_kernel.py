@@ -134,13 +134,10 @@ def oracle_pi(th, o, k_a, cbar):
             for key, lab in table.items()}
 
 
-def oracle_resolution(ex, cls):
-    """(support, matrix, r_assignments, eta, eta deviation), pair by pair,
-    on the engine's orbit representatives."""
+def oracle_phis(ex, cls, orbits, r_assign):
+    """phis[o.index][label] = chi(r^N) / N, the principal root, at the
+    representative r of each orbit and the class order N."""
     th = ex.theory
-    orbits = oracle_support(ex, cls)
-    support = tuple(e for o in orbits for e in o.ext_ids)
-    r_assign = {o.rep: ex.orbit_representative(cls, o) for o in orbits}
     phis = {}
     for o in orbits:
         closure = th.center.power(r_assign[o.rep], cls.order)
@@ -148,6 +145,17 @@ def oracle_resolution(ex, cls):
             lab: norm1(char_exponent(o.ugroup, lab, closure)) / cls.order
             for lab in o.char_labels
         }
+    return phis
+
+
+def oracle_resolution(ex, cls):
+    """(support, matrix, r_assignments, eta, eta deviation), pair by pair,
+    on the engine's orbit representatives."""
+    th = ex.theory
+    orbits = oracle_support(ex, cls)
+    support = tuple(e for o in orbits for e in o.ext_ids)
+    r_assign = {o.rep: ex.orbit_representative(cls, o) for o in orbits}
+    phis = oracle_phis(ex, cls, orbits, r_assign)
     mat = np.block([[_pair_block(ex, cls, oa, ob, r_assign, phis)
                      for ob in orbits] for oa in orbits]) if orbits \
         else np.zeros((0, 0), dtype=complex)
@@ -208,7 +216,7 @@ def _su2_4_su3_3_theory():
 
 
 def _su2_4_su3_3(seed):
-    # the conjugation swaps the two characters of one orbit, whose cocycle
+    # the conjugation swaps the two characters of one orbit, whose closure
     # phases are 0 and 1/6: the one workload whose eta depends on phi(pi(i))
     th = _su2_4_su3_3_theory()
     return extend(th, [th.md.index((4, (0, 0)))], convention_seed=seed)
@@ -259,6 +267,27 @@ def test_resolutions_match_per_pair_oracle(name):
             assert np.abs(res.bundle.eta - eta).max() <= TOL
         assert dev <= TOL
         assert res.eta_deviation <= TOL
+
+
+@pytest.mark.parametrize("name,closures", [
+    ("su2_4-su3_3-seed0", True),
+    ("su2x4-diagonal", False),
+    ("su5-pair", False),
+])
+def test_closure_phases_are_nonzero_only_past_the_identity(name, closures):
+    # phi = chi(r^N) / N is nonzero on some orbit exactly when some
+    # representative's closure r^N is not the identity
+    ex = built(name)
+    phases = []
+    for cls in ex.residual_classes():
+        if cls.order == 1:
+            continue
+        orbits = oracle_support(ex, cls)
+        r_assign = {o.rep: ex.orbit_representative(cls, o) for o in orbits}
+        for per_orbit in oracle_phis(ex, cls, orbits, r_assign).values():
+            phases.extend(per_orbit.values())
+    assert phases
+    assert any(phases) == closures
 
 
 def test_oracle_workloads_cover_the_kernel_cases():

@@ -455,6 +455,29 @@ def _zero_denominator(tmp_path, src, doc):
     return [str(_write(tmp_path / "h.json", doc))], "h '1/0'"
 
 
+def _through_a_file(tmp_path, src, doc):
+    bad = src / "x.json"
+    return [str(bad)], str(bad)
+
+
+def _empty_file(tmp_path, src, doc):
+    bad = tmp_path / "empty.json"
+    bad.write_text("")
+    return [str(bad)], "empty.json"
+
+
+def _trailing_comma(tmp_path, src, doc):
+    bad = tmp_path / "comma.json"
+    bad.write_text("[1,]")
+    return [str(bad)], "comma.json"
+
+
+def _malformed_bundle(tmp_path, src, doc):
+    bad = tmp_path / "bundle.json"
+    bad.write_text('{"current": 1,')
+    return [str(src), "--bundles", str(bad)], "bundle.json"
+
+
 MALFORMED_INPUTS = {
     "not utf-8": _not_utf8,
     "array document": _array_input,
@@ -464,6 +487,10 @@ MALFORMED_INPUTS = {
     "object label": _object_label,
     "directory": _directory_input,
     "zero denominator": _zero_denominator,
+    "path through a file": _through_a_file,
+    "empty file": _empty_file,
+    "[1,]": _trailing_comma,
+    "malformed bundle": _malformed_bundle,
 }
 
 
@@ -475,3 +502,18 @@ def test_malformed_input_exits_2_naming_it(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize("command", ["generate", "extend"])
+def test_unwritable_out_path_exits_2_naming_it(tmp_path, capsys, command):
+    src, _ = _su2_4_document(tmp_path, capsys)
+    if command == "generate":  # a path through a regular file
+        out = src / "x.json"
+        argv = ["generate", "su2", "--k", "4", "--out", str(out)]
+    else:  # an output directory that is a regular file
+        out = src
+        argv = ["extend", str(src), "--by", "4", "--out", str(out)]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and str(out) in err

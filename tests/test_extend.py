@@ -9,10 +9,8 @@ from fpres.currents import FixedPointBundle, Theory
 from fpres.errors import InvalidInputError, ResolutionError
 from fpres.extend import GRID_TOL, extend, match_fields
 from fpres.modular import check_modular, tensor
-from fpres.phases import norm1
 from fpres.wzw import ising, su2, sun
 from oracles import fusion_matrix
-from test_groups import char_exponent, cocycle_law_deviation
 
 
 @functools.lru_cache(maxsize=None)
@@ -451,64 +449,3 @@ def test_match_fields_rejects_different_theories():
         match_fields(su2(2), su2_ext4().ext_md)
     with pytest.raises(InvalidInputError):
         match_fields(su2(4), su2(6))
-
-
-# --- closure phases against the cocycle layer ------------------------------
-
-
-@pytest.mark.parametrize(
-    "theory,current,seed,closures",
-    [
-        (lambda: Theory(tensor(*(su2(4),) * 4)), (4, 4, 4, 4), None, False),
-        (lambda: Theory(tensor(*(su2(4),) * 4)), (4, 4, 4, 4), 1, False),
-        (su5_pair, ((5, 0, 0, 0), (5, 0, 0, 0)), None, False),
-        (su5_pair, ((5, 0, 0, 0), (5, 0, 0, 0)), 2, False),
-        # r = (J, J') of order 6 in a class of order 2: r^2 = (0, J'^2)
-        (lambda: Theory(tensor(su2(4), sun(3, 3))), (0, (3, 0)), 0, True),
-    ],
-    ids=["su2x4-diagonal", "su2x4-diagonal-seed1", "su5-pair",
-         "su5-pair-seed2", "su2_4-su3_3-seed0"],
-)
-def test_resolve_phases_are_cocycle_base_exponents(theory, current, seed,
-                                                   closures):
-    # resolve dresses with the cocycle of <r, U_a> / U_a with basis rep r,
-    # whose base exponents are the principal N-th roots of chi_i(r^N);
-    # `closures` says whether some r^N is not the identity, so that the
-    # phases are not all 0
-    th = theory()
-    ex = extend(th, [th.md.index(current)], convention_seed=seed)
-    g = th.center
-    phases = []
-    for cls in ex.residual_classes():
-        if cls.order == 1:
-            continue
-        res = ex.resolve(cls)
-        for o in ex._fixed_orbits(cls):
-            r = res.r_assignments[o.rep]
-            lift = ex._lifts[(r, o.unt)]
-            coc = lift.cocycle
-            pres = coc.pres
-            assert pres.ambient.elements == g.subgroup([r, *o.unt])
-            assert pres.subgroup == o.unt
-            assert pres.basis_reps == (r,)
-            assert pres.class_orders == (cls.order,)
-            assert tuple(coc.chars.char_labels()) == o.char_labels
-            assert cocycle_law_deviation(coc) == 0
-            closure = g.power(r, cls.order)
-            inv_r = g.inverse(r)
-            nums, den, col = lift.table()
-            for lab in o.char_labels:
-                phi = norm1(char_exponent(o.ugroup, lab, closure)) / cls.order
-                row = list(coc.chars.char_labels()).index(lab)
-                assert [Fraction(int(n), coc.den)
-                        for n in coc.base[row]] == [phi]
-                phases.append(phi)
-                # the dressing at a class member x = r u, u in U_a
-                for x in cls.members:
-                    u = g.mul(x, inv_r)
-                    if u in o.unt:
-                        row = lift.labels.index(((0,), lab))
-                        assert Fraction(int(nums[row, col[x]]), den) == norm1(
-                            phi + char_exponent(o.ugroup, lab, u))
-    assert phases
-    assert any(phases) == closures

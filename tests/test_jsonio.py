@@ -4,7 +4,8 @@ loader, against the encoders and the per-element path they replace.
 The oracle for every written document is `json.dump(native(doc), fh,
 indent=1)` followed by a newline; the oracle for every loaded document is
 `from_document(json.load(fh))` or `bundle_from_document(md, json.load(fh))`,
-bit for bit, and for every loaded matrix `complex(re, im)` per pair.
+bit for bit, with a JSON syntax error raised as an `InvalidInputError` that
+names the file, and for every loaded matrix `complex(re, im)` per pair.
 """
 import glob
 import io
@@ -238,14 +239,22 @@ def test_cli_files_are_json_fixed_points(tmp_path, capsys):
 # --- the reader behind `modular.load` and `currents.load_bundle`
 
 
-def oracle_load(path):
+def oracle_json_load(path):
+    """json.load of the file at `path`, with a syntax error raised as the
+    `InvalidInputError` naming the file that the reader gives."""
     with open(path) as fh:
-        return from_document(json.load(fh))
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidInputError(f"{path}: {exc}") from None
+
+
+def oracle_load(path):
+    return from_document(oracle_json_load(path))
 
 
 def oracle_load_bundle(md, path):
-    with open(path) as fh:
-        return bundle_from_document(md, json.load(fh))
+    return bundle_from_document(md, oracle_json_load(path))
 
 
 def bits(a):
