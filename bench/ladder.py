@@ -9,7 +9,8 @@ A run of one workload is the chain generate + tensor, `Theory`, `extend`,
 report and the fusion check. Each stage is timed from outside the library
 with `perf_counter`, and the file records the median of each stage over the
 workload's repeats. Every workload runs in a fresh interpreter, which
-reports its own peak RSS, so one workload's memory does not hide another's.
+reports its own peak RSS, so one workload's memory does not hide another's,
+and the peak RSS reached by the end of each stage of its first pass.
 Each pass builds its theories from fresh objects, so nothing cached on a
 theory object carries over.
 
@@ -63,18 +64,25 @@ def make_factor(name: str, cache_dir=None):
     return wzw.su2(k) if n == 2 else wzw.sun(n, k, cache_dir=cache_dir)
 
 
+def peak_rss_mb() -> float:
+    # ru_maxrss is in kB on Linux
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def one_pass(workload: str, cache_dir=None):
-    """(stage times, counts, ok) of one chain on fresh objects."""
+    """(stage times, peak RSS after each stage, counts, ok) of one chain on
+    fresh objects."""
     from fpres import currents, extend, modular, validate
 
     factors, top, seed = WORKLOADS[workload][:3]
-    times = {}
+    times, rss = {}, {}
     clock = time.perf_counter
 
     def stage(name, fn, *args, **kwargs):
         t0 = clock()
         out = fn(*args, **kwargs)
         times[name] = clock() - t0
+        rss[name] = peak_rss_mb()
         return out
 
     def generate():
@@ -96,7 +104,7 @@ def one_pass(workload: str, cache_dir=None):
               "orbits": len(ex.orbits), "ext_fields": ex.n_ext,
               "classes": len(classes), "ext_currents": len(th2.perms)}
     ok = bool(checked["ok"] and report["ok"] and fusion["ok"])
-    return times, counts, ok
+    return times, rss, counts, ok
 
 
 def run_workload(name: str) -> dict:
@@ -105,7 +113,7 @@ def run_workload(name: str) -> dict:
     import tempfile
 
     factors, _, _, repeats, warm = WORKLOADS[name]
-    runs, counts, ok = [], None, True
+    runs, stage_rss, counts, ok = [], None, None, True
     with tempfile.TemporaryDirectory() as tmp:
         cache_dir = tmp if warm else None
         if warm:
@@ -113,19 +121,20 @@ def run_workload(name: str) -> dict:
                 make_factor(f, cache_dir)
         for _ in range(repeats):
             gc.collect()
-            times, counts, good = one_pass(name, cache_dir)
+            times, rss, counts, good = one_pass(name, cache_dir)
+            stage_rss = stage_rss or rss
             runs.append(times)
             ok = ok and good
     stages = {s: statistics.median(r[s] for r in runs) for s in STAGES}
     return {
         "repeats": repeats,
         "stages_s": stages,
+        "stages_peak_rss_mb": stage_rss,
         "total_s": statistics.median(sum(r.values()) for r in runs),
         "runs_s": [[r[s] for s in STAGES] for r in runs],
         "counts": counts,
         "ok": ok,
-        # ru_maxrss is in kB on Linux
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "peak_rss_mb": peak_rss_mb(),
     }
 
 

@@ -4,7 +4,7 @@ Commands: generate, tensor, currents, extend, validate, fusion. Every
 file-writing command also writes a manifest with input and output hashes
 plus the convention settings, so a rerun can be checked byte for byte.
 Exit codes: 0 success, 1 validation failure, 2 usage or input error,
-3 resource limit.
+3 resource limit (`modular.dense_budget`, `wzw.SUN_WEYL_LIMIT`), before any work.
 """
 from __future__ import annotations
 
@@ -101,10 +101,11 @@ def cmd_generate(args) -> int:
         if args.n is None or args.k is None:
             raise InvalidInputError("suN needs --n and --k")
         if cache:
+            source = "--cache-dir" if args.cache_dir else "FPRES_CACHE_DIR"
             try:
                 os.makedirs(cache, exist_ok=True)
             except OSError as exc:
-                raise InvalidInputError(f"--cache-dir {cache}: {exc.strerror}")
+                raise InvalidInputError(f"{source} {cache}: {exc.strerror}")
         md = sun(args.n, args.k, cache_dir=cache)
     else:
         md = ising()
@@ -196,7 +197,7 @@ def cmd_fusion(args) -> int:
         "format": "fusion-table v1",
         "name": md.name,
         "fields": [_label_to_json(lab) for lab in md.labels],
-        "tables": fusion_tensor(md, limit=args.max_fields).tolist(),
+        "tables": fusion_tensor(md),
     }
     _emit(doc, args, [args.input])
     return 0
@@ -259,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fusion", help="full Verlinde fusion table")
     p.add_argument("input")
-    p.add_argument("--max-fields", type=int, default=128)
     p.add_argument("--out")
     p.set_defaults(func=cmd_fusion)
     return top

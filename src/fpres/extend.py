@@ -29,7 +29,7 @@ import numpy as np
 from .currents import FixedPointBundle, Theory
 from .errors import InvalidInputError, ResolutionError
 from .groups import MultGroup
-from .modular import GATE_TOL, ModularData
+from .modular import GATE_TOL, ModularData, dense_budget
 from .phases import norm1, numerators, units
 from .validate import eta_square_residual
 
@@ -86,6 +86,7 @@ class Extension:
                 )
         self.h_members = h
         self._build_orbits()
+        dense_budget(self.n_ext ** 2, f"the extended S of {theory.md.name}")
         self._build_extended_md()
         self._ext_theory = None
         self._resolutions = {}
@@ -98,12 +99,13 @@ class Extension:
     def _build_orbits(self):
         th = self.theory
         md = th.md
-        uncharged = np.ones(md.size, dtype=bool)
+        uncharged = self._uncharged = np.ones(md.size, dtype=bool)
         for j in self.h_members:
             if j:
                 uncharged &= th.charges(j) == 0
         local = np.flatnonzero(uncharged).tolist()
         local_set = set(local)
+        groups = {}  # one MultGroup per distinct untwisted stabilizer
         seen = set()
         orbits = []
         for a in local:
@@ -119,8 +121,9 @@ class Extension:
             if self.rng is not None and rep != 0:
                 rep = self.rng.choice(members)
             stab = th.stabilizer(rep, self.h_members)
-            unt = th.untwisted_stabilizer(rep, self.h_members)
-            ugroup = MultGroup(unt, th.center.mul, 0)
+            unt = th.untwisted_stabilizer(rep, stab)
+            if unt not in groups:
+                groups[unt] = MultGroup(unt, th.center.mul, 0)
             orbits.append(
                 OrbitData(
                     index=len(orbits),
@@ -128,8 +131,8 @@ class Extension:
                     members=tuple(members),
                     stab=stab,
                     unt=unt,
-                    ugroup=ugroup,
-                    char_labels=tuple(ugroup.char_labels()),
+                    ugroup=groups[unt],
+                    char_labels=tuple(groups[unt].char_labels()),
                     ext_ids=(),
                 )
             )
@@ -279,10 +282,7 @@ class Extension:
     def residual_classes(self):
         th = self.theory
         center = np.array(th.center.elements, dtype=np.intp)
-        uncharged = np.ones(len(center), dtype=bool)
-        for k in self.h_members:
-            uncharged &= th.charges(k)[center] == 0
-        g_loc = center[uncharged].tolist()
+        g_loc = center[self._uncharged[center]].tolist()
         h_set = set(self.h_members)
         by_rep = {}
         for j in g_loc:

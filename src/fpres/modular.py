@@ -4,7 +4,7 @@ A theory is a list of field labels with exact rational conformal weights,
 an exact rational central charge and a unitary symmetric S matrix. A
 tensor product keeps S in factorized form (`ProductS`) and materializes
 blocks and rows on demand; only `ProductS.to_dense` forms the dense S, on
-request and within DENSE_LIMIT.
+request and within `dense_budget`, the one size check of every dense array.
 """
 from __future__ import annotations
 
@@ -25,11 +25,10 @@ from .errors import (
 )
 from .phases import common_denominator, numerators, units
 
-DENSE_LIMIT = 2_000_000  # max entries a dense S materialization may take
+DENSE_BUDGET = 1 << 25  # max entries of any one dense array the engine makes
 # rows per block of the dense reductions over S (unitarity, symmetry, the
 # cube relation, row matching): no temporary exceeds ROW_BLOCK x N entries
 ROW_BLOCK = 256
-FUSION_DENSE_LIMIT = 300  # max fields of a dense fusion table or scan
 # tolerances, one per job
 S_TOL = 1e-6        # S entries: current detection, row matching, conjugation
 FUSION_TOL = 1e-6   # integrality of the Verlinde sums
@@ -37,13 +36,24 @@ GATE_TOL = 1e-8     # consistency gates that raise (resolved eta^2, su(N) S)
 MODULAR_TOL = 1e-9  # check_modular
 
 
+def dense_budget(entries: int, what: str) -> None:
+    """Raise ResourceLimitError when `what`, a dense array of `entries`
+    entries, would exceed DENSE_BUDGET; call it before allocating."""
+    if entries > DENSE_BUDGET:
+        raise ResourceLimitError(
+            f"{what} would need {entries:.2e} entries, over the dense budget "
+            f"{DENSE_BUDGET:.2e}"
+        )
+
+
 def product_ids(parts, sizes) -> np.ndarray:
     """Row-major field ids of a tensor product over the per-factor id
     arrays `parts`, in itertools.product order of the parts; `sizes` are
     the factor field counts."""
-    grids = np.meshgrid(*(np.asarray(p, dtype=np.intp) for p in parts),
-                        indexing="ij")
-    return np.ravel_multi_index(tuple(g.ravel() for g in grids), sizes)
+    ids = np.zeros(1, dtype=np.intp)
+    for p, n in zip(parts, sizes):
+        ids = np.add.outer(ids * n, np.asarray(p, dtype=np.intp)).ravel()
+    return ids
 
 
 class ProductS:
@@ -56,10 +66,7 @@ class ProductS:
     def __init__(self, mats):
         self.mats = [np.asarray(m) for m in mats]
         self.sizes = tuple(m.shape[0] for m in self.mats)
-        n = 1
-        for s in self.sizes:
-            n *= s
-        self.size = n
+        self.size = math.prod(self.sizes)
 
     def unravel(self, ids):
         return np.unravel_index(np.asarray(ids, dtype=np.intp), self.sizes)
@@ -82,10 +89,7 @@ class ProductS:
         return out
 
     def to_dense(self) -> np.ndarray:
-        if self.size * self.size > DENSE_LIMIT:
-            raise ResourceLimitError(
-                f"dense S would need {self.size}^2 entries"
-            )
+        dense_budget(self.size * self.size, "the dense product S")
         out = np.array([[1.0 + 0.0j]])
         for m in self.mats:
             out = np.kron(out, m)
@@ -377,13 +381,10 @@ def _fusion_ints(out: np.ndarray, residual: float) -> np.ndarray:
     return out.astype(np.int64)
 
 
-def fusion_tensor(md: ModularData, limit: int = FUSION_DENSE_LIMIT) -> np.ndarray:
+def fusion_tensor(md: ModularData) -> np.ndarray:
     """Every fusion matrix (N_a)_b^c, one `_verlinde` row per field a over
     one dense S."""
-    if md.size > limit:
-        raise ResourceLimitError(
-            f"{md.size} fields exceeds the dense fusion limit {limit}"
-        )
+    dense_budget(md.size ** 3, f"the fusion tensor of {md.name}")
     return np.stack([_fusion_ints(*row)
                      for row in _verlinde(md.s_dense(), range(md.size))])
 
@@ -461,7 +462,7 @@ def tensor(*mds: ModularData, name: str = "") -> ModularData:
 
 _SLOT = "\x00"                    # stands for an array leaf in the skeleton
 _SLOT_JSON = json.dumps(_SLOT)
-_CHUNK = 1 << 16                  # floats formatted per write
+_CHUNK = 1 << 16                  # entries formatted per write
 _NONFINITE_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -480,15 +481,15 @@ def dump_json(doc, fh) -> None:
     """Write `doc` and a newline to the text file `fh`, byte for byte as
     `json.dump(native(doc), fh, indent=1)` followed by `fh.write("\n")`.
 
-    Leaves may be float64 ndarrays. The rest of the document is encoded
-    by `json.dumps` with a placeholder per array, and each array is spliced
-    in at its placeholder's indentation, written in chunks of whole rows of
-    its first axis.
+    Leaves may be float64 or int64 ndarrays. The rest of the document is
+    encoded by `json.dumps` with a placeholder per array, and each array is
+    spliced in at its placeholder's indentation, written in chunks of whole
+    rows of its first axis.
     """
     arrays = []
 
     def slot(obj):
-        if isinstance(obj, np.ndarray) and obj.dtype == np.float64:
+        if isinstance(obj, np.ndarray) and obj.dtype in (np.float64, np.int64):
             arrays.append(obj)
             return _SLOT
         raise TypeError(
@@ -510,8 +511,8 @@ def dump_json(doc, fh) -> None:
 
 
 def _dump_array(a: np.ndarray, depth: int, fh) -> None:
-    """Write the float64 array `a` as json's indent=1 nested lists whose
-    opening bracket sits on a line indented by `depth`."""
+    """Write the float64 or int64 array `a` as json's indent=1 nested lists
+    whose opening bracket sits on a line indented by `depth`."""
     if a.size == 0:
         fh.write(json.dumps(a.tolist(), indent=1).replace("\n", "\n" + " " * depth))
         return
@@ -519,8 +520,8 @@ def _dump_array(a: np.ndarray, depth: int, fh) -> None:
     flat = np.ascontiguousarray(a).reshape(-1)
     # each distinct bit pattern is formatted once; -0.0 stays apart from 0.0
     bits, inv = np.unique(flat.view(np.uint64), return_inverse=True)
-    values = bits.view(np.float64)
-    texts = list(map(float.__repr__, values.tolist()))
+    values = bits.view(a.dtype)
+    texts = list(map(repr, values.tolist()))
     for i in np.flatnonzero(~np.isfinite(values)).tolist():
         texts[i] = _NONFINITE_JSON[texts[i]]
     vocab = np.array(texts, dtype=object)

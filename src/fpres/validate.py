@@ -23,15 +23,16 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import modular
 from .currents import Theory
 from .errors import PhaseSnapError, ResolutionError
-from .modular import (FUSION_DENSE_LIMIT, FUSION_TOL, ModularData, _verlinde,
+from .modular import (FUSION_TOL, ModularData, _verlinde,
                       sampled_fusion_residual)
 from .phases import norm1, units
 
 NA = -4  # grid entry below the twist codes: no data for the cell
 CHECK_TOL = 1e-8  # default tolerance of the condition checks
-FUSION_SAMPLES = 60  # seeded rows the fusion check samples beyond FUSION_DENSE_LIMIT
+FUSION_SAMPLES = 60  # seeded rows the fusion check samples past the budget
 FUSION_SEED = 0
 
 
@@ -285,10 +286,11 @@ def check_conditions(theory: Theory, j: int, tol: float = CHECK_TOL) -> dict:
 
 def check_fusion_integrality(md: ModularData) -> dict:
     """Verlinde residual and negativity scan against FUSION_TOL;
-    report-only. Up to FUSION_DENSE_LIMIT fields every row is scanned over
-    the dense S, a product's formed once; beyond it, seeded rows are
-    sampled. A NaN anywhere in S reads as a NaN residual and fails."""
-    if md.size > FUSION_DENSE_LIMIT:
+    report-only. Where the dense budget admits `fusion_tensor`, N^3 entries,
+    every row is scanned over the dense S, a product's formed once; beyond
+    it, seeded rows are sampled. A NaN anywhere in S reads as a NaN residual
+    and fails."""
+    if md.size ** 3 > modular.DENSE_BUDGET:
         res = sampled_fusion_residual(md, FUSION_SAMPLES,
                                       random.Random(FUSION_SEED))
         return {"mode": "sampled", "samples": FUSION_SAMPLES,

@@ -22,9 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidInputError, ResourceLimitError
-from .modular import GATE_TOL, ModularData, unitarity_deviation
+from .modular import GATE_TOL, ModularData, dense_budget, unitarity_deviation
 
-SUN_FIELD_LIMIT = 5000
 # work of the su(n) Weyl sum: n! permutations, each costing count^2 entries
 # of S (count fields) plus a fixed overhead worth about 1024 entries, which
 # dominates at small levels; 5e8 is about 5 s on one 2-vCPU BLAS thread
@@ -90,10 +89,7 @@ def sun(n: int, k: int, cache_dir=None) -> ModularData:
     if n < 2 or k < 1:
         raise InvalidInputError("need n >= 2 and level >= 1")
     count = math.comb(n - 1 + k, k)
-    if count > SUN_FIELD_LIMIT:
-        raise ResourceLimitError(
-            f"su({n}) level {k} has {count} fields, over the limit {SUN_FIELD_LIMIT}"
-        )
+    dense_budget(count * count, f"the S of su({n}) level {k}")
     work = math.factorial(n) * (count * count + 1024)
     if work > SUN_WEYL_LIMIT:
         raise ResourceLimitError(

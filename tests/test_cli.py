@@ -65,6 +65,19 @@ def test_generate_sun_rejects_an_uncreatable_cache_dir(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_generate_sun_names_an_unusable_cache_variable(tmp_path, capsys,
+                                                       monkeypatch):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setenv("FPRES_CACHE_DIR", str(blocker / "x"))
+    out = tmp_path / "out.json"
+    rc = main(["generate", "suN", "--N", "3", "--k", "2", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "FPRES_CACHE_DIR" in err and "--cache-dir" not in err
+    assert not out.exists()
+
+
 def test_generate_sun_over_the_weyl_limit_exits_3(tmp_path, capsys):
     out = tmp_path / "out.json"
     t0 = time.perf_counter()
@@ -201,10 +214,36 @@ def test_fusion_table(tmp_path, capsys):
 
 
 def test_fusion_respects_field_cap(tmp_path, capsys):
-    one = tmp_path / "i.json"
-    run(capsys, "generate", "ising", "--out", str(one))
-    rc, _ = run(capsys, "fusion", str(one), "--max-fields", "2")
+    # su2_6^3 has 343 fields: its fusion tensor, 4.0e7 entries, is over the
+    # dense budget
+    one = tmp_path / "su26.json"
+    prod = tmp_path / "p.json"
+    out = tmp_path / "fusion.json"
+    run(capsys, "generate", "su2", "--k", "6", "--out", str(one))
+    run(capsys, "tensor", str(one), str(one), str(one), "--out", str(prod))
+    rc = main(["fusion", str(prod), "--out", str(out)])
     assert rc == 3
+    assert "fusion tensor" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_extension_over_the_dense_budget_exits_3_before_writing(tmp_path,
+                                                               capsys):
+    # su2_4^7 by the diagonal current has 19,533 extended fields: its
+    # extended S alone would need 3.8e8 entries
+    one = tmp_path / "su24.json"
+    prod = tmp_path / "p7.json"
+    out = tmp_path / "out"
+    run(capsys, "generate", "su2", "--k", "4", "--out", str(one))
+    run(capsys, "tensor", *[str(one)] * 7, "--out", str(prod))
+    t0 = time.perf_counter()
+    rc = main(["extend", str(prod), "--by", "[4,4,4,4,4,4,4]",
+               "--out", str(out)])
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "the extended S of su2_4 x" in err and "3.82e+08 entries" in err
+    assert not out.exists()
 
 
 def test_fusion_fails_on_a_nan_in_s(tmp_path, capsys):

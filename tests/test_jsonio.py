@@ -129,6 +129,20 @@ def _synthetic():
     }
 
 
+def _int64_leaves():
+    # 0, negatives and the int64 extremes, beside a float64 leaf
+    ints = np.array([0, -1, 7, -(2 ** 63), 2 ** 63 - 1, 10 ** 18, -(10 ** 18),
+                     0, 3, -1, 1, 2], dtype=np.int64)
+    return {
+        "format": "synthetic int64",
+        "flat": ints,
+        "grid": ints.reshape(3, 2, 2),
+        "floats": np.array([1.0, -0.0]),
+        "no rows": np.zeros((0, 3), dtype=np.int64),
+        "one": np.zeros((1, 1, 1), dtype=np.int64),
+    }
+
+
 DOCUMENTS = {
     "su2_4": lambda: array_document(su2(4)),
     "ising": lambda: array_document(ising()),
@@ -140,6 +154,8 @@ DOCUMENTS = {
     "bundle on no fields": _empty_bundle_doc,
     "report": _report,
     "synthetic": _synthetic,
+    "int64 leaves": _int64_leaves,
+    "su2_4 fusion tensor": lambda: {"tables": modular.fusion_tensor(su2(4))},
     "top-level array": lambda: np.linspace(-1.0, 1.0, 12).reshape(3, 2, 2),
 }
 

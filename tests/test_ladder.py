@@ -27,6 +27,12 @@ def test_ladder_writes_stage_medians_counts_and_peak_rss(tmp_path):
                              "check_modular", "resolve", "extended_theory",
                              "condition_report", "fusion_check"]
     assert all(t >= 0 for t in w["stages_s"].values())
+    # the peak RSS after each stage of the first pass, in stage order
+    rss = w["stages_peak_rss_mb"]
+    assert list(rss) == doc["stages"]
+    peaks = list(rss.values())
+    assert 0 < peaks[0] and peaks == sorted(peaks)
+    assert peaks[-1] <= w["peak_rss_mb"]
     assert len(w["runs_s"]) == w["repeats"]
     assert w["counts"] == {"fields": 125, "currents": 8, "orbits": 32,
                            "ext_fields": 33, "classes": 3, "ext_currents": 4}

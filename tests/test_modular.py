@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from fpres import modular
-from fpres.errors import InvalidInputError
+from fpres.currents import Theory
+from fpres.errors import InvalidInputError, ResourceLimitError
+from fpres.extend import Extension
 from fpres.modular import (
     FUSION_TOL,
     ModularData,
@@ -281,3 +283,39 @@ def test_non_square_s_is_rejected():
     with pytest.raises(InvalidInputError, match=r"S matrix of bad is not square: shape \(2, 3\)"):
         ModularData(("a", "b"), (Fraction(0), Fraction(1, 2)), Fraction(1), s,
                     name="bad")
+
+
+@pytest.mark.parametrize("admitted", [True, False])
+@pytest.mark.parametrize("where", ["to_dense", "fusion_tensor", "sun",
+                                   "Extension"])
+def test_dense_budget_is_checked_before_allocating(monkeypatch, where,
+                                                   admitted):
+    # under a budget of 36 entries each call needs at most 36 when admitted
+    # and more when not; an admitted call reaches the sentinel on its
+    # allocating call, a refused one raises before it
+    from fpres import wzw
+
+    class Reached(Exception):
+        pass
+
+    def sentinel(*args):
+        raise Reached
+
+    monkeypatch.setattr(modular, "DENSE_BUDGET", 36)
+    if where == "to_dense":
+        ps = ProductS([su2(2).s, su2(1 if admitted else 2).s])  # 6 or 9 fields
+        monkeypatch.setattr(modular.np, "kron", sentinel)
+        call, args = ps.to_dense, ()
+    elif where == "fusion_tensor":
+        monkeypatch.setattr(modular, "_verlinde", sentinel)
+        call, args = fusion_tensor, (su2(2 if admitted else 3),)  # 3 or 4 fields
+    elif where == "sun":
+        monkeypatch.setattr(wzw, "_sun_s_matrix", sentinel)
+        call, args = sun, (3, 2 if admitted else 3)  # 6 or 10 fields
+    else:
+        k = 2 if admitted else 4  # 4 or 8 extended fields
+        md = tensor(su2(k), su2(k))
+        monkeypatch.setattr(Extension, "_build_extended_md", sentinel)
+        call, args = Extension, (Theory(md), [md.index((k, k))])
+    with pytest.raises(Reached if admitted else ResourceLimitError):
+        call(*args)

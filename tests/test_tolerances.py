@@ -7,6 +7,7 @@ import pkgutil
 import fpres
 from fpres import extend, modular, phases, validate
 from fpres.currents import Theory
+from fpres.errors import ResourceLimitError
 from fpres.wzw import su2
 
 
@@ -50,7 +51,23 @@ def test_each_job_keeps_its_tolerance():
             .default == validate.CHECK_TOL)
 
 
-def test_one_dense_fusion_limit():
-    assert validate.FUSION_DENSE_LIMIT is modular.FUSION_DENSE_LIMIT
-    limit = inspect.signature(modular.fusion_tensor).parameters["limit"]
-    assert limit.default == modular.FUSION_DENSE_LIMIT == 300
+def test_one_dense_budget(monkeypatch):
+    for info in pkgutil.iter_modules(fpres.__path__):
+        mod = importlib.import_module(f"fpres.{info.name}")
+        for gone in ("DENSE_LIMIT", "FUSION_DENSE_LIMIT", "SUN_FIELD_LIMIT"):
+            assert not hasattr(mod, gone), (info.name, gone)
+    assert list(inspect.signature(modular.fusion_tensor).parameters) == ["md"]
+    # the fusion tensor is admitted exactly where the fusion check scans in
+    # full: N^3 <= budget, here N <= 4
+    monkeypatch.setattr(modular, "DENSE_BUDGET", 4 ** 3)
+    admitted, full = [], []
+    for k in range(1, 7):
+        md = su2(k)
+        try:
+            modular.fusion_tensor(md)
+            admitted.append(md.size)
+        except ResourceLimitError:
+            pass
+        if validate.check_fusion_integrality(md)["mode"] == "full":
+            full.append(md.size)
+    assert admitted == full == [2, 3, 4]
