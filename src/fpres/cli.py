@@ -115,8 +115,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_tensor(args) -> int:
-    mds = [load(p) for p in args.inputs]
-    save(tensor(*mds), args.out)
+    loaded = {p: load(p) for p in dict.fromkeys(args.inputs)}
+    save(tensor(*(loaded[p] for p in args.inputs)), args.out)
     _manifest(args, args.inputs, [args.out], args.out)
     return 0
 

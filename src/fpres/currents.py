@@ -19,7 +19,7 @@ Twist factors F(a, K, J) compare the K-translated rows of S^J against the
 monodromy phase. Only this module snaps twists and etas to exact roots of
 unity, once per table: `Theory.twists(k, j)` and `Theory.etas(j)` keep
 int64 numerators and mark what does not snap, so that only the accessor
-of that field raises.
+of that field raises; `twist_grid` and `eta_grid` gather them into grids.
 """
 from __future__ import annotations
 
@@ -52,6 +52,8 @@ from .modular import (
 )
 from .phases import (SNAP_ORDER_LIMIT, SNAP_TOL, norm1, snap_phases, unit,
                      units)
+
+NA = -4  # grid cell below the twist and eta marks: no data for the cell
 
 
 @dataclass
@@ -257,23 +259,8 @@ class Theory:
                 raise InvalidInputError(f"{g} is not a simple current")
         return self.center.subgroup(gens)
 
-    # --- stabilizers
-
     def fixed_fields(self, j: int) -> np.ndarray:
         return np.where(self.perms[j] == np.arange(self.md.size))[0]
-
-    def stabilizer(self, a: int, members=None):
-        members = self.center.elements if members is None else members
-        return tuple(j for j in members if self.apply(j, a) == a)
-
-    def untwisted_stabilizer(self, a: int, members):
-        """Currents in the stabilizer whose twists against all of it vanish."""
-        stab = self.stabilizer(a, members)
-        return tuple(
-            j
-            for j in stab
-            if all(self.twist_exponent(a, k, j) == 0 for k in stab)
-        )
 
     # --- bundles
 
@@ -445,6 +432,34 @@ class Theory:
         if n == -3:
             raise ResolutionError(f"row of field {a} in bundle {j} vanishes")
         return Fraction(n, self.snap_order)
+
+    def twist_grid(self, fields, translators, currents) -> np.ndarray:
+        """F(fields[i], translators[x], currents[y]) over `snap_order` where
+        currents[y] fixes fields[i], marked as in `twists`; NA elsewhere."""
+        return self._grid(fields, currents, len(translators), lambda j, b: [
+            self.twists(k, j) for k in translators])
+
+    def eta_grid(self, fields, currents) -> np.ndarray:
+        """eta^J(fields[i]) for J = currents[y] over `eta_order` where J fixes
+        fields[i], marked as in `etas`; NA elsewhere and without eta data."""
+        return self._grid(fields, currents, 1, lambda j, b: [
+            self.etas(j)] if b.eta is not None else [])[:, 0]
+
+    def _grid(self, fields, currents, width, tables) -> np.ndarray:
+        """tables(J, bundle of J)[x] at fields[i] for J = currents[y] where J
+        fixes fields[i]; 0 for the identity, NA elsewhere."""
+        fields = np.asarray(fields, dtype=np.intp)
+        grid = np.full((len(fields), width, len(currents)), NA, dtype=np.int64)
+        for y, j in enumerate(currents):
+            sel = np.flatnonzero(self.perms[j][fields] == fields)
+            if j == 0:
+                grid[:, :, y] = 0
+            elif len(sel):
+                b = self.bundle(j)
+                pos = np.array([b.position(a) for a in fields[sel].tolist()])
+                for x, table in enumerate(tables(j, b)):
+                    grid[sel, x, y] = table[pos]
+        return grid
 
 
 # ---------------------------------------------------------------------------

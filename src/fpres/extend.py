@@ -26,11 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .currents import FixedPointBundle, Theory
+from .currents import NA, FixedPointBundle, Theory
 from .errors import InvalidInputError, ResolutionError
 from .groups import MultGroup
 from .modular import GATE_TOL, ModularData, dense_budget
-from .phases import norm1, numerators, units
+from .phases import norm1, units
 from .validate import eta_square_residual
 
 GRID_TOL = 1e-8  # S entries this close are equal: recombination, relabeling
@@ -97,47 +97,45 @@ class Extension:
     # spectrum
 
     def _build_orbits(self):
-        th = self.theory
-        md = th.md
-        uncharged = self._uncharged = np.ones(md.size, dtype=bool)
-        for j in self.h_members:
-            if j:
-                uncharged &= th.charges(j) == 0
+        th, h = self.theory, self.h_members
+        uncharged = self._uncharged = np.ones(th.md.size, dtype=bool)
+        for j in h[1:]:
+            uncharged &= th.charges(j) == 0
         local = np.flatnonzero(uncharged).tolist()
         local_set = set(local)
-        groups = {}  # one MultGroup per distinct untwisted stabilizer
-        seen = set()
-        orbits = []
+        seen, reps, orbit_members = set(), [], []
         for a in local:
             if a in seen:
                 continue
-            members = sorted({th.apply(j, a) for j in self.h_members})
+            members = sorted({th.apply(j, a) for j in h})
             if any(m not in local_set for m in members):
                 raise InvalidInputError(
-                    "subgroup charge is not constant on an orbit"
-                )
+                    "subgroup charge is not constant on an orbit")
             seen.update(members)
             rep = members[0]
             if self.rng is not None and rep != 0:
                 rep = self.rng.choice(members)
-            stab = th.stabilizer(rep, self.h_members)
-            unt = th.untwisted_stabilizer(rep, stab)
-            if unt not in groups:
-                groups[unt] = MultGroup(unt, th.center.mul, 0)
-            orbits.append(
-                OrbitData(
-                    index=len(orbits),
-                    rep=rep,
-                    members=tuple(members),
-                    stab=stab,
-                    unt=unt,
-                    ugroup=groups[unt],
-                    char_labels=tuple(groups[unt].char_labels()),
-                    ext_ids=(),
-                )
-            )
+            reps.append(rep)
+            orbit_members.append(tuple(members))
+        # F(reps[i], h[x], h[y]), NA where h[y] moves reps[i] (h[0] = 1); U_a
+        # holds h[y] when its twist against every stabilizer member vanishes
+        grid = th.twist_grid(reps, h, h)
+        stab = grid[:, 0] != NA
+        unt = _all_zero(
+            np.where(stab[:, :, None], grid, 0).transpose(0, 2, 1), stab,
+            lambda i, y, x: th.twist_exponent(reps[i], h[x], h[y]))
+        groups, orbits = {}, []  # one MultGroup per distinct U_a
+        for i, rep in enumerate(reps):
+            u = tuple(h[y] for y in np.flatnonzero(unt[i]))
+            if u not in groups:
+                groups[u] = MultGroup(u, th.center.mul, 0)
+            orbits.append(OrbitData(
+                i, rep, orbit_members[i],
+                tuple(h[y] for y in np.flatnonzero(stab[i])), u, groups[u],
+                tuple(groups[u].char_labels()), ()))
         orbits.sort(key=lambda o: (0 not in o.members, min(o.members)))
         # vacuum orbit first, then ascending smallest member
+        self._unt = unt[[o.index for o in orbits]]  # [orbit, y]: h[y] in U_a
         next_id = 0
         for idx, o in enumerate(orbits):
             o.index = idx
@@ -196,7 +194,6 @@ class Extension:
         # S^{r u} on the orbits whose U_a holds u, per u; pairs are grouped
         # by g = r u and each S^g block is gathered once
         sels = [np.flatnonzero(col) for col in has.T]
-        vals = [np.zeros((len(sel), len(sel)), dtype=complex) for sel in sels]
         parts = {}
         for k, (u, sel) in enumerate(zip(elems, sels)):
             sub = rab if len(sel) == n else rab[np.ix_(sel, sel)]
@@ -207,6 +204,9 @@ class Extension:
                 if len(ri):
                     parts.setdefault(th.center.mul(r, u), []).append(
                         (k, ri, ci, pick[np.ix_(ri, ci)]))
+        # vals[k] starts at 0.0 and gets a block for every k (rab[a, a] >= 0);
+        # a first whole block makes it 0 + sub bit for bit, signed zeros too
+        vals = [0.0] * len(sels)
         for g, group in parts.items():
             rows = np.unique(np.concatenate(
                 [sels[k][ri] for k, ri, _, _ in group]))
@@ -223,11 +223,15 @@ class Extension:
                     sub = np.where(pick, sub, 0)
                 if len(ri) == len(ci) == len(sels[k]):
                     vals[k] += sub
-                else:
-                    vals[k][np.ix_(ri, ci)] += sub
+                    continue
+                if np.isscalar(vals[k]):
+                    vals[k] = np.zeros((len(sels[k]),) * 2, dtype=complex)
+                vals[k][np.ix_(ri, ci)] += sub
+        del block, sub, parts
         # the identity lies in every U_a with chi = 1: its term is the
         # block itself
         out = vals[0][np.ix_(eo, eo)]
+        vals[0] = None
         for k in range(1, len(elems)):
             fields = np.flatnonzero(has[eo, k])
             loc = np.searchsorted(sels[k], eo[fields])
@@ -309,28 +313,25 @@ class Extension:
     # ------------------------------------------------------------------
     # class representatives on orbits
 
-    def _untwisted_for(self, a: int, x: int, members) -> bool:
-        th = self.theory
-        return all(th.twist_exponent(a, x, k) == 0 for k in members if k)
-
     def _class_tables(self, cls: ResidualClass):
-        """(fix, good) over orbits x class members, built once per class:
-        the member fixes the orbit's rep; and, for good, it is moreover
-        untwisted against the orbit's stabilizer."""
+        """(fix, good, fixed), once per class from the twists F(rep of a,
+        member x, h[y]): the member fixes the rep, and for good is untwisted
+        against the stabilizer; the class fixes the orbit's extended fields,
+        its first member fixing the rep being untwisted against U_a."""
         tables = self._tables.get(cls.rep)
         if tables is None:
-            perms = self.theory.perms
-            reps = np.array([o.rep for o in self.orbits], dtype=np.intp)
-            fix = np.stack([perms[x][reps] == reps for x in cls.members],
-                           axis=1)
-            good = fix.copy()
-            for o in self.orbits:
-                if len(o.stab) > 1:
-                    for k, x in enumerate(cls.members):
-                        if fix[o.index, k]:
-                            good[o.index, k] = self._untwisted_for(
-                                o.rep, x, o.stab)
-            tables = self._tables[cls.rep] = (fix, good)
+            th, h, xs = self.theory, self.h_members, cls.members
+            reps = [o.rep for o in self.orbits]
+            fix = np.stack([th.perms[x][reps] == reps for x in xs], axis=1)
+            grid = th.twist_grid(reps, xs, h)  # NA outside the stabilizer
+            good = _all_zero(np.where(grid == NA, 0, grid), fix, lambda i, x, y:
+                             th.twist_exponent(reps[i], xs[x], h[y]))
+            first = fix.argmax(axis=1)
+            fixed = _all_zero(
+                np.where(self._unt, grid[np.arange(len(reps)), first], 0),
+                fix.any(axis=1), lambda i, y:
+                th.twist_exponent(reps[i], xs[first[i]], h[y]))
+            tables = self._tables[cls.rep] = (fix, good, fixed)
         return tables
 
     def _inverse_class(self, cls: ResidualClass) -> ResidualClass:
@@ -370,15 +371,6 @@ class Extension:
         self._r_cache[key] = r
         return r
 
-    def _fixed_orbits(self, cls: ResidualClass):
-        """Orbits whose extended fields the class fixes."""
-        fix = self._class_tables(cls)[0]
-        return [
-            o for o in self.orbits
-            if fix[o.index].any() and self._untwisted_for(
-                o.rep, cls.members[int(fix[o.index].argmax())], o.unt)
-        ]
-
     def _pair_representatives(self, cls: ResidualClass, orbits) -> np.ndarray:
         """rab[a, b]: index of the first class member good on both orbits,
         -1 where there is none."""
@@ -395,7 +387,8 @@ class Extension:
         if cls.order == 1:
             raise InvalidInputError("the trivial class needs no resolution")
         th = self.theory
-        support_orbits = self._fixed_orbits(cls)
+        support_orbits = [o for o, fixed in zip(
+            self.orbits, self._class_tables(cls)[2]) if fixed]
         support = tuple(e for o in support_orbits for e in o.ext_ids)
         r_assign = {}
         phis = []
@@ -468,21 +461,23 @@ class Extension:
         which every phi and F denominator divides."""
         if not support_orbits:
             return np.zeros(0, dtype=complex), 0.0
-        th = self.theory
+        th, h, den = self.theory, self.h_members, self.theory.eta_order
         conj = th.md.conjugation()
-        den = th.eta_order
+        reps = [o.rep for o in support_orbits]
+        cbars = [int(conj[self.orbit_of(int(conj[a])).rep]) for a in reps]
+        ks = [next(x for x, k in enumerate(h) if th.apply(k, a) == c)
+              for a, c in zip(reps, cbars)]
+        elems = sorted(set().union(*(o.unt for o in support_orbits)))
+        tws = th.twist_grid(reps, h, elems)[np.arange(len(reps)), ks]
+        etas = th.eta_grid(cbars, elems)
         nums, base = [], []
-        for o, phi in zip(support_orbits, phis):
-            a = o.rep
-            r = r_assign[a]
-            cbar = int(conj[self.orbit_of(int(conj[a])).rep])
-            k_a = next(
-                k for k in self.h_members if th.apply(k, a) == cbar
-            )
+        for i, (o, phi) in enumerate(zip(support_orbits, phis)):
+            a, r, cbar, k_a = o.rep, r_assign[o.rep], cbars[i], h[ks[i]]
             f = th.twist_exponent(a, k_a, r)
             phi = phi * (den // (o.ugroup.exponent() * cls.order))
-            nums.append(phi - phi[self._pi_map(o, k_a, cbar)]
-                        - f.numerator * (den // f.denominator))
+            cols = np.searchsorted(elems, o.unt)
+            pi = self._pi_map(o, k_a, cbar, tws[i, cols], etas[i, cols])
+            nums.append(phi - phi[pi] - f.numerator * (den // f.denominator))
             base.append(np.full(len(phi), th.eta_value(r, a)))
         eta = np.concatenate(base) * units(np.concatenate(nums), den)
         # cross-check the defining square relation on the extended theory
@@ -498,23 +493,22 @@ class Extension:
             )
         return eta, dev
 
-    def _pi_map(self, o: OrbitData, k_a: int, cbar: int) -> np.ndarray:
-        """Character relabeling induced by the translation to the
-        conjugate representative, as row indices of `o.ugroup.char_table()`:
-        row pi[i] is row i on U_a shifted by eta^u(cbar) - F(a, k_a, u)."""
+    def _pi_map(self, o: OrbitData, k_a, cbar, tw, eta) -> np.ndarray:
+        """Character relabeling of the translation to the conjugate
+        representative, as rows of `o.ugroup.char_table()`: row pi[i] is row i
+        shifted on U_a by eta - tw, the grid rows of eta^u(cbar), F(a, k_a, u)."""
         th = self.theory
         den = th.eta_order
         table, e, col = o.ugroup.char_table()
-        shift = numerators(
-            [th.eta_exponent(u, cbar) - th.twist_exponent(o.rep, k_a, u)
-             for u in o.unt], den)
+        for u in np.array(o.unt)[(eta < 0) | (tw < 0)][:1].tolist():
+            th.eta_exponent(u, cbar)  # the first marked u raises
+            th.twist_exponent(o.rep, k_a, u)
+        shift = eta - tw * (den // th.snap_order)
         rows = table[:, [col[u] for u in o.unt]] * (den // e)
         hit = (((rows + shift) % den)[:, None] == rows).all(axis=2)
         if not hit.any(axis=1).all():
-            raise ResolutionError(
-                "conjugation data does not permute the stabilizer "
-                "characters"
-            )
+            raise ResolutionError("conjugation data does not permute the "
+                                  "stabilizer characters")
         return hit.argmax(axis=1)
 
     # ------------------------------------------------------------------
@@ -522,14 +516,10 @@ class Extension:
 
     def recombination_groups(self):
         """Extended fields whose S rows agree on the GRID_TOL grid."""
-        s = self.ext_md.s
         keys = {}
-        for i in range(self.n_ext):
-            key = (
-                tuple(np.round(s[i].real / GRID_TOL).astype(np.int64).tolist()),
-                tuple(np.round(s[i].imag / GRID_TOL).astype(np.int64).tolist()),
-            )
-            keys.setdefault(key, []).append(i)
+        for i, row in enumerate(self.ext_md.s):
+            grid = np.round(np.concatenate((row.real, row.imag)) / GRID_TOL)
+            keys.setdefault(grid.astype(np.int64).tobytes(), []).append(i)
         return [g for g in keys.values() if len(g) > 1]
 
     def report(self) -> dict:
@@ -551,6 +541,17 @@ class Extension:
 
 def extend(theory: Theory, h_gens, convention_seed=None) -> Extension:
     return Extension(theory, h_gens, convention_seed=convention_seed)
+
+
+def _all_zero(cells, active, raise_at) -> np.ndarray:
+    """all(F == 0 for F in row) along the last axis of `cells` where
+    `active`, read as a loop stops: at its first nonzero entry; the first
+    active row stopping at a mark (< 0) calls raise_at(*row, entry)."""
+    at = (cells != 0).argmax(axis=-1)
+    stop = np.take_along_axis(cells, at[..., None], axis=-1)[..., 0]
+    for row in np.argwhere(active & (stop < 0))[:1].tolist():
+        raise_at(*row, int(at[tuple(row)]))
+    return active & (stop == 0)
 
 
 # ---------------------------------------------------------------------------

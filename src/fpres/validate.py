@@ -24,13 +24,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import modular
-from .currents import Theory
+from .currents import NA, Theory
 from .errors import PhaseSnapError, ResolutionError
 from .modular import (FUSION_TOL, ModularData, _verlinde,
                       sampled_fusion_residual)
 from .phases import norm1, units
 
-NA = -4  # grid entry below the twist codes: no data for the cell
 CHECK_TOL = 1e-8  # default tolerance of the condition checks
 FUSION_SAMPLES = 60  # seeded rows the fusion check samples past the budget
 FUSION_SEED = 0
@@ -50,39 +49,10 @@ def eta_square_residual(sq, eta, fields, conj):
 
 
 def _has_bundle(theory: Theory, j: int) -> bool:
-    if j == 0:
-        return True
     try:
-        theory.bundle(j)
-        return True
+        return j == 0 or theory.bundle(j) is not None
     except ResolutionError:
         return False
-
-
-def _grids(theory: Theory, fields, members):
-    """Twists tw[i, x, y] = F(fields[i], x, y) over `snap_order` and etas
-    eta[i, y] over `eta_order` for center elements x, y among `members`
-    fixing fields[i], in `center.elements` order; negative where the
-    accessor raises, NA elsewhere. Also fix[i, x], x fixes fields[i], and
-    the product table mul[x, y]."""
-    elems = np.array(theory.center.elements)
-    fields = np.asarray(fields, dtype=np.intp)
-    fix = np.array([theory.perms[x][fields] == fields for x in elems]).T
-    mul = np.searchsorted(elems, [theory.perms[x][elems] for x in elems])
-    use = fix & np.isin(elems, list(members))
-    tw = np.full((len(fields), len(elems), len(elems)), NA, dtype=np.int64)
-    eta = np.full((len(fields), len(elems)), NA, dtype=np.int64)
-    tw[:, :, 0] = eta[:, 0] = 0
-    for y, j in enumerate(elems.tolist()):
-        sel = np.flatnonzero(use[:, y])
-        if j and len(sel) and _has_bundle(theory, j):
-            b = theory.bundle(j)
-            pos = [b.position(a) for a in fields[sel].tolist()]
-            for x in np.flatnonzero(use[sel].any(axis=0)):
-                tw[sel, x, y] = theory.twists(int(elems[x]), j)[pos]
-            if b.eta is not None:
-                eta[sel, y] = theory.etas(j)[pos]
-    return fix, mul, tw, eta
 
 
 def _product_law(theory: Theory, grids, fields, i, j, k):
@@ -91,7 +61,7 @@ def _product_law(theory: Theory, grids, fields, i, j, k):
     field: keeps the cells where JK has eta data too, and returns them with
     G = eta^J + eta^K - eta^JK and F(a, K, J), both over `eta_order`. The
     first cell whose lookups fail raises through the accessors."""
-    _, mul, tw, eta = grids
+    mul, tw, eta = grids
     jk = mul[j, k]
     i, j, k, jk = (v[eta[i, jk] != NA] for v in (i, j, k, jk))
     parts = (eta[i, j], eta[i, k], eta[i, jk], tw[i, k, j])
@@ -155,8 +125,15 @@ def check_conditions(theory: Theory, j: int, tol: float = CHECK_TOL) -> dict:
     elems = theory.center.elements
     y = elems.index(j)
     order = theory.snap_order
-    pos = {a: i for i, a in enumerate(supp)}
-    grids = fix, mul, tw, eta = _grids(theory, supp, elems)
+    fix = np.array([theory.perms[x][list(supp)] == supp for x in elems]).T
+    mul = np.searchsorted(elems, [theory.perms[x][list(elems)] for x in elems])
+    # the grids over elems, NA at the currents without a bundle
+    have = [elems[x] for x in np.flatnonzero(fix.any(axis=0))
+            if _has_bundle(theory, elems[x])]
+    tw = np.full((n, len(elems), len(elems)), NA, dtype=np.int64)
+    eta = np.full((n, len(elems)), NA, dtype=np.int64)
+    tw[:, :, np.searchsorted(elems, have)] = theory.twist_grid(supp, elems, have)
+    eta[:, np.searchsorted(elems, have)] = theory.eta_grid(supp, have)
     avail = tw[:, 0] != NA          # [i, y]: y fixes supp[i], has a bundle
 
     # {4}: one broadcast of the row covariance per translator
@@ -171,7 +148,7 @@ def check_conditions(theory: Theory, j: int, tol: float = CHECK_TOL) -> dict:
                    note="row ratio is not a constant snapped phase")
             break
         col = units(theory.charges(k)[list(supp)], theory.den)
-        moved = m[[pos[a] for a in theory.perms[k][list(supp)].tolist()]]
+        moved = m[[b.position(a) for a in theory.perms[k][list(supp)].tolist()]]
         d = np.abs(moved - units(f, order)[:, None] * col * m).max(axis=1)
         i = int(d.argmax())
         if d[i] > dev4:
@@ -219,7 +196,7 @@ def check_conditions(theory: Theory, j: int, tol: float = CHECK_TOL) -> dict:
 
         try:
             i, x = np.nonzero(eta != NA)
-            i, _, x, g, f = _product_law(theory, grids, supp, i,
+            i, _, x, g, f = _product_law(theory, (mul, tw, eta), supp, i,
                                          np.full_like(x, y), x)
             e = theory.eta_order
             bad5b = [{"field": supp[i[r]], "current": elems[x[r]],

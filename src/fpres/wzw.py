@@ -21,6 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import modular
 from .errors import InvalidInputError, ResourceLimitError
 from .modular import GATE_TOL, ModularData, dense_budget, unitarity_deviation
 
@@ -34,6 +35,11 @@ def su2(k: int) -> ModularData:
     """Level-k su(2): fields a = 0..k (twice the spin)."""
     if k < 1:
         raise InvalidInputError("level must be >= 1")
+    # the dense_budget test, inline: su2 makes no call into another module
+    if (k + 1) ** 2 > modular.DENSE_BUDGET:
+        raise ResourceLimitError(
+            f"the S of su2_{k} would need {(k + 1) ** 2:.2e} entries, over "
+            f"the dense budget {modular.DENSE_BUDGET:.2e}")
     n = k + 2
     labels = tuple(range(k + 1))
     h = tuple(Fraction(a * (a + 2), 4 * n) for a in labels)

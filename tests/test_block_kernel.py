@@ -6,13 +6,15 @@ a time, reading single S^J entries; it is the reference for the kernel, the
 pair representatives, the orbit representatives, eta and the square/eta
 deviation, to 1e-12.
 """
+import copy
 import functools
+import types
 
 import numpy as np
 import pytest
 
 from fpres.currents import Theory
-from fpres.extend import extend
+from fpres.extend import GRID_TOL, extend
 from fpres.modular import tensor
 from fpres.phases import norm1, unit
 from fpres.validate import check_fusion_integrality, condition_report
@@ -222,8 +224,23 @@ def _su2_4_su3_3(seed):
     return extend(th, [th.md.index((4, (0, 0)))], convention_seed=seed)
 
 
+def _su2_4_cubed_two_generators():
+    md = tensor(su2(4), su2(4), su2(4))
+    return extend(Theory(md), [md.index((4, 4, 0)), md.index((0, 4, 4))])
+
+
+def _su2_2_overlap(seed):
+    # su2_2^4 by (2, 2, 0, 0) and (0, 2, 2, 0): on the fields both fix, the
+    # generators twist each other by the self-twist 1/2 of the shared factor,
+    # so U_a is smaller than the stabilizer there
+    md = tensor(*(su2(2) for _ in range(4)))
+    return extend(Theory(md), [md.index((2, 2, 0, 0)), md.index((0, 2, 2, 0))],
+                  convention_seed=seed)
+
+
 BUILDERS = {
     "su2_4": lambda: extend(Theory(su2(4)), [4]),
+    "su2_4-su3_3": lambda: _su2_4_su3_3(None),
     "su2_4-su3_3-seed0": lambda: _su2_4_su3_3(0),
     "su2_4-su3_3-seed2": lambda: _su2_4_su3_3(2),
     "triple": lambda: _triple(None),
@@ -232,6 +249,9 @@ BUILDERS = {
     "su2x4-diagonal": _su2x4_diagonal,
     "sigma-pair": _sigma_pair,
     "su5-pair": _su5_pair,
+    "su2_4^3-two-generators": _su2_4_cubed_two_generators,
+    "su2_2^4-overlap": lambda: _su2_2_overlap(None),
+    "su2_2^4-overlap-seed3": lambda: _su2_2_overlap(3),
 }
 
 
@@ -299,6 +319,72 @@ def test_oracle_workloads_cover_the_kernel_cases():
     supports = [sigma.resolve(c).bundle.fields
                 for c in sigma.residual_classes() if c.order > 1]
     assert () in supports
+
+
+# --- orbit and class tables against the per-element loops -------------------
+
+
+def oracle_stabilizers(th, a, members):
+    """The stabilizer of field a in `members` and its untwisted part U_a, the
+    currents j with F(a, k, j) = 0 for every k in the stabilizer."""
+    stab = tuple(k for k in members if th.apply(k, a) == a)
+    return stab, tuple(j for j in stab
+                       if all(th.twist_exponent(a, k, j) == 0 for k in stab))
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_orbit_and_class_tables_match_the_per_element_loops(name):
+    ex = built(name)
+    th = ex.theory
+    assert [(o.stab, o.unt) for o in ex.orbits] == [
+        oracle_stabilizers(th, o.rep, ex.h_members) for o in ex.orbits]
+    for cls in ex.residual_classes():
+        fix, good = ex._class_tables(cls)[:2]
+        want = [[th.apply(x, o.rep) == o.rep for x in cls.members]
+                for o in ex.orbits]
+        assert fix.tolist() == want
+        assert good.tolist() == [
+            [f and _untwisted_for(th, o.rep, x, o.stab)
+             for f, x in zip(row, cls.members)]
+            for row, o in zip(want, ex.orbits)]
+        fixed = ex._class_tables(cls)[2]
+        assert [o for o, f in zip(ex.orbits, fixed) if f] == \
+            oracle_support(ex, cls)
+
+
+def test_oracle_workloads_cover_twisted_stabilizers():
+    ex = built("su2_2^4-overlap")
+    assert any(o.unt != o.stab for o in ex.orbits)
+
+
+# --- recombination groups --------------------------------------------------
+
+
+def oracle_recombination_groups(s):
+    """Rows of s that agree on the GRID_TOL grid, keyed by two tuples."""
+    keys = {}
+    for i in range(len(s)):
+        key = (
+            tuple(np.round(s[i].real / GRID_TOL).astype(np.int64).tolist()),
+            tuple(np.round(s[i].imag / GRID_TOL).astype(np.int64).tolist()),
+        )
+        keys.setdefault(key, []).append(i)
+    return [g for g in keys.values() if len(g) > 1]
+
+
+@pytest.mark.parametrize("name", ["su2x4-diagonal", "su5-pair"])
+def test_recombination_groups_match_tuple_keys(name):
+    ex = built(name)
+    assert ex.recombination_groups() == []
+    assert oracle_recombination_groups(ex.ext_md.s) == []
+    # an S with repeated rows, as a missing resolution would leave
+    s = ex.ext_md.s.copy()
+    s[5] = s[3]
+    s[9] = s[11] = s[2]
+    fake = copy.copy(ex)
+    fake.ext_md = types.SimpleNamespace(s=s)
+    assert fake.recombination_groups() == [[2, 9, 11], [3, 5]]
+    assert oracle_recombination_groups(s) == [[2, 9, 11], [3, 5]]
 
 
 # --- convention seeds and the inverse class --------------------------------

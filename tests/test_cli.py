@@ -88,6 +88,29 @@ def test_generate_sun_over_the_weyl_limit_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_generate_su2_over_the_dense_budget_exits_3(tmp_path, capsys):
+    # su2_6000 has 6,001 fields: its S would need 3.6e7 entries
+    out = tmp_path / "out.json"
+    t0 = time.perf_counter()
+    rc = main(["generate", "su2", "--k", "6000", "--out", str(out)])
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 3
+    assert "the S of su2_6000 would need 3.60e+07 entries" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tensor_of_one_path_twice_matches_two_copies(tmp_path, capsys):
+    # a repeated path is decoded once; the product is the same bytes
+    one = tmp_path / "su24.json"
+    copy = tmp_path / "copy.json"
+    run(capsys, "generate", "su2", "--k", "4", "--out", str(one))
+    copy.write_bytes(one.read_bytes())
+    run(capsys, "tensor", str(one), str(one), "--out", str(tmp_path / "a.json"))
+    run(capsys, "tensor", str(one), str(copy), "--out", str(tmp_path / "b.json"))
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
 def test_generate_sun_rebuilds_an_empty_cache_file(tmp_path, capsys):
     cache = tmp_path / "cache"
     good = tmp_path / "good.json"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fpres.currents import (
+    NA,
     FixedPointBundle,
     ProductBundle,
     Theory,
@@ -15,6 +16,7 @@ from fpres.currents import (
     solve_1x1_bundle,
 )
 from fpres.errors import InvalidInputError, MalformedBundleError, ResolutionError
+from fpres.extend import extend
 from fpres.modular import dump_json, tensor
 from fpres.phases import norm1, unit
 from fpres.wzw import ising, su2, sun
@@ -152,12 +154,19 @@ def test_untwisted_stabilizer_contrast():
     th = Theory(md)
     a = md.index((1, 1))
     full = th.center.elements
-    assert th.stabilizer(a, full) == (0, 2, 6, 8)
+    grid = th.twist_grid([a], full, full)[0]  # [translator, current]
+    # NA exactly in the columns of the currents that move a
+    stab = [y for y in range(len(full)) if (grid[:, y] != NA).all()]
+    assert (grid[:, [y for y in range(len(full)) if y not in stab]] == NA).all()
+    assert [full[y] for y in stab] == [0, 2, 6, 8]
     # every nontrivial current is twisted against some stabilizer member
-    assert th.untwisted_stabilizer(a, full) == (0,)
+    twisted = (grid[np.ix_(stab, stab)] != 0).any(axis=0)
+    assert [full[y] for y, t in zip(stab, twisted) if not t] == [0]
     # inside the diagonal subgroup everything is untwisted
     diag = th.subgroup([8])
-    assert th.untwisted_stabilizer(a, diag) == (0, 8)
+    assert diag == (0, 8)
+    assert (th.twist_grid([a], diag, diag) == 0).all()
+    assert extend(th, [8]).orbit_of(a).unt == (0, 8)
 
 
 def test_stabilizer_triple_product():
@@ -169,7 +178,8 @@ def test_stabilizer_triple_product():
     assert sub == (0, 104)
     a = md.index((2, 1, 1))
     assert a == 46
-    assert th.stabilizer(a, sub) == (0,)
+    # only the identity fixes a
+    assert th.twist_grid([a], sub, sub)[0].tolist() == [[0, NA], [0, NA]]
 
 
 def test_bundle_document_roundtrip(tmp_path):

@@ -248,6 +248,25 @@ def test_resolve_needs_the_eta_of_the_representative_bundle():
         ex.resolve(cls)
 
 
+def test_marked_twist_in_an_input_bundle_fails_extend_through_its_accessor():
+    # the bundle of (4, 0) on su2_4 x su2_4, given as input with the rows of
+    # (2, 1) and (2, 3) zeroed: F(a, 1, J) is marked -3 on both fields, and
+    # the first orbit in order raises as Theory.twist_exponent does
+    md = tensor(su2(4), su2(4))
+    j = md.index((4, 0))
+    b = Theory(md).bundle(j)
+    mat = b.matrix.copy()
+    for a in (md.index((2, 3)), md.index((2, 1))):
+        mat[b.position(a)] = 0
+    th = Theory(md, extra_bundles=[FixedPointBundle(j, b.fields, mat, b.eta)])
+    a = md.index((2, 1))
+    with pytest.raises(ResolutionError) as err:
+        th.twist_exponent(a, 0, j)
+    assert str(err.value) == f"row of field {a} in bundle {j} vanishes"
+    with pytest.raises(ResolutionError, match=f"^{err.value}$"):
+        extend(th, [j])
+
+
 # --- su5 pair ------------------------------------------------------------
 
 
@@ -374,8 +393,8 @@ def pi_maps_of_diagonal_su24(monkeypatch, k, seed):
     calls = []
     real = Extension._pi_map
 
-    def spy(self, o, k_a, cbar):
-        pi = real(self, o, k_a, cbar)
+    def spy(self, o, k_a, cbar, *grid_rows):
+        pi = real(self, o, k_a, cbar, *grid_rows)
         calls.append((md.labels[o.rep], k_a, md.labels[cbar], pi.tolist()))
         return pi
 

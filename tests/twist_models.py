@@ -15,7 +15,7 @@ from fpres.currents import Theory
 from fpres.errors import InvalidInputError
 from fpres.modular import tensor
 from fpres.phases import norm1
-from fpres.validate import NA, _grids, _product_law
+from fpres.validate import NA, _has_bundle, _product_law
 from fpres.wzw import ising, sun
 
 HALF = Fraction(1, 2)
@@ -23,12 +23,20 @@ HALF = Fraction(1, 2)
 
 def check_GF(theory: Theory, a: int, currents=None) -> dict:
     """Compare the eta product phase with the twist on one field."""
-    if currents is None:
-        currents = theory.stabilizer(a)
-    grids = _grids(theory, [a], currents)
     elems = theory.center.elements
-    group = [elems.index(x) for x in currents
-             if grids[3][0, elems.index(x)] != NA]
+    if currents is None:
+        currents = [x for x in elems if theory.apply(x, a) == a]
+    # the grids of the condition report over `currents`, NA elsewhere
+    have = [elems.index(x) for x in currents
+            if theory.apply(x, a) == a and _has_bundle(theory, x)]
+    tw = np.full((1, len(elems), len(elems)), NA, dtype=np.int64)
+    eta = np.full((1, len(elems)), NA, dtype=np.int64)
+    tw[:, :, have] = theory.twist_grid([a], elems, [elems[y] for y in have])
+    eta[:, have] = theory.eta_grid([a], [elems[y] for y in have])
+    ids = np.array(elems)
+    mul = np.searchsorted(ids, [theory.perms[x][ids] for x in elems])
+    grids = mul, tw, eta
+    group = [elems.index(x) for x in currents if eta[0, elems.index(x)] != NA]
     j, k = np.array([(x, y) for x in group if x for y in group],
                     dtype=np.intp).reshape(-1, 2).T
     _, j, k, g, f = _product_law(theory, grids, (a,), np.zeros_like(j), j, k)
