@@ -15,8 +15,8 @@ twisted matrices of the representative's translates.
 A class and the class of the inverse current use inverse representatives.
 
 The extended S and every resolution matrix come from one block kernel,
-which gathers each twisted matrix S^g once for all orbit pairs that need
-it and contracts with zero-padded stabilizer character tables.
+which adds each twisted block S^{r u}, gathered straight over the extended
+fields of the orbit pairs that take it, into the one output array.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ import numpy as np
 from .currents import NA, FixedPointBundle, Theory
 from .errors import InvalidInputError, ResolutionError
 from .groups import MultGroup
-from .modular import GATE_TOL, ModularData, dense_budget
+from .modular import GATE_TOL, ROW_BLOCK, ModularData, dense_budget
 from .phases import norm1, units
 from .validate import eta_square_residual
 
@@ -159,16 +159,12 @@ class Extension:
     def _build_extended_md(self):
         md = self.theory.md
         n = len(self.orbits)
-        s = self._block_kernel(self.orbits, np.zeros((n, n), dtype=np.intp),
-                               (0,))
-        labels = []
-        h = []
-        for o in self.orbits:
-            for lab in o.char_labels:
-                labels.append((md.labels[o.rep], lab))
-                h.append(md.h[o.rep])
+        s = self._block_kernel(
+            self.orbits, np.broadcast_to(np.intp(0), (n, n)), (0,))
+        fields = [(o.rep, lab) for o in self.orbits for lab in o.char_labels]
         self.ext_md = ModularData(
-            tuple(labels), tuple(h), md.c, s,
+            tuple((md.labels[a], lab) for a, lab in fields),
+            tuple(md.h[a] for a, _ in fields), md.c, s,
             name=f"{md.name} / ext{len(self.h_members)}",
         )
 
@@ -191,60 +187,43 @@ class Extension:
         reps = np.array([o.rep for o in orbits], dtype=np.intp)
         eo = np.repeat(np.arange(n), [len(o.ext_ids) for o in orbits])
         elems, has, chars = self._char_columns(orbits, eo)
-        # S^{r u} on the orbits whose U_a holds u, per u; pairs are grouped
-        # by g = r u and each S^g block is gathered once
-        sels = [np.flatnonzero(col) for col in has.T]
-        parts = {}
-        for k, (u, sel) in enumerate(zip(elems, sels)):
+        m = len(eo)
+        out = None
+        # one term per u = elems[k] in ascending order (the order of the float
+        # sums) and class member r: S^{r u} over the fields of the orbit pairs
+        # whose U_a hold u and that take r; the identity's first term sets `out`
+        for k, u in enumerate(elems):
+            sel = np.flatnonzero(has[:, k])
             sub = rab if len(sel) == n else rab[np.ix_(sel, sel)]
+            loc = np.searchsorted(sel, eo)  # read on the fields of sel only
             for x, r in enumerate(members):
                 pick = sub == x
-                ri = np.flatnonzero(pick.any(axis=1))
-                ci = np.flatnonzero(pick.any(axis=0))
-                if len(ri):
-                    parts.setdefault(th.center.mul(r, u), []).append(
-                        (k, ri, ci, pick[np.ix_(ri, ci)]))
-        # vals[k] starts at 0.0 and gets a block for every k (rab[a, a] >= 0);
-        # a first whole block makes it 0 + sub bit for bit, signed zeros too
-        vals = [0.0] * len(sels)
-        for g, group in parts.items():
-            rows = np.unique(np.concatenate(
-                [sels[k][ri] for k, ri, _, _ in group]))
-            cols = np.unique(np.concatenate(
-                [sels[k][ci] for k, _, ci, _ in group]))
-            block = th.bundle_block(g, reps[rows].tolist(), reps[cols].tolist())
-            for k, ri, ci, pick in group:
-                # whole-block shortcuts keep the extended S to one pass
-                sub = block
-                if len(group) > 1:
-                    sub = block[np.ix_(np.searchsorted(rows, sels[k][ri]),
-                                       np.searchsorted(cols, sels[k][ci]))]
-                if not pick.all():
-                    sub = np.where(pick, sub, 0)
-                if len(ri) == len(ci) == len(sels[k]):
-                    vals[k] += sub
+                fr = np.flatnonzero(np.isin(eo, sel[pick.any(axis=1)]))
+                fc = np.flatnonzero(np.isin(eo, sel[pick.any(axis=0)]))
+                if not len(fr):
                     continue
-                if np.isscalar(vals[k]):
-                    vals[k] = np.zeros((len(sels[k]),) * 2, dtype=complex)
-                vals[k][np.ix_(ri, ci)] += sub
-        del block, sub, parts
-        # the identity lies in every U_a with chi = 1: its term is the
-        # block itself
-        out = vals[0][np.ix_(eo, eo)]
-        vals[0] = None
-        for k in range(1, len(elems)):
-            fields = np.flatnonzero(has[eo, k])
-            loc = np.searchsorted(sels[k], eo[fields])
-            c = chars[fields, k]
-            out[np.ix_(fields, fields)] += (
-                c[:, None] * vals[k][np.ix_(loc, loc)]
-            ) * c.conj()
+                block = th.bundle_block(th.center.mul(r, u),
+                                        reps[eo[fr]].tolist(),
+                                        reps[eo[fc]].tolist())
+                if not pick.all():
+                    block = np.where(pick[np.ix_(loc[fr], loc[fc])], block, 0)
+                if k:
+                    block = (chars[fr, k][:, None] * block) * chars[fc, k].conj()
+                if out is None and block.shape == (m, m):
+                    # every bundle_block branch returns a fresh array, so
+                    # `out` may own it; += 0.0 gives 0.0 + block bit for
+                    # bit, signed zeros included
+                    out = block
+                    out += 0.0
+                    continue
+                if out is None:
+                    out = np.zeros((m, m), dtype=complex)
+                out[np.ix_(fr, fc)] += block
         weight = np.array([len(o.stab) * len(o.unt) for o in orbits],
                           dtype=float)[eo]
-        pref = np.multiply.outer(weight, weight)
-        np.sqrt(pref, out=pref)
-        np.divide(len(self.h_members), pref, out=pref)
-        out *= pref
+        for lo in range(0, m, ROW_BLOCK):
+            w = np.multiply.outer(weight[lo:lo + ROW_BLOCK], weight)
+            out[lo:lo + ROW_BLOCK] *= len(self.h_members) / np.sqrt(w)
         if dress is not None:
             d = dress[:, eo]
             out = out * d * d.T.conj()
@@ -255,8 +234,8 @@ class Extension:
     def _char_columns(self, orbits, eo):
         """The union of the orbits' untwisted stabilizers in ascending order
         (the identity first), has[a, k] for elems[k] in U_a, and the
-        zero-padded character table chars[i, k] = chi_i(elems[k]) where
-        elems[k] lies in the U_a of the orbit a of field i, else 0."""
+        character table chars[i, k] = chi_i(elems[k]), read only where
+        elems[k] lies in the U_a of the orbit a of field i."""
         elems = sorted(set().union(*(o.unt for o in orbits)))
         col = {u: k for k, u in enumerate(elems)}
         den = math.lcm(*(o.ugroup.exponent() for o in orbits))
@@ -273,7 +252,7 @@ class Extension:
                     table[:, [where[u] for u in o.unt]] * (den // e)
                 )
             start += len(o.ext_ids)
-        return elems, has, np.where(has[eo], units(nums, den), 0)
+        return elems, has, units(nums, den)
 
     # ------------------------------------------------------------------
     # surviving currents

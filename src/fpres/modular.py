@@ -72,13 +72,18 @@ class ProductS:
         return np.unravel_index(np.asarray(ids, dtype=np.intp), self.sizes)
 
     def block(self, rows, cols) -> np.ndarray:
-        """`to_dense()[np.ix_(rows, cols)]` bit for bit: the factor entries
-        multiply in np.kron's order and, like it, out of place."""
+        """`to_dense()[np.ix_(rows, cols)]`, in slices of ROW_BLOCK rows: the
+        factor entries multiply in np.kron's order and, like it, out of place.
+        Bit for bit for a real S; numpy's complex multiply loops may round the
+        last bit of a large complex block unlike np.kron's broadcast loop."""
         ri = self.unravel(rows)
         ci = self.unravel(cols)
-        out = np.ones((len(ri[0]), len(ci[0])), dtype=complex)
-        for m, r, c in zip(self.mats, ri, ci):
-            out = out * m[np.ix_(r, c)]
+        out = np.empty((len(ri[0]), len(ci[0])), dtype=complex)
+        for lo in range(0, len(out), ROW_BLOCK):
+            part = np.ones(out[lo:lo + ROW_BLOCK].shape, dtype=complex)
+            for m, r, c in zip(self.mats, ri, ci):
+                part = part * m[np.ix_(r[lo:lo + ROW_BLOCK], c)]
+            out[lo:lo + ROW_BLOCK] = part
         return out
 
     def row(self, a: int) -> np.ndarray:
@@ -385,8 +390,10 @@ def fusion_tensor(md: ModularData) -> np.ndarray:
     """Every fusion matrix (N_a)_b^c, one `_verlinde` row per field a over
     one dense S."""
     dense_budget(md.size ** 3, f"the fusion tensor of {md.name}")
-    return np.stack([_fusion_ints(*row)
-                     for row in _verlinde(md.s_dense(), range(md.size))])
+    out = np.empty((md.size,) * 3, dtype=np.int64)
+    for a, row in enumerate(_verlinde(md.s_dense(), range(md.size))):
+        out[a] = _fusion_ints(*row)
+    return out
 
 
 def sampled_fusion_residual(md: ModularData, n_samples: int, rng) -> float:
@@ -759,7 +766,15 @@ def from_document(doc: dict) -> ModularData:
         s = complex_array(doc["s_matrix"], "s_matrix")
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed modular data document: {exc}") from exc
-    return ModularData(labels, h, c, s, name=doc.get("name", ""))
+    md = ModularData(labels, h, c, s, name=doc.get("name", ""))
+    with np.errstate(all="ignore"):  # both stay cached on md; NaN fails
+        unitary, symmetric = md.unitarity(), md.symmetry()
+    if not (unitary <= S_TOL and symmetric <= S_TOL):  # NaN fails too
+        raise InvalidInputError(
+            f"s_matrix of {md.name or 'modular data'} is not unitary and "
+            f"symmetric (deviations {unitary:.2e}, {symmetric:.2e})"
+        )
+    return md
 
 
 def save(md: ModularData, path) -> None:

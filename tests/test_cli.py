@@ -205,7 +205,7 @@ def test_validate_good_and_corrupted_bundle(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     rc, _ = run(capsys, "validate", str(bad))
-    assert rc == 1
+    assert rc == 2  # a non-unitary S is refused at load
 
 
 def test_validate_flags_half_integer_currents(tmp_path, capsys):
@@ -277,8 +277,30 @@ def test_fusion_fails_on_a_nan_in_s(tmp_path, capsys):
     bad = tmp_path / "nan.json"
     bad.write_text(json.dumps(doc))
     rc, text = run(capsys, "fusion", str(bad))
-    assert rc == 1
+    assert rc == 2  # refused at load; test_fusion_kernel covers the NaN scan
     assert text == ""
+
+
+@pytest.mark.parametrize("command", [
+    ["validate"], ["currents"], ["fusion"], ["extend", "--by", "4", "--out"],
+    ["tensor", "--out"]])
+def test_non_unitary_s_exits_2_at_load(tmp_path, capsys, command):
+    # S stays symmetric, so only the unitarity check can refuse it
+    one = tmp_path / "su24.json"
+    run(capsys, "generate", "su2", "--k", "4", "--out", str(one))
+    doc = json.loads(one.read_text())
+    doc["s_matrix"][1][2][0] += 1e-3
+    doc["s_matrix"][2][1][0] += 1e-3
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = command[:1] + [str(bad)] + command[1:]
+    if argv[-1] == "--out":
+        argv.append(str(tmp_path / "out"))
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "s_matrix of su2_4 is not unitary and symmetric" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_input_is_usage_error(tmp_path, capsys):

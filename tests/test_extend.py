@@ -1,5 +1,6 @@
 """Extension spectra, resolution matrices, and relabeling search."""
 import functools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -446,6 +447,21 @@ def test_seeded_conventions_are_equivalent(seed):
 
 
 # --- relabeling search ---------------------------------------------------
+
+
+def test_extend_peaks_below_twice_the_extended_s():
+    # the block kernel gathers straight into the one extended-S array; an
+    # orbit-level copy beside it peaked at 2.76x
+    md = tensor(*[su2(4)] * 5)
+    th = Theory(md)
+    tracemalloc.start()
+    try:
+        ex = extend(th, [md.index((4,) * 5)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ex.n_ext == 783
+    assert peak <= 2 * ex.ext_md.s.nbytes
 
 
 def test_match_fields_identity_and_shuffle():

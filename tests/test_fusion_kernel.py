@@ -11,6 +11,7 @@ import cmath
 import functools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -155,6 +156,20 @@ def test_fusion_tensor_forms_a_product_s_once(monkeypatch):
     assert formed == [12]
     n = verlinde_tensor(np.kron(a.s, b.s))
     assert np.array_equal(tables, np.rint(n.real))
+
+
+def test_fusion_tensor_peaks_near_the_tensor():
+    # one preallocated int64 tensor filled row by row; stacking a list of
+    # rows held it twice (2.0x)
+    md = tensor(su2(4), su2(6), su2(2))  # 105 fields, a 9.3 MB tensor
+    tracemalloc.start()
+    try:
+        tables = fusion_tensor(md)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tables.dtype == np.int64 and tables.shape == (105,) * 3
+    assert peak <= 1.3 * tables.nbytes
 
 
 # --- one residual definition ----------------------------------------------

@@ -141,6 +141,7 @@ LAZY_PRODUCTS = {
     "su3_3^2": lambda: tensor(sun(3, 3), sun(3, 3)),
     "su3_3-su4_2": lambda: tensor(sun(3, 3), sun(4, 2)),
     "su3_3-ising-su3_2": lambda: tensor(sun(3, 3), ising(), sun(3, 2)),
+    "su2_4^4": lambda: tensor(*[su2(4)] * 4),  # taller than ROW_BLOCK
 }
 
 
@@ -163,6 +164,18 @@ def test_lazy_product_blocks_equal_dense_bitwise(name):
                               dense[a, b:b + 1].view(np.uint64))
         assert np.array_equal(md.s_row(a).view(np.uint64),
                               dense[a].view(np.uint64))
+    # whole-size blocks, in order and shuffled, formed in slices of
+    # ROW_BLOCK rows when the product is taller than that; bit for bit for a
+    # real S, while numpy's complex multiply loops may round the last bit of
+    # a large complex block unlike np.kron
+    every = list(range(md.size))
+    shuffled = rng.sample(every, md.size)
+    for rows in (every, shuffled):
+        block, want = md.s_block(rows, rows), dense[np.ix_(rows, rows)]
+        if dense.imag.any():
+            assert np.abs(block - want).max() <= 1e-15
+        else:
+            assert np.array_equal(block.view(np.uint64), want.view(np.uint64))
 
 
 def test_check_modular_product_report():
