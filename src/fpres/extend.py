@@ -161,10 +161,14 @@ class Extension:
         n = len(self.orbits)
         s = self._block_kernel(
             self.orbits, np.broadcast_to(np.intp(0), (n, n)), (0,))
-        fields = [(o.rep, lab) for o in self.orbits for lab in o.char_labels]
+        labels = []
+        h = []
+        for o in self.orbits:
+            for lab in o.char_labels:
+                labels.append((md.labels[o.rep], lab))
+                h.append(md.h[o.rep])
         self.ext_md = ModularData(
-            tuple((md.labels[a], lab) for a, lab in fields),
-            tuple(md.h[a] for a, _ in fields), md.c, s,
+            tuple(labels), tuple(h), md.c, s,
             name=f"{md.name} / ext{len(self.h_members)}",
         )
 
@@ -191,22 +195,23 @@ class Extension:
         out = None
         # one term per u = elems[k] in ascending order (the order of the float
         # sums) and class member r: S^{r u} over the fields of the orbit pairs
-        # whose U_a hold u and that take r; the identity's first term sets `out`
+        # whose U_a hold u and that take r; the first term sets `out`
         for k, u in enumerate(elems):
             sel = np.flatnonzero(has[:, k])
             sub = rab if len(sel) == n else rab[np.ix_(sel, sel)]
-            loc = np.searchsorted(sel, eo)  # read on the fields of sel only
+            fields = np.flatnonzero(has[eo, k])
+            loc = np.searchsorted(sel, eo[fields])  # each field's orbit in sel
             for x, r in enumerate(members):
                 pick = sub == x
-                fr = np.flatnonzero(np.isin(eo, sel[pick.any(axis=1)]))
-                fc = np.flatnonzero(np.isin(eo, sel[pick.any(axis=0)]))
-                if not len(fr):
+                on_r, on_c = pick.any(axis=1)[loc], pick.any(axis=0)[loc]
+                if not on_r.any():
                     continue
+                fr, fc = fields[on_r], fields[on_c]
                 block = th.bundle_block(th.center.mul(r, u),
                                         reps[eo[fr]].tolist(),
                                         reps[eo[fc]].tolist())
                 if not pick.all():
-                    block = np.where(pick[np.ix_(loc[fr], loc[fc])], block, 0)
+                    block = np.where(pick[np.ix_(loc[on_r], loc[on_c])], block, 0)
                 if k:
                     block = (chars[fr, k][:, None] * block) * chars[fc, k].conj()
                 if out is None and block.shape == (m, m):
