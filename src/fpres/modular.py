@@ -767,7 +767,7 @@ def from_document(doc: dict) -> ModularData:
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed modular data document: {exc}") from exc
     md = ModularData(labels, h, c, s, name=doc.get("name", ""))
-    with np.errstate(all="ignore"):  # both stay cached on md; NaN fails
+    with np.errstate(all="ignore"):  # cached on md; an inf or NaN fails below
         unitary, symmetric = md.unitarity(), md.symmetry()
     if not (unitary <= S_TOL and symmetric <= S_TOL):  # NaN fails too
         raise InvalidInputError(

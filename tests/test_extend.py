@@ -450,8 +450,8 @@ def test_seeded_conventions_are_equivalent(seed):
 
 
 def test_extend_peaks_below_twice_the_extended_s():
-    # the block kernel gathers straight into the one extended-S array; an
-    # orbit-level copy beside it peaked at 2.76x
+    # the extended S plus row-block temporaries; a second S-sized array
+    # beside it would read about 2.75x
     md = tensor(*[su2(4)] * 5)
     th = Theory(md)
     tracemalloc.start()

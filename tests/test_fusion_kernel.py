@@ -159,8 +159,8 @@ def test_fusion_tensor_forms_a_product_s_once(monkeypatch):
 
 
 def test_fusion_tensor_peaks_near_the_tensor():
-    # one preallocated int64 tensor filled row by row; stacking a list of
-    # rows held it twice (2.0x)
+    # the tensor plus one row's temporaries; holding the rows and the
+    # tensor at once would read 2.0x
     md = tensor(su2(4), su2(6), su2(2))  # 105 fields, a 9.3 MB tensor
     tracemalloc.start()
     try:
