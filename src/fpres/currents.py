@@ -87,6 +87,22 @@ class FixedPointBundle:
                 f"field {a} is not fixed by current {self.current}"
             ) from None
 
+    @functools.cached_property
+    def _sorted(self):
+        """The sorted support, then a key above every id; their positions."""
+        fields = np.asarray(self.fields, dtype=np.intp)
+        at = np.argsort(fields)
+        return np.append(fields[at], np.iinfo(np.intp).max), at
+
+    def positions(self, fields) -> np.ndarray:
+        """`position` of every field in `fields`, as one array lookup."""
+        a = np.asarray(fields, dtype=np.intp)
+        keys, at = self._sorted
+        i = np.searchsorted(keys, a)
+        for b in a[keys[i] != a][:1].tolist():
+            self.position(b)  # the first field off the support raises
+        return at[i]
+
 
 class ProductBundle(FixedPointBundle):
     """S^J of a tensor product: the Kronecker product `kron` of the factor
@@ -324,8 +340,7 @@ class Theory:
         if j == 0:
             return self.md.s_block(rows, cols)
         b = self.bundle(j)
-        ri = [b.position(a) for a in rows]
-        ci = [b.position(a) for a in cols]
+        ri, ci = b.positions(rows), b.positions(cols)
         if isinstance(b, ProductBundle):
             return b.kron.block(ri, ci)
         return b.matrix[np.ix_(ri, ci)]
@@ -381,7 +396,7 @@ class Theory:
             # row ratios S^J_{Ka,c} exp(-2 pi i Q_K(c)) / S^J_{ac} over the
             # entries with a non-negligible denominator
             m = b.matrix
-            moved = m[[b.position(a) for a in self.perms[k][fields].tolist()]]
+            moved = m[b.positions(self.perms[k][fields])]
             mask = np.abs(m) > SNAP_TOL
             ratios = np.divide(moved * units(-charges, self.den), m,
                                out=np.zeros_like(m), where=mask)
@@ -456,7 +471,7 @@ class Theory:
                 grid[:, :, y] = 0
             elif len(sel):
                 b = self.bundle(j)
-                pos = np.array([b.position(a) for a in fields[sel].tolist()])
+                pos = b.positions(fields[sel])
                 for x, table in enumerate(tables(j, b)):
                     grid[sel, x, y] = table[pos]
         return grid

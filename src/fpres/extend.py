@@ -45,8 +45,8 @@ class OrbitData:
     rep: int
     members: tuple
     stab: tuple           # subgroup members fixing the orbit
-    unt: tuple            # untwisted part of the stabilizer
-    ugroup: MultGroup
+    unt: tuple            # untwisted part of the stabilizer, ascending
+    ugroup: MultGroup     # over unt: its elements, the char_table columns
     char_labels: tuple
     ext_ids: tuple        # extended field ids, one per character
 
@@ -86,6 +86,7 @@ class Extension:
                 )
         self.h_members = h
         self._build_orbits()
+        self._build_quotient()
         dense_budget(self.n_ext ** 2, f"the extended S of {theory.md.name}")
         self._build_extended_md()
         self._ext_theory = None
@@ -121,26 +122,23 @@ class Extension:
         # holds h[y] when its twist against every stabilizer member vanishes
         grid = th.twist_grid(reps, h, h)
         stab = grid[:, 0] != NA
-        unt = _all_zero(
+        unt = self._unt = _all_zero(  # [orbit, y]: h[y] in U_a
             np.where(stab[:, :, None], grid, 0).transpose(0, 2, 1), stab,
             lambda i, y, x: th.twist_exponent(reps[i], h[x], h[y]))
+        # `local` ascends, so each orbit is found at its smallest member:
+        # vacuum first, then by ascending smallest member, as are the ext_ids
         groups, orbits = {}, []  # one MultGroup per distinct U_a
+        next_id = 0
         for i, rep in enumerate(reps):
             u = tuple(h[y] for y in np.flatnonzero(unt[i]))
             if u not in groups:
                 groups[u] = MultGroup(u, th.center.mul, 0)
+            labels = tuple(groups[u].char_labels())
             orbits.append(OrbitData(
                 i, rep, orbit_members[i],
                 tuple(h[y] for y in np.flatnonzero(stab[i])), u, groups[u],
-                tuple(groups[u].char_labels()), ()))
-        orbits.sort(key=lambda o: (0 not in o.members, min(o.members)))
-        # vacuum orbit first, then ascending smallest member
-        self._unt = unt[[o.index for o in orbits]]  # [orbit, y]: h[y] in U_a
-        next_id = 0
-        for idx, o in enumerate(orbits):
-            o.index = idx
-            o.ext_ids = tuple(range(next_id, next_id + len(o.char_labels)))
-            next_id += len(o.char_labels)
+                labels, tuple(range(next_id, next_id + len(labels)))))
+            next_id += len(labels)
         self.orbits = orbits
         self.n_ext = next_id
         self._orbit_of = {}
@@ -250,12 +248,10 @@ class Extension:
         start = 0
         for a, o in enumerate(orbits):
             if len(o.unt) > 1:
-                table, e, where = o.ugroup.char_table()
+                table, e, _ = o.ugroup.char_table()
                 ks = [col[u] for u in o.unt]
                 has[a, ks] = True
-                nums[start:start + len(o.ext_ids), ks] = (
-                    table[:, [where[u] for u in o.unt]] * (den // e)
-                )
+                nums[start:start + len(o.ext_ids), ks] = table * (den // e)
             start += len(o.ext_ids)
         return elems, has, units(nums, den)
 
@@ -267,25 +263,22 @@ class Extension:
             self._ext_theory = Theory(self.ext_md, extra_bundles=extra_bundles)
         return self._ext_theory
 
+    def _build_quotient(self):
+        """The cosets of H in the uncharged currents, keyed by their smallest
+        members, and `quotient`, the group of those keys."""
+        center, cosets, rep_of = self.theory.center, {}, {}
+        for j in [x for x in center.elements if self._uncharged[x]]:
+            members = tuple(sorted(center.mul(j, k) for k in self.h_members))
+            rep_of[j] = members[0]
+            cosets[members[0]] = members
+        self.quotient = q = MultGroup(
+            cosets, lambda a, b: rep_of[center.mul(a, b)], 0)
+        self._classes = {rep: ResidualClass(rep, cosets[rep], q.order_of(rep))
+                         for rep in q.elements}
+
     def residual_classes(self):
-        th = self.theory
-        center = np.array(th.center.elements, dtype=np.intp)
-        g_loc = center[self._uncharged[center]].tolist()
-        h_set = set(self.h_members)
-        by_rep = {}
-        for j in g_loc:
-            members = tuple(sorted(th.center.mul(j, k) for k in self.h_members))
-            by_rep.setdefault(members[0], members)
-        out = []
-        for rep in sorted(by_rep):
-            members = by_rep[rep]
-            order = 1
-            x = rep
-            while x not in h_set:
-                x = th.center.mul(x, rep)
-                order += 1
-            out.append(ResidualClass(rep=rep, members=members, order=order))
-        return out
+        """The cosets of H in the uncharged currents, by ascending rep."""
+        return list(self._classes.values())
 
     def class_current_ext_id(self, cls: ResidualClass) -> int:
         """Extended field carrying the class: the orbit of its members."""
@@ -318,11 +311,6 @@ class Extension:
             tables = self._tables[cls.rep] = (fix, good, fixed)
         return tables
 
-    def _inverse_class(self, cls: ResidualClass) -> ResidualClass:
-        inv = self.theory.center.inverse
-        members = tuple(sorted(inv(x) for x in cls.members))
-        return ResidualClass(rep=members[0], members=members, order=cls.order)
-
     def orbit_representative(self, cls: ResidualClass, o: OrbitData):
         """Class member fixing the orbit and untwisted against its
         stabilizer; None when the class moves the orbit. Conjugate orbits
@@ -333,7 +321,7 @@ class Extension:
             return self._r_cache[key]
         th = self.theory
         good = self._class_tables(cls)[1][o.index]
-        inv_cls = self._inverse_class(cls)
+        inv_cls = self._classes[self.quotient.inverse(cls.rep)]
         partner = self.orbit_of(int(th.md.conjugation()[o.rep]))
         if inv_cls.rep < cls.rep:
             r = self.orbit_representative(inv_cls, o)
@@ -483,12 +471,12 @@ class Extension:
         shifted on U_a by eta - tw, the grid rows of eta^u(cbar), F(a, k_a, u)."""
         th = self.theory
         den = th.eta_order
-        table, e, col = o.ugroup.char_table()
+        table, e, _ = o.ugroup.char_table()
         for u in np.array(o.unt)[(eta < 0) | (tw < 0)][:1].tolist():
             th.eta_exponent(u, cbar)  # the first marked u raises
             th.twist_exponent(o.rep, k_a, u)
         shift = eta - tw * (den // th.snap_order)
-        rows = table[:, [col[u] for u in o.unt]] * (den // e)
+        rows = table * (den // e)
         hit = (((rows + shift) % den)[:, None] == rows).all(axis=2)
         if not hit.any(axis=1).all():
             raise ResolutionError("conjugation data does not permute the "

@@ -3,8 +3,8 @@
 A theory is a list of field labels with exact rational conformal weights,
 an exact rational central charge and a unitary symmetric S matrix. A
 tensor product keeps S in factorized form (`ProductS`) and materializes
-blocks and rows on demand; only `ProductS.to_dense` forms the dense S, on
-request and within `dense_budget`, the one size check of every dense array.
+blocks on demand; only `ProductS.to_dense` forms the dense S, on request and
+within `dense_budget`, the one size check of every dense array.
 """
 from __future__ import annotations
 
@@ -68,29 +68,19 @@ class ProductS:
         self.sizes = tuple(m.shape[0] for m in self.mats)
         self.size = math.prod(self.sizes)
 
-    def unravel(self, ids):
-        return np.unravel_index(np.asarray(ids, dtype=np.intp), self.sizes)
-
     def block(self, rows, cols) -> np.ndarray:
         """`to_dense()[np.ix_(rows, cols)]`, in slices of ROW_BLOCK rows: the
         factor entries multiply in np.kron's order and, like it, out of place.
-        Bit for bit for a real S; numpy's complex multiply loops may round the
-        last bit of a large complex block unlike np.kron's broadcast loop."""
-        ri = self.unravel(rows)
-        ci = self.unravel(cols)
+        Bit for bit for a real S only: for a complex S the last bit of an
+        entry may depend on the shape of the block that holds it."""
+        ri, ci = (np.unravel_index(np.asarray(x, dtype=np.intp), self.sizes)
+                  for x in (rows, cols))
         out = np.empty((len(ri[0]), len(ci[0])), dtype=complex)
         for lo in range(0, len(out), ROW_BLOCK):
             part = np.ones(out[lo:lo + ROW_BLOCK].shape, dtype=complex)
             for m, r, c in zip(self.mats, ri, ci):
                 part = part * m[np.ix_(r[lo:lo + ROW_BLOCK], c)]
             out[lo:lo + ROW_BLOCK] = part
-        return out
-
-    def row(self, a: int) -> np.ndarray:
-        ai = np.unravel_index(a, self.sizes)
-        out = np.array([1.0 + 0.0j])
-        for m, i in zip(self.mats, ai):
-            out = np.kron(out, m[i])
         return out
 
     def to_dense(self) -> np.ndarray:
@@ -172,11 +162,6 @@ class ModularData:
         return units(tn, den)
 
     # --- S access, uniform over dense and factorized storage
-
-    def s_row(self, a: int) -> np.ndarray:
-        if self.is_product:
-            return self.s.row(a)
-        return self.s[a]
 
     def s_block(self, rows, cols) -> np.ndarray:
         if self.is_product:
@@ -387,43 +372,35 @@ def _fusion_ints(out: np.ndarray, residual: float) -> np.ndarray:
 
 
 def fusion_tensor(md: ModularData) -> np.ndarray:
-    """Every fusion matrix (N_a)_b^c, one `_verlinde` row per field a over
-    one dense S."""
+    """Every fusion matrix (N_a)_b^c. An atomic S takes one `_verlinde` row
+    per field a; a product takes the Kronecker product of its factor
+    tensors over the row-major product ids, N^A x N^B, and forms no S."""
     dense_budget(md.size ** 3, f"the fusion tensor of {md.name}")
+    if md.is_product:
+        out = np.ones((1, 1, 1), dtype=np.int64)
+        for f in md.factors:
+            n = len(out) * f.size
+            out = np.einsum("abc,xyz->axbycz", out,
+                            fusion_tensor(f)).reshape(n, n, n)
+        return out
     out = np.empty((md.size,) * 3, dtype=np.int64)
-    for a, row in enumerate(_verlinde(md.s_dense(), range(md.size))):
+    for a, row in enumerate(_verlinde(md.s, range(md.size))):
         out[a] = _fusion_ints(*row)
     return out
 
 
 def sampled_fusion_residual(md: ModularData, n_samples: int, rng) -> float:
-    """Max integrality residual over randomly sampled fusion rows, NaN
-    propagating. Works off full S rows, so it stays cheap for products."""
-    n = md.size
+    """Max integrality residual over randomly sampled fusion rows of an
+    atomic S, NaN propagating; O(N^2) per sample."""
     resids = []
-    row0 = md.s_row(0)
     for _ in range(n_samples):
-        a = rng.randrange(n)
-        b = rng.randrange(n)
+        a, b = rng.randrange(md.size), rng.randrange(md.size)
         # N_{ab}^c for all c: sum_m S_am S_bm conj(S_cm) / S_0m
-        vec = md.s_row(a) * md.s_row(b) / row0
-        if md.is_product:
-            col = _product_matvec_conj(md.s, vec)
-        else:
-            # conj(S) @ vec without copying S: the same bits
-            col = (md.s @ vec.conj()).conj()
+        vec = md.s[a] * md.s[b] / md.s[0]
+        # conj(S) @ vec without copying S: the same bits
+        col = (md.s @ vec.conj()).conj()
         resids.append(np.abs(col - np.rint(col.real)).max())
     return float(np.max(resids, initial=0.0))
-
-
-def _product_matvec_conj(ps: ProductS, vec: np.ndarray) -> np.ndarray:
-    """conj(S) @ vec for factorized S without materializing S."""
-    out = vec.reshape(ps.sizes)
-    for axis, m in enumerate(ps.mats):
-        out = np.moveaxis(
-            np.tensordot(m.conj(), out, axes=([1], [axis])), 0, axis
-        )
-    return out.ravel()
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,22 @@ def test_product_bundle_kron():
     assert blk[1, 0] == pytest.approx(1j * base[0, 4])
 
 
+def test_bundle_positions_raise_at_the_first_field_off_the_support():
+    th = Theory(tensor(su2(4), su2(4)))
+    b = th.bundle(20)  # fields 10..14
+    assert b.positions([14, 10, 12]).tolist() == [4, 0, 2]
+    assert b.position(13) == 3
+    assert b.positions([]).tolist() == []
+    for fields, bad in (([10, 9, 99], 9), ([11, 99], 99), ([-1], -1)):
+        with pytest.raises(ResolutionError, match=f"field {bad} is not fixed"):
+            b.positions(fields)
+    # rows are looked up before columns
+    with pytest.raises(ResolutionError, match="field 3 is not fixed"):
+        th.bundle_block(20, [10, 3], [7])
+    with pytest.raises(ResolutionError, match="field 7 is not fixed"):
+        th.bundle_block(20, [10], [7])
+
+
 def test_twist_extraction_on_wide_bundle():
     # su2(2) x su2(2), current J = (2,0), K = (2,2): the K-translated rows
     # of S^J pick up the factor self-twist -1

@@ -24,7 +24,7 @@ from fpres.modular import (ModularData, ProductS, fusion_tensor,
                            sampled_fusion_residual, tensor)
 from fpres.phases import unit, units
 from fpres.validate import check_fusion_integrality
-from fpres.wzw import su2, sun
+from fpres.wzw import ising, su2, sun
 from oracles import fusion_matrix
 
 
@@ -142,20 +142,34 @@ def test_fusion_tensor_matches_the_verlinde_sum():
         assert np.array_equal(fusion_tensor(md), np.rint(n.real))
 
 
-def test_fusion_tensor_forms_a_product_s_once(monkeypatch):
-    formed = []
-    to_dense = ProductS.to_dense
+PRODUCTS = {
+    "su2_4^2": lambda: (su2(4), su2(4)),
+    "su3_3-su2_2": lambda: (sun(3, 3), su2(2)),
+    "ising-su2_3-su3_2": lambda: (ising(), su2(3), sun(3, 2)),
+    "su4_2-su3_3": lambda: (sun(4, 2), sun(3, 3)),
+    "su2_6^2-su2_4": lambda: (su2(6), su2(6), su2(4)),  # 245 fields
+}
 
-    def counting(self):
-        formed.append(self.size)
-        return to_dense(self)
 
-    monkeypatch.setattr(ProductS, "to_dense", counting)
-    a, b = su2(2), su2(3)
-    tables = fusion_tensor(tensor(a, b))
-    assert formed == [12]
-    n = verlinde_tensor(np.kron(a.s, b.s))
-    assert np.array_equal(tables, np.rint(n.real))
+@pytest.mark.parametrize("name", sorted(PRODUCTS))
+def test_fusion_tensor_of_a_product_forms_no_product_s(name, monkeypatch):
+    # the Kronecker product of the factor tensors against the Verlinde rows
+    # of the dense S, np.kron of the factor S matrices
+    factors = PRODUCTS[name]()
+    md = tensor(*factors)
+
+    def refused(self):
+        raise AssertionError("the fusion tensor formed a dense product S")
+
+    monkeypatch.setattr(ProductS, "to_dense", refused)
+    tables = fusion_tensor(md)
+    s = np.array([[1.0 + 0.0j]])
+    for f in factors:
+        s = np.kron(s, f.s)
+    dense = with_s(md, s, f"{name} dense")
+    assert tables.shape == (md.size,) * 3
+    for a in range(md.size):
+        assert np.array_equal(tables[a], fusion_matrix(dense, a)), a
 
 
 def test_fusion_tensor_peaks_near_the_tensor():
@@ -203,18 +217,30 @@ def nan_su24():
 def test_nan_fails_the_dense_scan():
     for md in (nan_su24(), tensor(nan_su24(), su2(4))):
         rep = check_fusion_integrality(md)
-        assert rep["mode"] == "full"
+        assert rep["mode"] == ("factors" if md.is_product else "full")
         assert not rep["ok"]
         assert math.isnan(rep["max_residual"])
 
 
+def test_nan_in_one_factor_fails_the_factor_report():
+    # the NaN factor comes last, where Python's max would drop it
+    rep = check_fusion_integrality(tensor(su2(4), su2(3), nan_su24()))
+    assert [f["mode"] for f in rep["factors"]] == ["full"] * 3
+    assert [f["ok"] for f in rep["factors"]] == [True, True, False]
+    assert not rep["ok"]
+    assert math.isnan(rep["max_residual"])
+
+
 def test_nan_fails_the_sampled_scan():
-    lazy = tensor(su2(4), nan_su24(), su2(4), su2(4))
-    rep = check_fusion_integrality(lazy)
+    md = su2(400)  # 401^3 entries, past the dense budget
+    s = md.s.copy()
+    s[1, 2] = complex(float("nan"), 0)
+    md = with_s(md, s, "su2_400 with a NaN")
+    rep = check_fusion_integrality(md)
     assert rep["mode"] == "sampled"
     assert not rep["ok"]
     assert math.isnan(rep["max_residual"])
-    assert math.isnan(sampled_fusion_residual(lazy, 60, random.Random(0)))
+    assert math.isnan(sampled_fusion_residual(md, 60, random.Random(0)))
 
 
 def test_nan_fails_fusion_matrix():
