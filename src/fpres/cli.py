@@ -33,6 +33,10 @@ from .validate import CHECK_TOL, check_fusion_integrality, condition_report
 from .wzw import ising, su2, sun
 
 
+# `extend` writes the extended S beside extended.json, which names it
+EXTENDED_S_FILE = "extended.s.npy"
+
+
 def _sha256(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -53,6 +57,11 @@ def _emit(doc: dict, args, inputs) -> None:
     else:
         _write_json(doc, args.out)
         _manifest(args, inputs, [args.out], args.out)
+
+
+def _sources(path, md) -> list:
+    """The input `path` and the S files its document names."""
+    return [path] + [f.s_file for f in md.atomic_factors() if f.s_file]
 
 
 def _manifest(args, inputs, outputs, anchor) -> None:
@@ -117,7 +126,8 @@ def cmd_generate(args) -> int:
 def cmd_tensor(args) -> int:
     loaded = {p: load(p) for p in dict.fromkeys(args.inputs)}
     save(tensor(*(loaded[p] for p in args.inputs)), args.out)
-    _manifest(args, args.inputs, [args.out], args.out)
+    inputs = [x for p, md in loaded.items() for x in _sources(p, md)]
+    _manifest(args, inputs, [args.out], args.out)
     return 0
 
 
@@ -139,7 +149,7 @@ def cmd_currents(args) -> int:
             for j in th.center.elements
         ],
     }
-    _emit(doc, args, [args.input])
+    _emit(doc, args, _sources(args.input, md))
     return 0
 
 
@@ -152,8 +162,8 @@ def cmd_extend(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     ext_path = os.path.join(args.out, "extended.json")
-    save(ex.ext_md, ext_path)
-    outputs = [ext_path]
+    save(ex.ext_md, ext_path, s_file=EXTENDED_S_FILE)
+    outputs = [ext_path, os.path.join(args.out, EXTENDED_S_FILE)]
 
     bundles = []
     for cls in ex.residual_classes():
@@ -177,7 +187,8 @@ def cmd_extend(args) -> int:
     report_path = os.path.join(args.out, "report.json")
     _write_json(report, report_path)
     outputs.append(report_path)
-    _manifest(args, [args.input] + list(args.bundles), outputs, args.out)
+    _manifest(args, _sources(args.input, md) + list(args.bundles), outputs,
+              args.out)
     return 0 if conditions["ok"] and fus["ok"] else 1
 
 
@@ -187,7 +198,7 @@ def cmd_validate(args) -> int:
     th = Theory(md, extra_bundles=extra)
     currents = [b.current for b in extra] or None
     doc = condition_report(th, currents=currents, tol=args.tolerance)
-    _emit(doc, args, [args.input] + list(args.bundles))
+    _emit(doc, args, _sources(args.input, md) + list(args.bundles))
     return 0 if doc["ok"] else 1
 
 
@@ -199,7 +210,7 @@ def cmd_fusion(args) -> int:
         "fields": [_label_to_json(lab) for lab in md.labels],
         "tables": fusion_tensor(md),
     }
-    _emit(doc, args, [args.input])
+    _emit(doc, args, _sources(args.input, md))
     return 0
 
 

@@ -218,8 +218,9 @@ class Theory:
     def __init__(self, md: ModularData, extra_bundles=()):
         self.md = md
         ids = detect_simple_currents(md)
-        self.perms = current_permutations(md, ids)
-        self.center = MultGroup(ids, lambda a, b: int(self.perms[a][b]), 0)
+        self.perms = perms = current_permutations(md, ids)
+        # closing over perms, not self, leaves the theory out of a cycle
+        self.center = MultGroup(ids, lambda a, b: int(perms[a][b]), 0)
         # weights and T exponents mod 1, as numerators over self.den
         self.den, self._hn, tn = md.phase_numerators()
         self._charges = {}

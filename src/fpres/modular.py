@@ -8,9 +8,12 @@ within `dense_budget`, the one size check of every dense array.
 """
 from __future__ import annotations
 
+import hashlib
+import io
 import itertools
 import json
 import math
+import os
 import random
 import re
 from dataclasses import dataclass
@@ -101,6 +104,7 @@ class ModularData:
     s: object            # np.ndarray, or ProductS for tensor products
     name: str = ""
     factors: tuple = None  # factor ModularData for tensor products
+    s_file: str = None   # the .npy file S was loaded from, if not inline
 
     def __post_init__(self):
         if len(self.labels) != len(self.h):
@@ -438,11 +442,13 @@ def tensor(*mds: ModularData, name: str = "") -> ModularData:
 # ---------------------------------------------------------------------------
 # serialization, format "modular-data v1"
 #
-# Every file fpres writes goes through `dump_json`. Complex matrices travel as
-# float64 arrays of [re, im] pairs, shape (..., 2), and are written straight
-# from the array; the bytes are those of `json.dump(native(doc), fh,
+# Every JSON file fpres writes goes through `dump_json`. Complex matrices
+# travel as float64 arrays of [re, im] pairs, shape (..., 2), and are written
+# straight from the array; the bytes are those of `json.dump(native(doc), fh,
 # indent=1)` plus a newline, so a document written from arrays is the same
-# file, with the same hash, as one written from nested lists.
+# file, with the same hash, as one written from nested lists. An S may
+# instead travel in an .npy file beside the document (`save_npy`), which the
+# document names together with the sha256 of its bytes.
 
 _SLOT = "\x00"                    # stands for an array leaf in the skeleton
 _SLOT_JSON = json.dumps(_SLOT)
@@ -702,6 +708,81 @@ def _rational(text, field: str) -> Fraction:
             f"{field} {text!r} has a zero denominator") from None
 
 
+def save_npy(path, a: np.ndarray) -> str:
+    """Write `a` to `path` with `np.save` and return the sha256 hex digest
+    of the bytes written."""
+    buf = io.BytesIO()
+    np.save(buf, a, allow_pickle=False)
+    data = buf.getbuffer()
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
+
+
+def load_npy(path, sha256, shape) -> np.ndarray:
+    """The C-order complex128 array of `shape` in the .npy file at `path`,
+    read once, whose bytes must hash to `sha256`. The header is checked before
+    any array is allocated, and `np.load` reads no pickle. A file that
+    cannot be opened raises OSError; a hash mismatch, an unreadable file or
+    another dtype, shape or order raise `InvalidInputError` naming the
+    file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if hashlib.sha256(data).hexdigest() != sha256:
+        raise InvalidInputError(
+            f"{path} does not match its sha256: the file was truncated or "
+            f"edited")
+    fp = io.BytesIO(data)
+    try:
+        version = np.lib.format.read_magic(fp)
+        read_header = {(1, 0): np.lib.format.read_array_header_1_0,
+                       (2, 0): np.lib.format.read_array_header_2_0}[version]
+        header = read_header(fp)
+    except (ValueError, KeyError) as exc:
+        raise InvalidInputError(
+            f"{path} is not a readable .npy file: {exc}") from None
+    if header != (tuple(shape), False, np.dtype(np.complex128)):
+        got_shape, fortran, got_dtype = header
+        raise InvalidInputError(
+            f"{path} holds a {'Fortran' if fortran else 'C'}-order "
+            f"{got_dtype} array of shape {got_shape}, not a C-order "
+            f"complex128 array of shape {tuple(shape)}")
+    fp.seek(0)
+    try:
+        return np.load(fp, allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise InvalidInputError(
+            f"{path} is not a readable .npy file: {exc}") from None
+
+
+def _s_from_file(ref, directory, n: int):
+    """(S, path) for an "s_matrix" of the form {"file": name, "sha256": hex}:
+    S is the n x n complex128 array in the .npy file `path`, the bare `name`
+    in `directory`, the document's directory, whose bytes hash to `sha256`.
+    Anything else raises `InvalidInputError` naming the file."""
+    if set(ref) != {"file", "sha256"} or not all(
+            isinstance(v, str) for v in ref.values()):
+        raise InvalidInputError(
+            'an s_matrix object must be {"file": name, "sha256": hex}')
+    name = ref["file"]
+    if directory is None:
+        raise InvalidInputError(
+            f"s_matrix names the file {name!r}, but the document was not "
+            f"read from a file")
+    if (name in ("", ".", "..") or "\0" in name
+            or os.path.basename(name) != name):
+        raise InvalidInputError(
+            f"s_matrix file {name!r} is not a bare file name in the "
+            f"document's directory")
+    path = os.path.join(directory, name)
+    dense_budget(n * n, f"the S in {path}")
+    try:
+        return load_npy(path, ref["sha256"], (n, n)), path
+    except OSError as exc:
+        raise InvalidInputError(
+            f"s_matrix file {path}: {exc.strerror}") from None
+
+
 def array_document(md: ModularData) -> dict:
     """The "modular-data v1" document of `md` with its S as an array leaf
     (see `complex_pairs`); `save` writes it."""
@@ -724,7 +805,9 @@ def array_document(md: ModularData) -> dict:
     }
 
 
-def from_document(doc: dict) -> ModularData:
+def from_document(doc: dict, directory=None) -> ModularData:
+    """The ModularData of a "modular-data v1" document. An "s_matrix" that
+    names an .npy file (`_s_from_file`) is read from `directory`."""
     if doc.get("format") != "modular-data v1":
         raise InvalidInputError(
             f"unsupported document format {doc.get('format')!r}"
@@ -735,15 +818,20 @@ def from_document(doc: dict) -> ModularData:
                 and all(isinstance(d, dict) for d in parts)):
             raise InvalidInputError(
                 "product must be a list of modular-data documents")
-        return tensor(*map(from_document, parts), name=doc.get("name", ""))
+        return tensor(*(from_document(d, directory) for d in parts),
+                      name=doc.get("name", ""))
+    s_file = None
     try:
         labels = tuple(_label_from_json(f["label"]) for f in doc["fields"])
         h = tuple(_rational(f["h"], "h") for f in doc["fields"])
         c = _rational(doc["central_charge"], "central_charge")
-        s = complex_array(doc["s_matrix"], "s_matrix")
+        if isinstance(doc["s_matrix"], dict):
+            s, s_file = _s_from_file(doc["s_matrix"], directory, len(labels))
+        else:
+            s = complex_array(doc["s_matrix"], "s_matrix")
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed modular data document: {exc}") from exc
-    md = ModularData(labels, h, c, s, name=doc.get("name", ""))
+    md = ModularData(labels, h, c, s, name=doc.get("name", ""), s_file=s_file)
     with np.errstate(all="ignore"):  # cached on md; an inf or NaN fails below
         unitary, symmetric = md.unitarity(), md.symmetry()
     if not (unitary <= S_TOL and symmetric <= S_TOL):  # NaN fails too
@@ -751,12 +839,29 @@ def from_document(doc: dict) -> ModularData:
             f"s_matrix of {md.name or 'modular data'} is not unitary and "
             f"symmetric (deviations {unitary:.2e}, {symmetric:.2e})"
         )
+    s00 = complex(s[0, 0]) if md.size else 1.0
+    if not (s00.real > 0 and abs(s00.imag) <= S_TOL):  # NaN fails too
+        raise InvalidInputError(
+            f"s_matrix of {md.name or 'modular data'}: the vacuum entry "
+            f"S_00 = {s00:.6g} is not real and positive"
+        )
     return md
 
 
-def save(md: ModularData, path) -> None:
+def save(md: ModularData, path, *, s_file=None) -> None:
+    """Write the "modular-data v1" document of `md` to `path`. With
+    `s_file`, a bare file name, the S of an atomic `md` goes to that file
+    beside `path` (`save_npy`), and the document's "s_matrix" names it and
+    the sha256 of its bytes."""
+    doc = array_document(md)
+    if s_file is not None:
+        if md.is_product:
+            raise ValueError("an S file holds the S of an atomic theory")
+        digest = save_npy(os.path.join(os.path.dirname(path), s_file),
+                          np.ascontiguousarray(md.s, dtype=np.complex128))
+        doc["s_matrix"] = {"file": s_file, "sha256": digest}
     with open(path, "w") as fh:
-        dump_json(array_document(md), fh)
+        dump_json(doc, fh)
 
 
 def _atomic_documents(doc: dict) -> list:
@@ -770,4 +875,5 @@ def _atomic_documents(doc: dict) -> list:
 
 
 def load(path) -> ModularData:
-    return from_document(_read_json(path, ("s_matrix",), _atomic_documents))
+    doc = _read_json(path, ("s_matrix",), _atomic_documents)
+    return from_document(doc, os.path.dirname(path))

@@ -11,7 +11,6 @@ entry with another tag is recomputed.
 """
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
@@ -171,11 +170,11 @@ def _perm_sign(perm) -> int:
 
 # ---------------------------------------------------------------------------
 # S-matrix disk cache: one .npy and one meta file per su(N)_k. The meta file
-# holds the size, the sha256 of the data and the method tag; an entry whose
-# tag differs is a miss and is rewritten, so a hit returns the same bits as
-# a fresh computation.
+# holds the size, the sha256 of the .npy file's bytes (`modular.save_npy`)
+# and the method tag; an entry whose tag differs is a miss and is rewritten,
+# so a hit returns the same bits as a fresh computation.
 
-SUN_S_METHOD = "weyl-sum exact-exponent table v1"
+SUN_S_METHOD = "weyl-sum exact-exponent table v2"
 
 
 def _cache_paths(cache_dir, name):
@@ -188,40 +187,30 @@ def _cache_paths(cache_dir, name):
 def _cache_store(cache_dir, name, s: np.ndarray) -> None:
     os.makedirs(cache_dir, exist_ok=True)
     data_path, meta_path = _cache_paths(cache_dir, name)
-    payload = s.astype(complex).tobytes()
-    meta = {
-        "name": name,
-        "size": s.shape[0],
-        "method": SUN_S_METHOD,
-        "sha256": hashlib.sha256(payload).hexdigest(),
-    }
     # write-then-rename keeps partial files out of the cache
-    for path, writer in (
-        (data_path, lambda fh: np.save(fh, s)),
-        (meta_path, lambda fh: fh.write(json.dumps(meta).encode())),
-    ):
-        fd, tmp = tempfile.mkstemp(dir=cache_dir)
-        with os.fdopen(fd, "wb") as fh:
-            writer(fh)
-        os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=cache_dir)
+    os.close(fd)
+    digest = modular.save_npy(tmp, s)
+    os.replace(tmp, data_path)
+    meta = {"name": name, "size": s.shape[0], "method": SUN_S_METHOD,
+            "sha256": digest}
+    fd, tmp = tempfile.mkstemp(dir=cache_dir)
+    with os.fdopen(fd, "w") as fh:
+        json.dump(meta, fh)
+    os.replace(tmp, meta_path)
 
 
 def _cache_load(cache_dir, name, expected_size):
     """The cached S of `name`, or None on a miss: a missing, unreadable or
     corrupted entry, or one written by another method than SUN_S_METHOD."""
     data_path, meta_path = _cache_paths(cache_dir, name)
-    if not (os.path.exists(data_path) and os.path.exists(meta_path)):
-        return None
     try:
         with open(meta_path) as fh:
             meta = json.load(fh)
-        s = np.load(data_path)
-    except (OSError, ValueError, EOFError):
+        if (not isinstance(meta, dict) or meta.get("method") != SUN_S_METHOD
+                or meta.get("size") != expected_size):
+            return None
+        return modular.load_npy(data_path, meta.get("sha256"),
+                                (expected_size, expected_size))
+    except (OSError, ValueError):  # InvalidInputError is a ValueError
         return None
-    if not isinstance(meta, dict) or meta.get("method") != SUN_S_METHOD:
-        return None
-    if meta.get("size") != expected_size or s.shape != (expected_size, expected_size):
-        return None
-    if meta.get("sha256") != hashlib.sha256(s.astype(complex).tobytes()).hexdigest():
-        return None
-    return s

@@ -1,17 +1,45 @@
 """End-to-end command line runs against small models."""
+import hashlib
+import io
 import json
 import os
+import pickle
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fpres.cli import main
+from fpres.modular import complex_pairs, save_npy
 
 
 def run(capsys, *argv):
     rc = main(list(argv))
     return rc, capsys.readouterr().out
+
+
+def _s_file(ext):
+    """The .npy file that the extended.json at `ext` names for its S."""
+    return ext.parent / json.loads(ext.read_text())["s_matrix"]["file"]
+
+
+def _inline(ext):
+    """The document of the extended.json at `ext` with its S inline, as
+    [re, im] pairs."""
+    doc = json.loads(ext.read_text())
+    doc["s_matrix"] = complex_pairs(np.load(_s_file(ext))).tolist()
+    return doc
+
+
+def _with_s(ext, s, out):
+    """Write the document of the extended.json at `ext` to `out`, with its
+    S replaced by `s` in a new .npy file beside `out`."""
+    doc = json.loads(ext.read_text())
+    name = out.stem + ".s.npy"
+    doc["s_matrix"] = {"file": name, "sha256": save_npy(out.parent / name, s)}
+    out.write_text(json.dumps(doc))
+    return out
 
 
 def test_generate_su2(tmp_path, capsys):
@@ -165,9 +193,10 @@ def test_extend_pipeline_and_rerun_identical(tmp_path, capsys):
     rc, _ = run(capsys, "extend", str(src), "--by", "4",
                 "--out", str(tmp_path / "ext2"))
     assert rc == 0
-    first = (tmp_path / "ext" / "extended.json").read_bytes()
-    again = (tmp_path / "ext2" / "extended.json").read_bytes()
-    assert first == again
+    for name in ("extended.json", "extended.s.npy"):
+        first = (tmp_path / "ext" / name).read_bytes()
+        again = (tmp_path / "ext2" / name).read_bytes()
+        assert first == again, name
 
 
 def test_extend_by_label_writes_resolved_bundles(tmp_path, capsys):
@@ -200,10 +229,9 @@ def test_validate_good_and_corrupted_bundle(tmp_path, capsys):
     ext = tmp_path / "ext"
     run(capsys, "extend", str(src), "--by", "4", "--out", str(ext))
     # corrupt one entry of the extended S matrix and revalidate
-    doc = json.loads((ext / "extended.json").read_text())
-    doc["s_matrix"][0][0][0] += 0.1
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    s = np.load(_s_file(ext / "extended.json"))
+    s[0, 0] += 0.1
+    bad = _with_s(ext / "extended.json", s, tmp_path / "bad.json")
     rc, _ = run(capsys, "validate", str(bad))
     assert rc == 2  # a non-unitary S is refused at load
 
@@ -415,7 +443,7 @@ def extended_run(tmp_path, capsys):
 @pytest.mark.parametrize("case", LOADER_CASES)
 def test_bad_s_matrix_pairs_are_usage_errors(extended_run, tmp_path, capsys, case):
     ext, _ = extended_run
-    doc = json.loads(ext.read_text())
+    doc = _inline(ext)
     doc["s_matrix"] = _corrupt(doc["s_matrix"], case)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -440,6 +468,159 @@ def test_bad_bundle_pairs_are_usage_errors(extended_run, tmp_path, capsys,
     rc = main(argv)
     assert rc == 2
     assert f"document: {field} " in capsys.readouterr().err
+
+
+# --- the extended S in extended.s.npy, beside extended.json ---------------
+
+
+def _set_ref(ext, **ref):
+    doc = json.loads(ext.read_text())
+    doc["s_matrix"].update(ref)
+    ext.write_text(json.dumps(doc))
+
+
+def _npy_bytes(a):
+    buf = io.BytesIO()
+    np.save(buf, a)
+    return buf.getvalue()
+
+
+def _replace_s_bytes(ext, data):
+    """Write `data` as the S file of `ext`, under the hash of `data`."""
+    path = _s_file(ext)
+    path.write_bytes(data)
+    _set_ref(ext, sha256=hashlib.sha256(data).hexdigest())
+    return str(path)
+
+
+def _truncated(ext):
+    path = _s_file(ext)
+    path.write_bytes(path.read_bytes()[:-16])
+    return str(path)
+
+
+def _edited(ext):
+    path = _s_file(ext)
+    raw = bytearray(path.read_bytes())
+    raw[-1] ^= 1
+    path.write_bytes(bytes(raw))
+    return str(path)
+
+
+def _missing(ext):
+    path = _s_file(ext)
+    path.unlink()
+    return str(path)
+
+
+def _outside(ext):
+    # an existing copy of the S file in the parent directory
+    (ext.parent.parent / "x.npy").write_bytes(_s_file(ext).read_bytes())
+    _set_ref(ext, file="../x.npy")
+    return "'../x.npy'"
+
+
+def _absolute(ext):
+    path = str(_s_file(ext).resolve())
+    _set_ref(ext, file=path)
+    return repr(path)
+
+
+def _recast(change):
+    return lambda ext: _replace_s_bytes(
+        ext, _npy_bytes(change(np.load(_s_file(ext)))))
+
+
+S_FILE_CASES = {
+    "truncated": _truncated,
+    "truncated under its hash": lambda ext: _replace_s_bytes(
+        ext, _s_file(ext).read_bytes()[:-16]),
+    "edited": _edited,
+    "missing": _missing,
+    "complex64": _recast(lambda s: s.astype(np.complex64)),
+    "float64": _recast(lambda s: s.real),
+    "one field short": _recast(lambda s: s[:-1, :-1]),
+    "Fortran order": _recast(np.asfortranarray),
+    "a pickle": lambda ext: _replace_s_bytes(
+        ext, pickle.dumps(np.load(_s_file(ext)))),
+    "../x.npy": _outside,
+    "absolute path": _absolute,
+    "a number for a hash": lambda ext: _set_ref(ext, sha256=5) or "s_matrix",
+}
+
+
+@pytest.mark.parametrize("case", list(S_FILE_CASES))
+def test_a_bad_s_file_exits_2_naming_it(extended_run, capsys, case):
+    ext, _ = extended_run
+    named = S_FILE_CASES[case](ext)
+    rc = main(["validate", str(ext)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and named in err
+
+
+def test_validate_reads_an_inline_s_as_the_s_file(extended_run, tmp_path,
+                                                 capsys):
+    ext, _ = extended_run
+    inline = tmp_path / "inline.json"
+    inline.write_text(json.dumps(_inline(ext)))
+    bundles = sorted(str(p) for p in ext.parent.glob("bundle_*.json"))
+    reports = []
+    for src in (ext, inline):
+        out = tmp_path / f"{src.stem}.report.json"
+        assert main(["validate", str(src), "--bundles", *bundles,
+                     "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+        inputs = json.loads((tmp_path / f"{out.name}.manifest.json")
+                            .read_text())["inputs"]
+        # the manifest hashes the S file of the sidecar form
+        assert (str(_s_file(ext)) in inputs) == (src == ext)
+    assert reports[0] == reports[1]
+
+
+def test_extend_reads_an_extended_json(tmp_path, capsys):
+    """Two steps over su(3)_1^4, pointed, so no fixed points: by the spin-1
+    current (a, a, a, 0), then by the spin-1 current (0, a, abar, a) of the
+    extension, which leaves one field."""
+    one, four = tmp_path / "su31.json", tmp_path / "four.json"
+    run(capsys, "generate", "suN", "--N", "3", "--k", "1", "--out", str(one))
+    run(capsys, "tensor", *[str(one)] * 4, "--out", str(four))
+    rc, _ = run(capsys, "extend", str(four), "--by",
+                "[[1, 0], [1, 0], [1, 0], [0, 0]]", "--out",
+                str(tmp_path / "first"))
+    assert rc == 0
+    ext = tmp_path / "first" / "extended.json"
+    again = tmp_path / "again"
+    rc = main(["extend", str(ext), "--by",
+               "[[[0, 0], [1, 0], [0, 1], [1, 0]], []]", "--out", str(again)])
+    assert rc == 0, capsys.readouterr().err
+    report = json.loads((again / "report.json").read_text())["extension"]
+    assert (report["base_fields"], report["extended_fields"]) == (9, 1)
+    manifest = json.loads((again / "manifest.json").read_text())
+    assert str(_s_file(ext)) in manifest["inputs"]
+    s_out = again / "extended.s.npy"
+    assert manifest["outputs"][str(s_out)] == hashlib.sha256(
+        s_out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("form", ["inline", "file"])
+def test_a_vacuum_entry_that_is_not_positive_exits_2(extended_run, tmp_path,
+                                                     capsys, form):
+    # -S is unitary and symmetric, with S_00 < 0
+    ext, _ = extended_run
+    bad = tmp_path / "neg.json"
+    s = np.load(_s_file(ext))
+    if form == "inline":
+        doc = _inline(ext)
+        doc["s_matrix"] = complex_pairs(-s).tolist()
+        bad.write_text(json.dumps(doc))
+    else:
+        _with_s(ext, -s, bad)
+    rc = main(["validate", str(bad)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    name = json.loads(ext.read_text())["name"]
+    assert f"s_matrix of {name}: the vacuum entry" in err
 
 
 # --- --tolerance sets only the condition checks ---------------------------

@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +22,21 @@ from fpres.extend import extend
 from fpres.modular import dump_json, tensor
 from fpres.phases import norm1, unit
 from fpres.wzw import ising, su2, sun
+
+
+def test_a_theory_is_freed_without_the_cycle_collector():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        md = su2(4)
+        th = Theory(md)
+        th.bundle(4)
+        refs = [weakref.ref(th), weakref.ref(md)]
+        del th, md
+        assert [r() for r in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_detect_su2_4():

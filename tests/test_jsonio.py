@@ -508,3 +508,28 @@ def test_reader_names_a_file_without_an_object(tmp_path):
     with pytest.raises(InvalidInputError,
                        match=f"{path} does not hold a JSON object"):
         load(path)
+
+
+# --- an S in an .npy file beside its document
+
+
+def test_an_s_file_loads_beside_its_document_only(tmp_path):
+    md = su2(4)
+    path = tmp_path / "su24.json"
+    save(md, path, s_file="su24.s.npy")
+    doc = json.loads(path.read_text())
+    assert doc["s_matrix"]["file"] == "su24.s.npy"
+    got = load(path)
+    assert bits(got.s) == bits(md.s)
+    assert got.s_file == str(tmp_path / "su24.s.npy")
+    with pytest.raises(InvalidInputError, match="not read from a file"):
+        from_document(doc)
+    # the parts of a product name their files relative to the product
+    product = tmp_path / "p.json"
+    product.write_text(json.dumps({"format": "modular-data v1", "name": "p",
+                                   "product": [doc, doc]}))
+    got = load(product)
+    assert [bits(f.s) for f in got.factors] == [bits(md.s)] * 2
+    assert {f.s_file for f in got.factors} == {str(tmp_path / "su24.s.npy")}
+    with pytest.raises(ValueError):
+        save(tensor(md, md), tmp_path / "pp.json", s_file="pp.s.npy")
