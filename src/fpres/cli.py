@@ -33,10 +33,6 @@ from .validate import CHECK_TOL, check_fusion_integrality, condition_report
 from .wzw import ising, su2, sun
 
 
-# `extend` writes the extended S beside extended.json, which names it
-EXTENDED_S_FILE = "extended.s.npy"
-
-
 def _sha256(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -56,15 +52,19 @@ def _emit(doc: dict, args, inputs) -> None:
         dump_json(doc, sys.stdout)
     else:
         _write_json(doc, args.out)
-        _manifest(args, inputs, [args.out], args.out)
+        _manifest(args, inputs, {args.out: None}, args.out)
 
 
-def _sources(path, md) -> list:
-    """The input `path` and the S files its document names."""
-    return [path] + [f.s_file for f in md.atomic_factors() if f.s_file]
+def _sources(path, md) -> dict:
+    """The input `path` and the S files its document names, each with the
+    sha256 that its load checked."""
+    return {path: None, **{f.s_file: f.s_sha256
+                           for f in md.atomic_factors() if f.s_file}}
 
 
 def _manifest(args, inputs, outputs, anchor) -> None:
+    """Write the manifest of a run. `inputs` and `outputs` map each path to
+    its sha256, or to None for a file to hash here."""
     doc = {
         "format": "run-manifest v1",
         "tool": {"name": "fpres", "version": __version__},
@@ -75,8 +75,8 @@ def _manifest(args, inputs, outputs, anchor) -> None:
             "floats": "shortest round-trip decimal",
             "rationals": "p/q strings",
         },
-        "inputs": {p: _sha256(p) for p in inputs},
-        "outputs": {p: _sha256(p) for p in outputs},
+        "inputs": {p: d or _sha256(p) for p, d in inputs.items()},
+        "outputs": {p: d or _sha256(p) for p, d in outputs.items()},
     }
     if os.path.isdir(anchor):
         path = os.path.join(anchor, "manifest.json")
@@ -118,16 +118,18 @@ def cmd_generate(args) -> int:
         md = sun(args.n, args.k, cache_dir=cache)
     else:
         md = ising()
-    save(md, args.out)
-    _manifest(args, [], [args.out], args.out)
+    written = save(md, args.out)
+    _manifest(args, {}, {args.out: None, **written}, args.out)
     return 0
 
 
 def cmd_tensor(args) -> int:
     loaded = {p: load(p) for p in dict.fromkeys(args.inputs)}
-    save(tensor(*(loaded[p] for p in args.inputs)), args.out)
-    inputs = [x for p, md in loaded.items() for x in _sources(p, md)]
-    _manifest(args, inputs, [args.out], args.out)
+    written = save(tensor(*(loaded[p] for p in args.inputs)), args.out)
+    inputs = {}
+    for p, md in loaded.items():
+        inputs.update(_sources(p, md))
+    _manifest(args, inputs, {args.out: None, **written}, args.out)
     return 0
 
 
@@ -162,8 +164,7 @@ def cmd_extend(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     ext_path = os.path.join(args.out, "extended.json")
-    save(ex.ext_md, ext_path, s_file=EXTENDED_S_FILE)
-    outputs = [ext_path, os.path.join(args.out, EXTENDED_S_FILE)]
+    outputs = {ext_path: None, **save(ex.ext_md, ext_path)}
 
     bundles = []
     for cls in ex.residual_classes():
@@ -173,7 +174,7 @@ def cmd_extend(args) -> int:
         bundles.append(res.bundle)
         path = os.path.join(args.out, f"bundle_{res.bundle.current}.json")
         _write_json(bundle_array_document(ex.ext_md, res.bundle), path)
-        outputs.append(path)
+        outputs[path] = None
 
     th2 = ex.extended_theory(extra_bundles=bundles)
     conditions = condition_report(th2, tol=args.tolerance)
@@ -186,9 +187,9 @@ def cmd_extend(args) -> int:
     }
     report_path = os.path.join(args.out, "report.json")
     _write_json(report, report_path)
-    outputs.append(report_path)
-    _manifest(args, _sources(args.input, md) + list(args.bundles), outputs,
-              args.out)
+    outputs[report_path] = None
+    inputs = {**_sources(args.input, md), **dict.fromkeys(args.bundles)}
+    _manifest(args, inputs, outputs, args.out)
     return 0 if conditions["ok"] and fus["ok"] else 1
 
 
@@ -198,7 +199,8 @@ def cmd_validate(args) -> int:
     th = Theory(md, extra_bundles=extra)
     currents = [b.current for b in extra] or None
     doc = condition_report(th, currents=currents, tol=args.tolerance)
-    _emit(doc, args, _sources(args.input, md) + list(args.bundles))
+    _emit(doc, args, {**_sources(args.input, md),
+                      **dict.fromkeys(args.bundles)})
     return 0 if doc["ok"] else 1
 
 

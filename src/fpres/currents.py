@@ -224,6 +224,9 @@ class Theory:
         # weights and T exponents mod 1, as numerators over self.den
         self.den, self._hn, tn = md.phase_numerators()
         self._charges = {}
+        # the Theory of each factor, by id: kept here, not on the factor,
+        # so that no factor and its Theory form a cycle
+        self._factor_theories = {}
         # lcm of the T-exponent denominators, the current spin denominators
         # and the current orders: twist orders divide current orders
         self.snap_order = math.lcm(
@@ -304,9 +307,10 @@ class Theory:
         return b
 
     def _factor_theory(self, f: ModularData) -> "Theory":
-        if f._theory is None:
-            f._theory = Theory(f)
-        return f._theory
+        sub = self._factor_theories.get(id(f))
+        if sub is None:
+            sub = self._factor_theories[id(f)] = Theory(f)
+        return sub
 
     def _product_bundle(self, j: int, fixed) -> ProductBundle:
         sizes = [f.size for f in self.md.factors]

@@ -104,7 +104,8 @@ class ModularData:
     s: object            # np.ndarray, or ProductS for tensor products
     name: str = ""
     factors: tuple = None  # factor ModularData for tensor products
-    s_file: str = None   # the .npy file S was loaded from, if not inline
+    s_file: str = None   # the .npy file S was loaded from, if not inline,
+    s_sha256: str = None  # and the sha256 of its bytes that the load checked
 
     def __post_init__(self):
         if len(self.labels) != len(self.h):
@@ -127,9 +128,7 @@ class ModularData:
         self._unitary = None
         self._symmetric = None
         self._phases = None
-        # caches: current permutations by current, the Theory of a factor
-        self._perms = {}
-        self._theory = None
+        self._perms = {}  # cache: current permutations by current
 
     @property
     def size(self) -> int:
@@ -446,9 +445,10 @@ def tensor(*mds: ModularData, name: str = "") -> ModularData:
 # travel as float64 arrays of [re, im] pairs, shape (..., 2), and are written
 # straight from the array; the bytes are those of `json.dump(native(doc), fh,
 # indent=1)` plus a newline, so a document written from arrays is the same
-# file, with the same hash, as one written from nested lists. An S may
-# instead travel in an .npy file beside the document (`save_npy`), which the
-# document names together with the sha256 of its bytes.
+# file, with the same hash, as one written from nested lists. `save` writes
+# every S to an .npy file beside the document (`save_npy`), which the
+# document names together with the sha256 of its bytes; an S inline as
+# [re, im] pairs, as in external inputs and older runs, still loads.
 
 _SLOT = "\x00"                    # stands for an array leaf in the skeleton
 _SLOT_JSON = json.dumps(_SLOT)
@@ -545,7 +545,8 @@ def _dump_array(a: np.ndarray, depth: int, fh) -> None:
         fh.write("".join(buf.tolist()))
 
 
-# Loading reads the text once. Each array under one of the format's array
+# Loading reads the text once; its arrays are the bundle matrices and etas
+# and the S of an inline document. Each array under one of the format's array
 # keys is decoded one top-level row at a time and stacked into a float64
 # array every _ROWS_PER_BATCH rows, so Python floats live only for the rows
 # of one batch. The rest of the document is decoded by `json.loads`, with a
@@ -708,58 +709,79 @@ def _rational(text, field: str) -> Fraction:
             f"{field} {text!r} has a zero denominator") from None
 
 
-def save_npy(path, a: np.ndarray) -> str:
-    """Write `a` to `path` with `np.save` and return the sha256 hex digest
-    of the bytes written."""
-    buf = io.BytesIO()
-    np.save(buf, a, allow_pickle=False)
-    data = buf.getbuffer()
+def _npy_image(a: np.ndarray):
+    """(chunks, sha256): the bytes `np.save` writes for the C-order array
+    `a`, as its header and a view of its buffer, and their sha256 hex
+    digest."""
+    a = np.ascontiguousarray(a)
+    fp = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        fp, np.lib.format.header_data_from_array_1_0(a))
+    chunks = (fp.getvalue(), a.reshape(-1).view(np.uint8))
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+    return chunks, digest.hexdigest()
+
+
+def _write_chunks(path, chunks) -> None:
     with open(path, "wb") as fh:
-        fh.write(data)
-    return hashlib.sha256(data).hexdigest()
+        for chunk in chunks:
+            fh.write(chunk)
+
+
+def save_npy(path, a: np.ndarray) -> str:
+    """Write `a` to `path` as `np.save` does, in C order, and return the
+    sha256 hex digest of the bytes written."""
+    chunks, digest = _npy_image(a)
+    _write_chunks(path, chunks)
+    return digest
 
 
 def load_npy(path, sha256, shape) -> np.ndarray:
     """The C-order complex128 array of `shape` in the .npy file at `path`,
-    read once, whose bytes must hash to `sha256`. The header is checked before
-    any array is allocated, and `np.load` reads no pickle. A file that
-    cannot be opened raises OSError; a hash mismatch, an unreadable file or
-    another dtype, shape or order raise `InvalidInputError` naming the
-    file."""
+    whose bytes must hash to `sha256`. The header is checked before the data
+    is read, no pickle is read, and the array is a view of the bytes read
+    and hashed. A file that cannot be opened raises OSError; a hash
+    mismatch, an unreadable file, a file of another length or another
+    dtype, shape or order raise `InvalidInputError` naming the file."""
+    dtype = np.dtype(np.complex128)
     with open(path, "rb") as fh:
-        data = fh.read()
+        try:
+            version = np.lib.format.read_magic(fh)
+            read_header = {(1, 0): np.lib.format.read_array_header_1_0,
+                           (2, 0): np.lib.format.read_array_header_2_0}[version]
+            header = read_header(fh)
+        except (ValueError, KeyError) as exc:
+            raise InvalidInputError(
+                f"{path} is not a readable .npy file: {exc}") from None
+        if header != (tuple(shape), False, dtype):
+            got_shape, fortran, got_dtype = header
+            raise InvalidInputError(
+                f"{path} holds a {'Fortran' if fortran else 'C'}-order "
+                f"{got_dtype} array of shape {got_shape}, not a C-order "
+                f"complex128 array of shape {tuple(shape)}")
+        offset = fh.tell()
+        data = bytearray(offset + math.prod(shape) * dtype.itemsize)
+        fh.seek(0)
+        whole = fh.readinto(data) == len(data) and not fh.read(1)
+    if not whole:
+        raise InvalidInputError(
+            f"{path} is not a readable .npy file: its data is not "
+            f"{len(data) - offset} bytes long")
     if hashlib.sha256(data).hexdigest() != sha256:
         raise InvalidInputError(
             f"{path} does not match its sha256: the file was truncated or "
             f"edited")
-    fp = io.BytesIO(data)
-    try:
-        version = np.lib.format.read_magic(fp)
-        read_header = {(1, 0): np.lib.format.read_array_header_1_0,
-                       (2, 0): np.lib.format.read_array_header_2_0}[version]
-        header = read_header(fp)
-    except (ValueError, KeyError) as exc:
-        raise InvalidInputError(
-            f"{path} is not a readable .npy file: {exc}") from None
-    if header != (tuple(shape), False, np.dtype(np.complex128)):
-        got_shape, fortran, got_dtype = header
-        raise InvalidInputError(
-            f"{path} holds a {'Fortran' if fortran else 'C'}-order "
-            f"{got_dtype} array of shape {got_shape}, not a C-order "
-            f"complex128 array of shape {tuple(shape)}")
-    fp.seek(0)
-    try:
-        return np.load(fp, allow_pickle=False)
-    except (ValueError, EOFError) as exc:
-        raise InvalidInputError(
-            f"{path} is not a readable .npy file: {exc}") from None
+    return np.frombuffer(data, dtype, offset=offset).reshape(shape)
 
 
 def _s_from_file(ref, directory, n: int):
-    """(S, path) for an "s_matrix" of the form {"file": name, "sha256": hex}:
-    S is the n x n complex128 array in the .npy file `path`, the bare `name`
-    in `directory`, the document's directory, whose bytes hash to `sha256`.
-    Anything else raises `InvalidInputError` naming the file."""
+    """(S, path, sha256) for an "s_matrix" of the form {"file": name,
+    "sha256": hex}: S is the n x n complex128 array in the .npy file `path`,
+    the bare `name` in `directory`, the document's directory, whose bytes
+    hash to `sha256`. Anything else raises `InvalidInputError` naming the
+    file."""
     if set(ref) != {"file", "sha256"} or not all(
             isinstance(v, str) for v in ref.values()):
         raise InvalidInputError(
@@ -777,7 +799,7 @@ def _s_from_file(ref, directory, n: int):
     path = os.path.join(directory, name)
     dense_budget(n * n, f"the S in {path}")
     try:
-        return load_npy(path, ref["sha256"], (n, n)), path
+        return load_npy(path, ref["sha256"], (n, n)), path, ref["sha256"]
     except OSError as exc:
         raise InvalidInputError(
             f"s_matrix file {path}: {exc.strerror}") from None
@@ -820,18 +842,20 @@ def from_document(doc: dict, directory=None) -> ModularData:
                 "product must be a list of modular-data documents")
         return tensor(*(from_document(d, directory) for d in parts),
                       name=doc.get("name", ""))
-    s_file = None
+    s_file = s_sha256 = None
     try:
         labels = tuple(_label_from_json(f["label"]) for f in doc["fields"])
         h = tuple(_rational(f["h"], "h") for f in doc["fields"])
         c = _rational(doc["central_charge"], "central_charge")
         if isinstance(doc["s_matrix"], dict):
-            s, s_file = _s_from_file(doc["s_matrix"], directory, len(labels))
+            s, s_file, s_sha256 = _s_from_file(doc["s_matrix"], directory,
+                                               len(labels))
         else:
             s = complex_array(doc["s_matrix"], "s_matrix")
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed modular data document: {exc}") from exc
-    md = ModularData(labels, h, c, s, name=doc.get("name", ""), s_file=s_file)
+    md = ModularData(labels, h, c, s, name=doc.get("name", ""), s_file=s_file,
+                     s_sha256=s_sha256)
     with np.errstate(all="ignore"):  # cached on md; an inf or NaN fails below
         unitary, symmetric = md.unitarity(), md.symmetry()
     if not (unitary <= S_TOL and symmetric <= S_TOL):  # NaN fails too
@@ -848,20 +872,33 @@ def from_document(doc: dict, directory=None) -> ModularData:
     return md
 
 
-def save(md: ModularData, path, *, s_file=None) -> None:
-    """Write the "modular-data v1" document of `md` to `path`. With
-    `s_file`, a bare file name, the S of an atomic `md` goes to that file
-    beside `path` (`save_npy`), and the document's "s_matrix" names it and
-    the sha256 of its bytes."""
+def save(md: ModularData, path) -> dict:
+    """Write the "modular-data v1" document of `md` to `path`, with the S
+    of each atomic part in an .npy file beside it, as `save_npy` writes it,
+    that the part's "s_matrix" names together with the sha256 of its
+    bytes. For the
+    name of `path` less a trailing ".json", `stem`, an atomic `md` writes
+    `stem.s.npy`, and a product one `stem.s<i>.npy` per distinct S, i being
+    the first part that holds it. Returns {.npy path: sha256} of the files
+    written."""
     doc = array_document(md)
-    if s_file is not None:
-        if md.is_product:
-            raise ValueError("an S file holds the S of an atomic theory")
-        digest = save_npy(os.path.join(os.path.dirname(path), s_file),
-                          np.ascontiguousarray(md.s, dtype=np.complex128))
-        doc["s_matrix"] = {"file": s_file, "sha256": digest}
+    directory = os.path.dirname(path)
+    stem = os.path.basename(path).removesuffix(".json")
+    names, written = {}, {}
+    # the document is opened first, so an unwritable path fails as itself
     with open(path, "w") as fh:
+        for i, (part, f) in enumerate(zip(_atomic_documents(doc),
+                                          md.atomic_factors())):
+            chunks, digest = _npy_image(
+                np.asarray(f.s, dtype=np.complex128))
+            if digest not in names:
+                names[digest] = f"{stem}.s{i if md.is_product else ''}.npy"
+                npy = os.path.join(directory, names[digest])
+                _write_chunks(npy, chunks)
+                written[npy] = digest
+            part["s_matrix"] = {"file": names[digest], "sha256": digest}
         dump_json(doc, fh)
+    return written
 
 
 def _atomic_documents(doc: dict) -> list:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fpres.cli import main
-from fpres.modular import complex_pairs, save_npy
+from fpres.modular import complex_pairs, dump_json, save_npy
 
 
 def run(capsys, *argv):
@@ -19,16 +19,25 @@ def run(capsys, *argv):
     return rc, capsys.readouterr().out
 
 
-def _s_file(ext):
-    """The .npy file that the extended.json at `ext` names for its S."""
-    return ext.parent / json.loads(ext.read_text())["s_matrix"]["file"]
+def _atomic(doc):
+    """The atomic parts of a modular-data document as fpres writes it."""
+    return doc["product"] if "product" in doc else [doc]
 
 
-def _inline(ext):
-    """The document of the extended.json at `ext` with its S inline, as
-    [re, im] pairs."""
-    doc = json.loads(ext.read_text())
-    doc["s_matrix"] = complex_pairs(np.load(_s_file(ext))).tolist()
+def _s_file(path):
+    """The .npy file that the first atomic part of the modular-data
+    document at `path` names for its S."""
+    part = _atomic(json.loads(path.read_text()))[0]
+    return path.parent / part["s_matrix"]["file"]
+
+
+def _inline(path):
+    """The modular-data document at `path` with the S of each atomic part
+    inline, as [re, im] pairs: the format fpres wrote before S files."""
+    doc = json.loads(path.read_text())
+    for part in _atomic(doc):
+        s = np.load(path.parent / part["s_matrix"]["file"])
+        part["s_matrix"] = complex_pairs(s).tolist()
     return doc
 
 
@@ -61,10 +70,27 @@ def test_generate_ising(tmp_path, capsys):
     assert len(json.loads(out.read_text())["fields"]) == 3
 
 
+def _same_name(tmp_path, name):
+    """`name` in two new directories of `tmp_path`."""
+    paths = []
+    for folder in ("one", "two"):
+        (tmp_path / folder).mkdir()
+        paths.append(tmp_path / folder / name)
+    return paths
+
+
+def _written(path):
+    """The bytes of the modular-data document at `path` and of each S file
+    beside it that it names, by file name."""
+    names = {p["s_matrix"]["file"]
+             for p in _atomic(json.loads(path.read_text()))}
+    return {n: (path.parent / n).read_bytes() for n in names | {path.name}}
+
+
 def test_generate_sun_uses_cache(tmp_path, capsys):
     cache = tmp_path / "cache"
-    out1 = tmp_path / "a.json"
-    out2 = tmp_path / "b.json"
+    # one name in two directories, so that the S files have one name too
+    out1, out2 = _same_name(tmp_path, "su42.json")
     rc, _ = run(capsys, "generate", "suN", "--N", "4", "--k", "2",
                 "--cache-dir", str(cache), "--out", str(out1))
     assert rc == 0
@@ -72,7 +98,7 @@ def test_generate_sun_uses_cache(tmp_path, capsys):
     rc, _ = run(capsys, "generate", "suN", "--N", "4", "--k", "2",
                 "--cache-dir", str(cache), "--out", str(out2))
     assert rc == 0
-    assert out1.read_bytes() == out2.read_bytes()
+    assert _written(out1) == _written(out2)
 
 
 def test_generate_sun_rejects_an_uncreatable_cache_dir(tmp_path, capsys,
@@ -134,15 +160,17 @@ def test_tensor_of_one_path_twice_matches_two_copies(tmp_path, capsys):
     copy = tmp_path / "copy.json"
     run(capsys, "generate", "su2", "--k", "4", "--out", str(one))
     copy.write_bytes(one.read_bytes())
-    run(capsys, "tensor", str(one), str(one), "--out", str(tmp_path / "a.json"))
-    run(capsys, "tensor", str(one), str(copy), "--out", str(tmp_path / "b.json"))
-    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    a, b = _same_name(tmp_path, "pair.json")
+    run(capsys, "tensor", str(one), str(one), "--out", str(a))
+    run(capsys, "tensor", str(one), str(copy), "--out", str(b))
+    # one S file for the two equal parts
+    assert sorted(_written(a)) == ["pair.json", "pair.s0.npy"]
+    assert _written(a) == _written(b)
 
 
 def test_generate_sun_rebuilds_an_empty_cache_file(tmp_path, capsys):
     cache = tmp_path / "cache"
-    good = tmp_path / "good.json"
-    out = tmp_path / "out.json"
+    good, out = _same_name(tmp_path, "su32.json")
     rc, _ = run(capsys, "generate", "suN", "--N", "3", "--k", "2",
                 "--cache-dir", str(cache), "--out", str(good))
     assert rc == 0
@@ -150,7 +178,7 @@ def test_generate_sun_rebuilds_an_empty_cache_file(tmp_path, capsys):
     rc, _ = run(capsys, "generate", "suN", "--N", "3", "--k", "2",
                 "--cache-dir", str(cache), "--out", str(out))
     assert rc == 0
-    assert out.read_bytes() == good.read_bytes()
+    assert _written(out) == _written(good)
     assert (cache / "su3_2_s.npy").stat().st_size > 0
 
 
@@ -300,7 +328,7 @@ def test_extension_over_the_dense_budget_exits_3_before_writing(tmp_path,
 def test_fusion_fails_on_a_nan_in_s(tmp_path, capsys):
     one = tmp_path / "su24.json"
     run(capsys, "generate", "su2", "--k", "4", "--out", str(one))
-    doc = json.loads(one.read_text())
+    doc = _inline(one)
     doc["s_matrix"][1][2][0] = float("nan")
     bad = tmp_path / "nan.json"
     bad.write_text(json.dumps(doc))
@@ -316,7 +344,7 @@ def test_non_unitary_s_exits_2_at_load(tmp_path, capsys, command):
     # S stays symmetric, so only the unitarity check can refuse it
     one = tmp_path / "su24.json"
     run(capsys, "generate", "su2", "--k", "4", "--out", str(one))
-    doc = json.loads(one.read_text())
+    doc = _inline(one)
     doc["s_matrix"][1][2][0] += 1e-3
     doc["s_matrix"][2][1][0] += 1e-3
     bad = tmp_path / "bad.json"
@@ -475,7 +503,7 @@ def test_bad_bundle_pairs_are_usage_errors(extended_run, tmp_path, capsys,
 
 def _set_ref(ext, **ref):
     doc = json.loads(ext.read_text())
-    doc["s_matrix"].update(ref)
+    _atomic(doc)[0]["s_matrix"].update(ref)
     ext.write_text(json.dumps(doc))
 
 
@@ -549,14 +577,30 @@ S_FILE_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", list(S_FILE_CASES))
-def test_a_bad_s_file_exits_2_naming_it(extended_run, capsys, case):
-    ext, _ = extended_run
-    named = S_FILE_CASES[case](ext)
-    rc = main(["validate", str(ext)])
+def _validate_exits_2_naming(path, capsys, case):
+    named = S_FILE_CASES[case](path)
+    rc = main(["validate", str(path)])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize("case", list(S_FILE_CASES))
+def test_a_bad_s_file_exits_2_naming_it(extended_run, capsys, case):
+    _validate_exits_2_naming(extended_run[0], capsys, case)
+
+
+@pytest.mark.parametrize("case", list(S_FILE_CASES))
+def test_a_bad_s_file_of_a_product_part_exits_2_naming_it(extended_run,
+                                                          tmp_path, capsys,
+                                                          case):
+    # the pair's two parts share one file; a copy in a folder of its own
+    # keeps "../x.npy" inside tmp_path
+    path = tmp_path / "product" / "pair.json"
+    path.parent.mkdir()
+    for name in ("pair.json", "pair.s0.npy"):
+        (path.parent / name).write_bytes((tmp_path / name).read_bytes())
+    _validate_exits_2_naming(path, capsys, case)
 
 
 def test_validate_reads_an_inline_s_as_the_s_file(extended_run, tmp_path,
@@ -621,6 +665,107 @@ def test_a_vacuum_entry_that_is_not_positive_exits_2(extended_run, tmp_path,
     assert rc == 2
     name = json.loads(ext.read_text())["name"]
     assert f"s_matrix of {name}: the vacuum entry" in err
+
+
+def _sha(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_manifests_list_the_s_files(tmp_path, capsys, monkeypatch):
+    # an S file's digest comes from its save or its load, not a new read
+    from fpres import cli
+    hashed_here = []
+    sha256 = cli._sha256
+    monkeypatch.setattr(cli, "_sha256",
+                        lambda path: hashed_here.append(path) or sha256(path))
+    su24, ising = tmp_path / "su24.json", tmp_path / "ising.json"
+    pair = tmp_path / "pair.json"
+    run(capsys, "generate", "su2", "--k", "4", "--out", str(su24))
+    run(capsys, "generate", "ising", "--out", str(ising))
+    rc, _ = run(capsys, "tensor", str(su24), str(ising), "--out", str(pair))
+    assert rc == 0
+    rc, _ = run(capsys, "currents", str(pair), "--out",
+                str(tmp_path / "currents.json"))
+    assert rc == 0
+
+    def manifest(name):
+        return json.loads((tmp_path / f"{name}.manifest.json").read_text())
+
+    def hashed(*names):
+        return {str(tmp_path / n): _sha(tmp_path / n) for n in names}
+
+    assert manifest("su24.json")["outputs"] == hashed("su24.json",
+                                                      "su24.s.npy")
+    assert manifest("pair.json")["inputs"] == hashed(
+        "su24.json", "su24.s.npy", "ising.json", "ising.s.npy")
+    assert manifest("pair.json")["outputs"] == hashed(
+        "pair.json", "pair.s0.npy", "pair.s1.npy")
+    assert manifest("currents.json")["inputs"] == hashed(
+        "pair.json", "pair.s0.npy", "pair.s1.npy")
+    assert hashed_here and not [p for p in hashed_here if p.endswith(".npy")]
+
+
+def _chain(folder, capsys):
+    """generate, tensor, extend and validate in `folder`."""
+    one, pair, ext = folder / "su24.json", folder / "pair.json", folder / "ext"
+    folder.mkdir(exist_ok=True)
+    assert main(["generate", "su2", "--k", "4", "--out", str(one)]) == 0
+    assert main(["tensor", str(one), str(one), "--out", str(pair)]) == 0
+    assert main(["extend", str(pair), "--by", "[4, 4]", "--out", str(ext)]) == 0
+    bundles = sorted(str(p) for p in ext.glob("bundle_*.json"))
+    assert bundles
+    assert main(["validate", str(ext / "extended.json"), "--bundles", *bundles,
+                 "--out", str(folder / "validate.json")]) == 0
+    capsys.readouterr()
+    return {str(p.relative_to(folder)): p.read_bytes()
+            for p in sorted(folder.rglob("*")) if p.is_file()}
+
+
+def test_the_chain_reruns_byte_identical(tmp_path, capsys):
+    first = _chain(tmp_path / "run", capsys)
+    assert {"su24.s.npy", "pair.s0.npy", "ext/extended.s.npy"} < set(first)
+    assert _chain(tmp_path / "run", capsys) == first
+
+
+def test_no_written_document_holds_an_inline_s(tmp_path, capsys):
+    def inline(obj):
+        if isinstance(obj, dict):
+            return isinstance(obj.get("s_matrix"), list) or any(
+                map(inline, obj.values()))
+        return isinstance(obj, list) and any(map(inline, obj))
+
+    written = _chain(tmp_path, capsys)
+    documents = [json.loads(text) for name, text in written.items()
+                 if name.endswith(".json")]
+    assert len(documents) == len(written) - 3
+    assert sum(bool(doc.get("s_matrix")) for doc in documents) == 2
+    assert not any(map(inline, documents))
+
+
+@pytest.mark.parametrize("command", ["generate", "tensor"])
+def test_an_inline_input_extends_as_its_s_files(extended_run, tmp_path,
+                                                capsys, command):
+    """A document in the format written before S files: each output of
+    extend and of validate has the bytes of the S file form's."""
+    src, by = {"generate": ("su24.json", "4"),
+               "tensor": ("pair.json", "[4, 4]")}[command]
+    old = tmp_path / "old"
+    old.mkdir()
+    with open(old / src, "w") as fh:
+        dump_json(_inline(tmp_path / src), fh)
+    outputs = []
+    for folder in (tmp_path, old):
+        ext = folder / "out"
+        assert main(["extend", str(folder / src), "--by", by,
+                     "--out", str(ext)]) == 0
+        bundles = sorted(str(p) for p in ext.glob("bundle_*.json"))
+        assert main(["validate", str(ext / "extended.json"), "--bundles",
+                     *bundles, "--out", str(ext / "validate.json")]) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(ext.iterdir())
+                        if "manifest" not in p.name})
+    assert {"extended.json", "extended.s.npy", "report.json",
+            "validate.json"} <= set(outputs[0])
+    assert outputs[0] == outputs[1]
 
 
 # --- --tolerance sets only the condition checks ---------------------------
@@ -769,12 +914,15 @@ def test_malformed_input_exits_2_naming_it(tmp_path, capsys, case):
     assert err.startswith("error: ") and named in err
 
 
-@pytest.mark.parametrize("command", ["generate", "extend"])
+@pytest.mark.parametrize("command", ["generate", "tensor", "extend"])
 def test_unwritable_out_path_exits_2_naming_it(tmp_path, capsys, command):
     src, _ = _su2_4_document(tmp_path, capsys)
     if command == "generate":  # a path through a regular file
         out = src / "x.json"
         argv = ["generate", "su2", "--k", "4", "--out", str(out)]
+    elif command == "tensor":
+        out = src / "x.json"
+        argv = ["tensor", str(src), str(src), "--out", str(out)]
     else:  # an output directory that is a regular file
         out = src
         argv = ["extend", str(src), "--by", "4", "--out", str(out)]

@@ -39,6 +39,23 @@ def test_a_theory_is_freed_without_the_cycle_collector():
             gc.enable()
 
 
+def test_a_product_theory_frees_its_factors_without_the_cycle_collector():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        f = su2(4)
+        md = tensor(f, f)
+        th = Theory(md)
+        th.bundle(md.index((4, 0)))
+        sub = th._factor_theory(f)
+        refs = [weakref.ref(x) for x in (th, md, f, sub)]
+        del th, md, f, sub
+        assert [r() for r in refs] == [None] * 4
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_detect_su2_4():
     assert detect_simple_currents(su2(4)) == [0, 4]
 

@@ -8,6 +8,7 @@ bit for bit, with a JSON syntax error raised as an `InvalidInputError` that
 names the file, and for every loaded matrix `complex(re, im)` per pair.
 """
 import glob
+import hashlib
 import io
 import json
 import math
@@ -486,8 +487,10 @@ def test_load_holds_no_python_float_per_entry(tmp_path):
     # the normalized DFT matrix: symmetric and unitary, as a load requires
     s = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / np.sqrt(n)
     path = tmp_path / "s.json"
-    save(ModularData(tuple(range(n)), (Fraction(0),) * n, Fraction(0), s),
-         path)
+    # the S inline, as external inputs and older runs hold it
+    md = ModularData(tuple(range(n)), (Fraction(0),) * n, Fraction(0), s)
+    with open(path, "w") as fh:
+        dump_json(array_document(md), fh)
     size = path.stat().st_size  # 5.6 MB
     tracemalloc.start()
     try:
@@ -516,12 +519,14 @@ def test_reader_names_a_file_without_an_object(tmp_path):
 def test_an_s_file_loads_beside_its_document_only(tmp_path):
     md = su2(4)
     path = tmp_path / "su24.json"
-    save(md, path, s_file="su24.s.npy")
+    assert save(md, path) == {str(tmp_path / "su24.s.npy"): mock.ANY}
     doc = json.loads(path.read_text())
     assert doc["s_matrix"]["file"] == "su24.s.npy"
     got = load(path)
     assert bits(got.s) == bits(md.s)
     assert got.s_file == str(tmp_path / "su24.s.npy")
+    assert got.s_sha256 == doc["s_matrix"]["sha256"]
+    assert got.s.flags.writeable  # as np.load gives it
     with pytest.raises(InvalidInputError, match="not read from a file"):
         from_document(doc)
     # the parts of a product name their files relative to the product
@@ -531,5 +536,31 @@ def test_an_s_file_loads_beside_its_document_only(tmp_path):
     got = load(product)
     assert [bits(f.s) for f in got.factors] == [bits(md.s)] * 2
     assert {f.s_file for f in got.factors} == {str(tmp_path / "su24.s.npy")}
-    with pytest.raises(ValueError):
-        save(tensor(md, md), tmp_path / "pp.json", s_file="pp.s.npy")
+
+
+def test_save_names_one_s_file_per_distinct_part(tmp_path):
+    a, b = su2(4), su2(2)
+    # a copy of a: equal S bytes, another object
+    again = from_document(native(array_document(a)))
+    written = save(tensor(a, b, again, b), tmp_path / "p.json")
+    assert list(written) == [str(tmp_path / n) for n in ("p.s0.npy", "p.s1.npy")]
+    doc = json.loads((tmp_path / "p.json").read_text())
+    refs = [part["s_matrix"] for part in doc["product"]]
+    assert [r["file"] for r in refs] == ["p.s0.npy", "p.s1.npy"] * 2
+    assert [r["sha256"] for r in refs[:2]] == list(written.values())
+    got = load(tmp_path / "p.json")
+    assert [bits(f.s) for f in got.factors] == [bits(f.s) for f in (a, b) * 2]
+    # the name without a trailing .json gets the same files
+    save(tensor(a, b), tmp_path / "q")
+    assert (tmp_path / "q.s1.npy").read_bytes() == (
+        tmp_path / "p.s1.npy").read_bytes()
+
+
+def test_save_npy_writes_the_bytes_of_np_save(tmp_path):
+    for a in (su2(4).s, np.zeros((0, 0), complex),
+              np.asfortranarray(np.arange(6.0).reshape(2, 3) + 1j)):
+        fh = io.BytesIO()
+        np.save(fh, np.ascontiguousarray(a))
+        digest = modular.save_npy(tmp_path / "a.npy", a)
+        assert (tmp_path / "a.npy").read_bytes() == fh.getvalue()
+        assert digest == hashlib.sha256(fh.getvalue()).hexdigest()
