@@ -169,8 +169,10 @@ def current_permutations(md: ModularData, ids) -> dict:
 
     A product theory takes each one factor-wise. An atomic theory
     row-matches (`current_permutation`) only the currents that are not yet
-    reached, in ascending order, so the identity comes first and its match
-    runs the unitarity gate. Everything else is composed exactly,
+    reached, in ascending order, so the identity comes first. It is not
+    row-matched: it passes the unitarity gate and a vacuum row with no zero
+    and no non-finite entry, and acts as the identity. Everything else is
+    composed exactly,
     perm[J1 J2] = perm[J1][perm[J2]] with J1 J2 = perm[J1][J2]: the row
     ratios multiply, lambda_{J1 J2} = lambda_{J1} lambda_{J2}, so this is
     the action the row match of J1 J2 would verify."""
@@ -205,6 +207,11 @@ def _match_rows(md: ModularData, j: int) -> np.ndarray:
             f"field {j} is not integral"
         )
     s = md.s_dense()
+    if j == 0:
+        # the identity's ratio S_0b / S_0b is 1 wherever it is defined
+        if not (np.isfinite(s[0]).all() and s[0].all()):
+            raise InvalidInputError(f"field {j} does not fuse as a permutation")
+        return np.arange(md.size)
     ratio = s[j] / s[0]
     perm, dev = match_rows(s, lambda rows: rows * ratio)
     if not dev <= S_TOL or not np.array_equal(np.sort(perm), np.arange(md.size)):

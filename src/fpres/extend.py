@@ -35,6 +35,10 @@ from .validate import eta_square_residual
 
 GRID_TOL = 1e-8  # S entries this close are equal: recombination, relabeling
 FINGERPRINT_TOL = 1e-6  # the coarser grid of the relabeling candidates
+# rows of S rounded at once by `recombination_groups`: each temporary of a
+# slice holds rows x 2N float64 entries, 0.7 MB for the 640 fields of the
+# extended su5 pair, where slices of ROW_BLOCK rows raise the peak RSS
+RECOMBINATION_ROWS = ROW_BLOCK // 4
 
 
 @dataclass
@@ -99,25 +103,35 @@ class Extension:
 
     def _build_orbits(self):
         th, h = self.theory, self.h_members
-        uncharged = self._uncharged = np.ones(th.md.size, dtype=bool)
+        n = th.md.size
+        uncharged = self._uncharged = np.ones(n, dtype=bool)
         for j in h[1:]:
             uncharged &= th.charges(j) == 0
-        local = np.flatnonzero(uncharged).tolist()
-        local_set = set(local)
-        seen, reps, orbit_members = set(), [], []
-        for a in local:
-            if a in seen:
-                continue
-            members = sorted({th.apply(j, a) for j in h})
-            if any(m not in local_set for m in members):
-                raise InvalidInputError(
-                    "subgroup charge is not constant on an orbit")
-            seen.update(members)
-            rep = members[0]
-            if self.rng is not None and rep != 0:
-                rep = self.rng.choice(members)
-            reps.append(rep)
-            orbit_members.append(tuple(members))
+        local = np.flatnonzero(uncharged)
+        # img[x, i]: h[x] applied to local[i]; H is a group, so each column
+        # holds its field's orbit, and a column whose minimum is its own
+        # field is the orbit of that smallest member
+        img = np.stack([th.perms[j][local] for j in h])
+        if not uncharged[img].all():
+            raise InvalidInputError("subgroup charge is not constant on an orbit")
+        low = img.min(axis=0)
+        first = low == local
+        # the orbits in ascending order of their smallest members, vacuum
+        # first, as are the ext_ids; members sorted and deduplicated
+        srt = np.sort(img[:, first], axis=0).T
+        keep = np.ones(srt.shape, dtype=bool)
+        keep[:, 1:] = srt[:, 1:] != srt[:, :-1]
+        flat = srt[keep].tolist()
+        ends = np.cumsum(keep.sum(axis=1)).tolist()
+        orbit_members = [tuple(flat[lo:hi])
+                         for lo, hi in zip([0] + ends[:-1], ends)]
+        reps = [m[0] for m in orbit_members]
+        if self.rng is not None:
+            reps = [r if r == 0 else self.rng.choice(m)
+                    for r, m in zip(reps, orbit_members)]
+        self._orbit_idx = np.full(n, -1, dtype=np.intp)
+        self._orbit_idx[local] = (np.cumsum(first) - 1)[
+            np.searchsorted(local, low)]
         # F(reps[i], h[x], h[y]), NA where h[y] moves reps[i] (h[0] = 1); U_a
         # holds h[y] when its twist against every stabilizer member vanishes
         grid = th.twist_grid(reps, h, h)
@@ -125,34 +139,32 @@ class Extension:
         unt = self._unt = _all_zero(  # [orbit, y]: h[y] in U_a
             np.where(stab[:, :, None], grid, 0).transpose(0, 2, 1), stab,
             lambda i, y, x: th.twist_exponent(reps[i], h[x], h[y]))
-        # `local` ascends, so each orbit is found at its smallest member:
-        # vacuum first, then by ascending smallest member, as are the ext_ids
-        groups, orbits = {}, []  # one MultGroup per distinct U_a
-        next_id = 0
-        for i, rep in enumerate(reps):
-            u = tuple(h[y] for y in np.flatnonzero(unt[i]))
-            if u not in groups:
-                groups[u] = MultGroup(u, th.center.mul, 0)
-            labels = tuple(groups[u].char_labels())
-            orbits.append(OrbitData(
-                i, rep, orbit_members[i],
-                tuple(h[y] for y in np.flatnonzero(stab[i])), u, groups[u],
-                labels, tuple(range(next_id, next_id + len(labels)))))
-            next_id += len(labels)
-        self.orbits = orbits
+        # one (stab, U_a, its MultGroup, character labels) per distinct row
+        # pattern of stab and unt, one MultGroup per distinct U_a
+        patterns = np.concatenate((stab, unt), axis=1)
+        groups, shapes = {}, {}
+        self.orbits, next_id = [], 0
+        for i, (rep, members, row) in enumerate(
+                zip(reps, orbit_members, patterns)):
+            key = row.tobytes()
+            if key not in shapes:
+                u = tuple(h[y] for y in np.flatnonzero(unt[i]))
+                if u not in groups:
+                    groups[u] = MultGroup(u, th.center.mul, 0)
+                shapes[key] = (tuple(h[y] for y in np.flatnonzero(stab[i])),
+                               u, groups[u], tuple(groups[u].char_labels()))
+            size = len(shapes[key][3])
+            self.orbits.append(OrbitData(i, rep, members, *shapes[key],
+                                         tuple(range(next_id, next_id + size))))
+            next_id += size
         self.n_ext = next_id
-        self._orbit_of = {}
-        for o in orbits:
-            for m in o.members:
-                self._orbit_of[m] = o
 
     def orbit_of(self, base_field: int) -> OrbitData:
-        try:
-            return self._orbit_of[base_field]
-        except KeyError:
+        if not 0 <= base_field < len(self._orbit_idx) or (
+                self._orbit_idx[base_field] < 0):
             raise InvalidInputError(
-                f"field {base_field} is charged under the subgroup"
-            ) from None
+                f"field {base_field} is charged under the subgroup")
+        return self.orbits[self._orbit_idx[base_field]]
 
     def _build_extended_md(self):
         md = self.theory.md
@@ -487,11 +499,15 @@ class Extension:
     # reporting
 
     def recombination_groups(self):
-        """Extended fields whose S rows agree on the GRID_TOL grid."""
-        keys = {}
-        for i, row in enumerate(self.ext_md.s):
-            grid = np.round(np.concatenate((row.real, row.imag)) / GRID_TOL)
-            keys.setdefault(grid.astype(np.int64).tobytes(), []).append(i)
+        """Extended fields whose S rows agree on the GRID_TOL grid, the rows
+        rounded as [Re | Im] once per slice of RECOMBINATION_ROWS."""
+        s, keys = self.ext_md.s, {}
+        for lo in range(0, len(s), RECOMBINATION_ROWS):
+            part = s[lo:lo + RECOMBINATION_ROWS]
+            grid = np.round(np.concatenate((part.real, part.imag), axis=1)
+                            / GRID_TOL).astype(np.int64)
+            for i, row in enumerate(grid, lo):
+                keys.setdefault(row.tobytes(), []).append(i)
         return [g for g in keys.values() if len(g) > 1]
 
     def report(self) -> dict:

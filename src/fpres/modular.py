@@ -121,13 +121,16 @@ class ModularData:
             n_s = self.s.size
         if self.size != n_s:
             raise InvalidInputError("S matrix size does not match field count")
-        self._index = {lab: i for i, lab in enumerate(self.labels)}
+        self._index = dict(zip(self.labels, range(len(self.labels))))
         if len(self._index) != len(self.labels):
             raise InvalidInputError("field labels are not distinct")
         self._conj = None
         self._unitary = None
         self._symmetric = None
         self._phases = None
+        # (distinct weights, index of each field's weight among them), set
+        # by `tensor`: `phase_numerators` then reads each value once
+        self._distinct_h = None
         self._perms = {}  # cache: current permutations by current
 
     @property
@@ -149,9 +152,12 @@ class ModularData:
         as integer numerators over their common denominator den."""
         if self._phases is None:
             c24 = Fraction(self.c) / 24
-            den = math.lcm(common_denominator(self.h), c24.denominator)
-            hn = numerators(self.h, den) % den
+            hs, inv = self._distinct_h or (self.h, None)
+            den = math.lcm(common_denominator(hs), c24.denominator)
+            hn = numerators(hs, den) % den
             tn = (hn - c24.numerator * (den // c24.denominator) % den) % den
+            if inv is not None:
+                hn, tn = hn[inv], tn[inv]
             hn.flags.writeable = tn.flags.writeable = False
             self._phases = (den, hn, tn)
         return self._phases
@@ -394,16 +400,18 @@ def fusion_tensor(md: ModularData) -> np.ndarray:
 
 def sampled_fusion_residual(md: ModularData, n_samples: int, rng) -> float:
     """Max integrality residual over randomly sampled fusion rows of an
-    atomic S, NaN propagating; O(N^2) per sample."""
-    resids = []
-    for _ in range(n_samples):
-        a, b = rng.randrange(md.size), rng.randrange(md.size)
-        # N_{ab}^c for all c: sum_m S_am S_bm conj(S_cm) / S_0m
-        vec = md.s[a] * md.s[b] / md.s[0]
-        # conj(S) @ vec without copying S: the same bits
-        col = (md.s @ vec.conj()).conj()
-        resids.append(np.abs(col - np.rint(col.real)).max())
-    return float(np.max(resids, initial=0.0))
+    atomic S, NaN propagating; O(N^2) per sample. The pairs (a, b) are
+    drawn a, then b, per sample, and their rows N_{ab}^c, for all c, come
+    from one matrix product."""
+    pairs = [(rng.randrange(md.size), rng.randrange(md.size))
+             for _ in range(n_samples)]
+    a, b = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    # row k: S_am S_bm / S_0m for the k-th pair (a, b)
+    vecs = md.s[a] * md.s[b] / md.s[0]
+    # column k: sum_m S_am S_bm conj(S_cm) / S_0m, as conj(S) @ vecs.T
+    # without copying S
+    cols = (md.s @ vecs.conj().T).conj()
+    return float(np.abs(cols - np.rint(cols.real)).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +428,7 @@ def tensor(*mds: ModularData, name: str = "") -> ModularData:
         factors.extend(md.atomic_factors())
     if any(isinstance(f.s, ProductS) for f in factors):
         raise InvalidInputError("atomic factors must carry dense S matrices")
-    labels = tuple(
-        tuple(x) for x in itertools.product(*(f.labels for f in factors))
-    )
+    labels = tuple(itertools.product(*(f.labels for f in factors)))
     # weights as integer grids over one denominator, row-major like labels
     den = math.lcm(*(common_denominator(f.h) for f in factors))
     grid = np.zeros(1, dtype=np.int64)
@@ -430,12 +436,14 @@ def tensor(*mds: ModularData, name: str = "") -> ModularData:
         grid = np.add.outer(grid, numerators(f.h, den)).ravel()
     vals, inv = np.unique(grid, return_inverse=True)
     distinct = [Fraction(int(v), den) for v in vals]
-    h = tuple(distinct[i] for i in inv.tolist())
+    h = tuple(map(distinct.__getitem__, inv.tolist()))
     c = sum((f.c for f in factors), Fraction(0))
     if not name:
         name = " x ".join(f.name or "?" for f in factors)
-    return ModularData(labels, h, c, ProductS([f.s for f in factors]),
-                       name=name, factors=tuple(factors))
+    md = ModularData(labels, h, c, ProductS([f.s for f in factors]),
+                     name=name, factors=tuple(factors))
+    md._distinct_h = (distinct, inv)
+    return md
 
 
 # ---------------------------------------------------------------------------
@@ -776,12 +784,13 @@ def load_npy(path, sha256, shape) -> np.ndarray:
     return np.frombuffer(data, dtype, offset=offset).reshape(shape)
 
 
-def _s_from_file(ref, directory, n: int):
+def _s_from_file(ref, directory, n: int, files: dict):
     """(S, path, sha256) for an "s_matrix" of the form {"file": name,
     "sha256": hex}: S is the n x n complex128 array in the .npy file `path`,
     the bare `name` in `directory`, the document's directory, whose bytes
     hash to `sha256`. Anything else raises `InvalidInputError` naming the
-    file."""
+    file. `files` keeps what was read by (path, sha256, n), so a file that
+    several parts name is read and hashed once, into one array."""
     if set(ref) != {"file", "sha256"} or not all(
             isinstance(v, str) for v in ref.values()):
         raise InvalidInputError(
@@ -797,12 +806,15 @@ def _s_from_file(ref, directory, n: int):
             f"s_matrix file {name!r} is not a bare file name in the "
             f"document's directory")
     path = os.path.join(directory, name)
-    dense_budget(n * n, f"the S in {path}")
-    try:
-        return load_npy(path, ref["sha256"], (n, n)), path, ref["sha256"]
-    except OSError as exc:
-        raise InvalidInputError(
-            f"s_matrix file {path}: {exc.strerror}") from None
+    key = (path, ref["sha256"], n)
+    if key not in files:
+        dense_budget(n * n, f"the S in {path}")
+        try:
+            files[key] = load_npy(path, ref["sha256"], (n, n)), *key[:2]
+        except OSError as exc:
+            raise InvalidInputError(
+                f"s_matrix file {path}: {exc.strerror}") from None
+    return files[key]
 
 
 def array_document(md: ModularData) -> dict:
@@ -829,7 +841,13 @@ def array_document(md: ModularData) -> dict:
 
 def from_document(doc: dict, directory=None) -> ModularData:
     """The ModularData of a "modular-data v1" document. An "s_matrix" that
-    names an .npy file (`_s_from_file`) is read from `directory`."""
+    names an .npy file (`_s_from_file`) is read from `directory`; the parts
+    of a product that name one file share its array, as the factors of
+    `tensor(md, md)` share one S."""
+    return _from_document(doc, directory, {})
+
+
+def _from_document(doc: dict, directory, files: dict) -> ModularData:
     if doc.get("format") != "modular-data v1":
         raise InvalidInputError(
             f"unsupported document format {doc.get('format')!r}"
@@ -840,7 +858,7 @@ def from_document(doc: dict, directory=None) -> ModularData:
                 and all(isinstance(d, dict) for d in parts)):
             raise InvalidInputError(
                 "product must be a list of modular-data documents")
-        return tensor(*(from_document(d, directory) for d in parts),
+        return tensor(*(_from_document(d, directory, files) for d in parts),
                       name=doc.get("name", ""))
     s_file = s_sha256 = None
     try:
@@ -849,7 +867,7 @@ def from_document(doc: dict, directory=None) -> ModularData:
         c = _rational(doc["central_charge"], "central_charge")
         if isinstance(doc["s_matrix"], dict):
             s, s_file, s_sha256 = _s_from_file(doc["s_matrix"], directory,
-                                               len(labels))
+                                               len(labels), files)
         else:
             s = complex_array(doc["s_matrix"], "s_matrix")
     except (KeyError, TypeError, ValueError) as exc:

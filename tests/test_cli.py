@@ -705,6 +705,36 @@ def test_manifests_list_the_s_files(tmp_path, capsys, monkeypatch):
     assert hashed_here and not [p for p in hashed_here if p.endswith(".npy")]
 
 
+def test_a_product_reads_its_shared_s_file_once(tmp_path, capsys,
+                                                monkeypatch):
+    # both parts of the su(5)_5 pair name product.s0.npy
+    from fpres import modular
+    factor, product = tmp_path / "factor.json", tmp_path / "product.json"
+    out = tmp_path / "ext"
+    run(capsys, "generate", "suN", "--N", "5", "--k", "5", "--out", str(factor))
+    rc, _ = run(capsys, "tensor", str(factor), str(factor), "--out",
+                str(product))
+    assert rc == 0
+    s_file = str(tmp_path / "product.s0.npy")
+    assert [p["s_matrix"]["file"] for p in
+            json.loads(product.read_text())["product"]] == [
+        "product.s0.npy"] * 2
+    reads = []
+    load_npy = modular.load_npy
+    monkeypatch.setattr(modular, "load_npy", lambda path, *args: (
+        reads.append(path) or load_npy(path, *args)))
+    md = modular.load(str(product))
+    assert reads == [s_file]
+    assert md.factors[0].s is md.factors[1].s
+    reads.clear()
+    rc, _ = run(capsys, "extend", str(product), "--by",
+                "[[5, 0, 0, 0], [5, 0, 0, 0]]", "--out", str(out))
+    assert rc == 0 and reads == [s_file]
+    inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+    assert inputs == {str(product): _sha(product),
+                      s_file: _sha(tmp_path / "product.s0.npy")}
+
+
 def _chain(folder, capsys):
     """generate, tensor, extend and validate in `folder`."""
     one, pair, ext = folder / "su24.json", folder / "pair.json", folder / "ext"
