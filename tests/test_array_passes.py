@@ -86,8 +86,8 @@ def test_orbits_match_the_per_field_loop(name):
                 ex.orbit_of(a)
 
 
-def test_seeded_orbits_draw_what_the_loop_draws():
-    # the seeds move some representatives off the smallest member
+def test_a_seeded_case_moves_representatives():
+    # so the seeded cases above compare the representatives' draws
     th = _su2x4_theory()
     gens = [th.md.index((4, 4, 4, 4))]
     plain = extend(th, gens).orbits
@@ -164,21 +164,18 @@ def test_sampled_residual_propagates_a_nan():
     assert np.isnan(sampled_fusion_residual_by_sample(bad, 20, random.Random(0)))
 
 
-def _products():
-    su24 = su2(4)
-    return {
-        # 1/8 + 5/8 = 3/4 and 1 + 1 = 2: sums reduce and leave [0, 1)
-        "su2_4^2": tensor(su24, su24),
-        "su2_2^4": tensor(*(su2(2) for _ in range(4))),
-        "su2_4-su3_3": tensor(su24, sun(3, 3)),
-        "su5-pair": _su5_pair_theory().md,
-    }
+PRODUCTS = {
+    # 1/8 + 5/8 = 3/4 and 1 + 1 = 2: sums reduce and leave [0, 1)
+    "su2_4^2": lambda: tensor(su2(4), su2(4)),
+    "su2_2^4": lambda: tensor(*(su2(2) for _ in range(4))),
+    "su2_4-su3_3": lambda: tensor(su2(4), sun(3, 3)),
+    "su5-pair": lambda: _su5_pair_theory().md,
+}
 
 
-@pytest.mark.parametrize("name", ["su2_4^2", "su2_2^4", "su2_4-su3_3",
-                                  "su5-pair"])
+@pytest.mark.parametrize("name", sorted(PRODUCTS))
 def test_product_phase_numerators_match_the_fraction_path(name):
-    md = _products()[name]
+    md = PRODUCTS[name]()
     by_fraction = copy.copy(md)
     by_fraction._phases = by_fraction._distinct_h = None
     den, hn, tn = md.phase_numerators()
