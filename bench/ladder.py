@@ -3,6 +3,7 @@ extension on a fixed set of workloads, written to `BENCH_<short-sha>.json`.
 
     python bench/ladder.py                      # the whole ladder, repo root
     python bench/ladder.py --only su2_4^3 --out /tmp/bench
+    python bench/ladder.py --against HEAD~1 --only su5_5-pair   # paired
 
 A run of one workload is the chain generate + tensor, `Theory`, `extend`,
 `check_modular`, every resolution, the extended `Theory`, the condition
@@ -18,6 +19,15 @@ fpres is imported from `PYTHONPATH` when that provides it, else from the
 `src/` of this checkout; the short sha names the checkout that fpres came
 from, with `-dirty` when its `src/` has uncommitted changes. OpenBLAS runs
 on one thread unless `OPENBLAS_NUM_THREADS` says otherwise.
+
+With `--against REV`, REV is checked out with `git worktree add` into a
+temporary directory, removed afterwards, and each selected workload runs
+ROUNDS times in fresh interpreters on both sides, the working tree's
+`src/` and REV's, alternating which side runs first. Both sides run this
+file's passes. The file, `BENCH_<sha>-vs-<REV sha>.json`, holds per workload
+and stage both sides' medians, the quartiles of the paired differences
+(working tree minus REV) over the rounds, the share of rounds the working
+tree was faster, and both sides' `stages_peak_rss_mb`, medians per stage.
 """
 from __future__ import annotations
 
@@ -26,14 +36,17 @@ import json
 import os
 import platform
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.append(os.path.join(ROOT, "src"))
 
+ROUNDS = 5  # paired rounds per workload with --against
 STAGES = ("generate_tensor", "theory", "extend", "check_modular", "resolve",
           "extended_theory", "condition_report", "fusion_check")
 
@@ -138,10 +151,15 @@ def run_workload(name: str) -> dict:
     }
 
 
-def source_sha() -> str:
+def fpres_src() -> str:
+    """The directory that fpres is imported from."""
     import fpres
 
-    src = os.path.dirname(os.path.dirname(os.path.abspath(fpres.__file__)))
+    return os.path.dirname(os.path.dirname(os.path.abspath(fpres.__file__)))
+
+
+def source_sha() -> str:
+    src = fpres_src()
 
     def git(*args):
         return subprocess.run(["git", "-C", src, *args], capture_output=True,
@@ -166,11 +184,92 @@ def versions() -> dict:
     }
 
 
+def git(*args) -> str:
+    proc = subprocess.run(["git", "-C", ROOT, *args], capture_output=True,
+                          text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"git {' '.join(args)}: {proc.stderr.strip()}")
+    return proc.stdout.strip()
+
+
+def worker(name: str, src=None) -> dict:
+    """One fresh-interpreter run of workload `name`, with fpres from `src`
+    when given; raises on failure."""
+    env = os.environ.copy()
+    if src is not None:
+        env["PYTHONPATH"] = src
+    proc = subprocess.run([sys.executable, os.path.abspath(__file__),
+                           "--worker", name], capture_output=True, text=True,
+                          env=env)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        raise RuntimeError(f"workload {name} exited {proc.returncode}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def paired(head: list, base: list) -> dict:
+    """The comparison of one workload's rounds, run records of both sides
+    in round order."""
+    stages = {}
+    for s in (*STAGES, "total"):
+        h, b = ([r["total_s"] if s == "total" else r["stages_s"][s]
+                 for r in side] for side in (head, base))
+        stages[s] = {
+            "head_s": statistics.median(h),
+            "base_s": statistics.median(b),
+            "diff_s_quartiles": statistics.quantiles(
+                [x - y for x, y in zip(h, b)], n=4, method="inclusive"),
+            "won": sum(x < y for x, y in zip(h, b)) / len(h),
+        }
+    return {
+        "stages_s": stages,
+        "stages_peak_rss_mb": {
+            side: {s: statistics.median(r["stages_peak_rss_mb"][s]
+                                        for r in runs) for s in STAGES}
+            for side, runs in (("head", head), ("base", base))},
+        "peak_rss_mb": {side: statistics.median(r["peak_rss_mb"] for r in runs)
+                        for side, runs in (("head", head), ("base", base))},
+        "counts": head[0]["counts"],
+        "ok": all(r["ok"] for r in head + base),
+        "runs": {"head": head, "base": base},
+    }
+
+
+def against(doc: dict, names, rev: str) -> str:
+    """Fill `doc` with the paired rounds of `names` against `rev`; return
+    the short sha of `rev`."""
+    base_sha = git("rev-parse", "--short", f"{rev}^{{commit}}")
+    tmp = tempfile.mkdtemp(prefix="fpres-ladder-")
+    tree = os.path.join(tmp, base_sha)
+    git("worktree", "add", "--detach", tree, base_sha)
+    try:
+        sides = {"head": fpres_src(), "base": os.path.join(tree, "src")}
+        for name in names:
+            runs = {"head": [], "base": []}
+            for k in range(ROUNDS):
+                order = ("head", "base") if k % 2 == 0 else ("base", "head")
+                for side in order:
+                    runs[side].append(worker(name, sides[side]))
+            doc["workloads"][name] = w = paired(runs["head"], runs["base"])
+            t = w["stages_s"]["total"]
+            print(f"{name}: {t['head_s']:.3f} s against {t['base_s']:.3f} s, "
+                  f"won {t['won']:.0%} of {ROUNDS} rounds, ok={w['ok']}",
+                  file=sys.stderr)
+    finally:
+        subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force",
+                        tree], capture_output=True)
+        shutil.rmtree(tmp, ignore_errors=True)
+    doc["against"] = {"rev": rev, "sha": base_sha, "rounds": ROUNDS}
+    return base_sha
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--only", action="append", choices=list(WORKLOADS),
                    help="run only this workload (repeatable)")
     p.add_argument("--out", default=ROOT, help="directory for BENCH_<sha>.json")
+    p.add_argument("--against", metavar="REV",
+                   help="pair each workload with the checkout of REV")
     p.add_argument("--worker", choices=list(WORKLOADS), help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -180,19 +279,22 @@ def main(argv=None) -> int:
 
     doc = {"format": "fpres-ladder v1", "sha": source_sha(),
            "versions": versions(), "stages": list(STAGES), "workloads": {}}
-    for name in args.only or WORKLOADS:
-        proc = subprocess.run([sys.executable, os.path.abspath(__file__),
-                               "--worker", name], capture_output=True,
-                              text=True, env=os.environ.copy())
-        if proc.returncode != 0:
-            sys.stderr.write(proc.stderr)
-            return 1
-        doc["workloads"][name] = json.loads(proc.stdout.splitlines()[-1])
-        w = doc["workloads"][name]
-        print(f"{name}: {w['total_s']:.3f} s, {w['peak_rss_mb']:.0f} MB, "
-              f"ok={w['ok']}", file=sys.stderr)
+    names = args.only or list(WORKLOADS)
+    try:
+        if args.against:
+            suffix = "-vs-" + against(doc, names, args.against)
+        else:
+            suffix = ""
+            for name in names:
+                doc["workloads"][name] = w = worker(name)
+                print(f"{name}: {w['total_s']:.3f} s, "
+                      f"{w['peak_rss_mb']:.0f} MB, ok={w['ok']}",
+                      file=sys.stderr)
+    except RuntimeError as exc:
+        print(f"ladder: {exc}", file=sys.stderr)
+        return 1
     os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, f"BENCH_{doc['sha']}.json")
+    path = os.path.join(args.out, f"BENCH_{doc['sha']}{suffix}.json")
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

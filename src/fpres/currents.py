@@ -396,17 +396,19 @@ class Theory:
             return self._twists[(k, j)]
         b = self.bundle(j)
         fields = np.array(b.fields, dtype=np.intp)
-        charges = self.charges(k)[fields]
         if isinstance(b, ProductBundle):
+            # sums the factor tables: no product charge column
             table = self._product_twists(k, j)
         elif b.dim == 1:
             # one-dimensional bundles twist by the inverse monodromy, whose
             # denominator divides the snap order
             g = math.gcd(self.den, self.snap_order)
+            charges = self.charges(k)[fields]
             table = -charges % self.den // (self.den // g) * (self.snap_order // g)
         else:
             # row ratios S^J_{Ka,c} exp(-2 pi i Q_K(c)) / S^J_{ac} over the
             # entries with a non-negligible denominator
+            charges = self.charges(k)[fields]
             m = b.matrix
             moved = m[b.positions(self.perms[k][fields])]
             mask = np.abs(m) > SNAP_TOL

@@ -29,16 +29,12 @@ import numpy as np
 from .currents import NA, FixedPointBundle, Theory
 from .errors import InvalidInputError, ResolutionError
 from .groups import MultGroup
-from .modular import GATE_TOL, ROW_BLOCK, ModularData, dense_budget
+from .modular import GATE_TOL, ModularData, dense_budget, panels
 from .phases import norm1, units
 from .validate import eta_square_residual
 
 GRID_TOL = 1e-8  # S entries this close are equal: recombination, relabeling
 FINGERPRINT_TOL = 1e-6  # the coarser grid of the relabeling candidates
-# rows of S rounded at once by `recombination_groups`: each temporary of a
-# slice holds rows x 2N float64 entries, 0.7 MB for the 640 fields of the
-# extended su5 pair, where slices of ROW_BLOCK rows raise the peak RSS
-RECOMBINATION_ROWS = ROW_BLOCK // 4
 
 
 @dataclass
@@ -236,9 +232,11 @@ class Extension:
                 out[np.ix_(fr, fc)] += block
         weight = np.array([len(o.stab) * len(o.unt) for o in orbits],
                           dtype=float)[eo]
-        for lo in range(0, m, ROW_BLOCK):
-            w = np.multiply.outer(weight[lo:lo + ROW_BLOCK], weight)
-            out[lo:lo + ROW_BLOCK] *= len(self.h_members) / np.sqrt(w)
+        for p in panels(m):
+            w = np.multiply.outer(weight[p], weight)
+            np.sqrt(w, out=w)
+            np.divide(len(self.h_members), w, out=w)
+            out[p] *= w
         if dress is not None:
             d = dress[:, eo]
             out = out * d * d.T.conj()
@@ -500,13 +498,17 @@ class Extension:
 
     def recombination_groups(self):
         """Extended fields whose S rows agree on the GRID_TOL grid, the rows
-        rounded as [Re | Im] once per slice of RECOMBINATION_ROWS."""
+        rounded to int64 as [Re | Im] once per panel."""
         s, keys = self.ext_md.s, {}
-        for lo in range(0, len(s), RECOMBINATION_ROWS):
-            part = s[lo:lo + RECOMBINATION_ROWS]
-            grid = np.round(np.concatenate((part.real, part.imag), axis=1)
-                            / GRID_TOL).astype(np.int64)
-            for i, row in enumerate(grid, lo):
+        n = s.shape[1]
+        for p in panels(len(s)):
+            grid = np.empty((p.stop - p.start, 2 * n), dtype=np.int64)
+            scaled = np.empty((p.stop - p.start, n))
+            for half, x in enumerate((s[p].real, s[p].imag)):
+                np.divide(x, GRID_TOL, out=scaled)
+                np.rint(scaled, out=grid[:, half * n:(half + 1) * n],
+                        casting="unsafe")
+            for i, row in enumerate(grid, p.start):
                 keys.setdefault(row.tobytes(), []).append(i)
         return [g for g in keys.values() if len(g) > 1]
 

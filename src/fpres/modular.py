@@ -29,9 +29,9 @@ from .errors import (
 from .phases import common_denominator, numerators, units
 
 DENSE_BUDGET = 1 << 25  # max entries of any one dense array the engine makes
-# rows per block of the dense reductions over S (unitarity, symmetry, the
-# cube relation, row matching): no temporary exceeds ROW_BLOCK x N entries
-ROW_BLOCK = 256
+# rows per panel of every row-blocked pass over an N-column array (`panels`):
+# no temporary exceeds ROW_BLOCK x N entries, and a panel holds at most two
+ROW_BLOCK = 128
 # tolerances, one per job
 S_TOL = 1e-6        # S entries: current detection, row matching, conjugation
 FUSION_TOL = 1e-6   # integrality of the Verlinde sums
@@ -47,6 +47,12 @@ def dense_budget(entries: int, what: str) -> None:
             f"{what} would need {entries:.2e} entries, over the dense budget "
             f"{DENSE_BUDGET:.2e}"
         )
+
+
+def panels(n: int):
+    """The row slices of a pass over n rows: ROW_BLOCK rows each, the last
+    one ragged."""
+    return [slice(lo, min(lo + ROW_BLOCK, n)) for lo in range(0, n, ROW_BLOCK)]
 
 
 def product_ids(parts, sizes) -> np.ndarray:
@@ -72,18 +78,19 @@ class ProductS:
         self.size = math.prod(self.sizes)
 
     def block(self, rows, cols) -> np.ndarray:
-        """`to_dense()[np.ix_(rows, cols)]`, in slices of ROW_BLOCK rows: the
-        factor entries multiply in np.kron's order and, like it, out of place.
-        Bit for bit for a real S only: for a complex S the last bit of an
-        entry may depend on the shape of the block that holds it."""
+        """`to_dense()[np.ix_(rows, cols)]`, by `panels`: the factor entries
+        multiply in np.kron's order and, like it, out of place. Bit for bit
+        for a real S only: for a complex S the last bit of an entry may
+        depend on the shape of the block that holds it, since numpy may
+        multiply a large temporary in place with its operands swapped."""
         ri, ci = (np.unravel_index(np.asarray(x, dtype=np.intp), self.sizes)
                   for x in (rows, cols))
         out = np.empty((len(ri[0]), len(ci[0])), dtype=complex)
-        for lo in range(0, len(out), ROW_BLOCK):
-            part = np.ones(out[lo:lo + ROW_BLOCK].shape, dtype=complex)
+        for p in panels(len(out)):
+            part = np.ones(out[p].shape, dtype=complex)
             for m, r, c in zip(self.mats, ri, ci):
-                part = part * m[np.ix_(r[lo:lo + ROW_BLOCK], c)]
-            out[lo:lo + ROW_BLOCK] = part
+                part = part * m[np.ix_(r[p], c)]
+            out[p] = part
         return out
 
     def to_dense(self) -> np.ndarray:
@@ -121,9 +128,12 @@ class ModularData:
             n_s = self.s.size
         if self.size != n_s:
             raise InvalidInputError("S matrix size does not match field count")
-        self._index = dict(zip(self.labels, range(len(self.labels))))
-        if len(self._index) != len(self.labels):
-            raise InvalidInputError("field labels are not distinct")
+        # a product indexes row-major through its factors, whose labels are
+        # distinct, so only an atomic theory keeps a dict
+        if not self.is_product:
+            self._index = dict(zip(self.labels, range(len(self.labels))))
+            if len(self._index) != len(self.labels):
+                raise InvalidInputError("field labels are not distinct")
         self._conj = None
         self._unitary = None
         self._symmetric = None
@@ -143,7 +153,15 @@ class ModularData:
 
     def index(self, label) -> int:
         try:
-            return self._index[label]
+            if not self.is_product:
+                return self._index[label]
+            if not (isinstance(label, tuple)
+                    and len(label) == len(self.factors)):
+                raise KeyError(label)
+            i = 0
+            for f, part in zip(self.factors, label):
+                i = i * f.size + f._index[part]
+            return i
         except KeyError:
             raise InvalidInputError(f"unknown field label {label!r}") from None
 
@@ -213,16 +231,14 @@ class ModularData:
 
 
 # ---------------------------------------------------------------------------
-# dense reductions over S, in row blocks
+# dense reductions over S, by row panels
 
 
 def _block_max(n: int, dev, upper: bool = False) -> float:
-    """Max of dev(rows, lo) over the blocks of ROW_BLOCK rows of an N x N
-    matrix: `rows` is the block's row slice and `lo` its first column, the
-    block's first row when only entries on and above the diagonal count.
-    NaN propagates."""
-    blocks = [slice(lo, min(lo + ROW_BLOCK, n)) for lo in range(0, n, ROW_BLOCK)]
-    return float(np.max([dev(r, r.start if upper else 0) for r in blocks],
+    """Max of dev(rows, lo) over the `panels` of an N x N matrix: `rows` is
+    the panel's row slice and `lo` its first column, the panel's first row
+    when only entries on and above the diagonal count. NaN propagates."""
+    return float(np.max([dev(r, r.start if upper else 0) for r in panels(n)],
                         initial=0.0))
 
 
@@ -255,7 +271,10 @@ def cube_deviation(s: np.ndarray, t: np.ndarray, symmetric: bool) -> float:
 
     def dev(r, lo):
         block = (s[r] * t) @ s[:, lo:]
-        block -= tbar[r, np.newaxis] * s[r, lo:] * tbar[lo:]
+        rhs = tbar[r, np.newaxis] * s[r, lo:]
+        rhs *= tbar[lo:]
+        block -= rhs
+        del rhs
         return np.abs(block).max()
 
     return _block_max(s.shape[0], dev, upper=symmetric)
@@ -264,8 +283,9 @@ def cube_deviation(s: np.ndarray, t: np.ndarray, symmetric: bool) -> float:
 def match_rows(s: np.ndarray, image):
     """(perm, dev): perm[a] is the row of S whose key, its projection onto
     one fixed vector, is nearest to the key of image(S[a]), and dev is the
-    full check max_a |image(S[a]) - S[perm[a]]|. `image` maps a block of
-    rows to their images. O(N^2), in row blocks."""
+    full check max_a |image(S[a]) - S[perm[a]]|. `image` maps a panel of
+    rows to a new array of their images, which the check overwrites. O(N^2),
+    by `panels`."""
     n = s.shape[0]
     # one fixed key vector for every call; the stdlib generator keeps
     # numpy.random (several MB resident) unimported
@@ -281,7 +301,8 @@ def match_rows(s: np.ndarray, image):
     def dev(r, lo):
         img = image(s[r])
         perm[r] = order[np.searchsorted(mids, (img @ probe).real)]
-        return np.abs(img - s[perm[r]]).max()
+        img -= s[perm[r]]
+        return np.abs(img).max()
 
     return perm, _block_max(n, dev)
 
@@ -409,9 +430,11 @@ def sampled_fusion_residual(md: ModularData, n_samples: int, rng) -> float:
     # row k: S_am S_bm / S_0m for the k-th pair (a, b)
     vecs = md.s[a] * md.s[b] / md.s[0]
     # column k: sum_m S_am S_bm conj(S_cm) / S_0m, as conj(S) @ vecs.T
-    # without copying S
-    cols = (md.s @ vecs.conj().T).conj()
-    return float(np.abs(cols - np.rint(cols.real)).max(initial=0.0))
+    # without copying S; the residual is formed in place
+    cols = md.s @ vecs.conj().T
+    np.conjugate(cols, out=cols)
+    cols -= np.rint(cols.real)
+    return float(np.abs(cols).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -852,6 +875,9 @@ def _from_document(doc: dict, directory, files: dict) -> ModularData:
         raise InvalidInputError(
             f"unsupported document format {doc.get('format')!r}"
         )
+    name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise InvalidInputError(f"name must be a string, not {name!r}")
     if "product" in doc:
         parts = doc["product"]
         if not (isinstance(parts, list)
@@ -859,7 +885,7 @@ def _from_document(doc: dict, directory, files: dict) -> ModularData:
             raise InvalidInputError(
                 "product must be a list of modular-data documents")
         return tensor(*(_from_document(d, directory, files) for d in parts),
-                      name=doc.get("name", ""))
+                      name=name)
     s_file = s_sha256 = None
     try:
         labels = tuple(_label_from_json(f["label"]) for f in doc["fields"])
@@ -872,7 +898,7 @@ def _from_document(doc: dict, directory, files: dict) -> ModularData:
             s = complex_array(doc["s_matrix"], "s_matrix")
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed modular data document: {exc}") from exc
-    md = ModularData(labels, h, c, s, name=doc.get("name", ""), s_file=s_file,
+    md = ModularData(labels, h, c, s, name=name, s_file=s_file,
                      s_sha256=s_sha256)
     with np.errstate(all="ignore"):  # cached on md; an inf or NaN fails below
         unitary, symmetric = md.unitarity(), md.symmetry()

@@ -18,8 +18,9 @@ import pytest
 from fpres import currents
 from fpres.currents import Theory
 from fpres.errors import FusionIntegralityError, InvalidInputError
-from fpres.extend import RECOMBINATION_ROWS, extend
-from fpres.modular import ModularData, sampled_fusion_residual, tensor
+from fpres.extend import extend
+from fpres.modular import (ROW_BLOCK, ModularData, sampled_fusion_residual,
+                           tensor)
 from fpres.validate import FUSION_SAMPLES, FUSION_SEED
 from fpres.wzw import su2, sun
 from oracles import orbits_by_field, sampled_fusion_residual_by_sample
@@ -229,12 +230,12 @@ def test_the_identity_acts_as_the_identity():
 def test_recombination_groups_across_row_slices():
     ex = built("su5-pair")
     s = ex.ext_md.s.copy()
-    assert len(s) > 2 * RECOMBINATION_ROWS
+    assert len(s) > 2 * ROW_BLOCK
     last = len(s) - 1
-    s[RECOMBINATION_ROWS] = s[3]
-    s[last] = s[RECOMBINATION_ROWS - 1]
+    s[ROW_BLOCK] = s[3]
+    s[last] = s[ROW_BLOCK - 1]
     fake = copy.copy(ex)
     fake.ext_md = types.SimpleNamespace(s=s)
-    want = [[3, RECOMBINATION_ROWS], [RECOMBINATION_ROWS - 1, last]]
+    want = [[3, ROW_BLOCK], [ROW_BLOCK - 1, last]]
     assert fake.recombination_groups() == want
     assert oracle_recombination_groups(s) == want

@@ -359,6 +359,39 @@ def test_non_unitary_s_exits_2_at_load(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("name", [7, None, ["su2_4"]])
+@pytest.mark.parametrize("command", [
+    ["tensor", "BAD", "BAD", "--out", "OUT"], ["validate", "BAD"],
+    ["extend", "BAD", "--by", "4", "--out", "OUT"]])
+def test_a_name_that_is_not_a_string_exits_2_at_load(tmp_path, capsys,
+                                                      command, name):
+    src = tmp_path / "su24.json"
+    run(capsys, "generate", "su2", "--k", "4", "--out", str(src))
+    doc = json.loads(src.read_text())
+    doc["name"] = name
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    paths = {"BAD": str(bad), "OUT": str(tmp_path / "out")}
+    rc = main([paths.get(arg, arg) for arg in command])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"name must be a string, not {name!r}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("where", ["product", "part"])
+def test_a_product_name_that_is_not_a_string_exits_2(tmp_path, capsys, where):
+    src, pair = tmp_path / "su24.json", tmp_path / "pair.json"
+    run(capsys, "generate", "su2", "--k", "4", "--out", str(src))
+    run(capsys, "tensor", str(src), str(src), "--out", str(pair))
+    doc = json.loads(pair.read_text())
+    (doc if where == "product" else doc["product"][1])["name"] = 7
+    pair.write_text(json.dumps(doc))
+    rc = main(["validate", str(pair)])
+    assert rc == 2
+    assert "name must be a string, not 7" in capsys.readouterr().err
+
+
 def test_missing_input_is_usage_error(tmp_path, capsys):
     rc, _ = run(capsys, "validate", str(tmp_path / "nope.json"))
     assert rc == 2

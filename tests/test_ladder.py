@@ -1,9 +1,11 @@
 """Smoke test of the stage ladder on its smallest workload and its closure
-row."""
+row, and of its paired rounds against a revision."""
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 LADDER = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "ladder.py")
 
@@ -42,3 +44,43 @@ def test_ladder_writes_stage_medians_counts_and_peak_rss(tmp_path):
     assert w["counts"] == {"fields": 50, "currents": 6, "orbits": 10,
                            "ext_fields": 20, "classes": 1, "ext_currents": 8}
     assert w["ok"]
+
+
+def _git(*args):
+    return subprocess.run(["git", "-C", os.path.dirname(LADDER), *args],
+                          capture_output=True, text=True)
+
+
+def test_ladder_pairs_the_working_tree_with_a_revision(tmp_path):
+    try:
+        head = _git("rev-parse", "--short", "HEAD")
+    except OSError:
+        pytest.skip("git is not installed")
+    if head.returncode != 0:
+        pytest.skip("not a git checkout")
+    sha = head.stdout.strip()
+    trees = _git("worktree", "list", "--porcelain").stdout
+    proc = subprocess.run(
+        [sys.executable, LADDER, "--only", "su2_4^3", "--against", "HEAD",
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # the checkout of the revision is gone again
+    assert _git("worktree", "list", "--porcelain").stdout == trees
+    path = proc.stdout.strip().splitlines()[-1]
+    assert os.path.basename(path).endswith(f"-vs-{sha}.json")
+    doc = json.loads(open(path).read())
+    assert doc["against"] == {"rev": "HEAD", "sha": sha, "rounds": 5}
+    w = doc["workloads"]["su2_4^3"]
+    assert list(w["stages_s"]) == doc["stages"] + ["total"]
+    for stage in w["stages_s"].values():
+        q1, median, q3 = stage["diff_s_quartiles"]
+        assert q1 <= median <= q3
+        assert stage["won"] in {k / 5 for k in range(6)}
+        assert stage["head_s"] >= 0 and stage["base_s"] >= 0
+    for side in ("head", "base"):
+        assert len(w["runs"][side]) == 5
+        assert list(w["stages_peak_rss_mb"][side]) == doc["stages"]
+        assert w["peak_rss_mb"][side] > 0
+    assert w["counts"]["ext_fields"] == 33 and w["ok"]

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -323,3 +324,53 @@ def test_dense_budget_is_checked_before_allocating(monkeypatch, where,
         call, args = Extension, (Theory(md), [md.index((k, k))])
     with pytest.raises(Reached if admitted else ResourceLimitError):
         call(*args)
+
+
+# --- field indexes -----------------------------------------------------------
+
+# hashable labels that no su2_4 x su3_3 field carries: no tuple, a tuple of
+# the wrong length, an unknown label of either factor
+BAD_PRODUCT_LABELS = [4, "0", (), (0,), (0, (0, 0), 0), (5, (0, 0)),
+                      ((0, 0), 0), (0, (0, 4)), (0, 0)]
+
+
+def _index_or_none(index, label):
+    try:
+        return index(label)
+    except (InvalidInputError, KeyError):
+        return None
+
+
+def test_product_index_is_the_label_dict_without_one():
+    md = tensor(su2(4), sun(3, 3))
+    assert not hasattr(md, "_index")
+    want = dict(zip(md.labels, range(md.size)))
+    assert [md.index(lab) for lab in md.labels] == list(range(md.size))
+    for label in BAD_PRODUCT_LABELS:
+        assert _index_or_none(want.__getitem__, label) is None
+        with pytest.raises(InvalidInputError,
+                           match=r"unknown field label " + re.escape(repr(label))):
+            md.index(label)
+    with pytest.raises(InvalidInputError, match="unknown field label"):
+        md.index([0, (0, 0)])  # a list is no label
+
+
+def test_su5_pair_index_agrees_with_the_label_dict_on_seeded_labels():
+    su5 = sun(5, 5)
+    md = tensor(su5, su5)
+    want = dict(zip(md.labels, range(md.size)))
+    rng = random.Random(5)
+    labels = [md.labels[rng.randrange(md.size)] for _ in range(1000)]
+    # and as many recombined from the factor labels, with some unknown ones
+    parts = list(su5.labels) + [(5, 5, 5, 5), (0, 0, 0)]
+    labels += [(rng.choice(parts), rng.choice(parts)) for _ in range(1000)]
+    assert sum(lab not in want for lab in labels) > 20
+    for label in labels:
+        assert _index_or_none(md.index, label) == want.get(label)
+
+
+def test_an_atomic_theory_keeps_its_distinct_label_check():
+    md = su2(4)
+    assert md.index(3) == 3
+    with pytest.raises(InvalidInputError, match="not distinct"):
+        ModularData((0, 1, 2, 3, 0), md.h, md.c, md.s)

@@ -10,12 +10,11 @@ import functools
 import numpy as np
 import pytest
 
-from fpres import currents
+from fpres import currents, modular
 from fpres.currents import Theory, detect_simple_currents
 from fpres.errors import FusionIntegralityError
 from fpres.extend import extend
 from fpres.modular import (
-    ROW_BLOCK,
     ModularData,
     check_modular,
     cube_deviation,
@@ -128,7 +127,9 @@ def perturbed_su2x4():
 
 
 @pytest.mark.parametrize("case", ["su2x4", "su2x4-perturbed", "su5-pair-ext"])
-def test_blocked_reductions_match_the_dense_formulas(case):
+def test_blocked_reductions_match_the_dense_formulas(case, monkeypatch):
+    # 96-row panels leave a ragged last panel on 625 and on 640 rows
+    monkeypatch.setattr(modular, "ROW_BLOCK", 96)
     if case == "su5-pair-ext":
         md = built("su5-pair").ext_md
         s, t = md.s, md.t_values()
@@ -136,7 +137,8 @@ def test_blocked_reductions_match_the_dense_formulas(case):
         md = tensor(*(su2(4) for _ in range(4)))
         s = md.s_dense() if case == "su2x4" else perturbed_su2x4()
         t = md.t_values()
-    assert s.shape[0] % ROW_BLOCK and s.shape[0] > 2 * ROW_BLOCK
+    rows = modular.ROW_BLOCK
+    assert s.shape[0] % rows and s.shape[0] > 2 * rows
     unitary, symmetric, cube = dense_deviations(s, t)
     assert abs(unitarity_deviation(s) - unitary) <= 1e-14
     assert abs(symmetry_deviation(s) - symmetric) <= 1e-14
