@@ -151,6 +151,14 @@ def run_workload(name: str) -> dict:
     }
 
 
+def git(*args, cwd=ROOT) -> str:
+    proc = subprocess.run(["git", "-C", cwd, *args], capture_output=True,
+                          text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"git {' '.join(args)}: {proc.stderr.strip()}")
+    return proc.stdout.strip()
+
+
 def fpres_src() -> str:
     """The directory that fpres is imported from."""
     import fpres
@@ -160,13 +168,12 @@ def fpres_src() -> str:
 
 def source_sha() -> str:
     src = fpres_src()
-
-    def git(*args):
-        return subprocess.run(["git", "-C", src, *args], capture_output=True,
-                              text=True).stdout.strip()
-
-    sha = git("rev-parse", "--short", "HEAD") or "unknown"
-    return sha + "-dirty" if git("status", "--porcelain", "--", ".") else sha
+    try:
+        sha = git("rev-parse", "--short", "HEAD", cwd=src)
+        dirty = git("status", "--porcelain", "--", ".", cwd=src)
+    except RuntimeError:
+        return "unknown"
+    return sha + "-dirty" if dirty else sha
 
 
 def versions() -> dict:
@@ -182,14 +189,6 @@ def versions() -> dict:
         "cpus": os.cpu_count(),
         "openblas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
     }
-
-
-def git(*args) -> str:
-    proc = subprocess.run(["git", "-C", ROOT, *args], capture_output=True,
-                          text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(f"git {' '.join(args)}: {proc.stderr.strip()}")
-    return proc.stdout.strip()
 
 
 def worker(name: str, src=None) -> dict:

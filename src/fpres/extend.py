@@ -502,9 +502,10 @@ class Extension:
         s, keys = self.ext_md.s, {}
         n = s.shape[1]
         for p in panels(len(s)):
-            grid = np.empty((p.stop - p.start, 2 * n), dtype=np.int64)
-            scaled = np.empty((p.stop - p.start, n))
-            for half, x in enumerate((s[p].real, s[p].imag)):
+            part = s[p]
+            grid = np.empty((len(part), 2 * n), dtype=np.int64)
+            scaled = np.empty(part.shape)
+            for half, x in enumerate((part.real, part.imag)):
                 np.divide(x, GRID_TOL, out=scaled)
                 np.rint(scaled, out=grid[:, half * n:(half + 1) * n],
                         casting="unsafe")
