@@ -57,7 +57,10 @@ STAGES = ("generate_tensor", "theory", "extend", "check_modular", "resolve",
 # filled before the first timed pass. su(2)_4 x su(3)_3 is extended by
 # (0, (3, 0)) with convention seed 0: its class representative r has order 6
 # in a class of order 2, so r^2 is not the identity and the resolution
-# phases are not all 0.
+# phases are not all 0. The seeded rows run under convention seed 0:
+# su(2)_4^4 as the su2x4-diag benchmark runs it, and su(2)_4 x su(3)_3 by
+# (4, (0, 0)), whose seed-0 representative on the orbit of (2, (1, 1)) has
+# order 6 and closes inside the untwisted stabilizer.
 FACTORS = {"su2_4": (2, 4), "su3_3": (3, 3), "su5_5": (5, 5)}
 WORKLOADS = {
     "su2_4^3": (("su2_4",) * 3, (4,) * 3, None, 5, False),
@@ -67,6 +70,8 @@ WORKLOADS = {
     "su5_5-pair": (("su5_5",) * 2, ((5, 0, 0, 0),) * 2, None, 9, False),
     "su5_5-pair-warm": (("su5_5",) * 2, ((5, 0, 0, 0),) * 2, None, 9, True),
     "su2_4-su3_3-closure": (("su2_4", "su3_3"), (0, (3, 0)), 0, 25, False),
+    "su2_4^4-seed0": (("su2_4",) * 4, (4,) * 4, 0, 5, False),
+    "su2_4-su3_3-seed0": (("su2_4", "su3_3"), (4, (0, 0)), 0, 25, False),
 }
 
 

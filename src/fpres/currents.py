@@ -73,7 +73,10 @@ class FixedPointBundle:
             )
         if self.eta is not None and self.eta.shape != (n,):
             raise MalformedBundleError("eta length does not match the support")
-        self._pos = {a: i for i, a in enumerate(self.fields)}
+
+    @functools.cached_property
+    def _pos(self):
+        return {a: i for i, a in enumerate(self.fields)}
 
     @property
     def dim(self) -> int:
@@ -114,7 +117,6 @@ class ProductBundle(FixedPointBundle):
     def __init__(self, current: int, fields: tuple, mats, eta):
         self.current, self.fields, self.eta = current, fields, eta
         self.kron = ProductS(mats)
-        self._pos = {a: i for i, a in enumerate(fields)}
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
@@ -296,15 +298,15 @@ class Theory:
             return self._bundles[j]
         if j == 0:
             raise InvalidInputError("the identity current has no bundle; use S")
-        fixed = [int(a) for a in self.fixed_fields(j)]
+        fixed = self.fixed_fields(j)
         if self.md.is_product:
             b = self._product_bundle(j, fixed)
         elif len(fixed) == 0:
             b = FixedPointBundle(j, (), np.zeros((0, 0), dtype=complex),
                                  np.zeros(0, dtype=complex))
         elif len(fixed) == 1:
-            mat, eta = solve_1x1_bundle(self.md.t_exponent(fixed[0]))
-            b = FixedPointBundle(j, tuple(fixed), mat, eta)
+            mat, eta = solve_1x1_bundle(self.md.t_exponent(int(fixed[0])))
+            b = FixedPointBundle(j, tuple(fixed.tolist()), mat, eta)
         else:
             raise ResolutionError(
                 f"no closed form for the {len(fixed)}-dimensional bundle of "
@@ -341,11 +343,11 @@ class Theory:
                 supports.append(np.asarray(fb.fields, dtype=np.intp))
         eta = np.array([1.0 + 0.0j])
         for e in etas:
-            eta = np.kron(eta, e)
+            eta = np.multiply.outer(eta, e).ravel()  # np.kron's products
         support = product_ids(supports, sizes)
-        if sorted(int(x) for x in support) != fixed:
+        if not np.array_equal(np.sort(support), fixed):
             raise ResolutionError("factor supports do not tile the fixed set")
-        return ProductBundle(j, tuple(int(x) for x in support), mats, eta)
+        return ProductBundle(j, tuple(support.tolist()), mats, eta)
 
     def bundle_block(self, j: int, rows, cols) -> np.ndarray:
         """S^J entries on arbitrary support fields; j = 0 means S itself."""
@@ -355,7 +357,7 @@ class Theory:
         ri, ci = b.positions(rows), b.positions(cols)
         if isinstance(b, ProductBundle):
             return b.kron.block(ri, ci)
-        return b.matrix[np.ix_(ri, ci)]
+        return b.matrix[ri[:, None], ci]
 
     def eta_value(self, j: int, a: int) -> complex:
         b = self.bundle(j)
@@ -432,22 +434,29 @@ class Theory:
         order = self.snap_order
         sizes = [f.size for f in self.md.factors]
         nums = np.zeros(1, dtype=np.int64)
-        marks = np.zeros(1, dtype=np.int64)
+        marks = None  # no factor entry marked so far
         for f, kf, jf in zip(self.md.factors, np.unravel_index(k, sizes),
                              np.unravel_index(j, sizes)):
             if jf == 0:
-                part = np.zeros(f.size, dtype=np.int64)
-                mark = np.zeros(f.size, dtype=np.int64)
-            else:
-                sub = self._factor_theory(f)
-                part = sub.twists(int(kf), int(jf))
-                g = math.gcd(sub.snap_order, order)
-                step = sub.snap_order // g
-                mark = np.where(part < 0, part, np.where(part % step, -1, 0))
+                nums = np.repeat(nums, f.size)
+                marks = None if marks is None else np.repeat(marks, f.size)
+                continue
+            sub = self._factor_theory(f)
+            part = sub.twists(int(kf), int(jf))
+            g = math.gcd(sub.snap_order, order)
+            step = sub.snap_order // g
+            mark = np.where(part < 0, part, np.where(part % step, -1, 0))
+            if mark.any():
                 part = np.where(mark < 0, 0, part // step * (order // g))
+                marks = np.minimum.outer(
+                    np.zeros(len(nums), dtype=np.int64) if marks is None
+                    else marks, mark).ravel()
+            else:
+                part = part // step * (order // g)
+                marks = None if marks is None else np.repeat(marks, len(part))
             nums = np.add.outer(nums, part).ravel()
-            marks = np.minimum.outer(marks, mark).ravel()
-        return np.where(marks < 0, marks, nums % order)
+        return nums % order if marks is None else np.where(
+            marks < 0, marks, nums % order)
 
     def twist_exponent(self, a: int, k: int, j: int) -> Fraction:
         """Exact exponent of F(a, K, J); a must be fixed by J."""

@@ -10,9 +10,15 @@ Surviving currents are subgroup cosets of uncharged currents. For each
 such class of order N the resolution matrix on its fixed extended fields
 combines a per-orbit class representative r, the characters chi_i of the
 orbit's untwisted stabilizer U_a extended to <r, U_a> (chi_i(r u) =
-phi_i + chi_i(u), with phi_i = chi_i(r^N) / N the principal root), and the
-twisted matrices of the representative's translates.
-A class and the class of the inverse current use inverse representatives.
+phi_i + chi_i(u)), and the twisted matrices of the representative's
+translates (Fuchs, Schellekens and Schweigert, "A matrix S for all simple
+current extensions", Nucl. Phys. B 473, 1996). Every orbit has one
+section, shared by all classes: a good member r_b, of order n_b modulo
+the subgroup, for each basis class b of the group of classes with a good
+member on the orbit. A class with coordinates k there takes r = prod_b
+r_b^{k_b}, so representatives multiply, and phi_i = sum_b k_b
+chi_i(r_b^{n_b}) / n_b, the extension of chi_i to <U_a, r_b> at r, so the
+inverse class takes the inverse phase.
 
 The extended S and every resolution matrix come from one block kernel,
 which adds each twisted block S^{r u}, gathered straight over the extended
@@ -61,6 +67,22 @@ class ResidualClass:
 
 
 @dataclass
+class _Sections:
+    """Per-orbit resolution data shared by every class (`Extension._sections`)."""
+
+    gpat: np.ndarray      # [orbit] its section's group in `groups`
+    groups: list          # MultGroup over quotient class reps
+    orders: np.ndarray    # [group, b] n_b, 1 past the group's rank
+    basis: np.ndarray     # [orbit, b] r_b, the identity past the rank
+    closure: np.ndarray   # [orbit, b] column of r_b^{n_b} in the U_a table
+    cols: np.ndarray      # [U_a, center position] table column, -1 outside
+    k: np.ndarray         # [orbit] index of k_a in the subgroup
+    cbar: np.ndarray      # [orbit] the conjugated rep of the conjugate orbit
+    pi: np.ndarray        # [orbit, i] the character relabeling
+    fail: np.ndarray      # [orbit] 1: a marked eta or twist, 2: no relabeling
+
+
+@dataclass
 class Resolution:
     """Resolved matrix of one surviving current class."""
 
@@ -91,8 +113,8 @@ class Extension:
         self._build_extended_md()
         self._ext_theory = None
         self._resolutions = {}
-        self._r_cache = {}
         self._tables = {}
+        self._section = None
 
     # ------------------------------------------------------------------
     # spectrum
@@ -136,9 +158,10 @@ class Extension:
             np.where(stab[:, :, None], grid, 0).transpose(0, 2, 1), stab,
             lambda i, y, x: th.twist_exponent(reps[i], h[x], h[y]))
         # one (stab, U_a, its MultGroup, character labels) per distinct row
-        # pattern of stab and unt, one MultGroup per distinct U_a
+        # pattern of stab and unt, one MultGroup per distinct U_a; _upat[i]
+        # is the position of orbit i's U_a in _ugroups
         patterns = np.concatenate((stab, unt), axis=1)
-        groups, shapes = {}, {}
+        groups, shapes, upat = {}, {}, []
         self.orbits, next_id = [], 0
         for i, (rep, members, row) in enumerate(
                 zip(reps, orbit_members, patterns)):
@@ -146,13 +169,18 @@ class Extension:
             if key not in shapes:
                 u = tuple(h[y] for y in np.flatnonzero(unt[i]))
                 if u not in groups:
-                    groups[u] = MultGroup(u, th.center.mul, 0)
+                    groups[u] = len(groups), MultGroup(u, th.center.mul, 0)
                 shapes[key] = (tuple(h[y] for y in np.flatnonzero(stab[i])),
-                               u, groups[u], tuple(groups[u].char_labels()))
-            size = len(shapes[key][3])
-            self.orbits.append(OrbitData(i, rep, members, *shapes[key],
-                                         tuple(range(next_id, next_id + size))))
-            next_id += size
+                               u, groups[u][1],
+                               tuple(groups[u][1].char_labels())), groups[u][0]
+            shape, p = shapes[key]
+            upat.append(p)
+            self.orbits.append(OrbitData(i, rep, members, *shape, tuple(
+                range(next_id, next_id + len(shape[3])))))
+            next_id += len(shape[3])
+        self._ugroups = [g for _, g in groups.values()]
+        self._upat = np.array(upat, dtype=np.intp)
+        self._reps = np.array(reps, dtype=np.intp)
         self.n_ext = next_id
 
     def orbit_of(self, base_field: int) -> OrbitData:
@@ -204,7 +232,7 @@ class Extension:
         # whose U_a hold u and that take r; the first term sets `out`
         for k, u in enumerate(elems):
             sel = np.flatnonzero(has[:, k])
-            sub = rab if len(sel) == n else rab[np.ix_(sel, sel)]
+            sub = rab if len(sel) == n else rab[sel[:, None], sel]
             fields = np.flatnonzero(has[eo, k])
             loc = np.searchsorted(sel, eo[fields])  # each field's orbit in sel
             for x, r in enumerate(members):
@@ -217,7 +245,7 @@ class Extension:
                                         reps[eo[fr]].tolist(),
                                         reps[eo[fc]].tolist())
                 if not pick.all():
-                    block = np.where(pick[np.ix_(loc[on_r], loc[on_c])], block, 0)
+                    block = np.where(pick[loc[on_r, None], loc[on_c]], block, 0)
                 if k:
                     block = (chars[fr, k][:, None] * block) * chars[fc, k].conj()
                 if out is None and block.shape == (m, m):
@@ -229,7 +257,7 @@ class Extension:
                     continue
                 if out is None:
                     out = np.zeros((m, m), dtype=complex)
-                out[np.ix_(fr, fc)] += block
+                out[fr[:, None], fc] += block
         weight = np.array([len(o.stab) * len(o.unt) for o in orbits],
                           dtype=float)[eo]
         for p in panels(m):
@@ -241,7 +269,7 @@ class Extension:
             d = dress[:, eo]
             out = out * d * d.T.conj()
             # a dressed zero block may carry signed zeros
-            out[rab[np.ix_(eo, eo)] < 0] = 0
+            out[rab[eo[:, None], eo] < 0] = 0
         return out
 
     def _char_columns(self, orbits, eo):
@@ -301,64 +329,189 @@ class Extension:
     # class representatives on orbits
 
     def _class_tables(self, cls: ResidualClass):
-        """(fix, good, fixed), once per class from the twists F(rep of a,
-        member x, h[y]): the member fixes the rep, and for good is untwisted
-        against the stabilizer; the class fixes the orbit's extended fields,
-        its first member fixing the rep being untwisted against U_a."""
-        tables = self._tables.get(cls.rep)
-        if tables is None:
-            th, h, xs = self.theory, self.h_members, cls.members
-            reps = [o.rep for o in self.orbits]
-            fix = np.stack([th.perms[x][reps] == reps for x in xs], axis=1)
-            grid = th.twist_grid(reps, xs, h)  # NA outside the stabilizer
-            good = _all_zero(np.where(grid == NA, 0, grid), fix, lambda i, x, y:
-                             th.twist_exponent(reps[i], xs[x], h[y]))
-            first = fix.argmax(axis=1)
-            fixed = _all_zero(
-                np.where(self._unt, grid[np.arange(len(reps)), first], 0),
-                fix.any(axis=1), lambda i, y:
-                th.twist_exponent(reps[i], xs[first[i]], h[y]))
-            tables = self._tables[cls.rep] = (fix, good, fixed)
-        return tables
+        """(fix, good, fixed) of the class, from `_build_class_tables`."""
+        if cls.rep not in self._tables:
+            self._build_class_tables([cls])
+        return self._tables[cls.rep]
+
+    def _build_class_tables(self, classes):
+        """(fix, good, fixed) of each class, from one grid of the twists
+        F(rep of a, member x, h[y]): the member fixes the rep, and for good
+        is untwisted against the stabilizer; the class fixes the orbit's
+        extended fields, its first member fixing the rep being untwisted
+        against U_a. Every class has |H| members."""
+        th, h, reps = self.theory, self.h_members, self._reps
+        xs = [x for c in classes for x in c.members]
+        if not xs:
+            return
+        n, m = len(reps), len(h)
+        fix = np.stack([th.perms[x][reps] == reps for x in xs], axis=1)
+        grid = th.twist_grid(reps, xs, h)  # NA outside the stabilizer
+        good = _all_zero(np.where(grid == NA, 0, grid), fix, lambda i, x, y:
+                         th.twist_exponent(reps[i], xs[x], h[y]))
+        fixes = fix.reshape(n, len(classes), m)
+        first = fixes.argmax(axis=2) + m * np.arange(len(classes))
+        fixed = _all_zero(
+            np.where(self._unt[:, None], grid[np.arange(n)[:, None], first], 0),
+            fixes.any(axis=2), lambda i, c, y:
+            th.twist_exponent(reps[i], xs[first[i, c]], h[y]))
+        for c, cls in enumerate(classes):
+            part = slice(c * m, (c + 1) * m)
+            self._tables[cls.rep] = fix[:, part], good[:, part], fixed[:, c]
+
+    def _sections(self) -> "_Sections":
+        """The per-orbit sections, built once for every class. An orbit's
+        section is the group g of quotient classes with a good member on it,
+        one good member r_b per basis class b of g (the convention seed picks
+        it, else the first) and the column of its closure r_b^{n_b} in the
+        U_a character table; conjugate orbits share the section of the one
+        with the smaller index. Beside it each orbit keeps its conjugation
+        data: the subgroup member k_a taking its rep to cbar, the rep of
+        its conjugate orbit conjugated, and the character relabeling pi of
+        `_relabelings`."""
+        if self._section is not None:
+            return self._section
+        th, q, reps = self.theory, self.quotient, self._reps
+        z = th.center
+        n = len(self.orbits)
+        conj = th.md.conjugation()
+        partner = self._orbit_idx[conj[reps]]
+        owner = np.minimum(np.arange(n), partner)
+        classes = [self._classes[c] for c in q.elements[1:]]
+        self._build_class_tables(
+            [c for c in classes if c.rep not in self._tables])
+        goods = {c.rep: self._tables[c.rep][1][owner] for c in classes}
+        inside = np.zeros((n, len(classes)), dtype=bool)
+        for y, c in enumerate(classes):
+            inside[:, y] = goods[c.rep].any(axis=1)
+        shapes, gpat = np.unique(inside, axis=0, return_inverse=True)
+        gpat = gpat.reshape(n)
+        groups = [MultGroup([0] + [c.rep for c, on in zip(classes, row) if on],
+                            q.mul, 0) for row in shapes]
+        rank = max(len(g.orders) for g in groups)
+        m = len(self.h_members)
+        orders = np.ones((len(groups), rank), dtype=np.int64)
+        # good[a, b, x]: member x of the basis class b of the section of a
+        # is good on the orbit, an empty class past the rank whose member
+        # is the identity
+        good = np.zeros((n, rank, m), dtype=bool)
+        members = np.zeros((n, rank, m), dtype=np.intp)
+        for p, g in enumerate(groups):
+            orders[p, :len(g.orders)] = g.orders
+            on = np.flatnonzero(gpat == p)
+            for b, cb in enumerate(g.basis):
+                good[on, b] = goods[cb][on]
+                members[on, b] = self._classes[cb].members
+        # r_b is the first good member, or the seed's draw among them as
+        # `random.choice` draws, orbit by orbit
+        draw = np.zeros((n, rank), dtype=np.intp)
+        if self.rng is not None:
+            own = owner == np.arange(n)
+            count = good.sum(axis=2) * own[:, None]
+            draw[count > 0] = [self.rng.randrange(c)
+                               for c in count[count > 0].tolist()]
+        pick = (good.cumsum(axis=2) > draw[:, :, None]).argmax(axis=2)
+        basis = np.take_along_axis(members, pick[:, :, None], axis=2)[
+            :, :, 0][owner]
+        zpos = self._zpos = np.full(th.md.size, -1, dtype=np.intp)
+        zpos[list(z.elements)] = np.arange(z.size)
+        # closure columns in each orbit's own U_a table, -1 outside U_a
+        cols = np.full((len(self._ugroups), z.size), -1, dtype=np.intp)
+        for p, g in enumerate(self._ugroups):
+            cols[p, zpos[list(g.elements)]] = np.arange(g.size)
+        zc = z.coordinate_rows()
+        closure = z.positions(zc[zpos[basis]] * orders[gpat][:, :, None])
+        self._section = _Sections(
+            gpat, groups, orders, basis, cols[self._upat[:, None], closure],
+            cols, *self._relabelings(reps, conj[reps[partner]]))
+        return self._section
+
+    def _relabelings(self, reps, cbar):
+        """(k, cbar, pi, fail) per orbit: k[a] indexes the subgroup member
+        k_a with k_a(a) = cbar[a], and pi[a] is the character relabeling of
+        the translation to the conjugate representative, as rows of the U_a
+        character table: row pi[i] is row i shifted by the U_a character
+        eta^u(cbar) - F(a, k_a, u). fail[a] is 1 where an eta or twist
+        entry on U_a is marked and 2 where the shift is no character."""
+        th, h = self.theory, self.h_members
+        den = th.eta_order
+        img = np.stack([th.perms[j][reps] for j in h])
+        k = (img == cbar).argmax(axis=0)
+        ks = np.unique(k)
+        elems = sorted(set().union(*(g.elements for g in self._ugroups)))
+        tws = th.twist_grid(reps, [h[x] for x in ks.tolist()], elems)[
+            np.arange(len(reps)), np.searchsorted(ks, k)]
+        etas = th.eta_grid(cbar, elems)
+        pi = np.zeros((len(reps), max(g.size for g in self._ugroups)),
+                      dtype=np.intp)
+        fail = np.zeros(len(reps), dtype=np.int8)
+        for p, g in enumerate(self._ugroups):
+            on = np.flatnonzero(self._upat == p)
+            cols = np.searchsorted(elems, g.elements)
+            tw, eta = tws[np.ix_(on, cols)], etas[np.ix_(on, cols)]
+            table, e, col = g.char_table()
+            shift = (eta - tw * (den // th.snap_order)) % den
+            # a character's values on the basis are its label over den
+            label = shift[:, [col[b] for b in g.basis]] * np.array(
+                g.orders, dtype=np.int64)
+            s = g.label_index(label // den)
+            ok = (label % den == 0).all(axis=1) & (
+                table[s] * (den // e) == shift).all(axis=1)
+            labels = np.array(list(g.char_labels()), dtype=np.int64).reshape(
+                g.size, -1)
+            pi[on, :g.size] = g.label_index(labels[None, :] + labels[s][:, None])
+            fail[on] = np.where(((eta < 0) | (tw < 0)).any(axis=1), 1,
+                                np.where(ok, 0, 2))
+        return k, cbar, pi, fail
+
+    def _class_coordinates(self, cls: ResidualClass):
+        """k[p] = the coordinates of the class in section group p, zero past
+        its rank, and inside[p] whether the class lies in that group."""
+        sec = self._sections()
+        k = np.zeros(sec.orders.shape, dtype=np.int64)
+        inside = np.zeros(len(sec.groups), dtype=bool)
+        for p, g in enumerate(sec.groups):
+            if cls.rep in g.coords:
+                k[p, :len(g.orders)] = g.coords[cls.rep]
+                inside[p] = True
+        return k, inside
+
+    def _representatives(self, cls: ResidualClass, idx) -> np.ndarray:
+        """r_c = prod_b r_b^{k_b} on each orbit of `idx` from its section,
+        with k the coordinates of the class in the section's group; -1 where
+        the class has no good member on the section. Representatives so
+        multiply, and the inverse class takes the inverse up to closures."""
+        sec, z = self._sections(), self.theory.center
+        k, inside = self._class_coordinates(cls)
+        p = sec.gpat[idx]
+        zc = z.coordinate_rows()
+        exps = (k[p][:, :, None] * zc[self._zpos[sec.basis[idx]]]).sum(axis=1)
+        r = np.where(inside[p], np.array(z.elements)[z.positions(exps)], -1)
+        members = np.array(cls.members)
+        x = np.minimum(np.searchsorted(members, r), len(members) - 1)
+        good = (members[x] == r) & self._class_tables(cls)[1][idx, x]
+        for i in np.flatnonzero(inside[p] & ~good)[:1].tolist():
+            raise ResolutionError(
+                f"product representative {r[i]} fails on the orbit of "
+                f"{self.orbits[idx[i]].rep}")
+        return r
 
     def orbit_representative(self, cls: ResidualClass, o: OrbitData):
         """Class member fixing the orbit and untwisted against its
-        stabilizer; None when the class moves the orbit. Conjugate orbits
-        share one choice, and the class of the inverse current takes the
-        inverse of the choice of the class with the smaller rep."""
-        key = (cls.rep, o.index)
-        if key in self._r_cache:
-            return self._r_cache[key]
-        th = self.theory
-        good = self._class_tables(cls)[1][o.index]
-        inv_cls = self._classes[self.quotient.inverse(cls.rep)]
-        partner = self.orbit_of(int(th.md.conjugation()[o.rep]))
-        if inv_cls.rep < cls.rep:
-            r = self.orbit_representative(inv_cls, o)
-            r = None if r is None else th.center.inverse(r)
-        elif partner.index < o.index:
-            r = self.orbit_representative(cls, partner)
-        else:
-            cands = [x for x, ok in zip(cls.members, good) if ok]
-            if not cands:
-                r = None
-            elif self.rng is not None:
-                r = self.rng.choice(cands)
-            else:
-                r = cands[0]
-        if r is not None and not good[cls.members.index(r)]:
-            raise ResolutionError(
-                f"linked representative {r} fails on orbit of {o.rep}"
-            )
-        self._r_cache[key] = r
-        return r
+        stabilizer, read off the orbit's section; None when the class has
+        no such member there."""
+        r = int(self._representatives(cls, np.array([o.index]))[0])
+        return None if r < 0 else r
 
-    def _pair_representatives(self, cls: ResidualClass, orbits) -> np.ndarray:
+    def _pair_representatives(self, cls: ResidualClass, idx) -> np.ndarray:
         """rab[a, b]: index of the first class member good on both orbits,
         -1 where there is none."""
-        good = self._class_tables(cls)[1][[o.index for o in orbits]]
-        both = good[:, None, :] & good[None, :, :]
-        return np.where(both.any(axis=2), both.argmax(axis=2), -1)
+        good = self._class_tables(cls)[1][idx]
+        rab = np.full((len(idx), len(idx)), -1, dtype=np.intp)
+        for x in range(good.shape[1] - 1, -1, -1):
+            if good[:, x].any():
+                rab[np.outer(good[:, x], good[:, x])] = x
+        return rab
 
     # ------------------------------------------------------------------
     # resolution
@@ -368,100 +521,131 @@ class Extension:
             return self._resolutions[cls.rep]
         if cls.order == 1:
             raise InvalidInputError("the trivial class needs no resolution")
-        th = self.theory
-        support_orbits = [o for o, fixed in zip(
-            self.orbits, self._class_tables(cls)[2]) if fixed]
+        self._sections()  # every class table in one pass
+        idx = np.flatnonzero(self._class_tables(cls)[2])
+        support_orbits = [self.orbits[a] for a in idx]
         support = tuple(e for o in support_orbits for e in o.ext_ids)
-        r_assign = {}
-        phis = []
-        for o in support_orbits:
-            r = self.orbit_representative(cls, o)
-            if r is None:
-                raise ResolutionError(
-                    f"no untwisted representative on the orbit of {o.rep}"
-                )
-            r_assign[o.rep] = r
-            closure = th.center.power(r, cls.order)
-            if closure not in o.unt:
-                raise ResolutionError(
-                    f"representative closure {closure} left the untwisted "
-                    f"stabilizer of {o.rep}"
-                )
-            # phi_i = chi_i(r^N) / N, over e N
-            table, _, col = o.ugroup.char_table()
-            phis.append(table[:, col[closure]])
-        rab = self._pair_representatives(cls, support_orbits)
-        dress = self._dressing(cls, support_orbits, rab, r_assign, phis)
+        r = self._representatives(cls, idx)
+        for a in np.flatnonzero(r < 0)[:1].tolist():
+            raise ResolutionError(
+                f"no untwisted representative on the orbit of "
+                f"{support_orbits[a].rep}")
+        parts = self._parts(idx)
+        phis = self._closure_phases(cls, idx, parts)
+        rab = self._pair_representatives(cls, idx)
+        dress = self._dressing(cls, parts, rab, r, phis)
         mat = self._block_kernel(support_orbits, rab, cls.members, dress)
-        eta, dev = self._resolved_eta(cls, support_orbits, support, mat,
-                                      r_assign, phis)
+        eta, dev = self._resolved_eta(cls, idx, parts, support, mat, r, phis)
         bundle = FixedPointBundle(
             self.class_current_ext_id(cls), support, mat, eta
         )
-        res = Resolution(cls, bundle, r_assign, dev)
+        res = Resolution(cls, bundle, dict(zip(self._reps[idx].tolist(),
+                                               r.tolist())), dev)
         self._resolutions[cls.rep] = res
         return res
 
-    def _dressing(self, cls, orbits, rab, r_assign, phis) -> np.ndarray:
+    def _parts(self, idx):
+        """The orbits of `idx` by their U_a: (U_a group, its position in
+        `_ugroups`, the positions in idx, and their extended rows in the
+        order of idx as an (orbits, characters) array)."""
+        upat = self._upat[idx]
+        sizes = np.array([g.size for g in self._ugroups], dtype=np.intp)[upat]
+        starts = np.cumsum(sizes) - sizes
+        parts = []
+        for p in np.unique(upat).tolist():
+            on = np.flatnonzero(upat == p)
+            g = self._ugroups[p]
+            parts.append((g, p, on, starts[on, None] + np.arange(g.size)))
+        return parts
+
+    def _closure_phases(self, cls, idx, parts):
+        """phi_i = sum_b k_b chi_i(r_b^{n_b}) / (e n_b) on each part, the
+        extended character of <U_a, r_b> at the class representative, as
+        numerators over e N: k the class coordinates, n_b the basis orders
+        and e the exponent of U_a."""
+        sec, n = self._sections(), cls.order
+        k = self._class_coordinates(cls)[0][sec.gpat[idx]]
+        cols = sec.closure[idx]
+        for a, b in np.argwhere((cols < 0) & (k != 0))[:1].tolist():
+            z = self.theory.center
+            closure = z.power(int(sec.basis[idx[a], b]),
+                              int(sec.orders[sec.gpat[idx[a]], b]))
+            raise ResolutionError(
+                f"representative closure {closure} left the untwisted "
+                f"stabilizer of {self.orbits[idx[a]].rep}")
+        # k_b / n_b reduces to a denominator dividing N
+        w = k * n // sec.orders[sec.gpat[idx]]
+        phis = []
+        for g, _, on, _ in parts:
+            table, e, _ = g.char_table()
+            phis.append((table[:, cols[on]] * w[on]).sum(axis=2).T % (e * n))
+        return phis
+
+    def _dressing(self, cls, parts, rab, r, phis) -> np.ndarray:
         """dress[i, b] = unit(phi_i + chi_i(r_ab / r_a)) for i on orbit a,
         with r_a the orbit's representative and r_ab the pair's: the
         extended character of <r_a, U_a> at r_ab, exact exponents over one
         denominator."""
-        center = self.theory.center
-        n = cls.order
-        den = n * math.lcm(*(o.ugroup.exponent() for o in orbits))
-        sizes = [len(o.ext_ids) for o in orbits]
-        nums = np.zeros((sum(sizes), len(orbits)), dtype=np.int64)
-        start = 0
-        for a, (o, phi) in enumerate(zip(orbits, phis)):
-            table, e, col = o.ugroup.char_table()
-            part = np.flatnonzero(rab[a] >= 0)
-            pair = rab[a, part].tolist()
-            inv_r = center.inverse(r_assign[o.rep])
-            shift = {k: center.mul(cls.members[k], inv_r) for k in set(pair)}
-            # r_ab / r_a fixes the orbit, so it lies in U_a exactly when it
-            # is untwisted
-            if not all(u in col for u in shift.values()):
+        sec, z, n = self._sections(), self.theory.center, cls.order
+        den = n * math.lcm(*(g.exponent() for g, *_ in parts))
+        nums = np.zeros((sum(rows.size for *_, rows in parts), len(rab)),
+                        dtype=np.int64)
+        zc = z.coordinate_rows()
+        # shift[a, x] = member x / r_a as a center position; it fixes the
+        # orbit, so it lies in U_a exactly when it is untwisted
+        shift = z.positions(zc[self._zpos[list(cls.members)]][None]
+                            - zc[self._zpos[r]][:, None])
+        on_pair = rab >= 0
+        pair = np.maximum(rab, 0)
+        for (g, p, on, rows), phi in zip(parts, phis):
+            table, e, _ = g.char_table()
+            cols = np.take_along_axis(sec.cols[p][shift[on]], pair[on], axis=1)
+            if (cols[on_pair[on]] < 0).any():
                 raise ResolutionError(
                     "pair representative differs from the orbit choice by a "
                     "twisted element"
                 )
             # reduced mod 1: `units` evaluates each exponent as written
             d = e * n
-            nums[start:start + sizes[a], part] = (
-                table[:, [col[shift[k]] for k in pair]] * n + phi[:, None]
-            ) % d * (den // d)
-            start += sizes[a]
+            part = (table[:, cols] * n + phi.T[:, :, None]) % d * (den // d)
+            part[:, ~on_pair[on]] = 0
+            nums[rows.ravel()] = part.transpose(1, 0, 2).reshape(-1, len(rab))
         return units(nums, den)
 
-    def _resolved_eta(self, cls, support_orbits, support, mat, r_assign,
-                      phis):
+    def _resolved_eta(self, cls, idx, parts, support, mat, r, phis):
         """eta_i = eta^r(a) exp(2 pi i (-F(a, k_a, r) + phi_i - phi_pi(i)))
         for i on support orbit a, with k_a the subgroup member taking a to
-        the representative of its conjugate orbit and phi_i = chi_i(r^N) / N,
-        in support order. The exponents are numerators over `eta_order`,
-        which every phi and F denominator divides."""
-        if not support_orbits:
+        the representative of its conjugate orbit and phi the closure
+        phases, in support order. The exponents are numerators over
+        `eta_order`, which every phi and F denominator divides."""
+        if not len(idx):
             return np.zeros(0, dtype=complex), 0.0
-        th, h, den = self.theory, self.h_members, self.theory.eta_order
-        conj = th.md.conjugation()
-        reps = [o.rep for o in support_orbits]
-        cbars = [int(conj[self.orbit_of(int(conj[a])).rep]) for a in reps]
-        ks = [next(x for x, k in enumerate(h) if th.apply(k, a) == c)
-              for a, c in zip(reps, cbars)]
-        elems = sorted(set().union(*(o.unt for o in support_orbits)))
-        tws = th.twist_grid(reps, h, elems)[np.arange(len(reps)), ks]
-        etas = th.eta_grid(cbars, elems)
-        nums, base = [], []
-        for i, (o, phi) in enumerate(zip(support_orbits, phis)):
-            a, r, cbar, k_a = o.rep, r_assign[o.rep], cbars[i], h[ks[i]]
-            f = th.twist_exponent(a, k_a, r)
-            phi = phi * (den // (o.ugroup.exponent() * cls.order))
-            cols = np.searchsorted(elems, o.unt)
-            pi = self._pi_map(o, k_a, cbar, tws[i, cols], etas[i, cols])
-            nums.append(phi - phi[pi] - f.numerator * (den // f.denominator))
-            base.append(np.full(len(phi), th.eta_value(r, a)))
-        eta = np.concatenate(base) * units(np.concatenate(nums), den)
+        th, sec, den = self.theory, self._sections(), self.theory.eta_order
+        h, reps, k = self.h_members, self._reps[idx], sec.k[idx]
+        ks, rs = np.unique(k), np.unique(r)
+        f = th.twist_grid(reps, [h[x] for x in ks.tolist()], rs.tolist())[
+            np.arange(len(idx)), np.searchsorted(ks, k), np.searchsorted(rs, r)]
+        base = np.zeros(len(idx), dtype=complex)
+        no_eta = np.zeros(len(idx), dtype=bool)
+        for j in rs.tolist():
+            b, on = th.bundle(j), r == j
+            if b.eta is None:
+                no_eta |= on
+            else:
+                base[on] = b.eta[b.positions(reps[on])]
+        # the first failing orbit raises what the per-orbit loop raised
+        for a in np.flatnonzero((f < 0) | (sec.fail[idx] > 0) | no_eta)[
+                :1].tolist():
+            self._raise_eta(self.orbits[idx[a]], h[k[a]], int(r[a]))
+        nums = np.zeros(len(support), dtype=np.int64)
+        bases = np.zeros(len(support), dtype=complex)
+        for (g, _, on, rows), phi in zip(parts, phis):
+            phi = phi * (den // (g.exponent() * cls.order))
+            pi = sec.pi[idx[on], :g.size]
+            nums[rows] = (phi - np.take_along_axis(phi, pi, axis=1)
+                          - (f[on] * (den // th.snap_order))[:, None])
+            bases[rows] = base[on, None]
+        eta = bases * units(nums, den)
         # cross-check the defining square relation on the extended theory
         paired = eta_square_residual(mat @ mat, eta, support,
                                      self.ext_md.conjugation())
@@ -475,43 +659,44 @@ class Extension:
             )
         return eta, dev
 
-    def _pi_map(self, o: OrbitData, k_a, cbar, tw, eta) -> np.ndarray:
-        """Character relabeling of the translation to the conjugate
-        representative, as rows of `o.ugroup.char_table()`: row pi[i] is row i
-        shifted on U_a by eta - tw, the grid rows of eta^u(cbar), F(a, k_a, u)."""
-        th = self.theory
-        den = th.eta_order
-        table, e, _ = o.ugroup.char_table()
-        for u in np.array(o.unt)[(eta < 0) | (tw < 0)][:1].tolist():
-            th.eta_exponent(u, cbar)  # the first marked u raises
+    def _raise_eta(self, o: OrbitData, k_a, r):
+        """Raise the error of the first failing eta input on orbit o, in
+        the order the exact accessors read them."""
+        th, sec = self.theory, self._sections()
+        th.twist_exponent(o.rep, k_a, r)
+        cbar = int(sec.cbar[o.index])
+        for u in o.unt:
+            th.eta_exponent(u, cbar)
             th.twist_exponent(o.rep, k_a, u)
-        shift = eta - tw * (den // th.snap_order)
-        rows = table * (den // e)
-        hit = (((rows + shift) % den)[:, None] == rows).all(axis=2)
-        if not hit.any(axis=1).all():
+        if sec.fail[o.index]:
             raise ResolutionError("conjugation data does not permute the "
                                   "stabilizer characters")
-        return hit.argmax(axis=1)
+        th.eta_value(r, o.rep)
 
     # ------------------------------------------------------------------
     # reporting
 
     def recombination_groups(self):
-        """Extended fields whose S rows agree on the GRID_TOL grid, the rows
-        rounded to int64 as [Re | Im] once per panel."""
-        s, keys = self.ext_md.s, {}
-        n = s.shape[1]
+        """Extended fields whose S rows agree on the GRID_TOL grid, in the
+        order of their first fields. Each row, rounded to int64 as
+        [Re | Im] once per panel, is fingerprinted by one product with
+        `_row_weights`; only rows whose fingerprints collide are rounded
+        again and split exactly by their bytes."""
+        s = self.ext_md.s
+        weights = _row_weights(2 * s.shape[1])
+        prints = np.empty(len(s), dtype=np.int64)
         for p in panels(len(s)):
-            part = s[p]
-            grid = np.empty((len(part), 2 * n), dtype=np.int64)
-            scaled = np.empty(part.shape)
-            for half, x in enumerate((part.real, part.imag)):
-                np.divide(x, GRID_TOL, out=scaled)
-                np.rint(scaled, out=grid[:, half * n:(half + 1) * n],
-                        casting="unsafe")
-            for i, row in enumerate(grid, p.start):
+            prints[p] = _grid_rows(s[p]) @ weights
+        _, inv, counts = np.unique(prints, return_inverse=True,
+                                   return_counts=True)
+        shared = np.flatnonzero(counts[inv] > 1)
+        keys = {}
+        for p in panels(len(shared)):
+            rows = shared[p]
+            for i, row in zip(rows.tolist(), _grid_rows(s[rows])):
                 keys.setdefault(row.tobytes(), []).append(i)
-        return [g for g in keys.values() if len(g) > 1]
+        return sorted((g for g in keys.values() if len(g) > 1),
+                      key=lambda g: g[0])
 
     def report(self) -> dict:
         fixed = [o for o in self.orbits if len(o.stab) > 1]
@@ -532,6 +717,26 @@ class Extension:
 
 def extend(theory: Theory, h_gens, convention_seed=None) -> Extension:
     return Extension(theory, h_gens, convention_seed=convention_seed)
+
+
+def _grid_rows(part) -> np.ndarray:
+    """The rows of `part` on the GRID_TOL grid as int64 [Re | Im] rows."""
+    n = part.shape[1]
+    grid = np.empty((len(part), 2 * n), dtype=np.int64)
+    scaled = np.empty(part.shape)
+    for half, x in enumerate((part.real, part.imag)):
+        np.divide(x, GRID_TOL, out=scaled)
+        np.rint(scaled, out=grid[:, half * n:(half + 1) * n], casting="unsafe")
+    return grid
+
+
+def _row_weights(width: int) -> np.ndarray:
+    """The fixed int64 weights of the recombination fingerprints; the
+    stdlib generator keeps numpy.random unimported, as in `match_rows`.
+    Products wrap around, which a fingerprint may."""
+    rng = random.Random(0)
+    return np.array([rng.getrandbits(64) - 2 ** 63 for _ in range(width)],
+                    dtype=np.int64)
 
 
 def _all_zero(cells, active, raise_at) -> np.ndarray:

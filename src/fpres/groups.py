@@ -3,9 +3,11 @@
 One group type, ``MultGroup``, carries the algebra: a finite abelian group
 over sortable element ids whose product is supplied by a callable, with a
 cyclic basis, exponent coordinates and an integer character table. The
-engine builds it over field ids (fusion subgroups, untwisted stabilizers);
-`Extension.resolve` reads its closure phases and its dressing straight off
-the character table of each orbit's untwisted stabilizer.
+engine builds it over field ids (the center, untwisted stabilizers, the
+residual classes on an orbit); `Extension.resolve` multiplies whole arrays
+of center elements as sums of coordinate rows, and reads its closure
+phases and its dressing straight off the character table of each orbit's
+untwisted stabilizer.
 """
 from __future__ import annotations
 
@@ -117,6 +119,7 @@ class MultGroup:
             raise InvalidInputError("element list is not closed under product")
         self._element = {v: x for x, v in self.coords.items()}
         self._chars = None
+        self._rows = None
 
     @property
     def size(self) -> int:
@@ -143,6 +146,31 @@ class MultGroup:
 
     def char_labels(self):
         return itertools.product(*(range(n) for n in self.orders))
+
+    def label_index(self, vectors) -> np.ndarray:
+        """Index in `char_labels` order of each exponent vector along the
+        last axis of `vectors`, reduced mod the orders."""
+        orders = np.array(self.orders, dtype=np.int64)
+        strides = np.array([math.prod(self.orders[j + 1:])
+                            for j in range(len(orders))], dtype=np.int64)
+        return (np.asarray(vectors, dtype=np.int64) % orders) @ strides
+
+    def coordinate_rows(self) -> np.ndarray:
+        """Exponent vectors of `elements` in order, as int64 rows; built
+        once."""
+        if self._rows is None:
+            self._rows = np.array([self.coords[x] for x in self.elements],
+                                  dtype=np.int64).reshape(self.size, -1)
+            self._by_label = np.empty(self.size, dtype=np.intp)
+            self._by_label[self.label_index(self._rows)] = np.arange(self.size)
+        return self._rows
+
+    def positions(self, vectors) -> np.ndarray:
+        """Positions in `elements` of the elements with the exponent vectors
+        along the last axis of `vectors`, reduced mod the orders: sums of
+        coordinate rows are products, so whole arrays multiply at once."""
+        self.coordinate_rows()
+        return self._by_label[self.label_index(vectors)]
 
     def char_table(self):
         """Character exponents as numerators over the group exponent: row

@@ -89,7 +89,7 @@ class ProductS:
         for p in panels(len(out)):
             part = np.ones(out[p].shape, dtype=complex)
             for m, r, c in zip(self.mats, ri, ci):
-                part = part * m[np.ix_(r[p], c)]
+                part = part * m[r[p, None], c]
             out[p] = part
         return out
 
@@ -377,12 +377,20 @@ def _verlinde(s: np.ndarray, fields, upper: bool = False):
     max |sum - N| over them, imaginary part included; NaN propagates. Rows
     b run over every field, or over b >= a when `upper` (N_ab^c = N_ba^c).
     An S with no imaginary part at all is summed in real arithmetic, where
-    N_ab^c is symmetric in a, b and c by the formula alone, so `upper` also
-    keeps only the columns c >= a; a complex S forms every column."""
+    N_ab^c is symmetric in a, b and c by the formula alone, so `upper`
+    forms each sum once, over a <= b <= c: the field of `fields` is then
+    the middle index b, with the rows a <= b and the columns c >= b, and
+    the residual is formed in place. A complex S forms every column."""
     real = not s.imag.any()  # a NaN imaginary part counts as one
     s = np.ascontiguousarray(s.real) if real else s  # contiguous for BLAS
     sc = s.T if real else s.conj().T
     for a in fields:
+        if upper and real:
+            raw = (s[:a + 1] * (s[a] / s[0])) @ sc[:, a:]
+            ints = np.rint(raw)
+            raw -= ints
+            yield ints, float(np.abs(raw, out=raw).max())
+            continue
         lo = a if upper else 0
         raw = (s[lo:] * (s[a] / s[0])) @ (sc[:, lo:] if real else sc)
         ints = np.rint(raw.real)

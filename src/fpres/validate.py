@@ -280,7 +280,7 @@ def check_fusion_integrality(md: ModularData) -> dict:
     res, low = np.array([(r, ints.min()) for ints, r in
                          _verlinde(md.s, range(md.size), upper=True)]).T
     max_residual = float(res.max())
-    min_entry = float(np.min(low, initial=0.0))
+    min_entry = float(np.min(low, initial=0.0)) + 0.0  # no -0.0
     return {"mode": "full", "max_residual": max_residual, "min_entry": min_entry,
             "ok": max_residual <= FUSION_TOL and min_entry >= 0}
 

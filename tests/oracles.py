@@ -8,6 +8,13 @@ the engine. `orbits_by_field` builds an extension's orbits with a set and a
 sort per uncharged field, and `sampled_fusion_residual_by_sample` forms one
 sampled fusion row per matrix-vector product: the loops that the array
 passes of `extend.Extension` and `modular.sampled_fusion_residual` replaced.
+`fusion_scan_by_rows` is the full fusion scan over the rows b >= a, and for
+a real S the columns c >= a, of each field a; `recombination_groups_by_bytes`
+keys every rounded S row by its bytes; `dressing_by_orbit`,
+`pi_map_by_orbit`, `relabelings_by_orbit` and `resolved_eta_by_orbit` are
+the per-orbit loops of a resolution: the passes that `validate.check_fusion_integrality` and
+`Extension.recombination_groups`, `_dressing`, `_relabelings` and
+`_resolved_eta` replaced.
 """
 import itertools
 import math
@@ -17,11 +24,11 @@ from fractions import Fraction
 import numpy as np
 
 from fpres.currents import NA
-from fpres.errors import InvalidInputError
-from fpres.extend import OrbitData, _all_zero
+from fpres.errors import InvalidInputError, ResolutionError
+from fpres.extend import GRID_TOL, OrbitData, _all_zero
 from fpres.groups import MultGroup
-from fpres.modular import ModularData, _fusion_ints, _verlinde
-from fpres.phases import unit
+from fpres.modular import ModularData, _fusion_ints, _verlinde, panels
+from fpres.phases import unit, units
 
 
 def fusion_matrix(md: ModularData, a: int) -> np.ndarray:
@@ -108,3 +115,121 @@ def sampled_fusion_residual_by_sample(md: ModularData, n_samples: int, rng):
         col = (md.s @ vec.conj()).conj()
         resids.append(np.abs(col - np.rint(col.real)).max())
     return float(np.max(resids, initial=0.0))
+
+
+def fusion_scan_by_rows(md: ModularData) -> dict:
+    """The full-mode report of `validate.check_fusion_integrality` on an
+    atomic S from one product per field a over the rows b >= a: every
+    column c for a complex S, the columns c >= a for a real one."""
+    s = md.s
+    real = not s.imag.any()
+    s = np.ascontiguousarray(s.real) if real else s
+    sc = s.T if real else s.conj().T
+    res, low = [], []
+    for a in range(md.size):
+        raw = (s[a:] * (s[a] / s[0])) @ (sc[:, a:] if real else sc)
+        ints = np.rint(raw.real)
+        res.append(float(np.abs(raw - ints).max()))
+        low.append(ints.min())
+    max_residual = float(np.max(res))
+    min_entry = float(np.min(low, initial=0.0))
+    return {"mode": "full", "max_residual": max_residual,
+            "min_entry": min_entry,
+            "ok": max_residual <= 1e-6 and min_entry >= 0}
+
+
+def recombination_groups_by_bytes(s: np.ndarray):
+    """Rows of s that agree on the GRID_TOL grid, keyed by the bytes of
+    every rounded [Re | Im] row."""
+    keys = {}
+    n = s.shape[1]
+    for p in panels(len(s)):
+        part = s[p]
+        grid = np.empty((len(part), 2 * n), dtype=np.int64)
+        for half, x in enumerate((part.real, part.imag)):
+            np.rint(x / GRID_TOL, out=grid[:, half * n:(half + 1) * n],
+                    casting="unsafe")
+        for i, row in enumerate(grid, p.start):
+            keys.setdefault(row.tobytes(), []).append(i)
+    return [g for g in keys.values() if len(g) > 1]
+
+
+def dressing_by_orbit(ex, cls, orbits, rab, r_assign, phis) -> np.ndarray:
+    """dress[i, b] = unit(phi_i + chi_i(r_ab / r_a)) for i on orbit a, one
+    orbit at a time; phis[a] holds orbit a's closure phases over e N."""
+    center = ex.theory.center
+    n = cls.order
+    den = n * math.lcm(*(o.ugroup.exponent() for o in orbits))
+    sizes = [len(o.ext_ids) for o in orbits]
+    nums = np.zeros((sum(sizes), len(orbits)), dtype=np.int64)
+    start = 0
+    for a, (o, phi) in enumerate(zip(orbits, phis)):
+        table, e, col = o.ugroup.char_table()
+        part = np.flatnonzero(rab[a] >= 0)
+        pair = rab[a, part].tolist()
+        inv_r = center.inverse(r_assign[o.rep])
+        shift = {k: center.mul(cls.members[k], inv_r) for k in set(pair)}
+        if not all(u in col for u in shift.values()):
+            raise ResolutionError("pair representative differs from the "
+                                  "orbit choice by a twisted element")
+        d = e * n
+        nums[start:start + sizes[a], part] = (
+            table[:, [col[shift[k]] for k in pair]] * n + phi[:, None]
+        ) % d * (den // d)
+        start += sizes[a]
+    return units(nums, den)
+
+
+def pi_map_by_orbit(th, o, k_a, cbar, tw, eta) -> np.ndarray:
+    """The character relabeling of one orbit as rows of its U_a table: row
+    pi[i] is row i shifted by eta - tw, the rows of eta^u(cbar) and
+    F(a, k_a, u) over u in U_a."""
+    den = th.eta_order
+    table, e, _ = o.ugroup.char_table()
+    for u in np.array(o.unt)[(eta < 0) | (tw < 0)][:1].tolist():
+        th.eta_exponent(u, cbar)
+        th.twist_exponent(o.rep, k_a, u)
+    shift = eta - tw * (den // th.snap_order)
+    rows = table * (den // e)
+    hit = (((rows + shift) % den)[:, None] == rows).all(axis=2)
+    if not hit.any(axis=1).all():
+        raise ResolutionError("conjugation data does not permute the "
+                              "stabilizer characters")
+    return hit.argmax(axis=1)
+
+
+def relabelings_by_orbit(ex, orbits):
+    """(k, cbar, pi) of each orbit, one orbit at a time: k indexes the
+    first subgroup member k_a taking the rep to cbar, the conjugated rep of
+    its conjugate orbit, and pi is `pi_map_by_orbit`."""
+    th, h = ex.theory, ex.h_members
+    conj = th.md.conjugation()
+    reps = [o.rep for o in orbits]
+    cbars = [int(conj[ex.orbit_of(int(conj[a])).rep]) for a in reps]
+    ks = [next(x for x, k in enumerate(h) if th.apply(k, a) == c)
+          for a, c in zip(reps, cbars)]
+    elems = sorted(set().union(*(o.unt for o in orbits)))
+    tws = th.twist_grid(reps, h, elems)[np.arange(len(reps)), ks]
+    etas = th.eta_grid(cbars, elems)
+    pis = []
+    for i, o in enumerate(orbits):
+        cols = np.searchsorted(elems, o.unt)
+        pis.append(pi_map_by_orbit(th, o, h[ks[i]], cbars[i], tws[i, cols],
+                                   etas[i, cols]))
+    return ks, cbars, pis
+
+
+def resolved_eta_by_orbit(ex, cls, orbits, r_assign, phis) -> np.ndarray:
+    """eta_i = eta^r(a) exp(2 pi i (-F(a, k_a, r) + phi_i - phi_pi(i))) for
+    i on each orbit a, one orbit at a time, with k_a and pi from
+    `relabelings_by_orbit`."""
+    th, h, den = ex.theory, ex.h_members, ex.theory.eta_order
+    ks, _, pis = relabelings_by_orbit(ex, orbits)
+    nums, base = [], []
+    for o, phi, k, pi in zip(orbits, phis, ks, pis):
+        a, r = o.rep, r_assign[o.rep]
+        f = th.twist_exponent(a, h[k], r)
+        phi = phi * (den // (o.ugroup.exponent() * cls.order))
+        nums.append(phi - phi[pi] - f.numerator * (den // f.denominator))
+        base.append(np.full(len(phi), th.eta_value(r, a)))
+    return np.concatenate(base) * units(np.concatenate(nums), den)

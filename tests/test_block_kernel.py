@@ -3,22 +3,28 @@ matrices, checked against the per-orbit-pair sums it replaced.
 
 The oracle below evaluates the same formula one orbit pair and one entry at
 a time, reading single S^J entries; it is the reference for the kernel, the
-pair representatives, the orbit representatives, eta and the square/eta
-deviation, to 1e-12.
+pair representatives, the orbit representatives, the closure phases, eta
+and the square/eta deviation, to 1e-12.
 """
 import copy
 import functools
+import itertools
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from fpres import extend as extend_module
 from fpres.currents import Theory
 from fpres.extend import GRID_TOL, extend
+from fpres.groups import MultGroup
 from fpres.modular import tensor
 from fpres.phases import norm1, unit
 from fpres.validate import check_fusion_integrality, condition_report
 from fpres.wzw import ising, su2, sun
+from oracles import (dressing_by_orbit, recombination_groups_by_bytes,
+                     relabelings_by_orbit, resolved_eta_by_orbit)
 from test_groups import char_exponent
 
 TOL = 1e-12
@@ -137,14 +143,36 @@ def oracle_pi(th, o, k_a, cbar):
 
 
 def oracle_phis(ex, cls, orbits, r_assign):
-    """phis[o.index][label] = chi(r^N) / N, the principal root, at the
-    representative r of each orbit and the class order N."""
+    """phis[o.index][label]: the character of U_a extended to <U_a, r_b>
+    at the representative r of each orbit, with r_b the representatives of
+    the basis classes b of the group of classes that have a good member on
+    the orbit, found member by member. The extension takes r_b to the
+    principal n_b-th root of chi(r_b^{n_b}), n_b the order of b, so
+    phi = sum_b k_b norm1(chi(r_b^{n_b})) / n_b, with r = prod_b r_b^{k_b}
+    found by search; no such k fails the oracle."""
     th = ex.theory
+    z = th.center
+    classes = {c.rep: c for c in ex.residual_classes()}
     phis = {}
     for o in orbits:
-        closure = th.center.power(r_assign[o.rep], cls.order)
+        g = MultGroup([c.rep for c in classes.values() if any(
+            th.apply(x, o.rep) == o.rep and _untwisted_for(th, o.rep, x, o.stab)
+            for x in c.members)], ex.quotient.mul, 0)
+        rb = [ex.orbit_representative(classes[b], o) for b in g.basis]
+        for k in itertools.product(*(range(n) for n in g.orders)):
+            x = 0
+            for r, kb in zip(rb, k):
+                for _ in range(kb):
+                    x = z.mul(x, r)
+            if x == r_assign[o.rep]:
+                break
+        else:
+            raise AssertionError(
+                f"representative {r_assign[o.rep]} on the orbit of {o.rep} is "
+                f"no product of the basis representatives {rb}")
         phis[o.index] = {
-            lab: norm1(char_exponent(o.ugroup, lab, closure)) / cls.order
+            lab: sum((kb * norm1(char_exponent(o.ugroup, lab, z.power(r, n))) / n
+                      for r, kb, n in zip(rb, k, g.orders)), Fraction(0))
             for lab in o.char_labels
         }
     return phis
@@ -321,6 +349,45 @@ def test_oracle_workloads_cover_the_kernel_cases():
     assert () in supports
 
 
+# --- the array passes against the per-orbit loops ---------------------------
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(BUILDERS) if "seed" not in n])
+def test_array_passes_match_the_per_orbit_loops(name):
+    # the dressing, the relabelings and eta bit for bit, on the engine's
+    # representatives and closure phases
+    ex = built(name)
+    sec = ex._sections()
+    for cls in ex.residual_classes():
+        if cls.order == 1:
+            continue
+        res = ex.resolve(cls)
+        idx = np.flatnonzero(ex._class_tables(cls)[2])
+        if not len(idx):
+            continue
+        orbits = [ex.orbits[a] for a in idx]
+        r = ex._representatives(cls, idx)
+        parts = ex._parts(idx)
+        phis = ex._closure_phases(cls, idx, parts)
+        per_orbit = [None] * len(idx)
+        for (_, _, on, _), phi in zip(parts, phis):
+            for a, row in zip(on.tolist(), phi):
+                per_orbit[a] = row
+        rab = ex._pair_representatives(cls, idx)
+        dress = ex._dressing(cls, parts, rab, r, phis)
+        want = dressing_by_orbit(ex, cls, orbits, rab, res.r_assignments,
+                                 per_orbit)
+        assert dress.tobytes() == want.tobytes()
+        ks, cbars, pis = relabelings_by_orbit(ex, orbits)
+        assert sec.k[idx].tolist() == ks
+        assert sec.cbar[idx].tolist() == cbars
+        assert [sec.pi[a, :len(o.ext_ids)].tolist()
+                for a, o in zip(idx, orbits)] == [pi.tolist() for pi in pis]
+        want = resolved_eta_by_orbit(ex, cls, orbits, res.r_assignments,
+                                     per_orbit)
+        assert res.bundle.eta.tobytes() == want.tobytes()
+
+
 # --- orbit and class tables against the per-element loops -------------------
 
 
@@ -385,6 +452,44 @@ def test_recombination_groups_match_tuple_keys(name):
     fake.ext_md = types.SimpleNamespace(s=s)
     assert fake.recombination_groups() == [[2, 9, 11], [3, 5]]
     assert oracle_recombination_groups(s) == [[2, 9, 11], [3, 5]]
+
+
+def _duplicate_rows(s):
+    s = s.copy()
+    s[5] = s[3]
+    s[9] = s[11] = s[2]
+    return s
+
+
+RECOMBINATION_CASES = {
+    "su2_4^4": ("su2x4-diagonal", lambda s: s),
+    "su5-pair": ("su5-pair", lambda s: s),
+    "su5-pair-duplicates": ("su5-pair", _duplicate_rows),
+}
+
+
+def _with_s(name, s):
+    fake = copy.copy(built(name))
+    fake.ext_md = types.SimpleNamespace(s=s)
+    return fake
+
+
+@pytest.mark.parametrize("case", sorted(RECOMBINATION_CASES))
+def test_recombination_fingerprints_match_the_byte_keys(case):
+    name, edit = RECOMBINATION_CASES[case]
+    s = edit(built(name).ext_md.s)
+    assert _with_s(name, s).recombination_groups() == \
+        recombination_groups_by_bytes(s)
+
+
+def test_colliding_fingerprints_split_by_bytes(monkeypatch):
+    # zero weights give every row one fingerprint: the exact split does
+    # all the grouping
+    monkeypatch.setattr(extend_module, "_row_weights",
+                        lambda width: np.zeros(width, dtype=np.int64))
+    s = _duplicate_rows(built("su5-pair").ext_md.s)
+    groups = _with_s("su5-pair", s).recombination_groups()
+    assert groups == recombination_groups_by_bytes(s) == [[2, 9, 11], [3, 5]]
 
 
 # --- convention seeds and the inverse class --------------------------------

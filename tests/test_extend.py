@@ -249,6 +249,33 @@ def test_resolve_needs_the_eta_of_the_representative_bundle():
         ex.resolve(cls)
 
 
+def _broken_section(edit):
+    """The triple extension and a class whose section on one of its support
+    orbits `edit(section, orbit, basis slot)` has changed, the slot being
+    one on which the class has a nonzero coordinate."""
+    ex = extend(Theory(tensor(su2(4), su2(6), su2(2))), [104])
+    sec = ex._sections()
+    cls = next(c for c in ex.residual_classes() if c.order > 1)
+    a = int(np.flatnonzero(ex._class_tables(cls)[2])[0])
+    k = ex._class_coordinates(cls)[0][sec.gpat[a]]
+    edit(sec, a, int(np.flatnonzero(k)[0]))
+    return ex, cls
+
+
+def test_a_product_representative_off_the_class_fails():
+    ex, cls = _broken_section(
+        lambda sec, a, b: sec.basis.__setitem__((a, b), 0))
+    with pytest.raises(ResolutionError, match="product representative"):
+        ex.resolve(cls)
+
+
+def test_a_basis_closure_outside_the_untwisted_stabilizer_fails():
+    ex, cls = _broken_section(
+        lambda sec, a, b: sec.closure.__setitem__((a, b), -1))
+    with pytest.raises(ResolutionError, match="left the untwisted stabilizer"):
+        ex.resolve(cls)
+
+
 def test_marked_twist_in_an_input_bundle_fails_extend_through_its_accessor():
     # the bundle of (4, 0) on su2_4 x su2_4, given as input with the rows of
     # (2, 1) and (2, 3) zeroed: F(a, 1, J) is marked -3 on both fields, and
@@ -384,26 +411,23 @@ def test_sigma_pair_other_class_has_empty_support():
     assert ex.resolve(cls).bundle.fields == ()
 
 
-def pi_maps_of_diagonal_su24(monkeypatch, k, seed):
-    """Every `_pi_map` call resolving the diagonal extension of su2_4^k, as
-    (orbit representative label, k_a, cbar label, the map as row
-    indices)."""
-    from fpres.extend import Extension
-
+def pi_maps_of_diagonal_su24(k, seed):
+    """The character relabeling of every support orbit of every class
+    resolving the diagonal extension of su2_4^k, read off the orbit
+    sections, as (orbit representative label, k_a, cbar label, the map as
+    row indices)."""
     md = tensor(*(su2(4) for _ in range(k)))
-    calls = []
-    real = Extension._pi_map
-
-    def spy(self, o, k_a, cbar, *grid_rows):
-        pi = real(self, o, k_a, cbar, *grid_rows)
-        calls.append((md.labels[o.rep], k_a, md.labels[cbar], pi.tolist()))
-        return pi
-
-    monkeypatch.setattr(Extension, "_pi_map", spy)
     ex = extend(Theory(md), [md.index((4,) * k)], convention_seed=seed)
+    calls = []
     for cls in ex.residual_classes():
         if cls.order > 1:
             ex.resolve(cls)
+            sec = ex._sections()
+            for a in np.flatnonzero(ex._class_tables(cls)[2]).tolist():
+                o = ex.orbits[a]
+                calls.append((md.labels[o.rep], ex.h_members[sec.k[a]],
+                              md.labels[sec.cbar[a]],
+                              sec.pi[a, :len(o.ext_ids)].tolist()))
     return calls
 
 
@@ -414,11 +438,11 @@ SWAP = [1, 0]  # rows of the characters (0,) and (1,) trade places
     (3, None, 24, 3), (3, 0, 24, 3), (3, 1, 24, 3), (3, 2, 24, 3),
     (3, 5, 24, 3), (5, None, 1170, 15),
 ])
-def test_pi_map_swaps_the_characters_of_the_all_twos_orbit(monkeypatch, k,
-                                                           seed, calls, swaps):
+def test_pi_map_swaps_the_characters_of_the_all_twos_orbit(k, seed, calls,
+                                                           swaps):
     """The eta of the self-conjugate orbit of (2, ..., 2) relabels its two
     stabilizer characters; every other orbit keeps them."""
-    got = pi_maps_of_diagonal_su24(monkeypatch, k, seed)
+    got = pi_maps_of_diagonal_su24(k, seed)
     assert len(got) == calls
     moved = [c for c in got if c[3] != list(range(len(c[3])))]
     assert moved == [((2,) * k, 0, (2,) * k, SWAP)] * swaps

@@ -25,7 +25,7 @@ from fpres.modular import (ModularData, ProductS, fusion_tensor,
 from fpres.phases import unit, units
 from fpres.validate import check_fusion_integrality
 from fpres.wzw import ising, su2, sun
-from oracles import fusion_matrix
+from oracles import fusion_matrix, fusion_scan_by_rows
 
 
 def oracle_scan(md, tol=1e-6):
@@ -220,6 +220,34 @@ def test_nan_fails_the_dense_scan():
         assert rep["mode"] == ("factors" if md.is_product else "full")
         assert not rep["ok"]
         assert math.isnan(rep["max_residual"])
+
+
+# --- the scan over c >= b against the row scan ---------------------------
+
+
+ROW_SCAN_CASES = {
+    "su2_4^4-diag": lambda: diagonal_extension(4),  # real: c >= b
+    "su2_4^3-diag": lambda: diagonal_extension(3),  # complex: every c
+    "su2_4-nan": nan_su24,  # real, with a NaN
+    "su2_4^4-diag-moved": lambda: moved(diagonal_extension(4), 3, 7, 1e-3),
+}
+
+
+def _same(x, y):
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
+@pytest.mark.parametrize("case", sorted(ROW_SCAN_CASES))
+def test_triangle_scan_matches_the_row_scan(case):
+    md = ROW_SCAN_CASES[case]()
+    got, want = check_fusion_integrality(md), fusion_scan_by_rows(md)
+    assert got["mode"] == want["mode"] == "full"
+    assert got["ok"] == want["ok"] == (case in ("su2_4^4-diag", "su2_4^3-diag"))
+    assert _same(got["min_entry"], want["min_entry"])
+    if math.isnan(want["max_residual"]):
+        assert math.isnan(got["max_residual"])
+    else:
+        assert abs(got["max_residual"] - want["max_residual"]) <= 1e-14
 
 
 def test_nan_in_one_factor_fails_the_factor_report():

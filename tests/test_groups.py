@@ -72,6 +72,24 @@ def test_character_group_law_exact(orders, data):
     )
 
 
+@given(small_orders, st.data())
+def test_coordinate_rows_multiply_as_sums(orders, data):
+    # positions of summed coordinate rows are the positions of products,
+    # and label_index orders exponent vectors as char_labels does
+    g = decompose(orders)
+    elems = list(g.elements)
+    rows = g.coordinate_rows()
+    x = data.draw(st.sampled_from(elems))
+    y = data.draw(st.sampled_from(elems))
+    k = data.draw(st.integers(-7, 7))
+    i, j = elems.index(x), elems.index(y)
+    assert elems[g.positions(rows[i] + rows[j])] == g.mul(x, y)
+    assert elems[g.positions(k * rows[i])] == g.power(x, k)
+    assert g.positions(rows).tolist() == list(range(g.size))
+    labels = np.array(list(g.char_labels()), dtype=np.int64).reshape(g.size, -1)
+    assert g.label_index(labels).tolist() == list(range(g.size))
+
+
 def test_group_rejects_bad_orders():
     with pytest.raises(InvalidInputError):
         decompose([0, 2])
