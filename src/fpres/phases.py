@@ -18,6 +18,7 @@ whole array at one order and marks what does not snap.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from fractions import Fraction
 
@@ -68,11 +69,30 @@ def numerators(qs, den: int) -> np.ndarray:
 
 def units(nums, den: int) -> np.ndarray:
     """unit(n / den) for every numerator, evaluated once per distinct value,
-    so each entry equals `unit` of the exact exponent bit for bit."""
+    so each entry equals `unit` of the exact exponent bit for bit. Values
+    spanning a range not much wider than the array are looked up by their
+    offset in it, which takes no sort."""
     nums = np.asarray(nums)
-    vals, inv = np.unique(nums, return_inverse=True)
-    table = np.array([unit(Fraction(int(v), den)) for v in vals], dtype=complex)
-    return table[inv.reshape(nums.shape)]
+    lo, hi = int(nums.min(initial=0)), int(nums.max(initial=0))
+    if hi - lo > 4 * nums.size + 64:
+        vals, inv = np.unique(nums, return_inverse=True)
+        table = np.array([_unit_of(int(v), den) for v in vals],
+                         dtype=complex)
+        return table[inv.reshape(nums.shape)]
+    at = nums - lo
+    seen = np.zeros(hi - lo + 1, dtype=bool)
+    seen[at] = True
+    table = np.zeros(len(seen), dtype=complex)
+    for v in np.flatnonzero(seen).tolist():
+        table[v] = _unit_of(v + lo, den)
+    return table[at]
+
+
+@functools.lru_cache(maxsize=4096)
+def _unit_of(n: int, den: int) -> complex:
+    """unit(n / den), remembered: `units` meets the same few exponents over
+    the same denominators again and again."""
+    return unit(Fraction(n, den))
 
 
 def snap_phases(zs, order: int) -> np.ndarray:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fpres.phases import (INT64_SAFE, SNAP_ORDER_LIMIT, SNAP_TOL, snap_phases,
-                          unit)
+                          unit, units)
 
 TOL = 1e-6
 
@@ -67,3 +67,17 @@ def test_orders_from_int64_safe_up_are_rejected():
         nums = [rng.randrange(order) for _ in range(2000)]
         zs = np.array([unit(Fraction(n, order)) for n in nums])
         assert snap_phases(zs, order).tolist() == nums
+
+
+@pytest.mark.parametrize("nums, den", [
+    (np.array([3, -5, 3, 0, 11, -5, 24]), 12),           # a narrow range
+    (np.array([[1, 2], [2, 7]]), 8),                      # two dimensions
+    (np.array([5, 10 ** 9, -(10 ** 9), 5]), 7 * 10 ** 9),  # a wide range
+    (np.zeros(0, dtype=np.int64), 5),
+])
+def test_units_equal_unit_of_each_exponent_as_written(nums, den):
+    got = units(nums, den)
+    assert got.shape == nums.shape
+    want = np.array([unit(Fraction(int(v), den)) for v in nums.ravel()],
+                    dtype=complex).reshape(nums.shape)
+    assert got.tobytes() == want.tobytes()
