@@ -323,8 +323,9 @@ def test_resolutions_match_per_pair_oracle(name):
     ("su5-pair", False),
 ])
 def test_closure_phases_are_nonzero_only_past_the_identity(name, closures):
-    # phi = chi(r^N) / N is nonzero on some orbit exactly when some
-    # representative's closure r^N is not the identity
+    # phi = sum_b k_b chi(r_b^{n_b}) / n_b is nonzero on some orbit exactly
+    # when some representative's basis closure r_b^{n_b} is not the
+    # identity
     ex = built(name)
     phases = []
     for cls in ex.residual_classes():
