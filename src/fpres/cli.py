@@ -16,18 +16,14 @@ import os
 import sys
 
 from . import __version__
-from .currents import (
-    Theory,
-    bundle_array_document,
-    load_bundle,
-)
+from .currents import Theory, load_bundle, save_bundle
 from .errors import (
     InvalidInputError,
     ResourceLimitError,
 )
 from .extend import extend
 from .modular import (_label_from_json, _label_to_json, dump_json,
-                      fusion_tensor, load, save, tensor)
+                      fusion_tensor, load, save, save_beside, tensor)
 from .phases import norm1
 from .validate import CHECK_TOL, check_fusion_integrality, condition_report
 from .wzw import ising, su2, sun
@@ -60,6 +56,13 @@ def _sources(path, md) -> dict:
     sha256 that its load checked."""
     return {path: None, **{f.s_file: f.s_sha256
                            for f in md.atomic_factors() if f.s_file}}
+
+
+def _bundle_sources(paths, bundles) -> dict:
+    """The bundle inputs `paths`, then the matrix files their documents
+    name, each with the sha256 that its load checked."""
+    return {**dict.fromkeys(paths), **{b.matrix_file: b.matrix_sha256
+                                       for b in bundles if b.matrix_file}}
 
 
 def _manifest(args, inputs, outputs, anchor) -> None:
@@ -173,8 +176,8 @@ def cmd_extend(args) -> int:
         res = ex.resolve(cls)
         bundles.append(res.bundle)
         path = os.path.join(args.out, f"bundle_{res.bundle.current}.json")
-        _write_json(bundle_array_document(ex.ext_md, res.bundle), path)
         outputs[path] = None
+        outputs.update(save_bundle(ex.ext_md, res.bundle, path))
 
     th2 = ex.extended_theory(extra_bundles=bundles)
     conditions = condition_report(th2, tol=args.tolerance)
@@ -188,7 +191,8 @@ def cmd_extend(args) -> int:
     report_path = os.path.join(args.out, "report.json")
     _write_json(report, report_path)
     outputs[report_path] = None
-    inputs = {**_sources(args.input, md), **dict.fromkeys(args.bundles)}
+    inputs = {**_sources(args.input, md),
+              **_bundle_sources(args.bundles, extra)}
     _manifest(args, inputs, outputs, args.out)
     return 0 if conditions["ok"] and fus["ok"] else 1
 
@@ -200,7 +204,7 @@ def cmd_validate(args) -> int:
     currents = [b.current for b in extra] or None
     doc = condition_report(th, currents=currents, tol=args.tolerance)
     _emit(doc, args, {**_sources(args.input, md),
-                      **dict.fromkeys(args.bundles)})
+                      **_bundle_sources(args.bundles, extra)})
     return 0 if doc["ok"] else 1
 
 
@@ -212,7 +216,16 @@ def cmd_fusion(args) -> int:
         "fields": [_label_to_json(lab) for lab in md.labels],
         "tables": fusion_tensor(md),
     }
-    _emit(doc, args, _sources(args.input, md))
+    if args.out is None:
+        dump_json(doc, sys.stdout)
+        return 0
+    # the document is opened first, so an unwritable path fails as itself
+    with open(args.out, "w") as fh:
+        doc["tables"], written = save_beside(args.out, ".tables.npy",
+                                             doc["tables"])
+        dump_json(doc, fh)
+    _manifest(args, _sources(args.input, md), {args.out: None, **written},
+              args.out)
     return 0
 
 

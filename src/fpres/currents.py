@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,13 +43,16 @@ from .modular import (
     S_TOL,
     ModularData,
     ProductS,
+    _file_matrix,
     _label_from_json,
     _label_to_json,
     _read_json,
     complex_array,
     complex_pairs,
+    dump_json,
     match_rows,
     product_ids,
+    save_beside,
 )
 from .phases import (SNAP_ORDER_LIMIT, SNAP_TOL, norm1, snap_phases, unit,
                      units)
@@ -64,6 +68,8 @@ class FixedPointBundle:
     fields: tuple          # sorted base-field ids, the support
     matrix: np.ndarray
     eta: np.ndarray = None
+    matrix_file: str = None    # the .npy file the matrix was loaded from,
+    matrix_sha256: str = None  # and the sha256 of its bytes the load checked
 
     def __post_init__(self):
         n = len(self.fields)
@@ -506,8 +512,8 @@ class Theory:
 
 def bundle_array_document(md: ModularData, b: FixedPointBundle) -> dict:
     """The "fp-bundle v1" document of `b` with its matrix and eta as array
-    leaves (see `modular.complex_pairs`); the CLI writes it with
-    `modular.dump_json`."""
+    leaves (see `modular.complex_pairs`): the inline form of hand-written
+    inputs, which `save_bundle` writes with the matrix in an .npy file."""
     doc = {
         "format": "fp-bundle v1",
         "current": _label_to_json(md.labels[b.current]),
@@ -519,23 +525,45 @@ def bundle_array_document(md: ModularData, b: FixedPointBundle) -> dict:
     return doc
 
 
-def bundle_from_document(md: ModularData, doc: dict) -> FixedPointBundle:
+def save_bundle(md: ModularData, b: FixedPointBundle, path) -> dict:
+    """Write the "fp-bundle v1" document of `b` to `path`, with its matrix
+    in the .npy file `<stem>.matrix.npy` beside it (`modular.save_beside`),
+    which "matrix" names together with the sha256 of its bytes; eta stays
+    inline. Returns {.npy path: sha256} of the file written."""
+    doc = bundle_array_document(md, b)
+    # the document is opened first, so an unwritable path fails as itself
+    with open(path, "w") as fh:
+        doc["matrix"], written = save_beside(path, ".matrix.npy", b.matrix)
+        dump_json(doc, fh)
+    return written
+
+
+def bundle_from_document(md: ModularData, doc: dict,
+                         directory=None) -> FixedPointBundle:
+    """The bundle of an "fp-bundle v1" document over `md`. A "matrix" that
+    names an .npy file is read from `directory` through the checks of an S
+    file (`modular._file_matrix`), as an n x n matrix for the n fields."""
     if doc.get("format") != "fp-bundle v1":
         raise MalformedBundleError(
             f"unsupported bundle format {doc.get('format')!r}"
         )
+    source = ()
     try:
         j = md.index(_label_from_json(doc["current"]))
         fields = tuple(md.index(_label_from_json(x)) for x in doc["fields"])
-        mat = complex_array(doc["matrix"], "matrix")
+        if isinstance(doc["matrix"], dict):
+            mat, *source = _file_matrix(doc["matrix"], directory, len(fields),
+                                        {}, "fp-bundle matrix", "bundle matrix")
+        else:
+            mat = complex_array(doc["matrix"], "matrix")
         eta = None
         if "eta" in doc:
             eta = complex_array(doc["eta"], "eta")
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedBundleError(f"malformed bundle document: {exc}") from exc
-    return FixedPointBundle(j, fields, mat, eta)
+    return FixedPointBundle(j, fields, mat, eta, *source)
 
 
 def load_bundle(md: ModularData, path) -> FixedPointBundle:
     doc = _read_json(path, ("matrix", "eta"), lambda doc: [doc])
-    return bundle_from_document(md, doc)
+    return bundle_from_document(md, doc, os.path.dirname(path))

@@ -480,122 +480,45 @@ def tensor(*mds: ModularData, name: str = "") -> ModularData:
 # ---------------------------------------------------------------------------
 # serialization, format "modular-data v1"
 #
-# Every JSON file fpres writes goes through `dump_json`. Complex matrices
-# travel as float64 arrays of [re, im] pairs, shape (..., 2), and are written
-# straight from the array; the bytes are those of `json.dump(native(doc), fh,
-# indent=1)` plus a newline, so a document written from arrays is the same
-# file, with the same hash, as one written from nested lists. `save` writes
-# every S to an .npy file beside the document (`save_npy`), which the
-# document names together with the sha256 of its bytes; an S inline as
-# [re, im] pairs, as in external inputs and older runs, still loads.
-
-_SLOT = "\x00"                    # stands for an array leaf in the skeleton
-_SLOT_JSON = json.dumps(_SLOT)
-_CHUNK = 1 << 16                  # entries formatted per write
-_NONFINITE_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# Every JSON file fpres writes goes through `dump_json`, the stdlib encoder at
+# indent=1 with each ndarray leaf written as its `.tolist()`. Every matrix
+# fpres writes is an .npy file beside its document, written by `save_npy` and
+# named in the document as {"file": name, "sha256": hex} of its bytes: each S
+# (`save`), each bundle matrix (`currents.save_bundle`) and the table of
+# `fpres fusion --out`. An S or a bundle matrix inline as [re, im] pairs, as
+# in external inputs and older runs, still loads.
 
 
-def native(doc):
-    """`doc` with every ndarray leaf replaced by its `.tolist()`."""
-    if isinstance(doc, np.ndarray):
-        return doc.tolist()
-    if isinstance(doc, dict):
-        return {k: native(v) for k, v in doc.items()}
-    if isinstance(doc, (list, tuple)):
-        return [native(v) for v in doc]
-    return doc
+def _listed(obj):
+    """The `default` of `dump_json`: an ndarray as its `.tolist()`."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(
+        f"Object of type {type(obj).__name__} is not JSON serializable"
+    )
 
 
 def dump_json(doc, fh) -> None:
-    """Write `doc` and a newline to the text file `fh`, byte for byte as
-    `json.dump(native(doc), fh, indent=1)` followed by `fh.write("\n")`.
-
-    Leaves may be float64 or int64 ndarrays. The rest of the document is
-    encoded by `json.dumps` with a placeholder per array, and each array is
-    spliced in at its placeholder's indentation, written in chunks of whole
-    rows of its first axis.
-    """
-    arrays = []
-
-    def slot(obj):
-        if isinstance(obj, np.ndarray) and obj.dtype in (np.float64, np.int64):
-            arrays.append(obj)
-            return _SLOT
-        raise TypeError(
-            f"Object of type {type(obj).__name__} is not JSON serializable"
-        )
-
-    parts = json.dumps(doc, indent=1, default=slot).split(_SLOT_JSON)
-    if len(parts) != len(arrays) + 1:
-        # a string of the document is the placeholder itself
-        json.dump(native(doc), fh, indent=1)
-        fh.write("\n")
-        return
-    for part, a in zip(parts, arrays):
-        fh.write(part)
-        line = part[part.rfind("\n") + 1:]
-        _dump_array(a, len(line) - len(line.lstrip(" ")), fh)
-    fh.write(parts[-1])
+    """Write `doc` and a newline to the text file `fh` as `json.dump(doc,
+    fh, indent=1)` does with every ndarray leaf listed. The encoder streams
+    its chunks to `fh`, so no string of the whole document is built."""
+    json.dump(doc, fh, indent=1, default=_listed)
     fh.write("\n")
 
 
-def _dump_array(a: np.ndarray, depth: int, fh) -> None:
-    """Write the float64 or int64 array `a` as json's indent=1 nested lists
-    whose opening bracket sits on a line indented by `depth`."""
-    if a.size == 0:
-        fh.write(json.dumps(a.tolist(), indent=1).replace("\n", "\n" + " " * depth))
-        return
-    r = a.ndim
-    flat = np.ascontiguousarray(a).reshape(-1)
-    # each distinct bit pattern is formatted once; -0.0 stays apart from 0.0
-    bits, inv = np.unique(flat.view(np.uint64), return_inverse=True)
-    values = bits.view(a.dtype)
-    texts = list(map(repr, values.tolist()))
-    for i in np.flatnonzero(~np.isfinite(values)).tolist():
-        texts[i] = _NONFINITE_JSON[texts[i]]
-    vocab = np.array(texts, dtype=object)
-
-    nl = ["\n" + " " * (depth + k) for k in range(r + 1)]
-
-    def closes(j):
-        return "".join(nl[r - m] + "]" for m in range(1, j + 1))
-
-    def opens(j):
-        return "".join(nl[k] + "[" for k in range(r - j, r)) + nl[r]
-
-    # seps[j] follows an element after which the j innermost lists close;
-    # after flat element i that is the number of periods dividing i + 1
-    seps = np.array([closes(j) + "," + opens(j) for j in range(r)], dtype=object)
-    periods = [math.prod(a.shape[k:]) for k in range(1, r)]
-    fh.write("[" + opens(r - 1))
-    row = periods[0] if periods else 1
-    step = row * max(1, _CHUNK // row)  # whole rows of the first axis
-    for lo in range(0, flat.size, step):
-        hi = min(lo + step, flat.size)
-        after = np.arange(lo + 1, hi + 1)
-        j = np.zeros(hi - lo, dtype=np.intp)
-        for p in periods:
-            j += after % p == 0
-        buf = np.empty(2 * (hi - lo), dtype=object)
-        buf[0::2] = vocab[inv[lo:hi]]
-        buf[1::2] = seps[j]
-        if hi == flat.size:
-            buf[-1] = closes(r)
-        fh.write("".join(buf.tolist()))
-
-
-# Loading reads the text once; its arrays are the bundle matrices and etas
-# and the S of an inline document. Each array under one of the format's array
-# keys is decoded one top-level row at a time and stacked into a float64
-# array every _ROWS_PER_BATCH rows, so Python floats live only for the rows
-# of one batch. The rest of the document is decoded by `json.loads`, with a
-# placeholder string where each array was. An array that is not a regular
-# nested list of floats (an int, a string, a null, ragged rows, bad syntax),
-# or a placeholder that does not land where the format reads the array,
-# sends the whole text to `json.loads`, as before, so every value and every
-# error is the one `json.load` gives.
+# Loading reads the text once; its arrays are the bundle etas and the S or
+# bundle matrix of an inline document. Each array under one of the format's
+# array keys is decoded one top-level row at a time and stacked into a
+# float64 array every _ROWS_PER_BATCH rows, so Python floats live only for
+# the rows of one batch. The rest of the document is decoded by
+# `json.loads`, with a placeholder string where each array was. An array
+# that is not a regular nested list of floats (an int, a string, a null,
+# ragged rows, bad syntax), or a placeholder that does not land where the
+# format reads the array, sends the whole text to `json.loads`, as before,
+# so every value and every error is the one `json.load` gives.
 
 _ROWS_PER_BATCH = 64              # rows decoded before numpy stacks them
+_SLOT = "\x00"                    # starts the placeholder of a decoded array
 _WS = re.compile(r"[ \t\n\r]*")
 
 
@@ -815,37 +738,55 @@ def load_npy(path, sha256, shape) -> np.ndarray:
     return np.frombuffer(data, dtype, offset=offset).reshape(shape)
 
 
-def _s_from_file(ref, directory, n: int, files: dict):
-    """(S, path, sha256) for an "s_matrix" of the form {"file": name,
-    "sha256": hex}: S is the n x n complex128 array in the .npy file `path`,
-    the bare `name` in `directory`, the document's directory, whose bytes
-    hash to `sha256`. Anything else raises `InvalidInputError` naming the
-    file. `files` keeps what was read by (path, sha256, n), so a file that
-    several parts name is read and hashed once, into one array."""
+def _file_matrix(ref, directory, n: int, files: dict, field="s_matrix",
+                 noun="S"):
+    """(M, path, sha256) for a matrix `field` of the form {"file": name,
+    "sha256": hex}, an "s_matrix" or a bundle's "matrix": M is the n x n
+    complex128 array in the .npy file `path`, the bare `name` in
+    `directory`, the document's directory, whose bytes hash to `sha256`.
+    Anything else raises `InvalidInputError` naming the file. `files` keeps
+    what was read by (path, sha256, n), so a file that several parts name
+    is read and hashed once, into one array."""
     if set(ref) != {"file", "sha256"} or not all(
             isinstance(v, str) for v in ref.values()):
         raise InvalidInputError(
-            'an s_matrix object must be {"file": name, "sha256": hex}')
+            f'an {field} object must be {{"file": name, "sha256": hex}}')
     name = ref["file"]
     if directory is None:
         raise InvalidInputError(
-            f"s_matrix names the file {name!r}, but the document was not "
+            f"{field} names the file {name!r}, but the document was not "
             f"read from a file")
     if (name in ("", ".", "..") or "\0" in name
             or os.path.basename(name) != name):
         raise InvalidInputError(
-            f"s_matrix file {name!r} is not a bare file name in the "
+            f"{field} file {name!r} is not a bare file name in the "
             f"document's directory")
     path = os.path.join(directory, name)
     key = (path, ref["sha256"], n)
     if key not in files:
-        dense_budget(n * n, f"the S in {path}")
+        dense_budget(n * n, f"the {noun} in {path}")
         try:
             files[key] = load_npy(path, ref["sha256"], (n, n)), *key[:2]
         except OSError as exc:
             raise InvalidInputError(
-                f"s_matrix file {path}: {exc.strerror}") from None
+                f"{field} file {path}: {exc.strerror}") from None
     return files[key]
+
+
+def _beside(path, suffix: str):
+    """(name, path) of the file `<stem><suffix>` beside the document at
+    `path`, stem being the name of `path` less a trailing ".json"."""
+    name = os.path.basename(path).removesuffix(".json") + suffix
+    return name, os.path.join(os.path.dirname(path), name)
+
+
+def save_beside(path, suffix: str, a: np.ndarray):
+    """Write `a` as `save_npy` does to `<stem><suffix>` beside the document
+    at `path` (`_beside`). Returns the reference that the document holds,
+    {"file": name, "sha256": hex}, and {.npy path: sha256}."""
+    name, npy = _beside(path, suffix)
+    digest = save_npy(npy, a)
+    return {"file": name, "sha256": digest}, {npy: digest}
 
 
 def array_document(md: ModularData) -> dict:
@@ -872,9 +813,9 @@ def array_document(md: ModularData) -> dict:
 
 def from_document(doc: dict, directory=None) -> ModularData:
     """The ModularData of a "modular-data v1" document. An "s_matrix" that
-    names an .npy file (`_s_from_file`) is read from `directory`; the parts
-    of a product that name one file share its array, as the factors of
-    `tensor(md, md)` share one S."""
+    names an .npy file (`_file_matrix`) is read from `directory`; the parts
+    of a product that name one file with the same fields, central charge
+    and name are one ModularData, as the factors of `tensor(md, md)` are."""
     return _from_document(doc, directory, {})
 
 
@@ -900,12 +841,17 @@ def _from_document(doc: dict, directory, files: dict) -> ModularData:
         h = tuple(_rational(f["h"], "h") for f in doc["fields"])
         c = _rational(doc["central_charge"], "central_charge")
         if isinstance(doc["s_matrix"], dict):
-            s, s_file, s_sha256 = _s_from_file(doc["s_matrix"], directory,
+            s, s_file, s_sha256 = _file_matrix(doc["s_matrix"], directory,
                                                len(labels), files)
         else:
             s = complex_array(doc["s_matrix"], "s_matrix")
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed modular data document: {exc}") from exc
+    # a part equal to one already built from the same file is that one;
+    # repr tells the labels 1, 1.0 and true apart, which compare equal
+    part = (s_file, s_sha256, repr(labels), h, c, name)
+    if s_file is not None and part in files:
+        return files[part]
     md = ModularData(labels, h, c, s, name=name, s_file=s_file,
                      s_sha256=s_sha256)
     with np.errstate(all="ignore"):  # cached on md; an inf or NaN fails below
@@ -921,6 +867,8 @@ def _from_document(doc: dict, directory, files: dict) -> ModularData:
             f"s_matrix of {md.name or 'modular data'}: the vacuum entry "
             f"S_00 = {s00:.6g} is not real and positive"
         )
+    if s_file is not None:
+        files[part] = md
     return md
 
 
@@ -928,27 +876,23 @@ def save(md: ModularData, path) -> dict:
     """Write the "modular-data v1" document of `md` to `path`, with the S
     of each atomic part in an .npy file beside it, as `save_npy` writes it,
     that the part's "s_matrix" names together with the sha256 of its
-    bytes. For the
-    name of `path` less a trailing ".json", `stem`, an atomic `md` writes
-    `stem.s.npy`, and a product one `stem.s<i>.npy` per distinct S, i being
-    the first part that holds it. Returns {.npy path: sha256} of the files
-    written."""
+    bytes. An atomic `md` writes `<stem>.s.npy` (`_beside`), and a product
+    one `<stem>.s<i>.npy` per distinct S, i being the first part that holds
+    it. Returns {.npy path: sha256} of the files written."""
     doc = array_document(md)
-    directory = os.path.dirname(path)
-    stem = os.path.basename(path).removesuffix(".json")
-    names, written = {}, {}
+    refs, written = {}, {}
     # the document is opened first, so an unwritable path fails as itself
     with open(path, "w") as fh:
         for i, (part, f) in enumerate(zip(_atomic_documents(doc),
                                           md.atomic_factors())):
             chunks, digest = _npy_image(
                 np.asarray(f.s, dtype=np.complex128))
-            if digest not in names:
-                names[digest] = f"{stem}.s{i if md.is_product else ''}.npy"
-                npy = os.path.join(directory, names[digest])
+            if digest not in refs:
+                name, npy = _beside(path, f".s{i if md.is_product else ''}.npy")
                 _write_chunks(npy, chunks)
                 written[npy] = digest
-            part["s_matrix"] = {"file": names[digest], "sha256": digest}
+                refs[digest] = {"file": name, "sha256": digest}
+            part["s_matrix"] = refs[digest]
         dump_json(doc, fh)
     return written
 

@@ -14,7 +14,8 @@ keys every rounded S row by its bytes; `dressing_by_orbit`,
 `pi_map_by_orbit`, `relabelings_by_orbit` and `resolved_eta_by_orbit` are
 the per-orbit loops of a resolution: the passes that `validate.check_fusion_integrality` and
 `Extension.recombination_groups`, `_dressing`, `_relabelings` and
-`_resolved_eta` replaced.
+`_resolved_eta` replaced. `native` is a document with its ndarray leaves as
+nested lists, as `modular.dump_json` writes them.
 """
 import itertools
 import math
@@ -29,6 +30,17 @@ from fpres.extend import GRID_TOL, OrbitData, _all_zero
 from fpres.groups import MultGroup
 from fpres.modular import ModularData, _fusion_ints, _verlinde, panels
 from fpres.phases import unit, units
+
+
+def native(doc):
+    """`doc` with every ndarray leaf replaced by its `.tolist()`."""
+    if isinstance(doc, np.ndarray):
+        return doc.tolist()
+    if isinstance(doc, dict):
+        return {k: native(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [native(v) for v in doc]
+    return doc
 
 
 def fusion_matrix(md: ModularData, a: int) -> np.ndarray:

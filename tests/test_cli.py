@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fpres.cli import main
-from fpres.modular import complex_pairs, dump_json, save_npy
+from fpres.modular import complex_pairs, dump_json, fusion_tensor, load, save_npy
 
 
 def run(capsys, *argv):
@@ -24,20 +24,27 @@ def _atomic(doc):
     return doc["product"] if "product" in doc else [doc]
 
 
-def _s_file(path):
-    """The .npy file that the first atomic part of the modular-data
-    document at `path` names for its S."""
-    part = _atomic(json.loads(path.read_text()))[0]
-    return path.parent / part["s_matrix"]["file"]
+def _refs(doc):
+    """(dict, key) of each .npy file reference in a document as fpres
+    writes it: the "matrix" of a bundle, or each atomic part's "s_matrix"."""
+    if doc.get("format") == "fp-bundle v1":
+        return [(doc, "matrix")]
+    return [(part, "s_matrix") for part in _atomic(doc)]
+
+
+def _npy_file(path):
+    """The .npy file that the first reference of the document at `path`
+    names: the S of its first atomic part, or a bundle's matrix."""
+    obj, key = _refs(json.loads(path.read_text()))[0]
+    return path.parent / obj[key]["file"]
 
 
 def _inline(path):
-    """The modular-data document at `path` with the S of each atomic part
-    inline, as [re, im] pairs: the format fpres wrote before S files."""
+    """The document at `path` with each S or bundle matrix inline, as
+    [re, im] pairs: the format fpres wrote before .npy files."""
     doc = json.loads(path.read_text())
-    for part in _atomic(doc):
-        s = np.load(path.parent / part["s_matrix"]["file"])
-        part["s_matrix"] = complex_pairs(s).tolist()
+    for obj, key in _refs(doc):
+        obj[key] = complex_pairs(np.load(path.parent / obj[key]["file"])).tolist()
     return doc
 
 
@@ -257,7 +264,7 @@ def test_validate_good_and_corrupted_bundle(tmp_path, capsys):
     ext = tmp_path / "ext"
     run(capsys, "extend", str(src), "--by", "4", "--out", str(ext))
     # corrupt one entry of the extended S matrix and revalidate
-    s = np.load(_s_file(ext / "extended.json"))
+    s = np.load(_npy_file(ext / "extended.json"))
     s[0, 0] += 0.1
     bad = _with_s(ext / "extended.json", s, tmp_path / "bad.json")
     rc, _ = run(capsys, "validate", str(bad))
@@ -519,7 +526,7 @@ def test_bad_s_matrix_pairs_are_usage_errors(extended_run, tmp_path, capsys, cas
 def test_bad_bundle_pairs_are_usage_errors(extended_run, tmp_path, capsys,
                                            case, field, command):
     ext, bundle = extended_run
-    doc = json.loads(bundle.read_text())
+    doc = _inline(bundle)
     doc[field] = _corrupt(doc[field], case)
     bad = tmp_path / "bad_bundle.json"
     bad.write_text(json.dumps(doc))
@@ -535,9 +542,13 @@ def test_bad_bundle_pairs_are_usage_errors(extended_run, tmp_path, capsys,
 
 
 def _set_ref(ext, **ref):
+    """Update the first .npy reference of the document at `ext` by `ref`;
+    returns its key."""
     doc = json.loads(ext.read_text())
-    _atomic(doc)[0]["s_matrix"].update(ref)
+    obj, key = _refs(doc)[0]
+    obj[key].update(ref)
     ext.write_text(json.dumps(doc))
+    return key
 
 
 def _npy_bytes(a):
@@ -548,20 +559,20 @@ def _npy_bytes(a):
 
 def _replace_s_bytes(ext, data):
     """Write `data` as the S file of `ext`, under the hash of `data`."""
-    path = _s_file(ext)
+    path = _npy_file(ext)
     path.write_bytes(data)
     _set_ref(ext, sha256=hashlib.sha256(data).hexdigest())
     return str(path)
 
 
 def _truncated(ext):
-    path = _s_file(ext)
+    path = _npy_file(ext)
     path.write_bytes(path.read_bytes()[:-16])
     return str(path)
 
 
 def _edited(ext):
-    path = _s_file(ext)
+    path = _npy_file(ext)
     raw = bytearray(path.read_bytes())
     raw[-1] ^= 1
     path.write_bytes(bytes(raw))
@@ -569,44 +580,56 @@ def _edited(ext):
 
 
 def _missing(ext):
-    path = _s_file(ext)
+    path = _npy_file(ext)
     path.unlink()
     return str(path)
 
 
+def _wrong_hash(ext):
+    _set_ref(ext, sha256="0" * 64)
+    return str(_npy_file(ext))
+
+
 def _outside(ext):
     # an existing copy of the S file in the parent directory
-    (ext.parent.parent / "x.npy").write_bytes(_s_file(ext).read_bytes())
+    (ext.parent.parent / "x.npy").write_bytes(_npy_file(ext).read_bytes())
     _set_ref(ext, file="../x.npy")
     return "'../x.npy'"
 
 
+def _not_bare(name):
+    return lambda ext: _set_ref(ext, file=name) and repr(name)
+
+
 def _absolute(ext):
-    path = str(_s_file(ext).resolve())
+    path = str(_npy_file(ext).resolve())
     _set_ref(ext, file=path)
     return repr(path)
 
 
 def _recast(change):
     return lambda ext: _replace_s_bytes(
-        ext, _npy_bytes(change(np.load(_s_file(ext)))))
+        ext, _npy_bytes(change(np.load(_npy_file(ext)))))
 
 
 S_FILE_CASES = {
     "truncated": _truncated,
     "truncated under its hash": lambda ext: _replace_s_bytes(
-        ext, _s_file(ext).read_bytes()[:-16]),
+        ext, _npy_file(ext).read_bytes()[:-16]),
     "edited": _edited,
+    "a wrong sha256": _wrong_hash,
     "missing": _missing,
     "complex64": _recast(lambda s: s.astype(np.complex64)),
     "float64": _recast(lambda s: s.real),
     "one field short": _recast(lambda s: s[:-1, :-1]),
     "Fortran order": _recast(np.asfortranarray),
     "a pickle": lambda ext: _replace_s_bytes(
-        ext, pickle.dumps(np.load(_s_file(ext)))),
+        ext, pickle.dumps(np.load(_npy_file(ext)))),
     "../x.npy": _outside,
+    "..": _not_bare(".."),
+    "a/b": _not_bare("a/b"),
     "absolute path": _absolute,
-    "a number for a hash": lambda ext: _set_ref(ext, sha256=5) or "s_matrix",
+    "a number for a hash": lambda ext: _set_ref(ext, sha256=5),
 }
 
 
@@ -636,6 +659,42 @@ def test_a_bad_s_file_of_a_product_part_exits_2_naming_it(extended_run,
     _validate_exits_2_naming(path, capsys, case)
 
 
+@pytest.mark.parametrize("command", ["validate", "extend"])
+@pytest.mark.parametrize("case", list(S_FILE_CASES))
+def test_a_bad_bundle_matrix_file_exits_2_naming_it(extended_run, tmp_path,
+                                                    capsys, case, command):
+    ext, bundle = extended_run
+    named = S_FILE_CASES[case](bundle)
+    argv = [command, str(ext), "--bundles", str(bundle)]
+    if command == "extend":
+        argv += ["--by", "0", "--out", str(tmp_path / "again")]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and named in err
+
+
+def test_an_inline_bundle_validates_as_its_matrix_file(extended_run, tmp_path,
+                                                       capsys):
+    """A bundle in the format written before bundle matrix files."""
+    ext, bundle = extended_run
+    matrix = _npy_file(bundle)
+    inline = tmp_path / "inline_bundle.json"
+    inline.write_text(json.dumps(_inline(bundle)))
+    reports = []
+    for b in (bundle, inline):
+        out = tmp_path / f"{b.stem}.report.json"
+        assert main(["validate", str(ext), "--bundles", str(b),
+                     "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+        inputs = json.loads((tmp_path / f"{out.name}.manifest.json")
+                            .read_text())["inputs"]
+        # the manifest lists the matrix file with the sha256 of its load
+        assert inputs.get(str(matrix)) == (_sha(matrix) if b == bundle
+                                           else None)
+    assert reports[0] == reports[1]
+
+
 def test_validate_reads_an_inline_s_as_the_s_file(extended_run, tmp_path,
                                                  capsys):
     ext, _ = extended_run
@@ -651,7 +710,7 @@ def test_validate_reads_an_inline_s_as_the_s_file(extended_run, tmp_path,
         inputs = json.loads((tmp_path / f"{out.name}.manifest.json")
                             .read_text())["inputs"]
         # the manifest hashes the S file of the sidecar form
-        assert (str(_s_file(ext)) in inputs) == (src == ext)
+        assert (str(_npy_file(ext)) in inputs) == (src == ext)
     assert reports[0] == reports[1]
 
 
@@ -674,7 +733,7 @@ def test_extend_reads_an_extended_json(tmp_path, capsys):
     report = json.loads((again / "report.json").read_text())["extension"]
     assert (report["base_fields"], report["extended_fields"]) == (9, 1)
     manifest = json.loads((again / "manifest.json").read_text())
-    assert str(_s_file(ext)) in manifest["inputs"]
+    assert str(_npy_file(ext)) in manifest["inputs"]
     s_out = again / "extended.s.npy"
     assert manifest["outputs"][str(s_out)] == hashlib.sha256(
         s_out.read_bytes()).hexdigest()
@@ -686,7 +745,7 @@ def test_a_vacuum_entry_that_is_not_positive_exits_2(extended_run, tmp_path,
     # -S is unitary and symmetric, with S_00 < 0
     ext, _ = extended_run
     bad = tmp_path / "neg.json"
-    s = np.load(_s_file(ext))
+    s = np.load(_npy_file(ext))
     if form == "inline":
         doc = _inline(ext)
         doc["s_matrix"] = complex_pairs(-s).tolist()
@@ -741,7 +800,7 @@ def test_manifests_list_the_s_files(tmp_path, capsys, monkeypatch):
 def test_a_product_reads_its_shared_s_file_once(tmp_path, capsys,
                                                 monkeypatch):
     # both parts of the su(5)_5 pair name product.s0.npy
-    from fpres import modular
+    from fpres import currents, modular
     factor, product = tmp_path / "factor.json", tmp_path / "product.json"
     out = tmp_path / "ext"
     run(capsys, "generate", "suN", "--N", "5", "--k", "5", "--out", str(factor))
@@ -758,18 +817,30 @@ def test_a_product_reads_its_shared_s_file_once(tmp_path, capsys,
         reads.append(path) or load_npy(path, *args)))
     md = modular.load(str(product))
     assert reads == [s_file]
-    assert md.factors[0].s is md.factors[1].s
+    # one ModularData for both parts, so every su(5)_5 current is
+    # row-matched once and the extension builds one factor Theory
+    assert md.factors[0] is md.factors[1]
+    matched = []
+    match_rows = currents._match_rows
+    monkeypatch.setattr(currents, "_match_rows", lambda f, j: (
+        matched.append(j) or match_rows(f, j)))
+    currents.Theory(md)
+    assert len(matched) == 5
+    factor_theories = set()
+    factor_theory = currents.Theory._factor_theory
+    monkeypatch.setattr(currents.Theory, "_factor_theory", lambda th, f: (
+        factor_theories.add(factor_theory(th, f)) or factor_theory(th, f)))
     reads.clear()
     rc, _ = run(capsys, "extend", str(product), "--by",
                 "[[5, 0, 0, 0], [5, 0, 0, 0]]", "--out", str(out))
-    assert rc == 0 and reads == [s_file]
+    assert rc == 0 and reads == [s_file] and len(factor_theories) == 1
     inputs = json.loads((out / "manifest.json").read_text())["inputs"]
     assert inputs == {str(product): _sha(product),
                       s_file: _sha(tmp_path / "product.s0.npy")}
 
 
 def _chain(folder, capsys):
-    """generate, tensor, extend and validate in `folder`."""
+    """generate, tensor, extend, validate and fusion --out in `folder`."""
     one, pair, ext = folder / "su24.json", folder / "pair.json", folder / "ext"
     folder.mkdir(exist_ok=True)
     assert main(["generate", "su2", "--k", "4", "--out", str(one)]) == 0
@@ -779,6 +850,7 @@ def _chain(folder, capsys):
     assert bundles
     assert main(["validate", str(ext / "extended.json"), "--bundles", *bundles,
                  "--out", str(folder / "validate.json")]) == 0
+    assert main(["fusion", str(pair), "--out", str(folder / "fusion.json")]) == 0
     capsys.readouterr()
     return {str(p.relative_to(folder)): p.read_bytes()
             for p in sorted(folder.rglob("*")) if p.is_file()}
@@ -786,23 +858,66 @@ def _chain(folder, capsys):
 
 def test_the_chain_reruns_byte_identical(tmp_path, capsys):
     first = _chain(tmp_path / "run", capsys)
-    assert {"su24.s.npy", "pair.s0.npy", "ext/extended.s.npy"} < set(first)
+    assert {"su24.s.npy", "pair.s0.npy", "ext/extended.s.npy",
+            "ext/bundle_2.matrix.npy", "fusion.tables.npy"} < set(first)
     assert _chain(tmp_path / "run", capsys) == first
 
 
 def test_no_written_document_holds_an_inline_s(tmp_path, capsys):
-    def inline(obj):
+    """Nor an inline bundle matrix or fusion table: each names its .npy
+    file with the sha256 of the file's bytes."""
+    def arrays(obj):
+        """Every value under an array key of the formats, in `obj`."""
         if isinstance(obj, dict):
-            return isinstance(obj.get("s_matrix"), list) or any(
-                map(inline, obj.values()))
-        return isinstance(obj, list) and any(map(inline, obj))
+            for k, v in obj.items():
+                if k in ("s_matrix", "matrix", "tables"):
+                    yield v
+                else:
+                    yield from arrays(v)
+        elif isinstance(obj, list):
+            for v in obj:
+                yield from arrays(v)
 
     written = _chain(tmp_path, capsys)
-    documents = [json.loads(text) for name, text in written.items()
-                 if name.endswith(".json")]
-    assert len(documents) == len(written) - 3
-    assert sum(bool(doc.get("s_matrix")) for doc in documents) == 2
-    assert not any(map(inline, documents))
+    refs = {}
+    for name, text in written.items():
+        if name.endswith(".json"):
+            for ref in arrays(json.loads(text)):
+                assert set(ref) == {"file", "sha256"}, name
+                refs[os.path.join(os.path.dirname(name), ref["file"])] = (
+                    ref["sha256"])
+    npy = [name for name in written if not name.endswith(".json")]
+    assert len(npy) == 5 and sorted(refs) == sorted(npy)
+    for name, digest in refs.items():
+        assert hashlib.sha256(written[name]).hexdigest() == digest
+
+
+def test_fusion_out_writes_the_table_as_an_npy_file(tmp_path, capsys,
+                                                   monkeypatch):
+    # the manifest takes the table's sha256 from the writer, not a new read
+    from fpres import cli
+    hashed_here = []
+    sha256 = cli._sha256
+    monkeypatch.setattr(cli, "_sha256",
+                        lambda path: hashed_here.append(path) or sha256(path))
+    src, out = tmp_path / "su24.json", tmp_path / "fusion.json"
+    run(capsys, "generate", "su2", "--k", "4", "--out", str(src))
+    hashed_here.clear()
+    rc, text = run(capsys, "fusion", str(src), "--out", str(out))
+    assert rc == 0 and text == ""
+    npy = tmp_path / "fusion.tables.npy"
+    assert json.loads(out.read_text())["tables"] == {
+        "file": npy.name, "sha256": _sha(npy)}
+    want = fusion_tensor(load(src))
+    got = np.load(npy)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+    manifest = json.loads((tmp_path / "fusion.json.manifest.json").read_text())
+    assert manifest["outputs"] == {str(out): _sha(out), str(npy): _sha(npy)}
+    assert hashed_here and str(npy) not in hashed_here
+    # without --out the table is printed inline
+    rc, text = run(capsys, "fusion", str(src))
+    assert rc == 0 and json.loads(text)["tables"] == want.tolist()
 
 
 @pytest.mark.parametrize("command", ["generate", "tensor"])

@@ -1,4 +1,4 @@
-"""The bulk JSON writer, the row-by-row reader and the vectorized [re, im]
+"""The JSON writer, the row-by-row reader and the vectorized [re, im]
 loader, against the encoders and the per-element path they replace.
 
 The oracle for every written document is `json.dump(native(doc), fh,
@@ -41,12 +41,12 @@ from fpres.modular import (
     dump_json,
     from_document,
     load,
-    native,
     save,
     tensor,
 )
 from fpres.validate import check_fusion_integrality, condition_report
 from fpres.wzw import ising, su2
+from oracles import native
 
 
 def oracle_text(doc) -> str:
@@ -127,6 +127,7 @@ def _synthetic():
         "no rows": np.zeros((0, 2)),
         "empty rows": np.zeros((2, 0, 2)),
         "top": special[:4].reshape(2, 2),
+        "int64 4-D": np.arange(-12, 12, dtype=np.int64).reshape(2, 3, 2, 2),
     }
 
 
@@ -164,11 +165,6 @@ DOCUMENTS = {
 @pytest.mark.parametrize("name", list(DOCUMENTS))
 def test_writer_matches_json_dump(name):
     doc = DOCUMENTS[name]()
-    assert written_text(doc) == oracle_text(doc)
-
-
-def test_writer_keeps_strings_that_spell_the_placeholder():
-    doc = {"\x00": "\x00", "label": '"\x00', "s": np.array([[0.5, -0.0]])}
     assert written_text(doc) == oracle_text(doc)
 
 

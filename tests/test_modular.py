@@ -19,11 +19,10 @@ from fpres.modular import (
     from_document,
     fusion_tensor,
     sampled_fusion_residual,
-    native,
     tensor,
 )
 from fpres.wzw import ising, su2, sun
-from oracles import fusion_matrix
+from oracles import fusion_matrix, native
 from test_row_oracles import conjugation_from_square
 
 
