@@ -16,14 +16,15 @@ import os
 import sys
 
 from . import __version__
-from .currents import Theory, load_bundle, save_bundle
+from .currents import Theory, bundle_array_document, load_bundle
 from .errors import (
     InvalidInputError,
     ResourceLimitError,
 )
 from .extend import extend
-from .modular import (_label_from_json, _label_to_json, dump_json,
-                      fusion_tensor, load, save, save_beside, tensor)
+from .modular import (_beside, _label_from_json, _label_to_json,
+                      dump_json, fusion_tensor, load, save, save_beside,
+                      tensor)
 from .phases import norm1
 from .validate import CHECK_TOL, check_fusion_integrality, condition_report
 from .wzw import ising, su2, sun
@@ -37,18 +38,28 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_json(doc: dict, path) -> None:
+def _write_json(doc: dict, path, npy=None) -> dict:
+    """Write `doc` to `path`. `npy` maps a key of `doc` to the name of an
+    .npy file beside `path` that the key's array goes to instead, the key
+    then naming it (`modular.save_beside`). Returns {.npy path: sha256}."""
+    written = {}
+    # the document is opened first, so an unwritable path fails as itself
     with open(path, "w") as fh:
+        for key, name in (npy or {}).items():
+            doc[key], digests = save_beside(path, name, doc[key])
+            written.update(digests)
         dump_json(doc, fh)
+    return written
 
 
-def _emit(doc: dict, args, inputs) -> None:
-    """Print `doc`, or write it to --out together with its manifest."""
+def _emit(doc: dict, args, inputs, npy=None) -> None:
+    """Print `doc`, or write it to --out (`_write_json`, with `npy`)
+    together with its manifest."""
     if args.out is None:
         dump_json(doc, sys.stdout)
     else:
-        _write_json(doc, args.out)
-        _manifest(args, inputs, {args.out: None}, args.out)
+        written = _write_json(doc, args.out, npy)
+        _manifest(args, inputs, {args.out: None, **written}, args.out)
 
 
 def _sources(path, md) -> dict:
@@ -175,9 +186,12 @@ def cmd_extend(args) -> int:
             continue
         res = ex.resolve(cls)
         bundles.append(res.bundle)
-        path = os.path.join(args.out, f"bundle_{res.bundle.current}.json")
+        j = res.bundle.current
+        doc = bundle_array_document(ex.ext_md, res.bundle)
+        doc["matrix"] = res.bundle.matrix  # to its .npy file as complex128
+        path = os.path.join(args.out, f"bundle_{j}.json")
         outputs[path] = None
-        outputs.update(save_bundle(ex.ext_md, res.bundle, path))
+        outputs.update(_write_json(doc, path, {"matrix": f"matrix_{j}.npy"}))
 
     th2 = ex.extended_theory(extra_bundles=bundles)
     conditions = condition_report(th2, tol=args.tolerance)
@@ -216,16 +230,8 @@ def cmd_fusion(args) -> int:
         "fields": [_label_to_json(lab) for lab in md.labels],
         "tables": fusion_tensor(md),
     }
-    if args.out is None:
-        dump_json(doc, sys.stdout)
-        return 0
-    # the document is opened first, so an unwritable path fails as itself
-    with open(args.out, "w") as fh:
-        doc["tables"], written = save_beside(args.out, ".tables.npy",
-                                             doc["tables"])
-        dump_json(doc, fh)
-    _manifest(args, _sources(args.input, md), {args.out: None, **written},
-              args.out)
+    npy = args.out and {"tables": _beside(args.out, ".tables.npy")[0]}
+    _emit(doc, args, _sources(args.input, md), npy)
     return 0
 
 

@@ -49,10 +49,8 @@ from .modular import (
     _read_json,
     complex_array,
     complex_pairs,
-    dump_json,
     match_rows,
     product_ids,
-    save_beside,
 )
 from .phases import (SNAP_ORDER_LIMIT, SNAP_TOL, norm1, snap_phases, unit,
                      units)
@@ -513,7 +511,7 @@ class Theory:
 def bundle_array_document(md: ModularData, b: FixedPointBundle) -> dict:
     """The "fp-bundle v1" document of `b` with its matrix and eta as array
     leaves (see `modular.complex_pairs`): the inline form of hand-written
-    inputs, which `save_bundle` writes with the matrix in an .npy file."""
+    inputs; `fpres extend` writes it with the matrix in an .npy file."""
     doc = {
         "format": "fp-bundle v1",
         "current": _label_to_json(md.labels[b.current]),
@@ -523,19 +521,6 @@ def bundle_array_document(md: ModularData, b: FixedPointBundle) -> dict:
     if b.eta is not None:
         doc["eta"] = complex_pairs(b.eta)
     return doc
-
-
-def save_bundle(md: ModularData, b: FixedPointBundle, path) -> dict:
-    """Write the "fp-bundle v1" document of `b` to `path`, with its matrix
-    in the .npy file `<stem>.matrix.npy` beside it (`modular.save_beside`),
-    which "matrix" names together with the sha256 of its bytes; eta stays
-    inline. Returns {.npy path: sha256} of the file written."""
-    doc = bundle_array_document(md, b)
-    # the document is opened first, so an unwritable path fails as itself
-    with open(path, "w") as fh:
-        doc["matrix"], written = save_beside(path, ".matrix.npy", b.matrix)
-        dump_json(doc, fh)
-    return written
 
 
 def bundle_from_document(md: ModularData, doc: dict,

@@ -484,9 +484,9 @@ def tensor(*mds: ModularData, name: str = "") -> ModularData:
 # indent=1 with each ndarray leaf written as its `.tolist()`. Every matrix
 # fpres writes is an .npy file beside its document, written by `save_npy` and
 # named in the document as {"file": name, "sha256": hex} of its bytes: each S
-# (`save`), each bundle matrix (`currents.save_bundle`) and the table of
-# `fpres fusion --out`. An S or a bundle matrix inline as [re, im] pairs, as
-# in external inputs and older runs, still loads.
+# (`save`), and each bundle matrix and the table of `fpres fusion --out`
+# (`save_beside`, called by `cli._write_json`). An S or a bundle matrix inline
+# as [re, im] pairs, as in external inputs and older runs, still loads.
 
 
 def _listed(obj):
@@ -780,11 +780,11 @@ def _beside(path, suffix: str):
     return name, os.path.join(os.path.dirname(path), name)
 
 
-def save_beside(path, suffix: str, a: np.ndarray):
-    """Write `a` as `save_npy` does to `<stem><suffix>` beside the document
-    at `path` (`_beside`). Returns the reference that the document holds,
+def save_beside(path, name: str, a: np.ndarray):
+    """Write `a` as `save_npy` does to the file `name` in the directory of
+    the document at `path`. Returns the reference that the document holds,
     {"file": name, "sha256": hex}, and {.npy path: sha256}."""
-    name, npy = _beside(path, suffix)
+    npy = os.path.join(os.path.dirname(path), name)
     digest = save_npy(npy, a)
     return {"file": name, "sha256": digest}, {npy: digest}
 

@@ -859,7 +859,10 @@ def _chain(folder, capsys):
 def test_the_chain_reruns_byte_identical(tmp_path, capsys):
     first = _chain(tmp_path / "run", capsys)
     assert {"su24.s.npy", "pair.s0.npy", "ext/extended.s.npy",
-            "ext/bundle_2.matrix.npy", "fusion.tables.npy"} < set(first)
+            "ext/matrix_2.npy", "fusion.tables.npy"} < set(first)
+    # readers that glob "bundle_*" find bundle documents only
+    assert all(name.endswith(".json") for name in first
+               if os.path.basename(name).startswith("bundle_"))
     assert _chain(tmp_path / "run", capsys) == first
 
 
@@ -890,6 +893,27 @@ def test_no_written_document_holds_an_inline_s(tmp_path, capsys):
     assert len(npy) == 5 and sorted(refs) == sorted(npy)
     for name, digest in refs.items():
         assert hashlib.sha256(written[name]).hexdigest() == digest
+
+
+def test_extend_writes_each_document_once_through_a_writer(tmp_path, capsys,
+                                                          monkeypatch):
+    """Each JSON file of `extend` comes from one `modular.save` or
+    `cli._write_json` call, where perfbench counts the files written."""
+    from fpres import cli
+    src, pair, out = (tmp_path / name for name in ("su24.json", "pair.json",
+                                                    "ext"))
+    run(capsys, "generate", "su2", "--k", "4", "--out", str(src))
+    run(capsys, "tensor", str(src), str(src), "--out", str(pair))
+    paths = []
+    for name in ("save", "_write_json"):
+        monkeypatch.setattr(cli, name, lambda doc, path, *rest, fn=getattr(
+            cli, name): paths.append(str(path)) or fn(doc, path, *rest))
+    rc, _ = run(capsys, "extend", str(pair), "--by", "[4, 4]",
+                "--out", str(out))
+    assert rc == 0
+    assert sorted(paths) == sorted(str(p) for p in out.glob("*.json"))
+    assert len(list(out.glob("bundle_*.json"))) == len(
+        list(out.glob("matrix_*.npy"))) > 0
 
 
 def test_fusion_out_writes_the_table_as_an_npy_file(tmp_path, capsys,
