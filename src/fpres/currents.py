@@ -78,21 +78,12 @@ class FixedPointBundle:
         if self.eta is not None and self.eta.shape != (n,):
             raise MalformedBundleError("eta length does not match the support")
 
-    @functools.cached_property
-    def _pos(self):
-        return {a: i for i, a in enumerate(self.fields)}
-
     @property
     def dim(self) -> int:
         return len(self.fields)
 
     def position(self, a: int) -> int:
-        try:
-            return self._pos[a]
-        except KeyError:
-            raise ResolutionError(
-                f"field {a} is not fixed by current {self.current}"
-            ) from None
+        return int(self.positions([a])[0])
 
     @functools.cached_property
     def _sorted(self):
@@ -102,12 +93,14 @@ class FixedPointBundle:
         return np.append(fields[at], np.iinfo(np.intp).max), at
 
     def positions(self, fields) -> np.ndarray:
-        """`position` of every field in `fields`, as one array lookup."""
+        """The position in the support of every field in `fields`, as one
+        array lookup; the first field off the support raises."""
         a = np.asarray(fields, dtype=np.intp)
         keys, at = self._sorted
         i = np.searchsorted(keys, a)
         for b in a[keys[i] != a][:1].tolist():
-            self.position(b)  # the first field off the support raises
+            raise ResolutionError(
+                f"field {b} is not fixed by current {self.current}")
         return at[i]
 
 
@@ -550,5 +543,4 @@ def bundle_from_document(md: ModularData, doc: dict,
 
 
 def load_bundle(md: ModularData, path) -> FixedPointBundle:
-    doc = _read_json(path, ("matrix", "eta"), lambda doc: [doc])
-    return bundle_from_document(md, doc, os.path.dirname(path))
+    return bundle_from_document(md, _read_json(path), os.path.dirname(path))

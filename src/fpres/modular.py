@@ -15,7 +15,6 @@ import json
 import math
 import os
 import random
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -485,8 +484,11 @@ def tensor(*mds: ModularData, name: str = "") -> ModularData:
 # fpres writes is an .npy file beside its document, written by `save_npy` and
 # named in the document as {"file": name, "sha256": hex} of its bytes: each S
 # (`save`), and each bundle matrix and the table of `fpres fusion --out`
-# (`save_beside`, called by `cli._write_json`). An S or a bundle matrix inline
-# as [re, im] pairs, as in external inputs and older runs, still loads.
+# (`save_beside`, called by `cli._write_json`). Every JSON file fpres reads
+# goes through `_read_json`, one `json.load`. An S or a bundle matrix inline
+# as [re, im] pairs, as in external inputs and older runs, still loads: its
+# nested lists go to `complex_array`, so a load holds the text, the Python
+# floats and the array at once, about 3.3x the file at its peak.
 
 
 def _listed(obj):
@@ -506,104 +508,18 @@ def dump_json(doc, fh) -> None:
     fh.write("\n")
 
 
-# Loading reads the text once; its arrays are the bundle etas and the S or
-# bundle matrix of an inline document. Each array under one of the format's
-# array keys is decoded one top-level row at a time and stacked into a
-# float64 array every _ROWS_PER_BATCH rows, so Python floats live only for
-# the rows of one batch. The rest of the document is decoded by
-# `json.loads`, with a placeholder string where each array was. An array
-# that is not a regular nested list of floats (an int, a string, a null,
-# ragged rows, bad syntax), or a placeholder that does not land where the
-# format reads the array, sends the whole text to `json.loads`, as before,
-# so every value and every error is the one `json.load` gives.
-
-_ROWS_PER_BATCH = 64              # rows decoded before numpy stacks them
-_SLOT = "\x00"                    # starts the placeholder of a decoded array
-_WS = re.compile(r"[ \t\n\r]*")
-
-
-def _reject_int(text):
-    raise ValueError(f"integer {text} in a float array")
-
-
-# an int sends the array, as a part of the whole text, to `json.loads`
-_FLOAT_DECODER = json.JSONDecoder(parse_int=_reject_int)
-
-
-def _float_rows(text: str, pos: int):
-    """(a, end): the JSON array whose "[" is text[pos] as the float64 array
-    `a`, and the index just past its "]". Raises ValueError unless numpy
-    stacks its rows into one float64 array; a boolean beside floats becomes
-    0.0 or 1.0 there, as in `complex_array`."""
-    batches, rows = [], []
-    pos += 1
-    while True:
-        row, pos = _FLOAT_DECODER.raw_decode(text, _WS.match(text, pos).end())
-        rows.append(row)
-        pos = _WS.match(text, pos).end()
-        sep = text[pos:pos + 1]
-        pos += 1
-        if sep == "]" or len(rows) == _ROWS_PER_BATCH:
-            batch = np.array(rows)  # ValueError when ragged
-            if batch.dtype != np.float64:
-                raise ValueError("not a nested list of floats")
-            batches.append(batch)
-            rows = []
-        if sep == "]":
-            return np.concatenate(batches), pos  # ValueError: ragged rows
-        if sep != ",":
-            raise ValueError(f"expected ',' or ']' at {pos - 1}")
-
-
-def _decode_by_rows(text: str, keys, containers):
-    """The document of `text` with its arrays decoded by `_float_rows`, or
-    None when the whole text must go to `json.loads`."""
-    if "\\u0000" in text:
-        return None  # a string of the document could spell a placeholder
-    key = re.compile(r'"(?:%s)"[ \t\n\r]*:[ \t\n\r]*\[' % "|".join(keys))
-    parts, arrays = [], {}
-    pos = 0
-    try:
-        while (m := key.search(text, pos)) is not None:
-            slot = f"{_SLOT}{len(arrays)}"
-            a, end = _float_rows(text, m.end() - 1)
-            arrays[slot] = a
-            parts += [text[pos:m.end() - 1], json.dumps(slot)]
-            pos = end
-        if not arrays:
-            return None
-        parts.append(text[pos:])
-        doc = json.loads("".join(parts))
-    except (ValueError, RecursionError):
-        return None
-    if not isinstance(doc, dict):
-        return None
-    for obj in containers(doc):
-        for k in keys:
-            v = obj.get(k)
-            if isinstance(v, str) and v in arrays:
-                obj[k] = arrays.pop(v)
-    return None if arrays else doc
-
-
-def _read_json(path, keys, containers) -> dict:
-    """The JSON object in the file at `path`. The float arrays under `keys`
-    in the dicts `containers(doc)` lists come as float64 ndarrays, decoded
-    by rows; everything else, and every error, is as `json.load` gives
-    it, a syntax error raised as `InvalidInputError` naming the file."""
+def _read_json(path) -> dict:
+    """The JSON object in the file at `path`, as `json.load` gives it, a
+    syntax error raised as `InvalidInputError` naming the file."""
     try:
         with open(path) as fh:
-            text = fh.read()
+            doc = json.load(fh)
     except UnicodeDecodeError as exc:
         raise InvalidInputError(
             f"{path} is not {exc.encoding} text: {exc.reason} at byte "
             f"{exc.start}") from None
-    doc = _decode_by_rows(text, keys, containers)
-    if doc is None:
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InvalidInputError(f"{path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise InvalidInputError(f"{path} does not hold a JSON object")
     return doc
@@ -611,8 +527,8 @@ def _read_json(path, keys, containers) -> dict:
 
 def complex_array(obj, field: str) -> np.ndarray:
     """Complex array from nested [re, im] pairs of JSON numbers (ints,
-    floats, bools), bitwise equal to `complex(re, im)` per pair. A float64
-    array of pairs, as `_read_json` decodes them, is viewed without a copy.
+    floats, bools), bitwise equal to `complex(re, im)` per pair; a float64
+    array of pairs is viewed without a copy.
 
     Strings, nulls, ragged rows and pairs that are not exactly two numbers
     raise `InvalidInputError` naming `field`.
@@ -669,6 +585,9 @@ def _rational(text, field: str) -> Fraction:
     except ZeroDivisionError:
         raise InvalidInputError(
             f"{field} {text!r} has a zero denominator") from None
+    except (OverflowError, ValueError):  # inf, NaN, a string of no number
+        raise InvalidInputError(
+            f"{field} {text!r} is not a finite rational") from None
 
 
 def _npy_image(a: np.ndarray):
@@ -883,7 +802,7 @@ def save(md: ModularData, path) -> dict:
     refs, written = {}, {}
     # the document is opened first, so an unwritable path fails as itself
     with open(path, "w") as fh:
-        for i, (part, f) in enumerate(zip(_atomic_documents(doc),
+        for i, (part, f) in enumerate(zip(doc.get("product", [doc]),
                                           md.atomic_factors())):
             chunks, digest = _npy_image(
                 np.asarray(f.s, dtype=np.complex128))
@@ -897,16 +816,5 @@ def save(md: ModularData, path) -> dict:
     return written
 
 
-def _atomic_documents(doc: dict) -> list:
-    """The dicts of a modular-data document that `from_document` reads an
-    "s_matrix" from: the document, or the atomic parts of its "product"."""
-    if "product" not in doc:
-        return [doc]
-    parts = doc["product"]
-    return [a for d in (parts if isinstance(parts, list) else [])
-            if isinstance(d, dict) for a in _atomic_documents(d)]
-
-
 def load(path) -> ModularData:
-    doc = _read_json(path, ("s_matrix",), _atomic_documents)
-    return from_document(doc, os.path.dirname(path))
+    return from_document(_read_json(path), os.path.dirname(path))

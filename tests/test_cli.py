@@ -2,6 +2,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import pickle
 import time
@@ -1067,6 +1068,16 @@ def _zero_denominator(tmp_path, src, doc):
     return [str(_write(tmp_path / "h.json", doc))], "h '1/0'"
 
 
+def _infinite_weight(tmp_path, src, doc):
+    doc["fields"][1]["h"] = math.inf  # written as Infinity
+    return [str(_write(tmp_path / "h.json", doc))], "h inf"
+
+
+def _not_a_number(tmp_path, src, doc):
+    doc["central_charge"] = "2.5.1"
+    return [str(_write(tmp_path / "c.json", doc))], "central_charge '2.5.1'"
+
+
 def _through_a_file(tmp_path, src, doc):
     bad = src / "x.json"
     return [str(bad)], str(bad)
@@ -1099,6 +1110,8 @@ MALFORMED_INPUTS = {
     "object label": _object_label,
     "directory": _directory_input,
     "zero denominator": _zero_denominator,
+    "infinite weight": _infinite_weight,
+    "central charge not a number": _not_a_number,
     "path through a file": _through_a_file,
     "empty file": _empty_file,
     "[1,]": _trailing_comma,

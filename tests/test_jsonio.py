@@ -1,5 +1,6 @@
-"""The JSON writer, the row-by-row reader and the vectorized [re, im]
-loader, against the encoders and the per-element path they replace.
+"""The JSON writer, the reader behind `load` and `load_bundle` and the
+vectorized [re, im] loader, against the encoders and the per-element path
+they replace.
 
 The oracle for every written document is `json.dump(native(doc), fh,
 indent=1)` followed by a newline; the oracle for every loaded document is
@@ -13,7 +14,6 @@ import io
 import json
 import math
 import tempfile
-import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -306,21 +306,6 @@ BUNDLE_THEORIES = {
 }
 
 
-@pytest.fixture
-def by_rows(monkeypatch):
-    """Records, per read, whether the arrays were decoded by rows."""
-    seen = []
-    decode = modular._decode_by_rows
-
-    def spy(*args):
-        doc = decode(*args)
-        seen.append(doc is not None)
-        return doc
-
-    monkeypatch.setattr(modular, "_decode_by_rows", spy)
-    return seen
-
-
 def assert_reads_as_json_load(path, md=None):
     """load (or load_bundle over md) of `path` equals the json.load path,
     value for value and bit for bit, or raises the same error."""
@@ -334,13 +319,11 @@ def assert_reads_as_json_load(path, md=None):
 
 @pytest.mark.parametrize("writer", list(WRITERS))
 @pytest.mark.parametrize("name", MODULAR_DOCUMENTS + list(BUNDLE_THEORIES))
-def test_reader_matches_json_load(tmp_path, by_rows, name, writer):
+def test_reader_matches_json_load(tmp_path, name, writer):
     path = tmp_path / "doc.json"
     path.write_text(WRITERS[writer](DOCUMENTS[name]()))
     md = BUNDLE_THEORIES[name]() if name in BUNDLE_THEORIES else None
     assert_reads_as_json_load(path, md)
-    # an empty matrix is read whole; every other array by rows
-    assert by_rows[0] == (name != "bundle on no fields")
 
 
 SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, math.nan, math.inf,
@@ -348,17 +331,16 @@ SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, math.nan, math.inf,
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(1, 6), batch=st.integers(1, 3),
-       writer=st.sampled_from(list(WRITERS)), data=st.data())
-def test_reader_matches_json_load_on_special_values(n, batch, writer, data):
+@given(n=st.integers(1, 6), writer=st.sampled_from(list(WRITERS)),
+       data=st.data())
+def test_reader_matches_json_load_on_special_values(n, writer, data):
     values = st.lists(st.one_of(st.sampled_from(SPECIAL), st.floats()),
                       min_size=2 * n * n + 2 * n, max_size=2 * n * n + 2 * n)
     z = np.array(data.draw(values)).view(complex)
     md = ModularData(tuple(range(n)), (Fraction(0),) * n, Fraction(1),
                      z[:n * n].reshape(n, n), name="special")
     b = FixedPointBundle(0, tuple(range(n)), z[:n * n].reshape(n, n), z[n * n:])
-    with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(modular, "_ROWS_PER_BATCH", batch):
+    with tempfile.TemporaryDirectory() as tmp:
         s_path, b_path = Path(tmp) / "s.json", Path(tmp) / "b.json"
         s_path.write_text(WRITERS[writer](array_document(md)))
         b_path.write_text(WRITERS[writer](bundle_array_document(md, b)))
@@ -367,10 +349,9 @@ def test_reader_matches_json_load_on_special_values(n, batch, writer, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(1, 6), batch=st.integers(1, 3),
-       writer=st.sampled_from(list(WRITERS)), data=st.data())
-def test_reader_decodes_special_values_in_s_bit_for_bit(n, batch, writer,
-                                                        data):
+@given(n=st.integers(1, 6), writer=st.sampled_from(list(WRITERS)),
+       data=st.data())
+def test_reader_decodes_special_values_in_s_bit_for_bit(n, writer, data):
     # a load refuses an S that is not unitary and symmetric, which most S
     # of the test above are; here the decoded S is compared before that check
     values = st.lists(st.one_of(st.sampled_from(SPECIAL), st.floats()),
@@ -378,11 +359,10 @@ def test_reader_decodes_special_values_in_s_bit_for_bit(n, batch, writer,
     s = np.array(data.draw(values)).view(complex).reshape(n, n)
     md = ModularData(tuple(range(n)), (Fraction(0),) * n, Fraction(1), s,
                      name="special")
-    with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(modular, "_ROWS_PER_BATCH", batch):
+    with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "s.json"
         path.write_text(WRITERS[writer](array_document(md)))
-        got = modular._read_json(path, ("s_matrix",), modular._atomic_documents)
+        got = modular._read_json(path)
         want = oracle_json_load(path)
     assert (bits(complex_array(got["s_matrix"], "s_matrix"))
             == bits(complex_array(want["s_matrix"], "s_matrix")))
@@ -476,28 +456,6 @@ def test_bundle_reader_gives_the_json_load_outcome(tmp_path, case):
     dup = tmp_path / "dup.json"
     dup.write_text(json.dumps(doc)[:-1] + ', "matrix": [[[1.0, 0.0]]]}')
     assert_reads_as_json_load(dup, ex.ext_md)
-
-
-def test_load_holds_no_python_float_per_entry(tmp_path):
-    n = 300
-    # the normalized DFT matrix: symmetric and unitary, as a load requires
-    s = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / np.sqrt(n)
-    path = tmp_path / "s.json"
-    # the S inline, as external inputs and older runs hold it
-    md = ModularData(tuple(range(n)), (Fraction(0),) * n, Fraction(0), s)
-    with open(path, "w") as fh:
-        dump_json(array_document(md), fh)
-    size = path.stat().st_size  # 5.6 MB
-    tracemalloc.start()
-    try:
-        md = load(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(md.s, s)
-    # the text and the array, about 2.0x the file: decoding the whole
-    # document into Python floats first peaked at 3.4x (18.4 MB)
-    assert peak < 2.5 * size
 
 
 def test_reader_names_a_file_without_an_object(tmp_path):
