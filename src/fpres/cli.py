@@ -106,7 +106,7 @@ def _parse_current(md, token: str) -> int:
         pass
     try:
         parsed = json.loads(token)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         parsed = token
     return md.index(_label_from_json(parsed))
 

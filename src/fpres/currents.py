@@ -17,9 +17,11 @@ array operation. Fractions appear only at the accessors.
 
 Twist factors F(a, K, J) compare the K-translated rows of S^J against the
 monodromy phase. Only this module snaps twists and etas to exact roots of
-unity, once per table: `Theory.twists(k, j)` and `Theory.etas(j)` keep
-int64 numerators and mark what does not snap, so that only the accessor
-of that field raises; `twist_grid` and `eta_grid` gather them into grids.
+unity: `Theory.etas(j)` once per table, `Theory.twists(k, j)` only for K = 0
+and the basis of the center, in one pass, composing every other table
+exactly, F(a, K1 K2, J) = F(K2 a, K1, J) + F(a, K2, J). Both keep int64
+numerators and mark what does not snap, so that only the accessor of that
+field raises; `twist_grid` and `eta_grid` gather them into grids.
 """
 from __future__ import annotations
 
@@ -50,6 +52,7 @@ from .modular import (
     complex_array,
     complex_pairs,
     match_rows,
+    panels,
     product_ids,
 )
 from .phases import (SNAP_ORDER_LIMIT, SNAP_TOL, norm1, snap_phases, unit,
@@ -230,8 +233,8 @@ class Theory:
         # weights and T exponents mod 1, as numerators over self.den
         self.den, self._hn, tn = md.phase_numerators()
         self._charges = {}
-        # the Theory of each factor, by id: kept here, not on the factor,
-        # so that no factor and its Theory form a cycle
+        # the Theory of each factor, by id and by content: kept here, not
+        # on the factor, so that no factor and its Theory form a cycle
         self._factor_theories = {}
         # lcm of the T-exponent denominators, the current spin denominators
         # and the current orders: twist orders divide current orders
@@ -314,8 +317,10 @@ class Theory:
 
     def _factor_theory(self, f: ModularData) -> "Theory":
         sub = self._factor_theories.get(id(f))
-        if sub is None:
-            sub = self._factor_theories[id(f)] = Theory(f)
+        if sub is None:  # equal factors share one; repr tells 1 and 1.0 apart
+            key = (repr(f.labels), f.h, f.c, f.name, f.s.tobytes())
+            sub = self._factor_theories.get(key) or Theory(f)
+            self._factor_theories[id(f)] = self._factor_theories[key] = sub
         return sub
 
     def _product_bundle(self, j: int, fixed) -> ProductBundle:
@@ -386,74 +391,102 @@ class Theory:
 
     def twists(self, k: int, j: int) -> np.ndarray:
         """F(a, K, J) for every support field a of J, in bundle order, as
-        numerators over `snap_order`, snapped once per (K, J). Negative
+        numerators over `snap_order`, built once per (K, J). Negative
         entries mark the fields for which `twist_exponent` raises: -1 when
         the row ratio is no snapped phase, -2 when it is not constant and
-        -3 when the row vanishes. A product bundle sums its factor tables
-        (`_product_twists`)."""
-        if (k, j) in self._twists:
-            return self._twists[(k, j)]
-        b = self.bundle(j)
+        -3 when the row vanishes. Built as `_twist_stack` says."""
+        if (k, j) not in self._twists:
+            self._twist_stack([k], j)
+        return self._twists[(k, j)]
+
+    def _twist_stack(self, ks, j: int) -> np.ndarray:
+        """`twists(k, j)` for every k in `ks`, one row each, building the
+        tables not built yet together. A product bundle sums its factor
+        tables (`_product_twists`). Other multi-field bundles take row ratios
+        for K = 0 and the basis of the center only; any other K = g K', g the
+        first basis element with a nonzero coordinate of K, composes as
+        F(a, g K', J) = F(K' a, g, J) + F(a, K', J) by one gather, unless a
+        part holds a mark: then row ratios give its whole table."""
+        b, z, cache = self.bundle(j), self.center, self._twists
+        compose = b.dim > 1 and not isinstance(b, ProductBundle)
+        split, todo = {}, list(ks)  # translator -> (g, K'), or None
+        while todo:
+            x = todo.pop()
+            if x in split or (x, j) in cache:
+                continue
+            split[x] = None
+            if compose and x and x not in z.basis:
+                g = z.basis[np.flatnonzero(z.coords[x])[0]]
+                split[x] = g, z.mul(x, z.inverse(g))
+                todo += split[x]
+        direct = [x for x in split if split[x] is None]
+        if direct:
+            cache.update(zip([(x, j) for x in direct], self._product_twists(
+                direct, j) if isinstance(b, ProductBundle) else
+                self._direct_twists(direct, b)))
+        for x in sorted((x for x in split if split[x]),
+                        key=lambda x: sum(z.coords[x])):
+            g, rest = split[x]
+            first, second = cache[(g, j)], cache[(rest, j)]
+            cache[(x, j)] = self._direct_twists([x], b)[0] if (
+                (first < 0).any() or (second < 0).any()) else (first[
+                    b.positions(self.perms[rest][list(b.fields)])]
+                    + second) % self.snap_order
+        return np.array([cache[(k, j)] for k in ks],
+                        dtype=np.int64).reshape(len(ks), b.dim)
+
+    def _direct_twists(self, ks, b: FixedPointBundle) -> np.ndarray:
+        """The twist tables of the translators `ks` against the atomic
+        bundle `b`, one row each: by the inverse monodromy in dimension one,
+        whose denominator divides the snap order, else from the row ratios
+        S^J_{Ka,c} exp(-2 pi i Q_K(c)) / S^J_{ac} over the entries with a
+        non-negligible denominator, snapped once, by `panels` of the rows."""
         fields = np.array(b.fields, dtype=np.intp)
-        if isinstance(b, ProductBundle):
-            # sums the factor tables: no product charge column
-            table = self._product_twists(k, j)
-        elif b.dim == 1:
-            # one-dimensional bundles twist by the inverse monodromy, whose
-            # denominator divides the snap order
+        charges = np.array([self.charges(k)[fields] for k in ks])
+        if b.dim == 1:
             g = math.gcd(self.den, self.snap_order)
-            charges = self.charges(k)[fields]
-            table = -charges % self.den // (self.den // g) * (self.snap_order // g)
-        else:
-            # row ratios S^J_{Ka,c} exp(-2 pi i Q_K(c)) / S^J_{ac} over the
-            # entries with a non-negligible denominator
-            charges = self.charges(k)[fields]
-            m = b.matrix
-            moved = m[b.positions(self.perms[k][fields])]
-            mask = np.abs(m) > SNAP_TOL
-            ratios = np.divide(moved * units(-charges, self.den), m,
-                               out=np.zeros_like(m), where=mask)
+            return -charges % self.den // (self.den // g) * (
+                self.snap_order // g)
+        m, phases = b.matrix, units(-charges, self.den)[:, None]
+        at = b.positions(np.array([self.perms[k][fields] for k in ks]))
+        table = np.empty(at.shape, dtype=np.int64)
+        for p in panels(b.dim):
+            mask = np.abs(m[p]) > SNAP_TOL
+            ratios = np.divide(m[at[:, p]] * phases, m[p], where=mask,
+                               out=np.zeros((len(ks), *mask.shape), complex))
             count = mask.sum(axis=1)
-            mean = ratios.sum(axis=1) / np.maximum(count, 1)
-            table = snap_phases(mean, self.snap_order)
-            table[np.abs(ratios - mean[:, None]).max(
-                axis=1, where=mask, initial=0) > SNAP_TOL] = -2
-            table[count == 0] = -3
-        self._twists[(k, j)] = table
+            mean = ratios.sum(axis=2) / np.maximum(count, 1)
+            table[:, p] = snap_phases(mean, self.snap_order)
+            table[:, p][np.abs(ratios - mean[:, :, None]).max(
+                axis=2, where=mask, initial=0) > SNAP_TOL] = -2
+            table[:, p][:, count == 0] = -3
         return table
 
-    def _product_twists(self, k: int, j: int) -> np.ndarray:
-        """The twist table of a product bundle from the factor tables: row
-        ratios of a Kronecker product multiply, so F(a, K, J) is the sum of
-        the F(a_f, K_f, J_f), which vanish where J_f is trivial (the current
-        relation of the rows of S_f). A factor entry that is marked, or no
-        multiple of 1/snap_order, marks the entries it enters."""
+    def _product_twists(self, ks, j: int) -> np.ndarray:
+        """The twist tables of the translators `ks` against a product bundle,
+        one row each, from the factor tables: row ratios of a Kronecker
+        product multiply, so F(a, K, J) is the sum of the F(a_f, K_f, J_f),
+        which vanish where J_f is trivial (the current relation of the rows
+        of S_f). A factor entry that is marked, or no multiple of
+        1/snap_order, marks the entries it enters."""
         order = self.snap_order
         sizes = [f.size for f in self.md.factors]
-        nums = np.zeros(1, dtype=np.int64)
-        marks = None  # no factor entry marked so far
-        for f, kf, jf in zip(self.md.factors, np.unravel_index(k, sizes),
+        nums = np.zeros((len(ks), 1), dtype=np.int64)
+        marks = np.zeros_like(nums)
+        for f, kf, jf in zip(self.md.factors, np.unravel_index(ks, sizes),
                              np.unravel_index(j, sizes)):
-            if jf == 0:
-                nums = np.repeat(nums, f.size)
-                marks = None if marks is None else np.repeat(marks, f.size)
-                continue
-            sub = self._factor_theory(f)
-            part = sub.twists(int(kf), int(jf))
-            g = math.gcd(sub.snap_order, order)
-            step = sub.snap_order // g
-            mark = np.where(part < 0, part, np.where(part % step, -1, 0))
-            if mark.any():
+            part = mark = np.zeros((len(ks), f.size), dtype=np.int64)
+            if jf:
+                sub = self._factor_theory(f)
+                part = sub._twist_stack(kf.tolist(), int(jf))
+                g = math.gcd(sub.snap_order, order)
+                step = sub.snap_order // g
+                mark = np.where(part < 0, part, np.where(part % step, -1, 0))
                 part = np.where(mark < 0, 0, part // step * (order // g))
-                marks = np.minimum.outer(
-                    np.zeros(len(nums), dtype=np.int64) if marks is None
-                    else marks, mark).ravel()
-            else:
-                part = part // step * (order // g)
-                marks = None if marks is None else np.repeat(marks, len(part))
-            nums = np.add.outer(nums, part).ravel()
-        return nums % order if marks is None else np.where(
-            marks < 0, marks, nums % order)
+            marks = np.minimum(marks[:, :, None], mark[:, None]).reshape(
+                len(ks), -1)
+            nums = (nums[:, :, None] + part[:, None]).reshape(len(ks), -1)
+        return np.where(marks < 0, marks, nums % order)
 
     def twist_exponent(self, a: int, k: int, j: int) -> Fraction:
         """Exact exponent of F(a, K, J); a must be fixed by J."""
@@ -471,18 +504,19 @@ class Theory:
     def twist_grid(self, fields, translators, currents) -> np.ndarray:
         """F(fields[i], translators[x], currents[y]) over `snap_order` where
         currents[y] fixes fields[i], marked as in `twists`; NA elsewhere."""
-        return self._grid(fields, currents, len(translators), lambda j, b: [
-            self.twists(k, j) for k in translators])
+        return self._grid(fields, currents, len(translators), lambda j, b:
+                          self._twist_stack(translators, j))
 
     def eta_grid(self, fields, currents) -> np.ndarray:
         """eta^J(fields[i]) for J = currents[y] over `eta_order` where J fixes
         fields[i], marked as in `etas`; NA elsewhere and without eta data."""
-        return self._grid(fields, currents, 1, lambda j, b: [
-            self.etas(j)] if b.eta is not None else [])[:, 0]
+        return self._grid(fields, currents, 1, lambda j, b: None if
+                          b.eta is None else self.etas(j)[None])[:, 0]
 
     def _grid(self, fields, currents, width, tables) -> np.ndarray:
         """tables(J, bundle of J)[x] at fields[i] for J = currents[y] where J
-        fixes fields[i]; 0 for the identity, NA elsewhere."""
+        fixes fields[i], by one gather per current; 0 for the identity, NA
+        elsewhere and where `tables` gives None."""
         fields = np.asarray(fields, dtype=np.intp)
         grid = np.full((len(fields), width, len(currents)), NA, dtype=np.int64)
         for y, j in enumerate(currents):
@@ -491,9 +525,9 @@ class Theory:
                 grid[:, :, y] = 0
             elif len(sel):
                 b = self.bundle(j)
-                pos = b.positions(fields[sel])
-                for x, table in enumerate(tables(j, b)):
-                    grid[sel, x, y] = table[pos]
+                stack = tables(j, b)
+                if stack is not None:
+                    grid[sel, :, y] = stack[:, b.positions(fields[sel])].T
         return grid
 
 

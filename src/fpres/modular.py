@@ -36,6 +36,7 @@ S_TOL = 1e-6        # S entries: current detection, row matching, conjugation
 FUSION_TOL = 1e-6   # integrality of the Verlinde sums
 GATE_TOL = 1e-8     # consistency gates that raise (resolved eta^2, su(N) S)
 MODULAR_TOL = 1e-9  # check_modular
+LABEL_DEPTH = 100  # lists a field label may nest, well inside the stack
 
 
 def dense_budget(entries: int, what: str) -> None:
@@ -520,6 +521,8 @@ def _read_json(path) -> dict:
             f"{exc.start}") from None
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"{path}: {exc}") from None
+    except RecursionError:
+        raise InvalidInputError(f"{path}: JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise InvalidInputError(f"{path} does not hold a JSON object")
     return doc
@@ -568,9 +571,11 @@ def _label_to_json(lab):
     return lab
 
 
-def _label_from_json(lab):
+def _label_from_json(lab, depth: int = 0):
     if isinstance(lab, list):
-        return tuple(_label_from_json(x) for x in lab)
+        if depth == LABEL_DEPTH:
+            raise InvalidInputError(f"label nested deeper than {LABEL_DEPTH} lists")
+        return tuple([_label_from_json(x, depth + 1) for x in lab])
     if isinstance(lab, dict):
         raise InvalidInputError(
             f"label {lab!r} is an object; a label is a string, number, "

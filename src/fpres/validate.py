@@ -2,13 +2,14 @@
 
 Each twisted matrix is checked against the full condition system:
 support, unitarity, the cube relation with the restricted T, row
-covariance under translations (one broadcast per translator), the
+covariance under translations (broadcast over the translators), the
 square/eta pairing, and the transpose pairing with the inverse current.
 Twist tables are checked for multiplicativity, conjugation symmetry and
 the spin rule, and the eta product law against the twists, as integer
 identities over (field, stabilizer element) grids of the exact tables of
 `Theory`; an entry that did not snap raises through its accessor, as a
-field-by-field evaluation would.
+field-by-field evaluation would. A report builds its grids once, over the
+union of the supports it checks.
 
 {5c}, eta^J(conj a) = conj eta^J(a), is the half-integer-spin flag. With
 {2}, {5}, {6} and {5b} at K = J^-1, correct data satisfy eta^J(conj a) =
@@ -31,6 +32,7 @@ from .modular import (FUSION_TOL, ModularData, _verlinde,
 from .phases import norm1, units
 
 CHECK_TOL = 1e-8  # default tolerance of the condition checks
+PANEL_ENTRIES = 1 << 18  # S^J entries per broadcast of check {4}
 FUSION_SAMPLES = 60  # seeded rows the fusion check samples past the budget
 FUSION_SEED = 0
 
@@ -77,8 +79,36 @@ def _product_law(theory: Theory, grids, fields, i, j, k):
     return i, j, k, g, parts[3] * (e // theory.snap_order)
 
 
-def check_conditions(theory: Theory, j: int, tol: float = CHECK_TOL) -> dict:
-    """Full condition report for the twisted matrix of current j."""
+def _report_tables(theory: Theory, currents):
+    """What the checks of `currents` read, over the union of their supports,
+    `fields` (ascending), and the center `elems`: elems[x] fields[i] and the
+    charge phase exp(2 pi i Q_{elems[x]}(fields[i])) at [i, x], the product
+    table of `elems` by position, the twist grid [i, x, y] of translator
+    elems[x] and current elems[y] and the eta grid [i, y], NA at the
+    currents without a bundle."""
+    elems = theory.center.elements
+    fields = np.array(sorted(set().union(*(theory.bundle(j).fields
+                                           for j in currents))), dtype=np.intp)
+    modular.dense_budget(len(fields) * len(elems) ** 2,
+                         "the twist grid of the condition report")
+    moved = np.stack([theory.perms[x][fields] for x in elems], axis=1)
+    mul = np.searchsorted(elems, [theory.perms[x][list(elems)] for x in elems])
+    have = [elems[x] for x in np.flatnonzero((
+        moved == fields[:, None]).any(axis=0)) if _has_bundle(theory, elems[x])]
+    at = np.searchsorted(elems, have)
+    tw = np.full((len(fields), len(elems), len(elems)), NA, dtype=np.int64)
+    eta = np.full((len(fields), len(elems)), NA, dtype=np.int64)
+    tw[:, :, at] = theory.twist_grid(fields, elems, have)
+    eta[:, at] = theory.eta_grid(fields, have)
+    phases = units(np.stack([theory.charges(x)[fields] for x in elems],
+                            axis=1), theory.den)
+    return fields, moved, phases, mul, tw, eta
+
+
+def check_conditions(theory: Theory, j: int, tol: float = CHECK_TOL, *,
+                     tables=None) -> dict:
+    """Full condition report for the twisted matrix of current j, read off
+    the `_report_tables` of currents with j among them, or of j alone."""
     b = theory.bundle(j)
     supp = tuple(b.fields)
     n = len(supp)
@@ -125,36 +155,32 @@ def check_conditions(theory: Theory, j: int, tol: float = CHECK_TOL) -> dict:
     elems = theory.center.elements
     y = elems.index(j)
     order = theory.snap_order
-    fix = np.array([theory.perms[x][list(supp)] == supp for x in elems]).T
-    mul = np.searchsorted(elems, [theory.perms[x][list(elems)] for x in elems])
-    # the grids over elems, NA at the currents without a bundle
-    have = [elems[x] for x in np.flatnonzero(fix.any(axis=0))
-            if _has_bundle(theory, elems[x])]
-    tw = np.full((n, len(elems), len(elems)), NA, dtype=np.int64)
-    eta = np.full((n, len(elems)), NA, dtype=np.int64)
-    tw[:, :, np.searchsorted(elems, have)] = theory.twist_grid(supp, elems, have)
-    eta[:, np.searchsorted(elems, have)] = theory.eta_grid(supp, have)
+    fields, moved, phases, mul, tw, eta = (
+        tables or _report_tables(theory, [j]))
+    rows = np.searchsorted(fields, supp)
+    moved, tw, eta, phases = (v[rows] for v in (moved, tw, eta, phases))
+    fix = moved == np.array(supp)[:, None]
     avail = tw[:, 0] != NA          # [i, y]: y fixes supp[i], has a bundle
 
-    # {4}: one broadcast of the row covariance per translator
-    dev4 = 0.0
-    wit4 = None
-    for k in elems[1:]:
-        f = theory.twists(k, j)
-        if (f < 0).any():
-            record("{4}", False, 1.0,
-                   witness={"field": supp[int(np.argmax(f < 0))],
-                            "translator": k},
-                   note="row ratio is not a constant snapped phase")
-            break
-        col = units(theory.charges(k)[list(supp)], theory.den)
-        moved = m[b.positions(theory.perms[k][list(supp)])]
-        d = np.abs(moved - units(f, order)[:, None] * col * m).max(axis=1)
-        i = int(d.argmax())
-        if d[i] > dev4:
-            dev4 = d[i]
-            wit4 = {"field": supp[i], "translator": k}
+    # {4}: S^J_{Ka,c} = F(a, K, J) exp(2 pi i Q_K(c)) S^J_{ac} for every
+    # translator K = elems[x + 1], PANEL_ENTRIES entries of S^J at a time
+    f = tw[:, 1:, y].T
+    if (f < 0).any():
+        x, i = np.argwhere(f < 0)[0]
+        record("{4}", False, 1.0,
+               witness={"field": supp[i], "translator": elems[x + 1]},
+               note="row ratio is not a constant snapped phase")
     else:
+        pos, u, p = b.positions(moved[:, 1:].T), units(f, order), phases.T[1:]
+        step = max(1, PANEL_ENTRIES // (n * n))
+        d = np.concatenate([np.abs(m[pos[x:x + step]] - u[x:x + step, :, None]
+                                   * p[x:x + step, None] * m).max(axis=2)
+                            for x in range(0, len(pos), step)])
+        dev4, wit4 = 0.0, None
+        for x, i in enumerate(d.argmax(axis=1).tolist()):
+            if d[x, i] > dev4:
+                dev4 = d[x, i]
+                wit4 = {"field": supp[i], "translator": elems[x + 1]}
         record("{4}", dev4 <= tol, dev4,
                witness=wit4 if dev4 > tol else None)
 
@@ -288,14 +314,11 @@ def check_fusion_integrality(md: ModularData) -> dict:
 def condition_report(theory: Theory, currents=None, tol: float = CHECK_TOL) -> dict:
     """Machine-readable report over all checkable currents."""
     if currents is None:
-        currents = [
-            j
-            for j in theory.center.elements
-            if j and len(theory.fixed_fields(j)) and _has_bundle(theory, j)
-        ]
-    bundles = {}
-    for j in currents:
-        bundles[str(j)] = check_conditions(theory, j, tol=tol)
+        currents = [j for j in theory.center.elements if j and len(
+            theory.fixed_fields(j)) and _has_bundle(theory, j)]
+    tables = _report_tables(theory, currents)
+    bundles = {str(j): check_conditions(theory, j, tol, tables=tables)
+               for j in currents}
     return {
         "format": "condition-report v1",
         "tolerance": tol,

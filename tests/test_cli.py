@@ -400,6 +400,34 @@ def test_a_product_name_that_is_not_a_string_exits_2(tmp_path, capsys, where):
     assert "name must be a string, not 7" in capsys.readouterr().err
 
 
+def test_json_nested_past_the_recursion_limit_exits_2(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"a": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    rc = main(["validate", str(deep)])
+    assert rc == 2
+    assert f"{deep}: JSON nested too deeply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["field", "--by"])
+def test_a_label_nested_800_lists_deep_exits_2(tmp_path, capsys, where):
+    src = tmp_path / "su24.json"
+    run(capsys, "generate", "su2", "--k", "4", "--out", str(src))
+    label = 4
+    for _ in range(800):
+        label = [label]
+    by = "4"
+    if where == "field":
+        doc = json.loads(src.read_text())
+        doc["fields"][4]["label"] = label
+        src.write_text(json.dumps(doc))
+    else:
+        by = json.dumps(label)
+    rc = main(["extend", str(src), "--by", by, "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "label nested deeper than 100 lists" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_missing_input_is_usage_error(tmp_path, capsys):
     rc, _ = run(capsys, "validate", str(tmp_path / "nope.json"))
     assert rc == 2

@@ -467,6 +467,39 @@ def test_report_and_gf_match_the_per_field_oracle(name):
                     f"check_GF({a})")
 
 
+def row_ratio_table(oracle, k, j):
+    """The twist table of (K, J) from the oracle's row ratios, in bundle
+    order, marked as `Theory.twists` marks what it cannot snap."""
+    th = oracle.th
+    table = []
+    for a in th.bundle(j).fields:
+        try:
+            q = oracle.twist(a, k, j)
+            table.append(q.numerator * th.snap_order // q.denominator)
+        except PhaseSnapError:
+            table.append(-1)
+        except ResolutionError as exc:
+            table.append(-3 if "vanishes" in str(exc) else -2)
+    return table
+
+
+@pytest.mark.parametrize("name", THEORIES)
+def test_composed_twist_tables_equal_the_row_ratio_tables(name):
+    # Theory.twists takes row ratios only for 0 and the basis of the center
+    # and composes the other translators; every table, marks included,
+    # must be the one that row ratios give
+    th = THEORIES[name]()
+    oracle = Oracle(th)
+    tables = 0
+    for j in th.center.elements:
+        if j and oracle.have_bundle(j):
+            for k in reversed(th.center.elements):
+                assert th.twists(k, j).tolist() == row_ratio_table(
+                    oracle, k, j), (k, j)
+                tables += 1
+    assert tables
+
+
 @pytest.mark.parametrize("name", CORRUPTED)
 def test_corrupted_bundles_fail_in_the_oracle(name):
     # the comparison above sees failing checks and raised errors, not only

@@ -56,6 +56,28 @@ def test_a_product_theory_frees_its_factors_without_the_cycle_collector():
             gc.enable()
 
 
+def test_equal_factors_share_one_theory(monkeypatch):
+    built = []
+    init = Theory.__init__
+
+    def spy(self, md, *args, **kwargs):
+        built.append(md)
+        init(self, md, *args, **kwargs)
+
+    monkeypatch.setattr(Theory, "__init__", spy)
+    md = tensor(*(su2(4) for _ in range(4)))
+    assert len({id(f) for f in md.factors}) == 4
+    ex = extend(Theory(md), [md.index((4, 4, 4, 4))])
+    [ex.resolve(c) for c in ex.residual_classes() if c.order > 1]
+    assert [f.name for f in built if not f.is_product] == ["su2_4"]
+    # factors that differ in any part of their content keep their own
+    built.clear()
+    md = tensor(su2(4), su2(4), su2(6))
+    th = Theory(md)
+    th.twists(md.index((4, 4, 6)), md.index((4, 4, 6)))
+    assert [f.name for f in built if not f.is_product] == ["su2_4", "su2_6"]
+
+
 def test_detect_su2_4():
     assert detect_simple_currents(su2(4)) == [0, 4]
 
