@@ -26,6 +26,7 @@ field raises; `twist_grid` and `eta_grid` gather them into grids.
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 import os
 from dataclasses import dataclass
@@ -318,7 +319,8 @@ class Theory:
     def _factor_theory(self, f: ModularData) -> "Theory":
         sub = self._factor_theories.get(id(f))
         if sub is None:  # equal factors share one; repr tells 1 and 1.0 apart
-            key = (repr(f.labels), f.h, f.c, f.name, f.s.tobytes())
+            key = (repr(f.labels), f.h, f.c, f.name,
+                   hashlib.sha256(np.ascontiguousarray(f.s)).digest())
             sub = self._factor_theories.get(key) or Theory(f)
             self._factor_theories[id(f)] = self._factor_theories[key] = sub
         return sub
@@ -440,7 +442,8 @@ class Theory:
         bundle `b`, one row each: by the inverse monodromy in dimension one,
         whose denominator divides the snap order, else from the row ratios
         S^J_{Ka,c} exp(-2 pi i Q_K(c)) / S^J_{ac} over the entries with a
-        non-negligible denominator, snapped once, by `panels` of the rows."""
+        non-negligible denominator, snapped once, by `panels` of the rows a
+        over all of `ks` at once."""
         fields = np.array(b.fields, dtype=np.intp)
         charges = np.array([self.charges(k)[fields] for k in ks])
         if b.dim == 1:
@@ -450,7 +453,7 @@ class Theory:
         m, phases = b.matrix, units(-charges, self.den)[:, None]
         at = b.positions(np.array([self.perms[k][fields] for k in ks]))
         table = np.empty(at.shape, dtype=np.int64)
-        for p in panels(b.dim):
+        for p in panels(b.dim, len(ks) * b.dim, b.dim):
             mask = np.abs(m[p]) > SNAP_TOL
             ratios = np.divide(m[at[:, p]] * phases, m[p], where=mask,
                                out=np.zeros((len(ks), *mask.shape), complex))

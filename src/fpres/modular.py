@@ -49,10 +49,13 @@ def dense_budget(entries: int, what: str) -> None:
         )
 
 
-def panels(n: int):
+def panels(n: int, block: int = 0, width: int = 0):
     """The row slices of a pass over n rows: ROW_BLOCK rows each, the last
-    one ragged."""
-    return [slice(lo, min(lo + ROW_BLOCK, n)) for lo in range(0, n, ROW_BLOCK)]
+    one ragged; rows of `block` entries each, out of arrays of `width`
+    columns, as many as fit in ROW_BLOCK x max(width, ROW_BLOCK) entries,
+    and at least one."""
+    h = max(1, ROW_BLOCK * max(width, ROW_BLOCK) // block) if block else ROW_BLOCK
+    return [slice(lo, min(lo + h, n)) for lo in range(0, n, h)]
 
 
 def product_ids(parts, sizes) -> np.ndarray:

@@ -32,7 +32,6 @@ from .modular import (FUSION_TOL, ModularData, _verlinde,
 from .phases import norm1, units
 
 CHECK_TOL = 1e-8  # default tolerance of the condition checks
-PANEL_ENTRIES = 1 << 18  # S^J entries per broadcast of check {4}
 FUSION_SAMPLES = 60  # seeded rows the fusion check samples past the budget
 FUSION_SEED = 0
 
@@ -95,9 +94,9 @@ def _report_tables(theory: Theory, currents):
     mul = np.searchsorted(elems, [theory.perms[x][list(elems)] for x in elems])
     have = [elems[x] for x in np.flatnonzero((
         moved == fields[:, None]).any(axis=0)) if _has_bundle(theory, elems[x])]
-    at = np.searchsorted(elems, have)
     tw = np.full((len(fields), len(elems), len(elems)), NA, dtype=np.int64)
     eta = np.full((len(fields), len(elems)), NA, dtype=np.int64)
+    at = np.searchsorted(elems, have)
     tw[:, :, at] = theory.twist_grid(fields, elems, have)
     eta[:, at] = theory.eta_grid(fields, have)
     phases = units(np.stack([theory.charges(x)[fields] for x in elems],
@@ -163,7 +162,7 @@ def check_conditions(theory: Theory, j: int, tol: float = CHECK_TOL, *,
     avail = tw[:, 0] != NA          # [i, y]: y fixes supp[i], has a bundle
 
     # {4}: S^J_{Ka,c} = F(a, K, J) exp(2 pi i Q_K(c)) S^J_{ac} for every
-    # translator K = elems[x + 1], PANEL_ENTRIES entries of S^J at a time
+    # translator K = elems[x + 1], by `panels` of translators
     f = tw[:, 1:, y].T
     if (f < 0).any():
         x, i = np.argwhere(f < 0)[0]
@@ -172,10 +171,9 @@ def check_conditions(theory: Theory, j: int, tol: float = CHECK_TOL, *,
                note="row ratio is not a constant snapped phase")
     else:
         pos, u, p = b.positions(moved[:, 1:].T), units(f, order), phases.T[1:]
-        step = max(1, PANEL_ENTRIES // (n * n))
-        d = np.concatenate([np.abs(m[pos[x:x + step]] - u[x:x + step, :, None]
-                                   * p[x:x + step, None] * m).max(axis=2)
-                            for x in range(0, len(pos), step)])
+        d = np.concatenate([np.abs(m[pos[s]] - u[s, :, None] * p[s, None] * m)
+                            .max(axis=2) for s in modular.panels(len(pos),
+                                                                 n * n, n)])
         dev4, wit4 = 0.0, None
         for x, i in enumerate(d.argmax(axis=1).tolist()):
             if d[x, i] > dev4:
@@ -314,8 +312,11 @@ def check_fusion_integrality(md: ModularData) -> dict:
 def condition_report(theory: Theory, currents=None, tol: float = CHECK_TOL) -> dict:
     """Machine-readable report over all checkable currents."""
     if currents is None:
-        currents = [j for j in theory.center.elements if j and len(
-            theory.fixed_fields(j)) and _has_bundle(theory, j)]
+        currents = [
+            j
+            for j in theory.center.elements
+            if j and len(theory.fixed_fields(j)) and _has_bundle(theory, j)
+        ]
     tables = _report_tables(theory, currents)
     bundles = {str(j): check_conditions(theory, j, tol, tables=tables)
                for j in currents}
