@@ -1,9 +1,11 @@
 """Exact coincidence oracles: extensions that equal theories built apart.
 
 Each extension is resolved, passes `check_modular` and the condition
-report, and matches its target under `match_fields`. The targets are
-su(3)_1 from `wzw.sun` and pointed theories from `oracles.pointed`, so the
-oracle does not come from the extension engine itself.
+report (up to the {5c} spin flag where its surviving current has
+half-integer spin), and matches its target under `match_fields`. The
+targets are built-in su(N)_k, Ising and products of them, and pointed
+theories from `oracles.pointed`, so the oracle does not come from the
+extension engine itself.
 """
 from fractions import Fraction
 
