@@ -20,9 +20,9 @@ fpres is imported from `PYTHONPATH` when that provides it, else from the
 from, with `-dirty` when its `src/` has uncommitted changes. OpenBLAS runs
 on one thread unless `OPENBLAS_NUM_THREADS` says otherwise.
 
-With `--against REV`, the `src/` of REV is unpacked with `git archive`
-into a temporary directory, removed afterwards, and each selected workload
-runs ROUNDS times in fresh interpreters on both sides, the working tree's
+With `--against REV`, REV is checked out with `git worktree add` into a
+temporary directory, removed afterwards, and each selected workload runs
+ROUNDS times in fresh interpreters on both sides, the working tree's
 `src/` and REV's, alternating which side runs first. Both sides run this
 file's passes. The file, `BENCH_<sha>-vs-<REV sha>.json`, holds per workload
 and stage both sides' medians, the quartiles of the paired differences
@@ -32,7 +32,6 @@ tree was faster, and both sides' `stages_peak_rss_mb`, medians per stage.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import platform
@@ -41,7 +40,6 @@ import shutil
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 
@@ -246,12 +244,10 @@ def against(doc: dict, names, rev: str) -> str:
     the short sha of `rev`."""
     base_sha = git("rev-parse", "--short", f"{rev}^{{commit}}")
     tmp = tempfile.mkdtemp(prefix="fpres-ladder-")
+    tree = os.path.join(tmp, base_sha)
+    git("worktree", "add", "--detach", tree, base_sha)
     try:
-        archive = subprocess.run(["git", "-C", ROOT, "archive", base_sha,
-                                  "src"], capture_output=True, check=True)
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            tar.extractall(tmp)
-        sides = {"head": fpres_src(), "base": os.path.join(tmp, "src")}
+        sides = {"head": fpres_src(), "base": os.path.join(tree, "src")}
         for name in names:
             runs = {"head": [], "base": []}
             for k in range(ROUNDS):
@@ -264,6 +260,8 @@ def against(doc: dict, names, rev: str) -> str:
                   f"won {t['won']:.0%} of {ROUNDS} rounds, ok={w['ok']}",
                   file=sys.stderr)
     finally:
+        subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force",
+                        tree], capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
     doc["against"] = {"rev": rev, "sha": base_sha, "rounds": ROUNDS}
     return base_sha

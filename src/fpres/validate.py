@@ -8,8 +8,8 @@ Twist tables are checked for multiplicativity, conjugation symmetry and
 the spin rule, and the eta product law against the twists, as integer
 identities over (field, stabilizer element) grids of the exact tables of
 `Theory`; an entry that did not snap raises through its accessor, as a
-field-by-field evaluation would. A report builds its grids once, over the
-union of the supports it checks.
+field-by-field evaluation would. A report builds the tables its checks
+share once, over the union of the supports it checks.
 
 {5c}, eta^J(conj a) = conj eta^J(a), is the half-integer-spin flag. With
 {2}, {5}, {6} and {5b} at K = J^-1, correct data satisfy eta^J(conj a) =
@@ -79,29 +79,18 @@ def _product_law(theory: Theory, grids, fields, i, j, k):
 
 
 def _report_tables(theory: Theory, currents):
-    """What the checks of `currents` read, over the union of their supports,
+    """What the checks of `currents` share, over the union of their supports,
     `fields` (ascending), and the center `elems`: elems[x] fields[i] and the
-    charge phase exp(2 pi i Q_{elems[x]}(fields[i])) at [i, x], the product
-    table of `elems` by position, the twist grid [i, x, y] of translator
-    elems[x] and current elems[y] and the eta grid [i, y], NA at the
-    currents without a bundle."""
+    charge phase exp(2 pi i Q_{elems[x]}(fields[i])) at [i, x], and the
+    product table of `elems` by position."""
     elems = theory.center.elements
     fields = np.array(sorted(set().union(*(theory.bundle(j).fields
                                            for j in currents))), dtype=np.intp)
-    modular.dense_budget(len(fields) * len(elems) ** 2,
-                         "the twist grid of the condition report")
     moved = np.stack([theory.perms[x][fields] for x in elems], axis=1)
-    mul = np.searchsorted(elems, [theory.perms[x][list(elems)] for x in elems])
-    have = [elems[x] for x in np.flatnonzero((
-        moved == fields[:, None]).any(axis=0)) if _has_bundle(theory, elems[x])]
-    tw = np.full((len(fields), len(elems), len(elems)), NA, dtype=np.int64)
-    eta = np.full((len(fields), len(elems)), NA, dtype=np.int64)
-    at = np.searchsorted(elems, have)
-    tw[:, :, at] = theory.twist_grid(fields, elems, have)
-    eta[:, at] = theory.eta_grid(fields, have)
     phases = units(np.stack([theory.charges(x)[fields] for x in elems],
                             axis=1), theory.den)
-    return fields, moved, phases, mul, tw, eta
+    mul = np.searchsorted(elems, [theory.perms[x][list(elems)] for x in elems])
+    return fields, moved, phases, mul
 
 
 def check_conditions(theory: Theory, j: int, tol: float = CHECK_TOL, *,
@@ -154,11 +143,17 @@ def check_conditions(theory: Theory, j: int, tol: float = CHECK_TOL, *,
     elems = theory.center.elements
     y = elems.index(j)
     order = theory.snap_order
-    fields, moved, phases, mul, tw, eta = (
-        tables or _report_tables(theory, [j]))
+    fields, moved, phases, mul = tables or _report_tables(theory, [j])
     rows = np.searchsorted(fields, supp)
-    moved, tw, eta, phases = (v[rows] for v in (moved, tw, eta, phases))
+    moved, phases = moved[rows], phases[rows]
     fix = moved == np.array(supp)[:, None]
+    # the grids over elems, NA at the currents without a bundle
+    have = [elems[x] for x in np.flatnonzero(fix.any(axis=0))
+            if _has_bundle(theory, elems[x])]
+    tw = np.full((n, len(elems), len(elems)), NA, dtype=np.int64)
+    eta = np.full((n, len(elems)), NA, dtype=np.int64)
+    tw[:, :, np.searchsorted(elems, have)] = theory.twist_grid(supp, elems, have)
+    eta[:, np.searchsorted(elems, have)] = theory.eta_grid(supp, have)
     avail = tw[:, 0] != NA          # [i, y]: y fixes supp[i], has a bundle
 
     # {4}: S^J_{Ka,c} = F(a, K, J) exp(2 pi i Q_K(c)) S^J_{ac} for every
