@@ -81,8 +81,12 @@ def _product_law(theory: Theory, grids, fields, i, j, k):
 def _report_tables(theory: Theory, currents):
     """What the checks of `currents` share, over the union of their supports,
     `fields` (ascending), and the center `elems`: elems[x] fields[i] and the
-    charge phase exp(2 pi i Q_{elems[x]}(fields[i])) at [i, x], and the
-    product table of `elems` by position."""
+    charge phase exp(2 pi i Q_{elems[x]}(fields[i])) at [i, x], the product
+    table of `elems` by position, and the twist and eta tables of every
+    current elems[y] with a bundle, end to end: F(a, elems[x], elems[y]) at
+    [r, x] of `tws` and eta^{elems[y]}(a) at [r] of `etas`, r = at[i, y] for
+    a = fields[i]. at[i, y] is -2 where elems[y] fixes a off its bundle, and
+    else -1, the NA row, where it does not fix a or has no bundle."""
     elems = theory.center.elements
     fields = np.array(sorted(set().union(*(theory.bundle(j).fields
                                            for j in currents))), dtype=np.intp)
@@ -90,7 +94,23 @@ def _report_tables(theory: Theory, currents):
     phases = units(np.stack([theory.charges(x)[fields] for x in elems],
                             axis=1), theory.den)
     mul = np.searchsorted(elems, [theory.perms[x][list(elems)] for x in elems])
-    return fields, moved, phases, mul
+    at = np.where(moved == fields[:, None], -2, -1)
+    at[:, 0] = 0  # the identity's one row of zeros
+    tws, etas = [np.zeros((1, len(elems)), np.int64)], [np.zeros(1, np.int64)]
+    for y in np.flatnonzero((at[:, 1:] == -2).any(axis=0)) + 1:
+        sel = np.flatnonzero(at[:, y] == -2)
+        if not _has_bundle(theory, elems[y]):
+            at[sel, y] = -1
+            continue
+        b = theory.bundle(elems[y])
+        sel = sel[np.isin(fields[sel], b.fields)]
+        at[sel, y] = sum(map(len, etas)) + b.positions(fields[sel])
+        tws.append(theory._twist_stack(elems, elems[y]).T)
+        etas.append(np.full(b.dim, NA) if b.eta is None else
+                    theory.etas(elems[y]))
+    return (fields, moved, phases, mul, at,
+            np.concatenate([*tws, np.full((1, len(elems)), NA)]),
+            np.concatenate([*etas, [NA]]))
 
 
 def check_conditions(theory: Theory, j: int, tol: float = CHECK_TOL, *,
@@ -143,17 +163,15 @@ def check_conditions(theory: Theory, j: int, tol: float = CHECK_TOL, *,
     elems = theory.center.elements
     y = elems.index(j)
     order = theory.snap_order
-    fields, moved, phases, mul = tables or _report_tables(theory, [j])
+    fields, moved, phases, mul, at, tws, etas = (
+        tables or _report_tables(theory, [j]))
     rows = np.searchsorted(fields, supp)
-    moved, phases = moved[rows], phases[rows]
+    moved, phases, at = moved[rows], phases[rows], at[rows]
     fix = moved == np.array(supp)[:, None]
+    for x, i in np.argwhere(at.T == -2)[:1]:  # raises for the first one
+        theory.bundle(elems[x]).positions([supp[i]])
     # the grids over elems, NA at the currents without a bundle
-    have = [elems[x] for x in np.flatnonzero(fix.any(axis=0))
-            if _has_bundle(theory, elems[x])]
-    tw = np.full((n, len(elems), len(elems)), NA, dtype=np.int64)
-    eta = np.full((n, len(elems)), NA, dtype=np.int64)
-    tw[:, :, np.searchsorted(elems, have)] = theory.twist_grid(supp, elems, have)
-    eta[:, np.searchsorted(elems, have)] = theory.eta_grid(supp, have)
+    tw, eta = tws[at].transpose(0, 2, 1), etas[at]
     avail = tw[:, 0] != NA          # [i, y]: y fixes supp[i], has a bundle
 
     # {4}: S^J_{Ka,c} = F(a, K, J) exp(2 pi i Q_K(c)) S^J_{ac} for every
