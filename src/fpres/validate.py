@@ -85,8 +85,8 @@ def _report_tables(theory: Theory, currents):
     table of `elems` by position, and the twist and eta tables of every
     current elems[y] with a bundle, end to end: F(a, elems[x], elems[y]) at
     [r, x] of `tws` and eta^{elems[y]}(a) at [r] of `etas`, r = at[i, y] for
-    a = fields[i]. at[i, y] is -2 where elems[y] fixes a off its bundle, and
-    else -1, the NA row, where it does not fix a or has no bundle."""
+    a = fields[i]; -1, the NA row, where elems[y] does not fix a or has no
+    bundle."""
     elems = theory.center.elements
     fields = np.array(sorted(set().union(*(theory.bundle(j).fields
                                            for j in currents))), dtype=np.intp)
@@ -94,20 +94,17 @@ def _report_tables(theory: Theory, currents):
     phases = units(np.stack([theory.charges(x)[fields] for x in elems],
                             axis=1), theory.den)
     mul = np.searchsorted(elems, [theory.perms[x][list(elems)] for x in elems])
-    at = np.where(moved == fields[:, None], -2, -1)
+    at = np.full(moved.shape, -1)
     at[:, 0] = 0  # the identity's one row of zeros
     tws, etas = [np.zeros((1, len(elems)), np.int64)], [np.zeros(1, np.int64)]
-    for y in np.flatnonzero((at[:, 1:] == -2).any(axis=0)) + 1:
-        sel = np.flatnonzero(at[:, y] == -2)
-        if not _has_bundle(theory, elems[y]):
-            at[sel, y] = -1
-            continue
-        b = theory.bundle(elems[y])
-        sel = sel[np.isin(fields[sel], b.fields)]
-        at[sel, y] = sum(map(len, etas)) + b.positions(fields[sel])
-        tws.append(theory._twist_stack(elems, elems[y]).T)
-        etas.append(np.full(b.dim, NA) if b.eta is None else
-                    theory.etas(elems[y]))
+    for y in range(1, len(elems)):
+        sel = np.flatnonzero(moved[:, y] == fields)
+        if len(sel) and _has_bundle(theory, elems[y]):
+            b = theory.bundle(elems[y])
+            at[sel, y] = sum(map(len, etas)) + b.positions(fields[sel])
+            tws.append(theory._twist_stack(elems, elems[y]).T)
+            etas.append(np.full(b.dim, NA) if b.eta is None else
+                        theory.etas(elems[y]))
     return (fields, moved, phases, mul, at,
             np.concatenate([*tws, np.full((1, len(elems)), NA)]),
             np.concatenate([*etas, [NA]]))
@@ -168,8 +165,6 @@ def check_conditions(theory: Theory, j: int, tol: float = CHECK_TOL, *,
     rows = np.searchsorted(fields, supp)
     moved, phases, at = moved[rows], phases[rows], at[rows]
     fix = moved == np.array(supp)[:, None]
-    for x, i in np.argwhere(at.T == -2)[:1]:  # raises for the first one
-        theory.bundle(elems[x]).positions([supp[i]])
     # the grids over elems, NA at the currents without a bundle
     tw, eta = tws[at].transpose(0, 2, 1), etas[at]
     avail = tw[:, 0] != NA          # [i, y]: y fixes supp[i], has a bundle
