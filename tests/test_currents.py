@@ -78,6 +78,29 @@ def test_equal_factors_share_one_theory(monkeypatch):
     assert [f.name for f in built if not f.is_product] == ["su2_4", "su2_6"]
 
 
+def test_row_ratios_only_for_the_identity_and_the_center_basis(monkeypatch):
+    # a multi-field atomic bundle composes every other translator's table;
+    # test_condition_oracle checks each table against its row ratios
+    md = tensor(*(su2(4) for _ in range(4)))
+    ex = extend(Theory(md), [md.index((4, 4, 4, 4))])
+    res = [ex.resolve(c) for c in ex.residual_classes() if c.order > 1]
+    th = ex.extended_theory(extra_bundles=[r.bundle for r in res])
+    taken = []
+    direct = Theory._direct_twists
+
+    def spy(self, ks, b):
+        taken.append((b.current, sorted(ks)))
+        return direct(self, ks, b)
+
+    monkeypatch.setattr(Theory, "_direct_twists", spy)
+    z = th.center
+    currents = [j for j in z.elements if j and th.bundle(j).dim > 1]
+    for j in currents:
+        th.twist_grid(th.bundle(j).fields, z.elements, [j])
+    assert len(z.elements) > 1 + len(z.basis)
+    assert taken == [(j, sorted([0, *z.basis])) for j in currents]
+
+
 def test_detect_su2_4():
     assert detect_simple_currents(su2(4)) == [0, 4]
 
