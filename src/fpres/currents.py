@@ -21,7 +21,8 @@ unity: `Theory.etas(j)` once per table, `Theory.twists(k, j)` only for K = 0
 and the basis of the center, in one pass, composing every other table
 exactly, F(a, K1 K2, J) = F(K2 a, K1, J) + F(a, K2, J). Both keep int64
 numerators and mark what does not snap, so that only the accessor of that
-field raises; `twist_grid` and `eta_grid` gather them into grids.
+field raises; `Theory.layout` lays them end to end for the cells that the
+extension and the condition report read.
 """
 from __future__ import annotations
 
@@ -59,7 +60,7 @@ from .modular import (
 from .phases import (SNAP_ORDER_LIMIT, SNAP_TOL, norm1, snap_phases, unit,
                      units)
 
-NA = -4  # grid cell below the twist and eta marks: no data for the cell
+NA = -4  # layout entry below the twist and eta marks: no data for the cell
 
 
 @dataclass
@@ -504,34 +505,33 @@ class Theory:
             raise ResolutionError(f"row of field {a} in bundle {j} vanishes")
         return Fraction(n, self.snap_order)
 
-    def twist_grid(self, fields, translators, currents) -> np.ndarray:
-        """F(fields[i], translators[x], currents[y]) over `snap_order` where
-        currents[y] fixes fields[i], marked as in `twists`; NA elsewhere."""
-        return self._grid(fields, currents, len(translators), lambda j, b:
-                          self._twist_stack(translators, j))
-
-    def eta_grid(self, fields, currents) -> np.ndarray:
-        """eta^J(fields[i]) for J = currents[y] over `eta_order` where J fixes
-        fields[i], marked as in `etas`; NA elsewhere and without eta data."""
-        return self._grid(fields, currents, 1, lambda j, b: None if
-                          b.eta is None else self.etas(j)[None])[:, 0]
-
-    def _grid(self, fields, currents, width, tables) -> np.ndarray:
-        """tables(J, bundle of J)[x] at fields[i] for J = currents[y] where J
-        fixes fields[i], by one gather per current; 0 for the identity, NA
-        elsewhere and where `tables` gives None."""
+    def layout(self, fields, translators, currents):
+        """(at, tws, etas): the twist and eta data of the cells (fields[i],
+        currents[y]), end to end. Cell (i, y) sits at row r = at[i, y]:
+        F(fields[i], translators[x], currents[y]) at tws[r, x] over
+        `snap_order`, marked as `twists` marks it, and eta^J(fields[i]),
+        J = currents[y], at etas[r] over `eta_order`, marked as `etas`
+        marks it, NA where the bundle of J has no eta. Row 0 holds the
+        identity's zeros, and the last row, at -1, is NA: the row of every
+        cell whose current does not fix its field. Each current's tables
+        are built over the requested translators only."""
         fields = np.asarray(fields, dtype=np.intp)
-        grid = np.full((len(fields), width, len(currents)), NA, dtype=np.int64)
+        at = np.full((len(fields), len(currents)), -1, dtype=np.intp)
+        tws = [np.zeros((1, len(translators)), dtype=np.int64)]
+        etas = [np.zeros(1, dtype=np.int64)]
         for y, j in enumerate(currents):
             sel = np.flatnonzero(self.perms[j][fields] == fields)
             if j == 0:
-                grid[:, :, y] = 0
+                at[:, y] = 0
             elif len(sel):
                 b = self.bundle(j)
-                stack = tables(j, b)
-                if stack is not None:
-                    grid[sel, :, y] = stack[:, b.positions(fields[sel])].T
-        return grid
+                pos = b.positions(fields[sel])
+                at[sel, y] = sum(map(len, etas)) + np.arange(len(sel))
+                tws.append(self._twist_stack(translators, j)[:, pos].T)
+                etas.append(np.full(len(sel), NA) if b.eta is None
+                            else self.etas(j)[pos])
+        return (at, np.concatenate([*tws, np.full((1, len(translators)), NA)]),
+                np.concatenate([*etas, [NA]]))
 
 
 # ---------------------------------------------------------------------------
@@ -566,17 +566,26 @@ def bundle_from_document(md: ModularData, doc: dict,
     try:
         j = md.index(_label_from_json(doc["current"]))
         fields = tuple(md.index(_label_from_json(x)) for x in doc["fields"])
+        n = len(fields)
         if isinstance(doc["matrix"], dict):
-            mat, *source = _file_matrix(doc["matrix"], directory, len(fields),
-                                        {}, "fp-bundle matrix", "bundle matrix")
+            mat, *source = _file_matrix(doc["matrix"], directory, n, {},
+                                        "fp-bundle matrix", "bundle matrix")
         else:
-            mat = complex_array(doc["matrix"], "matrix")
+            mat = _pairs(doc["matrix"], "matrix", (n, n))
         eta = None
         if "eta" in doc:
-            eta = complex_array(doc["eta"], "eta")
+            eta = _pairs(doc["eta"], "eta", (n,))
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedBundleError(f"malformed bundle document: {exc}") from exc
     return FixedPointBundle(j, fields, mat, eta, *source)
+
+
+def _pairs(obj, field: str, shape) -> np.ndarray:
+    """`complex_array(obj, field)`; for a bundle of no fields, whose arrays
+    have no entries, the [] that `complex_pairs` writes for them too."""
+    if 0 in shape and isinstance(obj, list) and not obj:
+        return np.zeros(shape, dtype=complex)
+    return complex_array(obj, field)
 
 
 def load_bundle(md: ModularData, path) -> FixedPointBundle:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .currents import NA, FixedPointBundle, Theory
+from .currents import FixedPointBundle, Theory
 from .errors import InvalidInputError, ResolutionError
 from .groups import MultGroup
 from .modular import GATE_TOL, ModularData, dense_budget, panels
@@ -150,12 +150,13 @@ class Extension:
         self._orbit_idx = np.full(n, -1, dtype=np.intp)
         self._orbit_idx[local] = (np.cumsum(first) - 1)[
             np.searchsorted(local, low)]
-        # F(reps[i], h[x], h[y]), NA where h[y] moves reps[i] (h[0] = 1); U_a
-        # holds h[y] when its twist against every stabilizer member vanishes
-        grid = th.twist_grid(reps, h, h)
-        stab = grid[:, 0] != NA
+        # F(reps[i], h[x], h[y]) at tws[at[i, y], x], at < 0 where h[y] moves
+        # reps[i] (h[0] = 1); U_a holds h[y] when its twist against every
+        # stabilizer member vanishes
+        at, tws, _ = th.layout(reps, h, h)
+        stab = at >= 0
         unt = self._unt = _all_zero(  # [orbit, y]: h[y] in U_a
-            np.where(stab[:, :, None], grid, 0).transpose(0, 2, 1), stab,
+            tws[at], stab,
             lambda i, y, x: th.twist_exponent(reps[i], h[x], h[y]))
         # one (stab, U_a, its MultGroup, character labels) per distinct row
         # pattern of stab and unt, one MultGroup per distinct U_a; _upat[i]
@@ -346,8 +347,10 @@ class Extension:
             return
         n, m = len(reps), len(h)
         fix = np.stack([th.perms[x][reps] == reps for x in xs], axis=1)
-        grid = th.twist_grid(reps, xs, h)  # NA outside the stabilizer
-        good = _all_zero(np.where(grid == NA, 0, grid), fix, lambda i, x, y:
+        # F(reps[i], xs[x], h[y]) at [i, x, y], 0 where h[y] moves reps[i]
+        at, tws, _ = th.layout(reps, xs, h)
+        grid = np.where(at[:, :, None] < 0, 0, tws[at]).transpose(0, 2, 1)
+        good = _all_zero(grid, fix, lambda i, x, y:
                          th.twist_exponent(reps[i], xs[x], h[y]))
         fixes = fix.reshape(n, len(classes), m)
         first = fixes.argmax(axis=2) + m * np.arange(len(classes))
@@ -439,9 +442,10 @@ class Extension:
         k = (img == cbar).argmax(axis=0)
         ks = np.unique(k)
         elems = sorted(set().union(*(g.elements for g in self._ugroups)))
-        tws = th.twist_grid(reps, [h[x] for x in ks.tolist()], elems)[
-            np.arange(len(reps)), np.searchsorted(ks, k)]
-        etas = th.eta_grid(cbar, elems)
+        at, tws, _ = th.layout(reps, [h[x] for x in ks.tolist()], elems)
+        tws = tws[at, np.searchsorted(ks, k)[:, None]]
+        at, _, etas = th.layout(cbar, [], elems)
+        etas = etas[at]
         pi = np.zeros((len(reps), max(g.size for g in self._ugroups)),
                       dtype=np.intp)
         fail = np.zeros(len(reps), dtype=np.int8)
@@ -495,13 +499,6 @@ class Extension:
                 f"product representative {r[i]} fails on the orbit of "
                 f"{self.orbits[idx[i]].rep}")
         return r
-
-    def orbit_representative(self, cls: ResidualClass, o: OrbitData):
-        """Class member fixing the orbit and untwisted against its
-        stabilizer, read off the orbit's section; None when the class has
-        no such member there."""
-        r = int(self._representatives(cls, np.array([o.index]))[0])
-        return None if r < 0 else r
 
     def _pair_representatives(self, cls: ResidualClass, idx) -> np.ndarray:
         """rab[a, b]: index of the first class member good on both orbits,
@@ -623,8 +620,9 @@ class Extension:
         th, sec, den = self.theory, self._sections(), self.theory.eta_order
         h, reps, k = self.h_members, self._reps[idx], sec.k[idx]
         ks, rs = np.unique(k), np.unique(r)
-        f = th.twist_grid(reps, [h[x] for x in ks.tolist()], rs.tolist())[
-            np.arange(len(idx)), np.searchsorted(ks, k), np.searchsorted(rs, r)]
+        at, tws, _ = th.layout(reps, [h[x] for x in ks.tolist()], rs.tolist())
+        f = tws[at[np.arange(len(idx)), np.searchsorted(rs, r)],
+                np.searchsorted(ks, k)]
         base = np.zeros(len(idx), dtype=complex)
         no_eta = np.zeros(len(idx), dtype=bool)
         for j in rs.tolist():

@@ -8,8 +8,9 @@ Twist tables are checked for multiplicativity, conjugation symmetry and
 the spin rule, and the eta product law against the twists, as integer
 identities over (field, stabilizer element) grids of the exact tables of
 `Theory`; an entry that did not snap raises through its accessor, as a
-field-by-field evaluation would. A report builds the tables its checks
-share once, over the union of the supports it checks.
+field-by-field evaluation would. A report reads the twist and eta cells its
+checks share from one `Theory.layout` over the union of the supports it
+checks, the layout the extension reads too.
 
 {5c}, eta^J(conj a) = conj eta^J(a), is the half-integer-spin flag. With
 {2}, {5}, {6} and {5b} at K = J^-1, correct data satisfy eta^J(conj a) =
@@ -82,11 +83,9 @@ def _report_tables(theory: Theory, currents):
     """What the checks of `currents` share, over the union of their supports,
     `fields` (ascending), and the center `elems`: elems[x] fields[i] and the
     charge phase exp(2 pi i Q_{elems[x]}(fields[i])) at [i, x], the product
-    table of `elems` by position, and the twist and eta tables of every
-    current elems[y] with a bundle, end to end: F(a, elems[x], elems[y]) at
-    [r, x] of `tws` and eta^{elems[y]}(a) at [r] of `etas`, r = at[i, y] for
-    a = fields[i]; -1, the NA row, where elems[y] does not fix a or has no
-    bundle."""
+    table of `elems` by position, and the `Theory.layout` of the fields
+    against the translators and currents `elems`, its `at` -1 in the
+    columns of the currents without a bundle."""
     elems = theory.center.elements
     fields = np.array(sorted(set().union(*(theory.bundle(j).fields
                                            for j in currents))), dtype=np.intp)
@@ -94,20 +93,12 @@ def _report_tables(theory: Theory, currents):
     phases = units(np.stack([theory.charges(x)[fields] for x in elems],
                             axis=1), theory.den)
     mul = np.searchsorted(elems, [theory.perms[x][list(elems)] for x in elems])
+    have = [y for y in np.flatnonzero((moved == fields[:, None]).any(axis=0))
+            if _has_bundle(theory, elems[y])]
     at = np.full(moved.shape, -1)
-    at[:, 0] = 0  # the identity's one row of zeros
-    tws, etas = [np.zeros((1, len(elems)), np.int64)], [np.zeros(1, np.int64)]
-    for y in range(1, len(elems)):
-        sel = np.flatnonzero(moved[:, y] == fields)
-        if len(sel) and _has_bundle(theory, elems[y]):
-            b = theory.bundle(elems[y])
-            at[sel, y] = sum(map(len, etas)) + b.positions(fields[sel])
-            tws.append(theory._twist_stack(elems, elems[y]).T)
-            etas.append(np.full(b.dim, NA) if b.eta is None else
-                        theory.etas(elems[y]))
-    return (fields, moved, phases, mul, at,
-            np.concatenate([*tws, np.full((1, len(elems)), NA)]),
-            np.concatenate([*etas, [NA]]))
+    at[:, have], tws, etas = theory.layout(fields, elems,
+                                           [elems[y] for y in have])
+    return fields, moved, phases, mul, at, tws, etas
 
 
 def check_conditions(theory: Theory, j: int, tol: float = CHECK_TOL, *,

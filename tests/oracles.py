@@ -15,7 +15,10 @@ keys every rounded S row by its bytes; `dressing_by_orbit`,
 the per-orbit loops of a resolution: the passes that `validate.check_fusion_integrality` and
 `Extension.recombination_groups`, `_dressing`, `_relabelings` and
 `_resolved_eta` replaced. `native` is a document with its ndarray leaves as
-nested lists, as `modular.dump_json` writes them.
+nested lists, as `modular.dump_json` writes them. `grids` spreads a
+`Theory.layout` into dense (field, translator, current) grids, and
+`orbit_representative` reads one orbit's class representative off
+`Extension._representatives`.
 """
 import itertools
 import math
@@ -41,6 +44,22 @@ def native(doc):
     if isinstance(doc, (list, tuple)):
         return [native(v) for v in doc]
     return doc
+
+
+def grids(th, fields, translators, currents):
+    """(tw, eta): F(fields[i], translators[x], currents[y]) at tw[i, x, y]
+    and eta^{currents[y]}(fields[i]) at eta[i, y], from `Theory.layout`; NA
+    where currents[y] does not fix fields[i]."""
+    at, tws, etas = th.layout(fields, translators, currents)
+    return tws[at].transpose(0, 2, 1), etas[at]
+
+
+def orbit_representative(ex, cls, o):
+    """The class member fixing the orbit `o` and untwisted against its
+    stabilizer, read off the orbit's section; None when the class has no
+    such member there."""
+    r = int(ex._representatives(cls, np.array([o.index]))[0])
+    return None if r < 0 else r
 
 
 def fusion_matrix(md: ModularData, a: int) -> np.ndarray:
@@ -98,7 +117,7 @@ def orbits_by_field(th, h_gens, convention_seed=None):
             rep = rng.choice(members)
         reps.append(rep)
         orbit_members.append(tuple(members))
-    grid = th.twist_grid(reps, h, h)
+    grid, _ = grids(th, reps, h, h)
     stab = grid[:, 0] != NA
     unt = _all_zero(
         np.where(stab[:, :, None], grid, 0).transpose(0, 2, 1), stab,
@@ -221,8 +240,8 @@ def relabelings_by_orbit(ex, orbits):
     ks = [next(x for x, k in enumerate(h) if th.apply(k, a) == c)
           for a, c in zip(reps, cbars)]
     elems = sorted(set().union(*(o.unt for o in orbits)))
-    tws = th.twist_grid(reps, h, elems)[np.arange(len(reps)), ks]
-    etas = th.eta_grid(cbars, elems)
+    tws = grids(th, reps, h, elems)[0][np.arange(len(reps)), ks]
+    etas = grids(th, cbars, [], elems)[1]
     pis = []
     for i, o in enumerate(orbits):
         cols = np.searchsorted(elems, o.unt)

@@ -14,7 +14,7 @@ from fpres.extend import GRID_TOL, extend, match_fields
 from fpres.modular import FUSION_TOL, check_modular, tensor
 from fpres.validate import check_fusion_integrality, condition_report
 from fpres.wzw import ising, su2, sun
-from oracles import fusion_matrix
+from oracles import fusion_matrix, orbit_representative
 from twist_models import TWIST_TABLE, realize_twist_row
 
 
@@ -165,10 +165,10 @@ def test_triple_su2_representatives_and_opposite_twists():
     assert [labels[c.rep] for c in classes] == [(0, 0, 2), (0, 6, 0), (0, 6, 2)]
 
     picks_a = {
-        labels[c.rep]: labels[ex.orbit_representative(c, oa)] for c in classes
+        labels[c.rep]: labels[orbit_representative(ex, c, oa)] for c in classes
     }
     picks_b = {
-        labels[c.rep]: labels[ex.orbit_representative(c, ob)] for c in classes
+        labels[c.rep]: labels[orbit_representative(ex, c, ob)] for c in classes
     }
     assert picks_a == {
         (0, 0, 2): (0, 0, 2),

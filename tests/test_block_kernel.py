@@ -23,8 +23,9 @@ from fpres.modular import tensor
 from fpres.phases import norm1, unit
 from fpres.validate import check_fusion_integrality, condition_report
 from fpres.wzw import ising, su2, sun
-from oracles import (dressing_by_orbit, recombination_groups_by_bytes,
-                     relabelings_by_orbit, resolved_eta_by_orbit)
+from oracles import (dressing_by_orbit, orbit_representative,
+                     recombination_groups_by_bytes, relabelings_by_orbit,
+                     resolved_eta_by_orbit)
 from test_groups import char_exponent
 
 TOL = 1e-12
@@ -158,7 +159,7 @@ def oracle_phis(ex, cls, orbits, r_assign):
         g = MultGroup([c.rep for c in classes.values() if any(
             th.apply(x, o.rep) == o.rep and _untwisted_for(th, o.rep, x, o.stab)
             for x in c.members)], ex.quotient.mul, 0)
-        rb = [ex.orbit_representative(classes[b], o) for b in g.basis]
+        rb = [orbit_representative(ex, classes[b], o) for b in g.basis]
         for k in itertools.product(*(range(n) for n in g.orders)):
             x = 0
             for r, kb in zip(rb, k):
@@ -184,7 +185,7 @@ def oracle_resolution(ex, cls):
     th = ex.theory
     orbits = oracle_support(ex, cls)
     support = tuple(e for o in orbits for e in o.ext_ids)
-    r_assign = {o.rep: ex.orbit_representative(cls, o) for o in orbits}
+    r_assign = {o.rep: orbit_representative(ex, cls, o) for o in orbits}
     phis = oracle_phis(ex, cls, orbits, r_assign)
     mat = np.block([[_pair_block(ex, cls, oa, ob, r_assign, phis)
                      for ob in orbits] for oa in orbits]) if orbits \
@@ -332,7 +333,7 @@ def test_closure_phases_are_nonzero_only_past_the_identity(name, closures):
         if cls.order == 1:
             continue
         orbits = oracle_support(ex, cls)
-        r_assign = {o.rep: ex.orbit_representative(cls, o) for o in orbits}
+        r_assign = {o.rep: orbit_representative(ex, cls, o) for o in orbits}
         for per_orbit in oracle_phis(ex, cls, orbits, r_assign).values():
             phases.extend(per_orbit.values())
     assert phases
@@ -514,8 +515,8 @@ def test_seeded_su5_pair_passes_every_check():
         if inv < cls.rep:
             inv_cls = next(c for c in ex.residual_classes() if c.rep == inv)
             for o in ex.orbits:
-                r = ex.orbit_representative(cls, o)
-                r_inv = ex.orbit_representative(inv_cls, o)
+                r = orbit_representative(ex, cls, o)
+                r_inv = orbit_representative(ex, inv_cls, o)
                 assert (r is None) == (r_inv is None)
                 if r is not None:
                     assert th.center.mul(r, r_inv) == 0

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from fpres.cli import main
+from fpres.extend import match_fields
 from fpres.modular import complex_pairs, dump_json, fusion_tensor, load, save_npy
 
 
@@ -245,6 +246,35 @@ def test_extend_by_label_writes_resolved_bundles(tmp_path, capsys):
     assert rc == 0
     report = json.loads((tmp_path / "ext" / "report.json").read_text())
     assert report["extension"]["extended_fields"] == 4
+
+
+def test_a_second_extend_reads_every_bundle_the_first_wrote(tmp_path,
+                                                            capsys):
+    # su2_2^4 by (2, 2, 0, 0) writes a bundle for each surviving current,
+    # those that fix no field among them; the first step exits 1 on the
+    # {5c} flags of its half-integer-spin currents
+    src, prod = tmp_path / "a.json", tmp_path / "p.json"
+    run(capsys, "generate", "su2", "--k", "2", "--out", str(src))
+    run(capsys, "tensor", *[str(src)] * 4, "--out", str(prod))
+    rc, _ = run(capsys, "extend", str(prod), "--by", "[2,2,0,0]",
+                "--out", str(tmp_path / "ext"))
+    assert rc in (0, 1)
+    ext = tmp_path / "ext" / "extended.json"
+    bundles = sorted(str(p) for p in ext.parent.glob("bundle_*.json"))
+    assert [json.loads(open(p).read())["fields"] for p in bundles].count(
+        []) == 4
+    rc, _ = run(capsys, "validate", str(ext), "--bundles", *bundles)
+    assert rc in (0, 1)
+    rc, _ = run(capsys, "extend", str(ext), "--by", "[[0,0,2,2],[]]",
+                "--bundles", *bundles, "--out", str(tmp_path / "two"))
+    assert rc in (0, 1)
+    rc, _ = run(capsys, "extend", str(prod), "--by", "[2,2,0,0]",
+                "--by", "[0,0,2,2]", "--out", str(tmp_path / "one"))
+    assert rc in (0, 1)
+    two = load(str(tmp_path / "two" / "extended.json"))
+    one = load(str(tmp_path / "one" / "extended.json"))
+    assert two.size == 16
+    assert sorted(match_fields(two, one).tolist()) == list(range(16))
 
 
 def test_extend_rejects_half_integer_current(tmp_path, capsys):
@@ -563,6 +593,22 @@ def test_bad_bundle_pairs_are_usage_errors(extended_run, tmp_path, capsys,
     if command == "extend":
         argv += ["--by", "0", "--out", str(tmp_path / "again")]
     rc = main(argv)
+    assert rc == 2
+    assert f"document: {field} " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["s_matrix", "matrix", "eta"])
+def test_empty_pairs_of_an_array_with_entries_are_usage_errors(
+        extended_run, tmp_path, capsys, field):
+    # [] reads as an array only for a bundle of no fields
+    ext, bundle = extended_run
+    doc = _inline(ext if field == "s_matrix" else bundle)
+    assert len(doc["fields"]) > 0
+    doc[field] = []
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["validate", str(bad)] if field == "s_matrix" else
+              ["validate", str(ext), "--bundles", str(bad)])
     assert rc == 2
     assert f"document: {field} " in capsys.readouterr().err
 

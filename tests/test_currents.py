@@ -17,11 +17,14 @@ from fpres.currents import (
     detect_simple_currents,
     solve_1x1_bundle,
 )
-from fpres.errors import InvalidInputError, MalformedBundleError, ResolutionError
+from fpres.errors import (InvalidInputError, MalformedBundleError,
+                          PhaseSnapError, ResolutionError)
 from fpres.extend import extend
 from fpres.modular import dump_json, tensor
 from fpres.phases import norm1, unit
 from fpres.wzw import ising, su2, sun
+from oracles import grids
+from test_condition_oracle import CORRUPTED
 
 
 def test_a_theory_is_freed_without_the_cycle_collector():
@@ -96,7 +99,7 @@ def test_row_ratios_only_for_the_identity_and_the_center_basis(monkeypatch):
     z = th.center
     currents = [j for j in z.elements if j and th.bundle(j).dim > 1]
     for j in currents:
-        th.twist_grid(th.bundle(j).fields, z.elements, [j])
+        th.layout(th.bundle(j).fields, z.elements, [j])
     assert len(z.elements) > 1 + len(z.basis)
     assert taken == [(j, sorted([0, *z.basis])) for j in currents]
 
@@ -249,7 +252,7 @@ def test_untwisted_stabilizer_contrast():
     th = Theory(md)
     a = md.index((1, 1))
     full = th.center.elements
-    grid = th.twist_grid([a], full, full)[0]  # [translator, current]
+    grid = grids(th, [a], full, full)[0][0]  # [translator, current]
     # NA exactly in the columns of the currents that move a
     stab = [y for y in range(len(full)) if (grid[:, y] != NA).all()]
     assert (grid[:, [y for y in range(len(full)) if y not in stab]] == NA).all()
@@ -260,7 +263,7 @@ def test_untwisted_stabilizer_contrast():
     # inside the diagonal subgroup everything is untwisted
     diag = th.subgroup([8])
     assert diag == (0, 8)
-    assert (th.twist_grid([a], diag, diag) == 0).all()
+    assert (grids(th, [a], diag, diag)[0] == 0).all()
     assert extend(th, [8]).orbit_of(a).unt == (0, 8)
 
 
@@ -274,7 +277,58 @@ def test_stabilizer_triple_product():
     a = md.index((2, 1, 1))
     assert a == 46
     # only the identity fixes a
-    assert th.twist_grid([a], sub, sub)[0].tolist() == [[0, NA], [0, NA]]
+    assert grids(th, [a], sub, sub)[0][0].tolist() == [[0, NA], [0, NA]]
+
+
+def test_layout_cells_read_as_the_exact_accessors():
+    # su2_4^2 with the row of a field dephased in S^(0,4), so that some of
+    # its twists are marked, and S^(4,0) given without eta; (4, 4) fixes
+    # only (2, 2), which is not asked for
+    damaged = CORRUPTED["su2_4^2 dephased row"]()
+    md = damaged.md
+    j, k = md.index((0, 4)), md.index((4, 0))
+    honest = damaged.bundle(k)
+    th = Theory(md, extra_bundles=[damaged.bundle(j), FixedPointBundle(
+        k, honest.fields, honest.matrix, None)])
+    fields = [md.index(a) for a in
+              [(0, 2), (1, 2), (3, 2), (4, 2), (2, 1), (0, 0)]]
+    currents = [0, j, k, md.index((4, 4))]
+    translators = th.center.elements
+    at, tws, etas = th.layout(fields, translators, currents)
+    assert (at[:, 3] == -1).all()
+    assert (tws[-1] == NA).all() and etas[-1] == NA
+    seen = set()
+    for i, a in enumerate(fields):
+        for y, c in enumerate(currents):
+            r = at[i, y]
+            if th.apply(c, a) != a:
+                assert r == -1
+                seen.add("moved")
+                continue
+            assert r >= 0 and (c != 0 or r == 0)
+            for x, t in enumerate(translators):
+                try:
+                    want = th.twist_exponent(a, t, c)
+                except PhaseSnapError:
+                    assert tws[r, x] == -1
+                    seen.add("marked twist")
+                except ResolutionError as exc:
+                    assert tws[r, x] == (-2 if "not constant" in str(exc)
+                                         else -3)
+                    seen.add("marked twist")
+                else:
+                    assert Fraction(int(tws[r, x]), th.snap_order) == want
+            try:
+                want = th.eta_exponent(c, a)
+            except PhaseSnapError:
+                assert etas[r] == -1
+            except ResolutionError:
+                assert etas[r] == NA
+                seen.add("no eta")
+            else:
+                assert Fraction(int(etas[r]), th.eta_order) == want
+    assert seen == {"moved", "marked twist", "no eta"}
+    assert (tws[0] == 0).all() and etas[0] == 0
 
 
 def test_bundle_document_roundtrip(tmp_path):

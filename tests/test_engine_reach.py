@@ -19,11 +19,8 @@ PACKAGE = Path(fpres.__file__).parent
 # matrices, is kept for a planned `fpres compare` command. check_modular
 # calls itself on the factors of a product; `perfbench/workloads.py` and
 # `bench/ladder.py` call it from outside the package, and
-# `perfbench/gate.py` calls `Theory.apply`. `Extension.resolve` reads the
-# representatives of whole supports off the per-orbit sections;
-# `Extension.orbit_representative` is the one-orbit accessor of the same
-# sections that the representative tests read.
-EXEMPT = {"match_fields", "check_modular", "apply", "orbit_representative"}
+# `perfbench/gate.py` calls `Theory.apply`.
+EXEMPT = {"match_fields", "check_modular", "apply"}
 
 
 def public_definitions(tree):

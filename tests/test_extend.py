@@ -10,8 +10,9 @@ from fpres.currents import FixedPointBundle, Theory
 from fpres.errors import InvalidInputError, ResolutionError
 from fpres.extend import GRID_TOL, extend, match_fields
 from fpres.modular import check_modular, tensor
+from fpres.validate import condition_report
 from fpres.wzw import ising, su2, sun
-from oracles import fusion_matrix
+from oracles import fusion_matrix, orbit_representative
 
 
 @functools.lru_cache(maxsize=None)
@@ -160,8 +161,8 @@ def test_triple_su2_orbit_representatives():
         if c.order == 1:
             continue
         picks[labels[c.rep]] = (
-            labels[ex.orbit_representative(c, oa)],
-            labels[ex.orbit_representative(c, ob)],
+            labels[orbit_representative(ex, c, oa)],
+            labels[orbit_representative(ex, c, ob)],
         )
     assert picks == {
         (0, 0, 2): ((0, 0, 2), (0, 0, 2)),
@@ -225,7 +226,7 @@ def test_extended_twist_requires_fixed_orbit():
     classes = [c for c in ex.residual_classes() if c.order > 1]
     moved = None
     for o in ex.orbits:
-        if ex.orbit_representative(classes[0], o) is None:
+        if orbit_representative(ex, classes[0], o) is None:
             moved = o
             break
     assert moved is not None
@@ -247,6 +248,18 @@ def test_resolve_needs_the_eta_of_the_representative_bundle():
     cls = next(c for c in ex.residual_classes() if j in c.members)
     with pytest.raises(ResolutionError, match="lacks eta data"):
         ex.resolve(cls)
+
+
+def test_a_subgroup_member_without_a_closed_form_bundle_fails_extend():
+    # J^2 of su(4)_4 has integer spin and fixes three fields: its bundle
+    # has no closed form, so extend refuses it and the report skips it
+    md = sun(4, 4)
+    j = md.index((0, 4, 0))
+    with pytest.raises(ResolutionError, match=(
+            f"^no closed form for the 3-dimensional bundle of current {j}; "
+            f"provide it as input$")):
+        extend(Theory(md), [j])
+    assert sorted(condition_report(Theory(md))["bundles"]) == ["34", "4"]
 
 
 def _broken_section(edit):

@@ -3,7 +3,9 @@ command exit 0, 1, 2 or 3, and never raise out of `cli.main`.
 
 The documents are those of the chain `generate su2 --k 4` -> `tensor` ->
 `extend --by "[4, 4]"`: the atomic document, the product, `extended.json`
-and its bundle. Each case replaces, deletes or duplicates one or two nodes
+and its bundle; and of the chain su2_2^4 -> `extend --by "[2, 2, 0, 0]"`:
+its `extended.json` and a bundle of a current that fixes no field, whose
+arrays are empty. Each case replaces, deletes or duplicates one or two nodes
 of one document, with odd JSON values or bad `{file, sha256}` references,
 writes it beside the original (so its .npy references resolve) and runs
 the commands that read that document, in-process. The seed and the number
@@ -36,6 +38,20 @@ def _chain(tmp):
     bundles = sorted((tmp / "ext").glob("bundle_*.json"))
     assert len(bundles) == 1
     return bundles[0]
+
+
+def _su2_2_chain(tmp):
+    """The su2_2^4 chain in `tmp`: its extended.json, every bundle it
+    wrote, and the first bundle with no fields."""
+    run = lambda *argv: main([str(a) for a in argv])  # noqa: E731
+    assert run("generate", "su2", "--k", "2", "--out", tmp / "a.json") == 0
+    assert run("tensor", *[tmp / "a.json"] * 4, "--out", tmp / "p.json") == 0
+    # exit 1 on the {5c} flags of the half-integer-spin currents
+    assert run("extend", tmp / "p.json", "--by", "[2, 2, 0, 0]",
+               "--out", tmp / "ext") in (0, 1)
+    bundles = sorted((tmp / "ext").glob("bundle_*.json"))
+    empty = [p for p in bundles if not json.loads(p.read_text())["fields"]]
+    return tmp / "ext" / "extended.json", bundles, empty[0]
 
 
 def _references(directory, root):
@@ -97,6 +113,9 @@ def _mutate(rng, doc, values):
 
 def test_mutated_inputs_never_raise_out_of_the_cli(tmp_path):
     bundle = _chain(tmp_path)
+    (tmp_path / "su2_2").mkdir()
+    ext4, bundles4, empty = _su2_2_chain(tmp_path / "su2_2")
+    by4 = "[[0, 0, 2, 2], []]"
     ext = tmp_path / "ext" / "extended.json"
     out = tmp_path / "out"
     # each document, and the commands to run on its mutated copy M
@@ -119,6 +138,14 @@ def test_mutated_inputs_never_raise_out_of_the_cli(tmp_path):
         "bundle": (bundle, [
             ["validate", ext, "--bundles", "M"],
             ["extend", ext, "--by", "2", "--bundles", "M",
+             "--out", out / "e"]]),
+        "su2_2^4 extended": (ext4, [
+            ["validate", "M", "--bundles", *bundles4],
+            ["extend", "M", "--by", by4, "--bundles", *bundles4,
+             "--out", out / "e"]]),
+        "empty bundle": (empty, [
+            ["validate", ext4, "--bundles", "M"],
+            ["extend", ext4, "--by", by4, "--bundles", "M",
              "--out", out / "e"]]),
     }
     clean = {name: json.loads(path.read_text())

@@ -17,6 +17,7 @@ from fpres.modular import tensor
 from fpres.phases import norm1
 from fpres.validate import NA, _has_bundle, _product_law
 from fpres.wzw import ising, sun
+from oracles import grids
 
 HALF = Fraction(1, 2)
 
@@ -31,15 +32,15 @@ def check_GF(theory: Theory, a: int, currents=None) -> dict:
             if theory.apply(x, a) == a and _has_bundle(theory, x)]
     tw = np.full((1, len(elems), len(elems)), NA, dtype=np.int64)
     eta = np.full((1, len(elems)), NA, dtype=np.int64)
-    tw[:, :, have] = theory.twist_grid([a], elems, [elems[y] for y in have])
-    eta[:, have] = theory.eta_grid([a], [elems[y] for y in have])
+    tw[:, :, have], eta[:, have] = grids(theory, [a], elems,
+                                         [elems[y] for y in have])
     ids = np.array(elems)
     mul = np.searchsorted(ids, [theory.perms[x][ids] for x in elems])
-    grids = mul, tw, eta
     group = [elems.index(x) for x in currents if eta[0, elems.index(x)] != NA]
     j, k = np.array([(x, y) for x in group if x for y in group],
                     dtype=np.intp).reshape(-1, 2).T
-    _, j, k, g, f = _product_law(theory, grids, (a,), np.zeros_like(j), j, k)
+    _, j, k, g, f = _product_law(theory, (mul, tw, eta), (a,),
+                                  np.zeros_like(j), j, k)
     e = theory.eta_order
     fs = [str(Fraction(int(v), e)) for v in f]
     return {
